@@ -72,6 +72,31 @@ class ArchiveSegment:
     sha256: Optional[str] = None
 
 
+def read_manifest(directory: str
+                  ) -> Optional[Tuple[List[ArchiveSegment], bool]]:
+    """Parse a directory's ``CHECKPOINT.json``.
+
+    Returns ``(segments, compress)``, or None when the directory has
+    no manifest.  An unreadable manifest raises ``OSError`` or
+    ``ValueError``; what that means is the caller's policy.
+    """
+    path = os.path.join(directory, CHECKPOINT_NAME)
+    if not os.path.exists(path):
+        return None
+    with open(path) as handle:
+        state = json.load(handle)
+    segments = [
+        ArchiveSegment(entry["start"], entry["end"],
+                       os.path.join(directory, entry["file"]),
+                       entry["count"],
+                       size=entry.get("size"),
+                       crc32=entry.get("crc32"),
+                       sha256=entry.get("sha256"))
+        for entry in state.get("segments", [])
+    ]
+    return segments, bool(state.get("compress", True))
+
+
 @dataclass(frozen=True)
 class RecoveryReport:
     """What :meth:`RollingArchiveWriter.recover` found and fixed."""
@@ -110,8 +135,7 @@ class RollingArchiveWriter:
                  interval_s: float = RIS_INTERVAL_S,
                  compress: bool = True,
                  checkpoint: bool = False,
-                 index: bool = False,
-                 on_seal: Optional[SealHook] = None):
+                 index: bool = False):
         if interval_s <= 0:
             raise ValueError("interval must be positive")
         self.directory = directory
@@ -123,11 +147,8 @@ class RollingArchiveWriter:
         #: cost (:mod:`repro.query`).
         self.index_enabled = index
         #: Seal subscribers, called in registration order after a
-        #: segment (and its checkpoint, when enabled) is durable.  The
-        #: ``on_seal`` constructor arg registers the first one.
+        #: segment (and its checkpoint, when enabled) is durable.
         self._seal_listeners: List[SealHook] = []
-        if on_seal is not None:
-            self._seal_listeners.append(on_seal)
         #: Close subscribers, called after :meth:`close` flushed the
         #: final segment — the hook for end-of-epoch work that must
         #: observe the *complete* archive (crash-incident absorption,
@@ -170,23 +191,6 @@ class RollingArchiveWriter:
     @property
     def seal_listeners(self) -> Tuple[SealHook, ...]:
         return tuple(self._seal_listeners)
-
-    @property
-    def on_seal(self) -> Optional[SealHook]:
-        """Backward-compat view: the first registered seal hook."""
-        return self._seal_listeners[0] if self._seal_listeners else None
-
-    @on_seal.setter
-    def on_seal(self, hook: Optional[SealHook]) -> None:
-        """Backward-compat: replace the *first* listener (historical
-        single-hook slot) without disturbing later subscribers."""
-        if self._seal_listeners:
-            if hook is None:
-                del self._seal_listeners[0]
-            else:
-                self._seal_listeners[0] = hook
-        elif hook is not None:
-            self._seal_listeners.append(hook)
 
     @property
     def checkpoint_path(self) -> str:
@@ -305,19 +309,8 @@ class RollingArchiveWriter:
         _fsync_path(self.directory)
 
     def _load_checkpoint(self) -> List[ArchiveSegment]:
-        if not os.path.exists(self.checkpoint_path):
-            return []
-        with open(self.checkpoint_path) as handle:
-            state = json.load(handle)
-        return [
-            ArchiveSegment(entry["start"], entry["end"],
-                           os.path.join(self.directory, entry["file"]),
-                           entry["count"],
-                           size=entry.get("size"),
-                           crc32=entry.get("crc32"),
-                           sha256=entry.get("sha256"))
-            for entry in state.get("segments", [])
-        ]
+        manifest = read_manifest(self.directory)
+        return manifest[0] if manifest is not None else []
 
     def recover(self) -> RecoveryReport:
         """Restore the crash-consistent on-disk state and rewind.

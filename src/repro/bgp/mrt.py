@@ -17,13 +17,12 @@ orchestrator can be replayed by users.
 from __future__ import annotations
 
 import bz2
-import io
 import struct
 from typing import BinaryIO, Iterable, Iterator, List, Optional, Tuple, \
     Union
 
 from .message import BGPUpdate
-from .prefix import Prefix
+from .prefix import Prefix, PrefixError
 from .rib import Route
 
 MRT_TYPE_UPDATE = 16       # BGP4MP, as in RFC 6396
@@ -33,95 +32,59 @@ SUBTYPE_WITHDRAW = 2
 SUBTYPE_RIB_ENTRY = 4
 
 _HEADER = struct.Struct("!dHHI")   # timestamp, type, subtype, body length
+_U16 = struct.Struct("!H")         # string length, path / community count
+_PREFIX = struct.Struct("!BB")     # address family, mask length
+
+#: ``_U32_RUN[n]`` unpacks or packs ``n`` consecutive u32s (an AS path
+#: is one run, a community set two u32s per entry); longer runs compile
+#: their format on demand.
+_U32_RUN = tuple(struct.Struct(f"!{n}I") for n in range(64))
+
+
+def _u32_run(count: int) -> struct.Struct:
+    return _U32_RUN[count] if count < len(_U32_RUN) \
+        else struct.Struct(f"!{count}I")
 
 
 class MRTError(ValueError):
     """Raised on malformed MRT data."""
 
 
-def _encode_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    if len(raw) > 0xFFFF:
+def _encode(time: float, rtype: int, subtype: int, vp: str,
+            prefix: Prefix, as_path=None, communities=()) -> bytes:
+    """Build one record; ``as_path=None`` omits path and communities
+    (the withdrawal layout)."""
+    name = vp.encode("utf-8")
+    if len(name) > 0xFFFF:
         raise MRTError("string too long for MRT encoding")
-    return struct.pack("!H", len(raw)) + raw
-
-
-def _decode_str(buf: BinaryIO) -> str:
-    (length,) = struct.unpack("!H", _read_exact(buf, 2))
-    return _read_exact(buf, length).decode("utf-8")
-
-
-def _encode_prefix(prefix: Prefix) -> bytes:
-    nbytes = 4 if prefix.family == 4 else 16
-    return struct.pack("!BB", prefix.family, prefix.length) + \
-        prefix.network.to_bytes(nbytes, "big")
-
-
-def _decode_prefix(buf: BinaryIO) -> Prefix:
-    family, length = struct.unpack("!BB", _read_exact(buf, 2))
-    if family not in (4, 6):
-        raise MRTError(f"bad address family {family}")
-    nbytes = 4 if family == 4 else 16
-    network = int.from_bytes(_read_exact(buf, nbytes), "big")
-    return Prefix(family, network, length)
-
-
-def _encode_path(as_path) -> bytes:
-    return struct.pack("!H", len(as_path)) + \
-        b"".join(struct.pack("!I", asn) for asn in as_path)
-
-
-def _decode_path(buf: BinaryIO) -> tuple:
-    (count,) = struct.unpack("!H", _read_exact(buf, 2))
-    return tuple(
-        struct.unpack("!I", _read_exact(buf, 4))[0] for _ in range(count)
-    )
-
-
-def _encode_communities(communities) -> bytes:
-    ordered = sorted(communities)
-    return struct.pack("!H", len(ordered)) + \
-        b"".join(struct.pack("!II", a, v) for a, v in ordered)
-
-
-def _decode_communities(buf: BinaryIO) -> frozenset:
-    (count,) = struct.unpack("!H", _read_exact(buf, 2))
-    return frozenset(
-        struct.unpack("!II", _read_exact(buf, 8)) for _ in range(count)
-    )
-
-
-def _read_exact(buf: BinaryIO, n: int) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise MRTError(f"truncated record: wanted {n} bytes, got {len(data)}")
-    return data
+    body = [_U16.pack(len(name)), name,
+            _PREFIX.pack(prefix.family, prefix.length),
+            prefix.network.to_bytes(4 if prefix.family == 4 else 16, "big")]
+    if as_path is not None:
+        flat = [part for community in sorted(communities)
+                for part in community]
+        body += [_U16.pack(len(as_path)),
+                 _u32_run(len(as_path)).pack(*as_path),
+                 _U16.pack(len(flat) // 2),
+                 _u32_run(len(flat)).pack(*flat)]
+    payload = b"".join(body)
+    return _HEADER.pack(time, rtype, subtype, len(payload)) + payload
 
 
 def encode_update(update: BGPUpdate) -> bytes:
     """Serialize one update as an MRT record."""
-    body = io.BytesIO()
-    body.write(_encode_str(update.vp))
-    body.write(_encode_prefix(update.prefix))
-    if not update.is_withdrawal:
-        body.write(_encode_path(update.as_path))
-        body.write(_encode_communities(update.communities))
-    payload = body.getvalue()
-    subtype = SUBTYPE_WITHDRAW if update.is_withdrawal else SUBTYPE_ANNOUNCE
-    return _HEADER.pack(update.time, MRT_TYPE_UPDATE, subtype,
-                        len(payload)) + payload
+    if update.is_withdrawal:
+        return _encode(update.time, MRT_TYPE_UPDATE, SUBTYPE_WITHDRAW,
+                       update.vp, update.prefix)
+    return _encode(update.time, MRT_TYPE_UPDATE, SUBTYPE_ANNOUNCE,
+                   update.vp, update.prefix, update.as_path,
+                   update.communities)
 
 
 def encode_rib_entry(vp: str, route: Route) -> bytes:
     """Serialize one RIB-dump route as an MRT record."""
-    body = io.BytesIO()
-    body.write(_encode_str(vp))
-    body.write(_encode_prefix(route.prefix))
-    body.write(_encode_path(route.as_path))
-    body.write(_encode_communities(route.communities))
-    payload = body.getvalue()
-    return _HEADER.pack(route.time, MRT_TYPE_RIB, SUBTYPE_RIB_ENTRY,
-                        len(payload)) + payload
+    return _encode(route.time, MRT_TYPE_RIB, SUBTYPE_RIB_ENTRY, vp,
+                   route.prefix, route.as_path, route.communities)
 
 
 Record = Union[BGPUpdate, "RIBRecord"]
@@ -144,90 +107,105 @@ class RIBRecord:
         return f"RIBRecord(vp={self.vp!r}, route={self.route!r})"
 
 
-def _decode_body(time: float, rtype: int, subtype: int,
-                 body: BinaryIO) -> Record:
-    """Decode one record body given its already-parsed header."""
-    if rtype == MRT_TYPE_UPDATE:
-        vp = _decode_str(body)
-        prefix = _decode_prefix(body)
-        if subtype == SUBTYPE_WITHDRAW:
-            return BGPUpdate(vp, time, prefix, is_withdrawal=True)
-        if subtype == SUBTYPE_ANNOUNCE:
-            path = _decode_path(body)
-            comms = _decode_communities(body)
-            return BGPUpdate(vp, time, prefix, path, comms)
-        raise MRTError(f"unknown update subtype {subtype}")
-    if rtype == MRT_TYPE_RIB and subtype == SUBTYPE_RIB_ENTRY:
-        vp = _decode_str(body)
-        prefix = _decode_prefix(body)
-        path = _decode_path(body)
-        comms = _decode_communities(body)
-        return RIBRecord(vp, Route(prefix, path, comms, time))
-    raise MRTError(f"unknown record type {rtype}/{subtype}")
+def decode_at(data, offset: int = 0) -> Tuple[Record, int]:
+    """Decode the record starting at ``offset`` of a bytes-like.
 
-
-def read_record(buf: BinaryIO) -> Optional[Record]:
-    """Decode the next record from a binary stream, or None at EOF.
-
-    MRT records are self-framing (the header carries the body length),
-    so callers embedding them in a larger stream — notably the cluster
-    wire format (:mod:`repro.cluster.wire`) — can pull exactly one
-    record without knowing its size up front.
+    Returns ``(record, next_offset)``.  This is the only place the
+    record field layout is parsed: archives, segment indexes, the
+    query engine and the cluster wire format all come through here.
+    Every field is bounds-checked against the body length the header
+    declares, and any malformed field raises :class:`MRTError`.
     """
-    header = buf.read(_HEADER.size)
-    if not header:
-        return None
-    if len(header) != _HEADER.size:
-        raise MRTError("truncated MRT header")
-    time, rtype, subtype, length = _HEADER.unpack(header)
-    body = io.BytesIO(_read_exact(buf, length))
-    return _decode_body(time, rtype, subtype, body)
+    start = offset + _HEADER.size
+    if offset < 0 or start > len(data):
+        raise MRTError(f"truncated MRT header at offset {offset}")
+    time, rtype, subtype, length = _HEADER.unpack_from(data, offset)
+    end = start + length
+    if end > len(data):
+        raise MRTError(f"truncated record: wanted {length} body bytes, "
+                       f"got {len(data) - start}")
+    if rtype == MRT_TYPE_UPDATE:
+        if subtype not in (SUBTYPE_ANNOUNCE, SUBTYPE_WITHDRAW):
+            raise MRTError(f"unknown update subtype {subtype}")
+    elif rtype != MRT_TYPE_RIB or subtype != SUBTYPE_RIB_ENTRY:
+        raise MRTError(f"unknown record type {rtype}/{subtype}")
+    try:
+        if start + 2 > end:
+            raise MRTError("truncated record: no VP length")
+        (name_len,) = _U16.unpack_from(data, start)
+        pos = start + 2 + name_len
+        if pos + 2 > end:
+            raise MRTError("truncated record: VP overruns the body")
+        vp = str(data[start + 2:pos], "utf-8")
+        family, mask = _PREFIX.unpack_from(data, pos)
+        if family not in (4, 6):
+            raise MRTError(f"bad address family {family}")
+        pos += 2
+        net_end = pos + (4 if family == 4 else 16)
+        if net_end > end:
+            raise MRTError("truncated record: prefix overruns the body")
+        prefix = Prefix(family, int.from_bytes(data[pos:net_end], "big"),
+                        mask)
+        if subtype == SUBTYPE_WITHDRAW:
+            return BGPUpdate(vp, time, prefix, is_withdrawal=True), end
+        if net_end + 2 > end:
+            raise MRTError("truncated record: no AS-path length")
+        (hops,) = _U16.unpack_from(data, net_end)
+        pos = net_end + 2
+        path_end = pos + 4 * hops
+        if path_end + 2 > end:
+            raise MRTError("truncated record: AS path overruns the body")
+        as_path = _u32_run(hops).unpack_from(data, pos)
+        (pairs,) = _U16.unpack_from(data, path_end)
+        if path_end + 2 + 8 * pairs > end:
+            raise MRTError(
+                "truncated record: communities overrun the body")
+        flat = _u32_run(2 * pairs).unpack_from(data, path_end + 2)
+        communities = frozenset(zip(flat[::2], flat[1::2]))
+    except (UnicodeDecodeError, PrefixError) as exc:
+        raise MRTError(f"malformed record at offset {offset}: {exc}") \
+            from exc
+    if rtype == MRT_TYPE_RIB:
+        return RIBRecord(vp, Route(prefix, as_path, communities, time)), end
+    return BGPUpdate(vp, time, prefix, as_path, communities), end
 
 
-def _decode_from(buf: BinaryIO) -> Iterator[Record]:
-    """Decode records from any binary stream until EOF."""
-    while True:
-        record = read_record(buf)
-        if record is None:
-            return
-        yield record
-
-
-def decode_records(data: bytes) -> Iterator[Record]:
-    """Decode a concatenation of MRT records."""
-    yield from _decode_from(io.BytesIO(data))
-
-
-def iter_decoded(data: bytes) -> Iterator[Tuple[int, Record]]:
+def iter_decoded(data) -> Iterator[Tuple[int, Record]]:
     """Decode records, yielding each with its starting byte offset.
 
     The offsets are positions into the (decompressed) payload, suitable
     for :func:`decode_record_at` — the contract the per-segment query
     indexes rely on to decode only matching records.
     """
-    buf = io.BytesIO(data)
-    while True:
-        offset = buf.tell()
-        header = buf.read(_HEADER.size)
-        if not header:
-            return
-        if len(header) != _HEADER.size:
-            raise MRTError("truncated MRT header")
-        time, rtype, subtype, length = _HEADER.unpack(header)
-        body = io.BytesIO(_read_exact(buf, length))
-        yield offset, _decode_body(time, rtype, subtype, body)
+    offset, size = 0, len(data)
+    while offset < size:
+        record, following = decode_at(data, offset)
+        yield offset, record
+        offset = following
 
 
-def decode_record_at(data: bytes, offset: int) -> Record:
+def decode_records(data) -> Iterator[Record]:
+    """Decode a concatenation of MRT records."""
+    return (record for _, record in iter_decoded(data))
+
+
+def decode_record_at(data, offset: int) -> Record:
     """Decode the single record starting at ``offset`` in ``data``."""
-    if not 0 <= offset <= len(data) - _HEADER.size:
-        raise MRTError(f"record offset {offset} out of range")
-    time, rtype, subtype, length = _HEADER.unpack_from(data, offset)
-    start = offset + _HEADER.size
-    if start + length > len(data):
-        raise MRTError("truncated record body")
-    return _decode_body(time, rtype, subtype,
-                        io.BytesIO(data[start:start + length]))
+    return decode_at(data, offset)[0]
+
+
+def read_record(buf: BinaryIO) -> Optional[Record]:
+    """Decode the next record from a binary stream, or None at EOF.
+
+    Reads the header, then exactly the body it declares, so streaming
+    a multi-gigabyte archive holds one record in memory at a time.
+    """
+    header = buf.read(_HEADER.size)
+    if not header:
+        return None
+    if len(header) != _HEADER.size:
+        raise MRTError("truncated MRT header")
+    return decode_at(header + buf.read(_HEADER.unpack(header)[3]))[0]
 
 
 def write_archive(updates: Iterable[BGPUpdate], path: str,
@@ -236,17 +214,13 @@ def write_archive(updates: Iterable[BGPUpdate], path: str,
 
     Returns the number of records written.
     """
-    raw = io.BytesIO()
-    count = 0
-    for update in updates:
-        raw.write(encode_update(update))
-        count += 1
-    payload = raw.getvalue()
+    records = [encode_update(update) for update in updates]
+    payload = b"".join(records)
     if compress:
         payload = bz2.compress(payload)
     with open(path, "wb") as handle:
         handle.write(payload)
-    return count
+    return len(records)
 
 
 def read_archive(path: str, compressed: bool = True) -> List[Record]:
@@ -268,4 +242,4 @@ def iter_archive(path: str, compressed: bool = True) -> Iterator[Record]:
     """
     opener = bz2.open if compressed else open
     with opener(path, "rb") as handle:
-        yield from _decode_from(handle)
+        yield from iter(lambda: read_record(handle), None)

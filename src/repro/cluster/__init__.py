@@ -15,7 +15,7 @@
 """
 
 from .wire import (EndOfInput, END_OF_INPUT, WireError, decode_frame,
-                   decode_record, encode_frame, encode_record, iter_frame)
+                   decode_record, encode_frame, encode_record)
 
 __all__ = [
     "EndOfInput",
@@ -25,7 +25,6 @@ __all__ = [
     "decode_record",
     "encode_frame",
     "encode_record",
-    "iter_frame",
     "ProcessWorkerPool",
     "MergeReport",
     "PartitionError",
@@ -44,7 +43,7 @@ _PARTITION_NAMES = ("PartitionError", "PartitionManifest",
 
 def __getattr__(name: str):
     # Lazy: the backend/partition/merge modules import multiprocessing
-    # machinery the wire-only users (Envelope.to_bytes) never need.
+    # machinery the wire-only users never need.
     if name == "ProcessWorkerPool":
         from .backend import ProcessWorkerPool
         return ProcessWorkerPool

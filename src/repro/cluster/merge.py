@@ -29,7 +29,8 @@ import time as time_mod
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..bgp.archive import ArchiveSegment, RollingArchiveWriter
+from ..bgp.archive import ArchiveSegment, RollingArchiveWriter, \
+    read_manifest
 from ..bgp.message import BGPUpdate, canonical_key
 from ..bgp.mrt import iter_archive
 from .partition import PartitionError, PartitionManifest, \
@@ -59,11 +60,8 @@ class MergeReport:
 def _partition_updates(directory: str, manifest: PartitionManifest
                        ) -> Iterator[BGPUpdate]:
     """Stream one partial archive's updates in its written order."""
-    reader = RollingArchiveWriter(directory,
-                                  interval_s=manifest.interval_s,
-                                  compress=manifest.compress,
-                                  checkpoint=True)
-    for segment in reader._load_checkpoint():
+    checkpoint = read_manifest(directory)
+    for segment in checkpoint[0] if checkpoint is not None else ():
         for record in iter_archive(segment.path, manifest.compress):
             if isinstance(record, BGPUpdate):
                 yield record

@@ -32,21 +32,17 @@ Record tags:
 ``ENVELOPE_TRACED``     an envelope carrying a distributed trace context
 ``DISPOSITION_TRACED``  a disposition carrying the worker's remote span
 
-Frame versioning — a frame whose records carry trace payloads is
-emitted as a *v2* frame: one magic byte (:data:`FRAME_MAGIC`, a value
-a v1 sequence number's leading byte can never take in practice), one
-version byte, then the unchanged ``!QHI`` header and records.  Frames
-without trace payloads keep the original headerless v1 layout
-byte-for-byte, so tracing-off wire traffic is identical to what older
-peers produced, and this decoder accepts both forms — old frames
-still parse, and old captures replay.
+There is one frame layout.  A record that carries a distributed trace
+payload says so in its own tag (``ENVELOPE_TRACED`` /
+``DISPOSITION_TRACED``), so frames need no version marker and
+tracing-off traffic is byte-identical whether or not the peer can
+trace.
 """
 
 from __future__ import annotations
 
-import io
 import struct
-from typing import BinaryIO, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..bgp import mrt
 from ..bgp.message import BGPUpdate
@@ -64,18 +60,10 @@ TAG_DONE = 6
 TAG_ENVELOPE_TRACED = 7
 TAG_DISPOSITION_TRACED = 8
 
-_TAG = struct.Struct("!B")
 _F64 = struct.Struct("!d")
 _U16 = struct.Struct("!H")
-_FLAGS = struct.Struct("!B")
 _FRAME = struct.Struct("!QHI")     # sequence, shard, record count
 _SPAN = struct.Struct("!QQId")     # trace id, span id, pid, duration
-
-#: First byte of a v2 (trace-capable) frame.  A v1 frame starts with
-#: the high byte of its u64 sequence number, which stays 0 for the
-#: first ~7.2e16 frames — the magic can never collide in practice.
-FRAME_MAGIC = 0xF7
-FRAME_VERSION = 2
 
 _FLAG_RETAINED = 0x01
 
@@ -97,50 +85,9 @@ class EndOfInput:
     def __hash__(self) -> int:
         return hash(EndOfInput)
 
-    def to_bytes(self) -> bytes:
-        return _TAG.pack(TAG_END)
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "EndOfInput":
-        marker = decode_record(data)
-        if not isinstance(marker, EndOfInput):
-            raise WireError(f"expected end marker, got {marker!r}")
-        return marker
-
 
 #: Singleton end-of-input marker.
 END_OF_INPUT = EndOfInput()
-
-
-def _read_exact(buf: BinaryIO, n: int) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise WireError(
-            f"truncated wire record: wanted {n} bytes, got {len(data)}")
-    return data
-
-
-def _write_str(buf: BinaryIO, value: str) -> None:
-    raw = value.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise WireError("string too long for wire encoding")
-    buf.write(_U16.pack(len(raw)))
-    buf.write(raw)
-
-
-def _read_str(buf: BinaryIO) -> str:
-    (length,) = _U16.unpack(_read_exact(buf, _U16.size))
-    return _read_exact(buf, length).decode("utf-8")
-
-
-def _read_update(buf: BinaryIO) -> BGPUpdate:
-    try:
-        record = mrt.read_record(buf)
-    except mrt.MRTError as exc:
-        raise WireError(f"bad embedded MRT record: {exc}") from exc
-    if not isinstance(record, BGPUpdate):
-        raise WireError(f"expected an update record, got {record!r}")
-    return record
 
 
 def _trace_context(trace: object) -> "TraceContext | None":
@@ -149,7 +96,7 @@ def _trace_context(trace: object) -> "TraceContext | None":
     Only sampled distributed traces produce one: a plain in-process
     :class:`~repro.telemetry.trace.Trace` has no wire identity and is
     deliberately *not* transported (the live object cannot cross a
-    pipe), so frames carrying those stay v1 byte-for-byte.
+    pipe), so those envelopes go out untraced.
     """
     if trace is None:
         return None
@@ -163,201 +110,135 @@ def _trace_context(trace: object) -> "TraceContext | None":
     return None
 
 
-def record_is_traced(item: object) -> bool:
-    """Whether ``item`` needs a trace-capable (v2) frame."""
-    if isinstance(item, Envelope):
-        return _trace_context(item.trace) is not None
-    if isinstance(item, Disposition):
-        return isinstance(item.trace, RemoteSpan)
-    return False
-
-
-def write_record(buf: BinaryIO, item: object) -> None:
-    """Append one tagged record for ``item`` to ``buf``."""
-    if isinstance(item, Envelope):
-        context = _trace_context(item.trace)
-        if context is not None:
-            buf.write(_TAG.pack(TAG_ENVELOPE_TRACED))
-            buf.write(context.to_bytes())
-        else:
-            buf.write(_TAG.pack(TAG_ENVELOPE))
-        _write_str(buf, item.session)
-        buf.write(_F64.pack(item.enqueued_at))
-        buf.write(mrt.encode_update(item.update))
-    elif isinstance(item, Heartbeat):
-        buf.write(_TAG.pack(TAG_HEARTBEAT))
-        _write_str(buf, item.session)
-        buf.write(_F64.pack(item.time))
-    elif isinstance(item, Disposition):
-        span = item.trace if isinstance(item.trace, RemoteSpan) else None
-        if span is not None:
-            buf.write(_TAG.pack(TAG_DISPOSITION_TRACED))
-            buf.write(_FLAGS.pack(
-                _FLAG_RETAINED if item.retained else 0))
-            buf.write(_SPAN.pack(span.trace_id, span.span_id,
-                                 span.pid, span.duration_s))
-        else:
-            buf.write(_TAG.pack(TAG_DISPOSITION))
-            buf.write(_FLAGS.pack(
-                _FLAG_RETAINED if item.retained else 0))
-        _write_str(buf, item.session)
-        buf.write(_F64.pack(item.enqueued_at))
-        buf.write(mrt.encode_update(item.update))
-    elif isinstance(item, WatermarkAdvance):
-        buf.write(_TAG.pack(TAG_WATERMARK))
-        buf.write(_U16.pack(item.shard))
-        _write_str(buf, item.session)
-        buf.write(_F64.pack(item.time))
-    elif isinstance(item, EndOfInput):
-        buf.write(_TAG.pack(TAG_END))
-    elif isinstance(item, ShardDone):
-        buf.write(_TAG.pack(TAG_DONE))
-    else:
-        raise WireError(f"cannot encode {type(item).__name__} on the wire")
-
-
-def read_wire_record(buf: BinaryIO) -> object:
-    """Decode the next tagged record from ``buf``."""
-    (tag,) = _TAG.unpack(_read_exact(buf, 1))
-    if tag == TAG_ENVELOPE:
-        session = _read_str(buf)
-        (enqueued_at,) = _F64.unpack(_read_exact(buf, _F64.size))
-        return Envelope(_read_update(buf), session, enqueued_at)
-    if tag == TAG_ENVELOPE_TRACED:
-        context = TraceContext.from_bytes(
-            _read_exact(buf, CONTEXT_SIZE))
-        session = _read_str(buf)
-        (enqueued_at,) = _F64.unpack(_read_exact(buf, _F64.size))
-        return Envelope(_read_update(buf), session, enqueued_at,
-                        trace=context)
-    if tag == TAG_HEARTBEAT:
-        session = _read_str(buf)
-        (time,) = _F64.unpack(_read_exact(buf, _F64.size))
-        return Heartbeat(session, time)
-    if tag == TAG_DISPOSITION:
-        (flags,) = _FLAGS.unpack(_read_exact(buf, 1))
-        session = _read_str(buf)
-        (enqueued_at,) = _F64.unpack(_read_exact(buf, _F64.size))
-        return Disposition(_read_update(buf),
-                           bool(flags & _FLAG_RETAINED),
-                           session, enqueued_at)
-    if tag == TAG_DISPOSITION_TRACED:
-        (flags,) = _FLAGS.unpack(_read_exact(buf, 1))
-        trace_id, span_id, pid, duration_s = _SPAN.unpack(
-            _read_exact(buf, _SPAN.size))
-        session = _read_str(buf)
-        (enqueued_at,) = _F64.unpack(_read_exact(buf, _F64.size))
-        return Disposition(_read_update(buf),
-                           bool(flags & _FLAG_RETAINED),
-                           session, enqueued_at,
-                           trace=RemoteSpan.from_wire(
-                               trace_id, span_id, pid, duration_s))
-    if tag == TAG_WATERMARK:
-        (shard,) = _U16.unpack(_read_exact(buf, _U16.size))
-        session = _read_str(buf)
-        (time,) = _F64.unpack(_read_exact(buf, _F64.size))
-        return WatermarkAdvance(shard, session, time)
-    if tag == TAG_END:
-        return END_OF_INPUT
-    if tag == TAG_DONE:
-        return ShardDone()
-    raise WireError(f"unknown wire tag {tag}")
+def _stamp(session: str, value: float) -> bytes:
+    """The ``(session, f64)`` pair every non-marker record carries."""
+    raw = session.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise WireError("string too long for wire encoding")
+    return _U16.pack(len(raw)) + raw + _F64.pack(value)
 
 
 def encode_record(item: object) -> bytes:
-    """Encode a single record (the ``to_bytes`` entry point)."""
-    buf = io.BytesIO()
-    write_record(buf, item)
-    return buf.getvalue()
+    """Encode one tagged record."""
+    if isinstance(item, Envelope):
+        head = bytes((TAG_ENVELOPE,))
+        context = _trace_context(item.trace)
+        if context is not None:
+            head = bytes((TAG_ENVELOPE_TRACED,)) + context.to_bytes()
+        return head + _stamp(item.session, item.enqueued_at) \
+            + mrt.encode_update(item.update)
+    if isinstance(item, Heartbeat):
+        return bytes((TAG_HEARTBEAT,)) + _stamp(item.session, item.time)
+    if isinstance(item, Disposition):
+        flags = _FLAG_RETAINED if item.retained else 0
+        head = bytes((TAG_DISPOSITION, flags))
+        span = item.trace
+        if isinstance(span, RemoteSpan):
+            head = bytes((TAG_DISPOSITION_TRACED, flags)) + _SPAN.pack(
+                span.trace_id, span.span_id, span.pid, span.duration_s)
+        return head + _stamp(item.session, item.enqueued_at) \
+            + mrt.encode_update(item.update)
+    if isinstance(item, WatermarkAdvance):
+        return bytes((TAG_WATERMARK,)) + _U16.pack(item.shard) \
+            + _stamp(item.session, item.time)
+    if isinstance(item, EndOfInput):
+        return bytes((TAG_END,))
+    if isinstance(item, ShardDone):
+        return bytes((TAG_DONE,))
+    raise WireError(f"cannot encode {type(item).__name__} on the wire")
+
+
+def _stamp_at(data: bytes, pos: int) -> Tuple[str, float, int]:
+    (length,) = _U16.unpack_from(data, pos)
+    end = pos + 2 + length
+    # A session cut short by the end of the data fails the f64 unpack.
+    (value,) = _F64.unpack_from(data, end)
+    return str(data[pos + 2:end], "utf-8"), value, end + _F64.size
+
+
+def _update_at(data: bytes, pos: int) -> Tuple[BGPUpdate, int]:
+    record, end = mrt.decode_at(data, pos)
+    if not isinstance(record, BGPUpdate):
+        raise WireError(f"expected an update record, got {record!r}")
+    return record, end
+
+
+def _record_at(data: bytes, pos: int) -> Tuple[object, int]:
+    """Parse the record at ``pos``; returns it and the next offset."""
+    tag = data[pos]
+    pos += 1
+    if tag in (TAG_ENVELOPE, TAG_ENVELOPE_TRACED):
+        context = None
+        if tag == TAG_ENVELOPE_TRACED:
+            context = TraceContext.from_bytes(
+                data[pos:pos + CONTEXT_SIZE])
+            pos += CONTEXT_SIZE
+        session, enqueued_at, pos = _stamp_at(data, pos)
+        update, pos = _update_at(data, pos)
+        return Envelope(update, session, enqueued_at, trace=context), pos
+    if tag in (TAG_DISPOSITION, TAG_DISPOSITION_TRACED):
+        retained = bool(data[pos] & _FLAG_RETAINED)
+        pos += 1
+        span = None
+        if tag == TAG_DISPOSITION_TRACED:
+            span = RemoteSpan.from_wire(*_SPAN.unpack_from(data, pos))
+            pos += _SPAN.size
+        session, enqueued_at, pos = _stamp_at(data, pos)
+        update, pos = _update_at(data, pos)
+        return Disposition(update, retained, session, enqueued_at,
+                           trace=span), pos
+    if tag == TAG_HEARTBEAT:
+        session, time, pos = _stamp_at(data, pos)
+        return Heartbeat(session, time), pos
+    if tag == TAG_WATERMARK:
+        (shard,) = _U16.unpack_from(data, pos)
+        session, time, pos = _stamp_at(data, pos + _U16.size)
+        return WatermarkAdvance(shard, session, time), pos
+    if tag == TAG_END:
+        return END_OF_INPUT, pos
+    if tag == TAG_DONE:
+        return ShardDone(), pos
+    raise WireError(f"unknown wire tag {tag}")
+
+
+def _records_at(data: bytes, pos: int, count: int) -> List[object]:
+    """Parse exactly ``count`` records filling ``data`` from ``pos``.
+
+    The one place parse failures are translated: whatever a malformed
+    field trips over (a short unpack, an index past the end, bad
+    UTF-8, a bad embedded MRT record), the caller sees ``WireError``.
+    """
+    records = []
+    try:
+        for _ in range(count):
+            item, pos = _record_at(data, pos)
+            records.append(item)
+    except WireError:
+        raise
+    except (struct.error, IndexError, ValueError) as exc:
+        raise WireError(
+            f"malformed wire record near byte {pos}: {exc}") from exc
+    if pos != len(data):
+        raise WireError(f"{len(data) - pos} trailing bytes after "
+                        f"{count} records")
+    return records
 
 
 def decode_record(data: bytes) -> object:
     """Decode exactly one record; trailing bytes are an error."""
-    buf = io.BytesIO(data)
-    item = read_wire_record(buf)
-    trailing = buf.read()
-    if trailing:
-        raise WireError(f"{len(trailing)} trailing bytes after record")
-    return item
-
-
-def encode_envelope(envelope: Envelope) -> bytes:
-    return encode_record(envelope)
-
-
-def decode_envelope(data: bytes) -> Envelope:
-    item = decode_record(data)
-    if not isinstance(item, Envelope):
-        raise WireError(f"expected an envelope, got {item!r}")
-    return item
-
-
-def encode_heartbeat(heartbeat: Heartbeat) -> bytes:
-    return encode_record(heartbeat)
-
-
-def decode_heartbeat(data: bytes) -> Heartbeat:
-    item = decode_record(data)
-    if not isinstance(item, Heartbeat):
-        raise WireError(f"expected a heartbeat, got {item!r}")
-    return item
+    return _records_at(data, 0, 1)[0]
 
 
 def encode_frame(sequence: int, shard: int,
                  records: Sequence[object]) -> bytes:
-    """Pack ``records`` into one framed batch.
-
-    Emits the original v1 layout unless some record carries a trace
-    payload, in which case the frame gains the two-byte
-    magic + version prefix — so tracing-off traffic stays
-    byte-identical to pre-versioning peers.
-    """
-    buf = io.BytesIO()
-    if any(record_is_traced(item) for item in records):
-        buf.write(_TAG.pack(FRAME_MAGIC))
-        buf.write(_TAG.pack(FRAME_VERSION))
-    buf.write(_FRAME.pack(sequence, shard, len(records)))
-    for item in records:
-        write_record(buf, item)
-    return buf.getvalue()
-
-
-def _frame_header(data: bytes) -> Tuple[int, int, int, int]:
-    """Parse a v1 or v2 frame header.
-
-    Returns ``(sequence, shard, count, body_offset)``.
-    """
-    if data[:1] == bytes((FRAME_MAGIC,)):
-        if len(data) < 2:
-            raise WireError("truncated frame header")
-        version = data[1]
-        if version != FRAME_VERSION:
-            raise WireError(f"unsupported frame version {version}")
-        offset = 2
-    else:
-        offset = 0
-    if len(data) < offset + _FRAME.size:
-        raise WireError("truncated frame header")
-    sequence, shard, count = _FRAME.unpack_from(data, offset)
-    return sequence, shard, count, offset + _FRAME.size
+    """Pack ``records`` into one framed batch."""
+    return _FRAME.pack(sequence, shard, len(records)) \
+        + b"".join(map(encode_record, records))
 
 
 def decode_frame(data: bytes) -> Tuple[int, int, List[object]]:
     """Unpack one frame into ``(sequence, shard, records)``."""
-    sequence, shard, count, offset = _frame_header(data)
-    buf = io.BytesIO(data)
-    buf.seek(offset)
-    records = [read_wire_record(buf) for _ in range(count)]
-    trailing = buf.read()
-    if trailing:
-        raise WireError(f"{len(trailing)} trailing bytes after frame")
-    return sequence, shard, records
-
-
-def iter_frame(data: bytes) -> Iterator[object]:
-    """Yield a frame's records without materializing the list."""
-    _, _, count, offset = _frame_header(data)
-    buf = io.BytesIO(data)
-    buf.seek(offset)
-    for _ in range(count):
-        yield read_wire_record(buf)
+    if len(data) < _FRAME.size:
+        raise WireError("truncated frame header")
+    sequence, shard, count = _FRAME.unpack_from(data)
+    return sequence, shard, _records_at(data, _FRAME.size, count)

@@ -85,22 +85,6 @@ class Envelope:
     #: attribute read per update.
     trace: Optional[object] = None
 
-    def to_bytes(self) -> bytes:
-        """Compact binary form for cross-process handoff.
-
-        A live in-process trace cannot cross a pipe, but a sampled
-        distributed trace's :class:`~repro.telemetry.distributed
-        .TraceContext` can: it rides the traced wire record and is
-        re-hydrated in the worker — see :mod:`repro.cluster.wire`.
-        """
-        from ..cluster import wire
-        return wire.encode_envelope(self)
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "Envelope":
-        from ..cluster import wire
-        return wire.decode_envelope(data)
-
 
 @dataclass(frozen=True)
 class Heartbeat:
@@ -108,16 +92,6 @@ class Heartbeat:
 
     session: str
     time: float            # stream time; END_OF_STREAM when finished
-
-    def to_bytes(self) -> bytes:
-        """Compact binary form for cross-process handoff."""
-        from ..cluster import wire
-        return wire.encode_heartbeat(self)
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "Heartbeat":
-        from ..cluster import wire
-        return wire.decode_heartbeat(data)
 
 
 @dataclass(frozen=True)

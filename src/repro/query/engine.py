@@ -24,6 +24,7 @@ to) or a bare archive directory (a published dataset).  Execution:
 from __future__ import annotations
 
 import bz2
+import math
 import os
 import re
 import threading
@@ -32,11 +33,11 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
     Tuple, Union
 
-from ..bgp.archive import ArchiveSegment, CHECKPOINT_NAME, \
-    RollingArchiveWriter
+from ..bgp.archive import ArchiveSegment, RollingArchiveWriter, \
+    read_manifest
 from ..bgp.message import BGPUpdate
-from ..bgp.mrt import MRTError, RIBRecord, decode_record_at, iter_archive, \
-    iter_decoded
+from ..bgp.mrt import MRTError, RIBRecord, decode_record_at, \
+    decode_records, iter_archive
 from ..guard.integrity import mismatch_reason
 from ..guard.manager import IntegrityGuard
 from ..guard.serving import Deadline
@@ -52,6 +53,9 @@ _DEADLINE_STRIDE = 256
 
 _SEGMENT_RE = re.compile(r"^updates\.(\d+)-(\d+)\.mrt(\.bz2)?$")
 _RIB_RE = re.compile(r"^rib\.(\d+)\.mrt(\.bz2)?$")
+
+#: The spec every update matches (the unindexed ``vp_counts`` scan).
+_EVERYTHING = QuerySpec(start=-math.inf)
 
 #: The cache token for an archive state: (watermark, segment count).
 WatermarkToken = Tuple[Optional[float], int]
@@ -99,9 +103,14 @@ class DirectoryCatalog:
         return self._compressed
 
     def segments(self) -> List[ArchiveSegment]:
-        manifest = self._manifest_segments()
+        try:
+            manifest = read_manifest(self.directory)
+        except (OSError, ValueError):
+            manifest = None     # unreadable: fall back to the listing
         if manifest is not None:
-            return manifest
+            if self._compressed is None:
+                self._compressed = manifest[1]
+            return manifest[0]
         found: List[ArchiveSegment] = []
         for name in sorted(os.listdir(self.directory)):
             match = _SEGMENT_RE.match(name)
@@ -112,28 +121,6 @@ class DirectoryCatalog:
                 start, end, os.path.join(self.directory, name), 0))
         found.sort(key=lambda s: s.start)
         return found
-
-    def _manifest_segments(self) -> Optional[List[ArchiveSegment]]:
-        path = os.path.join(self.directory, CHECKPOINT_NAME)
-        if not os.path.exists(path):
-            return None
-        import json
-        try:
-            with open(path) as handle:
-                state = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if self._compressed is None:
-            self._compressed = bool(state.get("compress", True))
-        return [
-            ArchiveSegment(entry["start"], entry["end"],
-                           os.path.join(self.directory, entry["file"]),
-                           entry["count"],
-                           size=entry.get("size"),
-                           crc32=entry.get("crc32"),
-                           sha256=entry.get("sha256"))
-            for entry in state.get("segments", [])
-        ]
 
     def rib_dumps(self) -> List[Tuple[float, str]]:
         return _scan_rib_dumps(self.directory)
@@ -333,26 +320,20 @@ class QueryEngine:
             return []
         hits: List[BGPUpdate] = []
         decoded = 0
+        if planned.offsets is None:
+            records = decode_records(payload)
+        else:
+            records = (decode_record_at(payload, offset)
+                       for offset in planned.offsets)
         try:
-            if planned.offsets is None:
-                for _, record in iter_decoded(payload):
-                    decoded += 1
-                    if deadline is not None \
-                            and decoded % _DEADLINE_STRIDE == 0:
-                        deadline.check("mid segment decode")
-                    if isinstance(record, BGPUpdate) \
-                            and spec.matches(record):
-                        hits.append(record)
-            else:
-                for offset in planned.offsets:
-                    record = decode_record_at(payload, offset)
-                    decoded += 1
-                    if deadline is not None \
-                            and decoded % _DEADLINE_STRIDE == 0:
-                        deadline.check("mid segment decode")
-                    if isinstance(record, BGPUpdate) \
-                            and spec.matches(record):
-                        hits.append(record)
+            for record in records:
+                decoded += 1
+                if deadline is not None \
+                        and decoded % _DEADLINE_STRIDE == 0:
+                    deadline.check("mid segment decode")
+                if isinstance(record, BGPUpdate) \
+                        and spec.matches(record):
+                    hits.append(record)
         except MRTError:
             # Structurally corrupt despite matching digests (or a
             # pre-checksum archive): condemn it, serve the rest.
@@ -441,13 +422,11 @@ class QueryEngine:
                 for vp, offsets in index.vps.items():
                     counts[vp] = counts.get(vp, 0) + len(offsets)
                 continue
-            # Unindexable segment: fall back to decoding it.
-            payload = self._read_verified(segment)
-            if payload is None:
-                continue
-            for _, record in iter_decoded(payload):
-                if isinstance(record, BGPUpdate):
-                    counts[record.vp] = counts.get(record.vp, 0) + 1
+            # Unindexable segment: fall back to decoding it (a corrupt
+            # one is condemned there and contributes nothing).
+            for update in self._scan_segment(
+                    PlannedSegment(segment, None), _EVERYTHING):
+                counts[update.vp] = counts.get(update.vp, 0) + 1
         return counts
 
     # -- RIB dumps (the /rib endpoint) ---------------------------------------

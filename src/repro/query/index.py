@@ -269,7 +269,9 @@ def ensure_index(segment_path: str, compressed: bool = True,
         return index, False
     try:
         index = build_index(segment_path, compressed, persist=persist)
-    except (OSError, MRTError) as exc:
+    except (OSError, EOFError, ValueError) as exc:
+        # Unreadable, undecompressable or malformed (MRTError is a
+        # ValueError): one error type for "this segment has no index".
         raise MRTError(f"cannot index segment {segment_path}: {exc}") \
             from exc
     return index, True

@@ -443,28 +443,12 @@ class TestSealListeners:
     def test_ctor_hook_still_works(self, tmp_path):
         fired = []
         writer = RollingArchiveWriter(
-            str(tmp_path), interval_s=100.0, compress=False,
-            on_seal=lambda seg, build: fired.append(seg.count))
+            str(tmp_path), interval_s=100.0, compress=False)
+        writer.add_seal_listener(
+            lambda seg, build: fired.append(seg.count))
         writer.write_stream([upd(10.0), upd(150.0)])
         writer.close()
         assert fired == [1, 1]
-
-    def test_on_seal_property_compat(self, tmp_path):
-        writer = RollingArchiveWriter(str(tmp_path), interval_s=100.0,
-                                      compress=False)
-        assert writer.on_seal is None
-        first = lambda seg, build: None       # noqa: E731
-        second = lambda seg, build: None      # noqa: E731
-        extra = lambda seg, build: None       # noqa: E731
-        writer.on_seal = first
-        writer.add_seal_listener(extra)
-        assert writer.on_seal is first
-        assert writer.seal_listeners == (first, extra)
-        # Replacing via the legacy property keeps later subscribers.
-        writer.on_seal = second
-        assert writer.seal_listeners == (second, extra)
-        writer.on_seal = None
-        assert writer.seal_listeners == (extra,)
 
     def test_remove_seal_listener(self, tmp_path):
         fired = []

@@ -12,21 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bgp import mrt
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
+from repro.bgp.rib import Route
 from repro.cluster import wire
 from repro.cluster.wire import (
     END_OF_INPUT,
-    FRAME_MAGIC,
-    FRAME_VERSION,
-    EndOfInput,
     WireError,
     decode_frame,
     decode_record,
     encode_frame,
     encode_record,
-    iter_frame,
-    record_is_traced,
 )
 from repro.telemetry.distributed import RemoteSpan, TraceContext
 from repro.pipeline.stages import (
@@ -93,7 +90,7 @@ records = st.one_of(envelopes, heartbeats, dispositions, watermarks,
                     st.just(END_OF_INPUT))
 
 # Traced variants: a sampled TraceContext on an envelope, a closed
-# RemoteSpan on a disposition — the two payloads of the v2 frame.
+# RemoteSpan on a disposition — the two trace payloads (tags 7/8).
 trace_contexts = st.builds(
     TraceContext,
     st.integers(1, 2 ** 64 - 1),        # trace id
@@ -122,12 +119,12 @@ class TestRecordRoundtrip:
     @given(envelopes)
     @settings(max_examples=200)
     def test_envelope(self, envelope):
-        assert Envelope.from_bytes(envelope.to_bytes()) == envelope
+        assert decode_record(encode_record(envelope)) == envelope
 
     @given(heartbeats)
     @settings(max_examples=200)
     def test_heartbeat(self, heartbeat):
-        assert Heartbeat.from_bytes(heartbeat.to_bytes()) == heartbeat
+        assert decode_record(encode_record(heartbeat)) == heartbeat
 
     @given(dispositions)
     @settings(max_examples=200)
@@ -139,9 +136,9 @@ class TestRecordRoundtrip:
         assert decode_record(encode_record(advance)) == advance
 
     def test_end_marker(self):
-        data = END_OF_INPUT.to_bytes()
+        data = encode_record(END_OF_INPUT)
         assert data == b"\x03"
-        assert EndOfInput.from_bytes(data) == END_OF_INPUT
+        assert decode_record(data) == END_OF_INPUT
 
     def test_shard_done(self):
         assert isinstance(decode_record(encode_record(ShardDone())),
@@ -149,7 +146,7 @@ class TestRecordRoundtrip:
 
     def test_end_of_stream_heartbeat_survives(self):
         marker = Heartbeat("rrc00", END_OF_STREAM)
-        decoded = Heartbeat.from_bytes(marker.to_bytes())
+        decoded = decode_record(encode_record(marker))
         assert math.isinf(decoded.time)
 
     def test_trace_is_not_transported(self):
@@ -157,7 +154,7 @@ class TestRecordRoundtrip:
         # drop them rather than pickle an unpicklable live object.
         env = Envelope(BGPUpdate("vp", 1.0, Prefix.parse("10.0.0.0/8")),
                        "s", 0.0, trace=object())
-        assert Envelope.from_bytes(env.to_bytes()).trace is None
+        assert decode_record(encode_record(env)).trace is None
 
 
 # -- frame round-trips -------------------------------------------------------
@@ -173,11 +170,6 @@ class TestFrameRoundtrip:
         assert got_shard == shard
         assert got == batch
 
-    @given(st.lists(records, min_size=1, max_size=8))
-    def test_iter_frame_matches_decode(self, batch):
-        encoded = encode_frame(7, 3, batch)
-        assert list(iter_frame(encoded)) == batch
-
     def test_empty_frame(self):
         assert decode_frame(encode_frame(0, 0, [])) == (0, 0, [])
 
@@ -191,7 +183,7 @@ class TestFrameRoundtrip:
         assert b"pickle" not in encoded
 
 
-# -- traced records and versioned frames -------------------------------------
+# -- traced records -----------------------------------------------------------
 
 class TestTracedWire:
     @given(traced_envelopes)
@@ -199,7 +191,7 @@ class TestTracedWire:
     def test_traced_envelope_roundtrip(self, envelope):
         # TraceContext is a frozen dataclass, so envelope equality
         # covers the re-hydrated context exactly.
-        assert Envelope.from_bytes(envelope.to_bytes()) == envelope
+        assert decode_record(encode_record(envelope)) == envelope
 
     @given(traced_dispositions)
     @settings(max_examples=200)
@@ -226,43 +218,6 @@ class TestTracedWire:
             else:
                 assert received == sent
 
-    @given(st.lists(records, max_size=8))
-    @settings(max_examples=100)
-    def test_untraced_frames_stay_v1(self, batch):
-        """Tracing-off traffic must be byte-identical to the legacy
-        frame format: no magic, no version byte, the ``!QHI`` header
-        at offset zero."""
-        encoded = encode_frame(9, 2, batch)
-        assert encoded[:1] != bytes((FRAME_MAGIC,))
-        assert wire._FRAME.unpack_from(encoded)[0] == 9
-
-    @given(st.lists(traced_records, min_size=1, max_size=8))
-    @settings(max_examples=100)
-    def test_traced_frames_carry_version(self, batch):
-        encoded = encode_frame(5, 1, batch)
-        assert encoded[0] == FRAME_MAGIC
-        assert encoded[1] == FRAME_VERSION
-
-    def test_record_is_traced(self):
-        update = BGPUpdate("vp", 1.0, Prefix.parse("10.0.0.0/8"))
-        plain = Envelope(update, "s", 0.0)
-        sampled = Envelope(update, "s", 0.0,
-                           trace=TraceContext(7, 3, True))
-        unsampled = Envelope(update, "s", 0.0,
-                             trace=TraceContext(7, 3, False))
-        assert not record_is_traced(plain)
-        assert record_is_traced(sampled)
-        assert not record_is_traced(unsampled)
-
-    def test_unsupported_frame_version(self):
-        encoded = encode_frame(
-            1, 0, [Envelope(BGPUpdate("vp", 1.0,
-                                      Prefix.parse("10.0.0.0/8")),
-                            "s", 0.0, trace=TraceContext(7, 3))])
-        bumped = bytes((encoded[0], FRAME_VERSION + 1)) + encoded[2:]
-        with pytest.raises(WireError, match="version"):
-            decode_frame(bumped)
-
 
 # -- malformed input ---------------------------------------------------------
 
@@ -273,7 +228,7 @@ class TestMalformed:
 
     def test_trailing_bytes(self):
         with pytest.raises(WireError, match="trailing"):
-            decode_record(END_OF_INPUT.to_bytes() + b"junk")
+            decode_record(encode_record(END_OF_INPUT) + b"junk")
 
     def test_truncated_frame_header(self):
         with pytest.raises(WireError, match="truncated frame header"):
@@ -290,10 +245,101 @@ class TestMalformed:
         with pytest.raises(WireError):
             decode_frame(encoded[:-cut])
 
-    def test_wrong_record_type(self):
-        with pytest.raises(WireError, match="expected a heartbeat"):
-            Heartbeat.from_bytes(encode_record(END_OF_INPUT))
-
     def test_unencodable_type(self):
         with pytest.raises(WireError, match="cannot encode"):
             encode_record(object())
+
+    def test_embedded_rib_record_rejected(self):
+        rib = mrt.encode_rib_entry(
+            "vp", Route(Prefix.parse("10.0.0.0/8"), (1,)))
+        with pytest.raises(WireError, match="expected an update"):
+            decode_record(b"\x01\x00\x01s" + bytes(8) + rib)
+
+    @given(st.lists(st.one_of(records, traced_records),
+                    min_size=1, max_size=4), st.data())
+    @settings(max_examples=300)
+    def test_damaged_frame_raises_only_wire_error(self, batch, data):
+        """Any one-byte mutation or truncation of a valid frame either
+        still decodes or raises ``WireError`` — never ``struct.error``,
+        ``MRTError``, ``UnicodeDecodeError`` or an ``IndexError``."""
+        frame = bytearray(encode_frame(1, 0, batch))
+        if data.draw(st.booleans(), label="truncate"):
+            del frame[data.draw(st.integers(0, len(frame) - 1)):]
+        else:
+            at = data.draw(st.integers(0, len(frame) - 1))
+            frame[at] = data.draw(st.integers(0, 255))
+        try:
+            decode_frame(bytes(frame))
+        except WireError:
+            pass
+
+
+# -- format pinning ----------------------------------------------------------
+
+_ANNOUNCE = BGPUpdate("vp10010", 1234.5, Prefix.parse("10.0.11.0/24"),
+                      (65001, 3356, 4200000000),
+                      {(3356, 100), (65001, 0)})
+_WITHDRAW = BGPUpdate("rrc00-π", 7.25, Prefix.parse("2001:db8::/32"),
+                      is_withdrawal=True)
+_UNTRACED = [
+    Envelope(_ANNOUNCE, "s0", 0.125), Heartbeat("s0", 9.0),
+    Heartbeat("s1", END_OF_STREAM),
+    Disposition(_WITHDRAW, True, "s0", 0.5),
+    Disposition(_ANNOUNCE, False, "s1", 0.75),
+    WatermarkAdvance(3, "s0", 9.0), END_OF_INPUT, ShardDone()]
+_TRACED = [
+    Envelope(_ANNOUNCE, "s0", 0.125,
+             trace=TraceContext(0xABCDEF0123456789, 77, True)),
+    Disposition(_WITHDRAW, True, "s0", 0.5,
+                trace=RemoteSpan.from_wire(
+                    0xABCDEF0123456789, 991, 4242, 0.015625)),
+    Heartbeat("s0", 9.0)]
+
+_ANNOUNCE_HEX = (
+    "40934a0000000000001000010000002f00077670313030313004180a000b0000"
+    "030000fde900000d1cfa56ea00000200000d1c000000640000fde900000000")
+_WITHDRAW_HEX = (
+    "401d000000000000001000020000001c000872726330302dcf80062020010db8"
+    "000000000000000000000000")
+
+# encode_frame(7, 3, _UNTRACED) and encode_frame(8, 1, _TRACED) as
+# captured before the offset-based codec (commit 393e2c3).  The traced
+# capture began with the two bytes f7 02 (frame magic + version); that
+# prefix is what the single frame layout drops, and nothing else moved.
+_UNTRACED_HEX = (
+    "0000000000000007" "0003" "00000008"
+    "01" "00027330" "3fc0000000000000" + _ANNOUNCE_HEX +
+    "02" "00027330" "4022000000000000"
+    "02" "00027331" "7ff0000000000000"
+    "04" "01" "00027330" "3fe0000000000000" + _WITHDRAW_HEX +
+    "04" "00" "00027331" "3fe8000000000000" + _ANNOUNCE_HEX +
+    "05" "0003" "00027330" "4022000000000000"
+    "03" "06")
+_TRACED_HEX = (
+    "0000000000000008" "0001" "00000003"
+    "07" "abcdef0123456789" "000000000000004d" "01"
+    "00027330" "3fc0000000000000" + _ANNOUNCE_HEX +
+    "08" "01" "abcdef0123456789" "00000000000003df" "00001092"
+    "3f90000000000000" "00027330" "3fe0000000000000" + _WITHDRAW_HEX +
+    "02" "00027330" "4022000000000000")
+
+
+class TestGoldenFrames:
+    def test_untraced_frame_is_byte_identical(self):
+        assert encode_frame(7, 3, _UNTRACED).hex() == _UNTRACED_HEX
+        seq, shard, got = decode_frame(bytes.fromhex(_UNTRACED_HEX))
+        assert (seq, shard, got[:-1]) == (7, 3, _UNTRACED[:-1])
+        assert isinstance(got[-1], ShardDone)
+
+    def test_traced_frame_is_the_old_body_without_the_prefix(self):
+        assert encode_frame(8, 1, _TRACED).hex() == _TRACED_HEX
+        _, _, got = decode_frame(bytes.fromhex(_TRACED_HEX))
+        assert got[0] == _TRACED[0] and got[2] == _TRACED[2]
+        assert got[1].trace.span_id == 991
+
+    def test_unsampled_context_goes_out_untraced(self):
+        plain = Envelope(_ANNOUNCE, "s0", 0.125)
+        unsampled = Envelope(_ANNOUNCE, "s0", 0.125,
+                             trace=TraceContext(7, 3, False))
+        assert encode_record(unsampled) == encode_record(plain)
+        assert encode_record(_TRACED[0])[0] == wire.TAG_ENVELOPE_TRACED

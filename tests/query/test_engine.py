@@ -6,7 +6,9 @@ filter in Python — for randomized archives, with and without
 seal-time indexes, compressed and raw.
 """
 
+import bz2
 import math
+import os
 import random
 import threading
 
@@ -15,6 +17,7 @@ import pytest
 from repro.bgp.archive import RollingArchiveWriter
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
+from repro.guard import IntegrityGuard
 from repro.query import (
     DirectoryCatalog,
     QueryEngine,
@@ -271,6 +274,45 @@ class TestConcurrency:
             for thread in threads:
                 thread.join()
         assert not failures
+
+
+def corrupt_vp_byte(raw):
+    payload = bytearray(bz2.decompress(raw))
+    payload[16 + 2] = 0xFF                 # first VP byte: invalid UTF-8
+    return bz2.compress(bytes(payload))
+
+
+def truncate(raw):
+    return raw[:len(raw) // 2]             # bz2 stream ends early
+
+
+class TestFieldCorruption:
+    """An un-checksummed archive (bare directory, no manifest) has only
+    the decoder between a rotten byte and the client: the bad segment
+    must be condemned and the rest served, never a raised exception."""
+
+    @pytest.mark.parametrize("with_guard", [False, True])
+    @pytest.mark.parametrize("damage", [corrupt_vp_byte, truncate])
+    def test_bad_segment_is_skipped_not_raised(self, tmp_path, damage,
+                                               with_guard):
+        writer = RollingArchiveWriter(str(tmp_path), interval_s=100.0)
+        good = BGPUpdate("vp1", 10.0, PREFIXES[0], (64500, 65001))
+        writer.write_stream([good,
+                             BGPUpdate("vp2", 150.0, PREFIXES[1], (1, 2))])
+        writer.close()
+        bad = writer.segments[1].path
+        with open(bad, "rb") as handle:
+            raw = handle.read()
+        with open(bad, "wb") as handle:
+            handle.write(damage(raw))
+        guard = IntegrityGuard(str(tmp_path)) if with_guard else None
+        with QueryEngine(str(tmp_path), guard=guard) as engine:
+            assert engine.query(QuerySpec()) == [good]
+            assert engine.query(QuerySpec(vp="vp2")) == []
+            assert engine.vp_counts() == {"vp1": 1}
+        if with_guard:
+            assert guard.quarantined == (os.path.basename(bad),)
+            assert not os.path.exists(bad)
 
 
 class TestAggregates:

@@ -168,8 +168,9 @@ class TestSealTimeIndexing:
     def test_on_seal_hook_reports_build_time(self, tmp_path):
         events = []
         writer = RollingArchiveWriter(
-            str(tmp_path), interval_s=100.0, index=True,
-            on_seal=lambda seg, dt: events.append((seg.start, dt)))
+            str(tmp_path), interval_s=100.0, index=True)
+        writer.add_seal_listener(
+            lambda seg, dt: events.append((seg.start, dt)))
         writer.write(BGPUpdate("vp1", 10.0, P1, (1, 2)))
         writer.write(BGPUpdate("vp1", 150.0, P1, (1, 2)))
         writer.close()
@@ -178,9 +179,8 @@ class TestSealTimeIndexing:
 
     def test_on_seal_without_indexing_passes_none(self, tmp_path):
         events = []
-        writer = RollingArchiveWriter(
-            str(tmp_path), interval_s=100.0,
-            on_seal=lambda seg, dt: events.append(dt))
+        writer = RollingArchiveWriter(str(tmp_path), interval_s=100.0)
+        writer.add_seal_listener(lambda seg, dt: events.append(dt))
         writer.write(BGPUpdate("vp1", 10.0, P1, (1, 2)))
         writer.close()
         assert events == [None]
