@@ -9,9 +9,10 @@ to) or a bare archive directory (a published dataset).  Execution:
    then consults each surviving segment's index (built lazily and
    persisted for pre-index archives): the bloom fingerprint and the
    postings rule segments out without decoding them;
-2. **decode** — surviving segments decompress on a thread pool
-   (bz2 releases the GIL) and only the postings-selected record
-   offsets are decoded;
+2. **decode** — surviving segments are read and verified on a thread
+   pool, every time; the bz2 decompression of bytes that verified is
+   memoised (sealed segments are immutable), and only the
+   postings-selected record offsets are decoded;
 3. **merge** — per-segment hits merge in watermark order — the exact
    ``(time, vp, prefix)`` order ``read_range`` uses — then the limit
    applies;
@@ -33,12 +34,12 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
     Tuple, Union
 
-from ..bgp.archive import ArchiveSegment, RollingArchiveWriter, \
-    read_manifest
+from ..bgp.archive import CHECKPOINT_NAME, ArchiveSegment, \
+    RollingArchiveWriter, read_manifest
 from ..bgp.message import BGPUpdate
 from ..bgp.mrt import MRTError, RIBRecord, decode_record_at, \
     decode_records, iter_archive
-from ..guard.integrity import mismatch_reason
+from ..guard.integrity import crc32_of, mismatch_reason
 from ..guard.manager import IntegrityGuard
 from ..guard.serving import Deadline
 from .cache import WatermarkLRUCache
@@ -50,6 +51,11 @@ from .stats import QueryStats, QueryStatsSnapshot
 #: an expired request abandons a segment within microseconds instead
 #: of finishing a multi-second scan it no longer has a client for.
 _DEADLINE_STRIDE = 256
+
+#: Byte budget of the decompressed-payload memo.  A 5-minute segment
+#: decompresses to ~100 KB, so this holds a day of them; an archive
+#: whose hot set is larger falls back to decompressing LRU-cold ones.
+_PAYLOAD_CACHE_BYTES = 32 << 20
 
 _SEGMENT_RE = re.compile(r"^updates\.(\d+)-(\d+)\.mrt(\.bz2)?$")
 _RIB_RE = re.compile(r"^rib\.(\d+)\.mrt(\.bz2)?$")
@@ -84,6 +90,11 @@ class DirectoryCatalog:
     source of truth for a crash-consistent archive); otherwise the
     directory listing is parsed.  Compression is inferred from the
     segment file names unless given.
+
+    The parsed manifest is kept until the file changes: the writer
+    publishes every seal with ``os.replace``, which gives the path a
+    new inode and mtime, so one ``stat`` per call says whether the
+    last parse still stands.
     """
 
     def __init__(self, directory: str,
@@ -92,6 +103,10 @@ class DirectoryCatalog:
             raise FileNotFoundError(f"no archive directory: {directory}")
         self.directory = directory
         self._compressed = compressed
+        #: (stat stamp, parsed manifest) of the last successful parse.
+        self._parsed: Optional[Tuple[Tuple[int, int, int],
+                                     Tuple[List[ArchiveSegment], bool]]] \
+            = None
 
     @property
     def compressed(self) -> bool:
@@ -102,15 +117,34 @@ class DirectoryCatalog:
             self._compressed = segments[0].path.endswith(".bz2")
         return self._compressed
 
-    def segments(self) -> List[ArchiveSegment]:
+    def _manifest(self) -> Optional[Tuple[List[ArchiveSegment], bool]]:
+        """The checkpoint manifest, re-parsed only when the file's
+        ``(inode, size, mtime)`` moved; None when absent or unreadable
+        (the caller falls back to the listing)."""
+        try:
+            stat = os.stat(os.path.join(self.directory, CHECKPOINT_NAME))
+        except OSError:
+            return None
+        stamp = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        parsed = self._parsed   # one read: handler threads share us
+        if parsed is not None and parsed[0] == stamp:
+            return parsed[1]
         try:
             manifest = read_manifest(self.directory)
         except (OSError, ValueError):
-            manifest = None     # unreadable: fall back to the listing
+            return None
+        # A file replaced between the stat and the read is stored
+        # under the older stamp, so the next call parses it again.
+        if manifest is not None:
+            self._parsed = (stamp, manifest)
+        return manifest
+
+    def segments(self) -> List[ArchiveSegment]:
+        manifest = self._manifest()
         if manifest is not None:
             if self._compressed is None:
                 self._compressed = manifest[1]
-            return manifest[0]
+            return list(manifest[0])
         found: List[ArchiveSegment] = []
         for name in sorted(os.listdir(self.directory)):
             match = _SEGMENT_RE.match(name)
@@ -179,6 +213,9 @@ class QueryEngine:
         #: read (slow-read fault injection).
         self.read_hook = read_hook
         self._indexes: Dict[Tuple[str, int], SegmentIndex] = {}
+        #: Decompressed payloads by path, pinned to the (size, CRC32)
+        #: of the compressed bytes they came from (see _read_verified).
+        self._payloads = WatermarkLRUCache(_PAYLOAD_CACHE_BYTES, weigh=len)
         self._index_lock = threading.Lock()
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, max_workers),
@@ -258,10 +295,13 @@ class QueryEngine:
 
     def _quarantine(self, segment: ArchiveSegment, reason: str) -> None:
         """Condemn a mismatching segment: drop its in-memory index and
-        hand it to the guard (which moves the file + sidecar aside)."""
+        payload and hand it to the guard (which moves the file +
+        sidecar aside)."""
         with self._index_lock:
             for key in [k for k in self._indexes if k[0] == segment.path]:
                 del self._indexes[key]
+        self._payloads.discard(segment.path)
+        self.stats.payload_cache_bytes(self._payloads.weight)
         if self.guard is not None:
             self.guard.quarantine(segment.path, reason,
                                   watermark=segment.end)
@@ -274,7 +314,10 @@ class QueryEngine:
 
         Verification hashes the raw bytes that were just read anyway,
         so its cost is one CRC32 pass — the ≤5% overhead budget the
-        query benchmark enforces.
+        query benchmark enforces.  It runs on every read.  Only what
+        follows it is memoised: decompressing bytes whose size and
+        CRC32 equal those a retained payload came from would produce
+        that payload again, so it is reused.
         """
         if self.guard is not None \
                 and self.guard.is_quarantined(segment.path):
@@ -301,11 +344,18 @@ class QueryEngine:
                 self.guard.verification_ok()
         if not self.catalog.compressed:
             return raw
-        try:
-            return bz2.decompress(raw)
-        except (OSError, EOFError, ValueError):
-            self._quarantine(segment, "decompress")
-            return None
+        identity = (len(raw), crc32_of(raw))
+        payload = self._payloads.get(segment.path, identity)
+        self.stats.payload_cache_lookup(hit=payload is not None)
+        if payload is None:
+            try:
+                payload = bz2.decompress(raw)
+            except (OSError, EOFError, ValueError):
+                self._quarantine(segment, "decompress")
+                return None
+            self._payloads.put(segment.path, identity, payload)
+            self.stats.payload_cache_bytes(self._payloads.weight)
+        return payload
 
     # -- execution -----------------------------------------------------------
 

@@ -361,10 +361,13 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
 
     def _get_updates(self, params: Dict[str, str]) -> None:
         spec = QuerySpec.from_params(params)
+        # Read before the query: under a live writer a watermark read
+        # afterwards could cover a segment the answer does not carry.
+        watermark = self.engine.watermark()
         updates = self.engine.query(spec, deadline=self._deadline,
                                     trace=self._trace)
         self._send_json({
-            "watermark": self.engine.watermark(),
+            "watermark": watermark,
             "count": len(updates),
             "updates": [update_to_json(u) for u in updates],
         })
@@ -668,7 +671,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         stats = self.engine.stats_snapshot()
         segments = self.engine.catalog.segments()
         payload = {
-            "watermark": self.engine.watermark(),
+            "watermark": segments[-1].end if segments else None,
             "segments": len(segments),
             "records": sum(s.count for s in segments),
             "queries": stats.queries,
@@ -680,6 +683,11 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
             "hijack_model_cache": {
                 "hits": self.model_cache.hits,
                 "misses": self.model_cache.misses,
+            },
+            "payload_cache": {
+                "hits": stats.payload_cache_hits,
+                "misses": stats.payload_cache_misses,
+                "bytes": stats.payload_cache_bytes,
             },
         }
         if self.events is not None:

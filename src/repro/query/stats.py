@@ -51,6 +51,13 @@ class QueryStatsSnapshot:
     index_builds: int = 0
     index_build_time_s: float = 0.0
     index_loads: int = 0
+    #: Scanned segments whose decompressed payload was reused / had to
+    #: be decompressed (every one is still read and verified, and
+    #: counted in ``segments_decoded``).
+    payload_cache_hits: int = 0
+    payload_cache_misses: int = 0
+    #: Decompressed bytes the engine retains right now.
+    payload_cache_bytes: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -107,6 +114,17 @@ class QueryStats:
             "repro_query_index_build_seconds_total",
             "Total wall time spent building segment indexes.",
             unit="seconds")
+        payloads = r.counter(
+            "repro_query_payload_cache_total",
+            "Verified segment reads, by whether the decompressed "
+            "payload was reused.",
+            labels=("result",))
+        self._payload_hits = payloads.labels("hit")
+        self._payload_misses = payloads.labels("miss")
+        self._payload_bytes = r.gauge(
+            "repro_query_payload_cache_bytes",
+            "Decompressed segment payload bytes retained in memory.",
+            unit="bytes")
 
     # -- write side (unchanged call sites) -----------------------------------
 
@@ -139,6 +157,12 @@ class QueryStats:
 
     def index_loaded(self) -> None:
         self._index_loads.inc()
+
+    def payload_cache_lookup(self, hit: bool) -> None:
+        (self._payload_hits if hit else self._payload_misses).inc()
+
+    def payload_cache_bytes(self, retained: int) -> None:
+        self._payload_bytes.set(retained)
 
     # -- read side -----------------------------------------------------------
 
@@ -181,6 +205,9 @@ class QueryStats:
             index_builds=self.index_builds,
             index_build_time_s=self._index_build_s.value,
             index_loads=self.index_loads,
+            payload_cache_hits=int(self._payload_hits.value),
+            payload_cache_misses=int(self._payload_misses.value),
+            payload_cache_bytes=int(self._payload_bytes.value),
         )
 
 
@@ -202,5 +229,8 @@ def render_query_stats(snapshot: QueryStatsSnapshot) -> str:
         f"indexes: {snapshot.index_builds} built "
         f"({snapshot.index_build_time_s:.3f}s), "
         f"{snapshot.index_loads} loaded",
+        f"payloads: {snapshot.payload_cache_hits} reused / "
+        f"{snapshot.payload_cache_misses} decompressed, "
+        f"{snapshot.payload_cache_bytes} bytes held",
     ]
     return "\n".join(lines)

@@ -697,3 +697,76 @@ class TestRequestTracing:
             assert body["reason"] == "draining"
             assert body["request_id"]
         engine.close()
+
+
+class TestWatermarkClaim:
+    def test_watermark_never_runs_ahead_of_the_answer(self, stream,
+                                                      tmp_path):
+        """A live writer seals a segment while /updates is being
+        answered: the response must advertise the watermark its data
+        was read under, not the one the archive reached afterwards."""
+        half = len(stream) // 2
+        writer = RollingArchiveWriter(str(tmp_path), interval_s=120.0,
+                                      compress=False, index=True)
+        writer.write_stream(stream[:half])
+        engine = QueryEngine(writer)          # a WriterCatalog
+        real_query = engine.query
+
+        def query_then_seal(spec, deadline=None, trace=None):
+            answer = real_query(spec, deadline=deadline, trace=trace)
+            writer.write_stream(stream[half:])
+            writer.close()
+            return answer
+
+        engine.query = query_then_seal
+        before = engine.watermark()
+        sealed_before = writer.read_range(0.0, before)
+        with QueryAPIServer(engine) as api:
+            status, body = get_json(api.url + "/updates")
+        engine.query = real_query
+        assert status == 200
+        assert engine.watermark() > before    # the seal did happen
+        assert body["count"] == len(sealed_before)
+        assert body["watermark"] == before
+        assert list(body) == ["watermark", "count", "updates"]
+        engine.close()
+
+
+class TestPayloadCacheObservability:
+    def test_status_block_and_metric_families(self, stream, tmp_path):
+        from repro.query import render_query_stats
+
+        writer = RollingArchiveWriter(str(tmp_path), interval_s=120.0,
+                                      compress=True, checkpoint=True,
+                                      index=True)
+        writer.write_stream(stream)
+        writer.close()
+        n = len(writer.segments)
+        # No result cache: both requests reach the segment reads.
+        with QueryEngine(str(tmp_path), cache_size=0) as engine, \
+                QueryAPIServer(engine) as api:
+            for _ in range(2):
+                status, body = get_json(api.url + "/updates")
+                assert status == 200 and body["count"] == len(stream)
+            status, body = get_json(api.url + "/status")
+            assert status == 200
+            block = body["payload_cache"]
+            assert set(block) == {"hits", "misses", "bytes"}
+            assert (block["hits"], block["misses"]) == (n, n)
+            assert block["bytes"] > 0
+            assert body["segments_decoded"] == 2 * n
+            with urllib.request.urlopen(api.url + "/metrics",
+                                        timeout=10) as reply:
+                text = reply.read().decode()
+            assert "# TYPE repro_query_payload_cache_total counter" in text
+            assert "# TYPE repro_query_payload_cache_bytes gauge" in text
+            assert f'repro_query_payload_cache_total{{result="hit"}} {n}' \
+                in text
+            assert f'repro_query_payload_cache_total{{result="miss"}} {n}' \
+                in text
+            assert sample_total(engine.registry,
+                                "repro_query_payload_cache_bytes") \
+                == block["bytes"]
+            rendered = render_query_stats(engine.stats_snapshot())
+            assert f"payloads: {n} reused / {n} decompressed, " \
+                   f"{block['bytes']} bytes held" in rendered
