@@ -34,6 +34,12 @@ def signature(update: BGPUpdate) -> Signature:
             update.is_withdrawal)
 
 
+def member_set(window: Iterable[BGPUpdate]) -> FrozenSet[Signature]:
+    """What identifies a group within its prefix: the signatures of the
+    updates that appeared together in one window."""
+    return frozenset(signature(u) for u in window)
+
+
 @dataclass
 class CorrelationGroup:
     """One correlation group for one prefix."""
@@ -52,6 +58,8 @@ class CorrelationGroups:
     def __init__(self, window_s: float = CORRELATION_WINDOW_S):
         self.window_s = window_s
         self._groups: Dict[Prefix, List[CorrelationGroup]] = {}
+        self._by_members: Dict[Tuple[Prefix, FrozenSet[Signature]],
+                               CorrelationGroup] = {}
         # (prefix, signature) -> groups containing that signature,
         # i.e. the paper's Corr(p, u).
         self._by_signature: Dict[Tuple[Prefix, Signature],
@@ -75,14 +83,14 @@ class CorrelationGroups:
 
     def _add_window(self, prefix: Prefix,
                     window: Sequence[BGPUpdate]) -> None:
-        members = frozenset(signature(u) for u in window)
-        bucket = self._groups.setdefault(prefix, [])
-        for group in bucket:
-            if group.members == members:
-                group.weight += 1
-                return
-        group = CorrelationGroup(prefix, members)
-        bucket.append(group)
+        members = member_set(window)
+        group = self._by_members.get((prefix, members))
+        if group is not None:
+            group.weight += 1
+            return
+        group = self._by_members[(prefix, members)] = \
+            CorrelationGroup(prefix, members)
+        self._groups.setdefault(prefix, []).append(group)
         for sig in members:
             self._by_signature[(prefix, sig)].append(group)
 
@@ -117,7 +125,7 @@ class CorrelationGroups:
         )
 
     def total_groups(self) -> int:
-        return sum(len(bucket) for bucket in self._groups.values())
+        return len(self._by_members)
 
 
 def _windows(sorted_updates: Sequence[BGPUpdate],

@@ -53,23 +53,36 @@ class RIBGraph:
         self._pred: Dict[int, Set[int]] = defaultdict(set)
         # Per-prefix installed path, so updates can be diffed out.
         self._paths: Dict[Prefix, Tuple[int, ...]] = {}
+        # Memos of derived values, valid for one state of the edge
+        # multiset: ``_replace_edges`` is the only writer of the three
+        # maps above and the only place these are dropped.  A node's
+        # features depend on the whole graph (distances), so any change
+        # clears them all; the edge lengths around a node depend only
+        # on its own incident edges, so those drop per endpoint.
+        # Values are the results of the unmemoised expressions, held
+        # rather than re-evaluated: same neighbor order, same float
+        # operations in the same order.
+        self._node_memo: Dict[int, Tuple[float, ...]] = {}
+        self._length_memo: Dict[int, List[Tuple[int, float]]] = {}
 
     # -- maintenance ---------------------------------------------------------
 
     @staticmethod
-    def _edges(path: Sequence[int]) -> Iterable[Tuple[int, int]]:
-        for i in range(len(path) - 1):
-            if path[i] != path[i + 1]:
-                yield (path[i], path[i + 1])
+    def _edges(path: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+        return tuple((path[i], path[i + 1]) for i in range(len(path) - 1)
+                     if path[i] != path[i + 1])
 
-    def _add_path(self, path: Sequence[int]) -> None:
-        for edge in self._edges(path):
-            self._weight[edge] = self._weight.get(edge, 0) + 1
-            self._succ[edge[0]].add(edge[1])
-            self._pred[edge[1]].add(edge[0])
+    def _replace_edges(self, old: Tuple[Tuple[int, int], ...],
+                       new: Tuple[Tuple[int, int], ...]) -> None:
+        """Take one path's edges out and put another's in.
 
-    def _remove_path(self, path: Sequence[int]) -> None:
-        for edge in self._edges(path):
+        Equal edge sequences leave the graph, and every memo, as they
+        are: re-announcing the installed path is the common case on a
+        redundant feed, and it changes nothing a feature can see.
+        """
+        if old == new:
+            return
+        for edge in old:
             count = self._weight.get(edge, 0) - 1
             if count > 0:
                 self._weight[edge] = count
@@ -77,19 +90,23 @@ class RIBGraph:
                 self._weight.pop(edge, None)
                 self._succ[edge[0]].discard(edge[1])
                 self._pred[edge[1]].discard(edge[0])
+        for edge in new:
+            self._weight[edge] = self._weight.get(edge, 0) + 1
+            self._succ[edge[0]].add(edge[1])
+            self._pred[edge[1]].add(edge[0])
+        self._node_memo.clear()
+        for edge in old + new:
+            self._length_memo.pop(edge[0], None)
+            self._length_memo.pop(edge[1], None)
 
     def install(self, prefix: Prefix, path: Tuple[int, ...]) -> None:
         """Install (or replace) the path for a prefix."""
-        previous = self._paths.get(prefix)
-        if previous is not None:
-            self._remove_path(previous)
+        previous = self._paths.get(prefix, ())
         self._paths[prefix] = path
-        self._add_path(path)
+        self._replace_edges(self._edges(previous), self._edges(path))
 
     def withdraw(self, prefix: Prefix) -> None:
-        previous = self._paths.pop(prefix, None)
-        if previous is not None:
-            self._remove_path(previous)
+        self._replace_edges(self._edges(self._paths.pop(prefix, ())), ())
 
     def apply_update(self, update: BGPUpdate) -> None:
         if update.is_withdrawal:
@@ -137,6 +154,18 @@ class RIBGraph:
     def _undirected_weight(self, a: int, b: int) -> float:
         return (self._weight.get((a, b), 0) + self._weight.get((b, a), 0))
 
+    def _lengths(self, node: int) -> List[Tuple[int, float]]:
+        """``(neighbor, 1 / undirected weight)`` in ``neighbors(node)``
+        iteration order — what one Dijkstra step relaxes."""
+        found = self._length_memo.get(node)
+        if found is None:
+            found = self._length_memo[node] = []
+            for other in self.neighbors(node):
+                weight = self._undirected_weight(node, other)
+                if weight > 0:
+                    found.append((other, 1.0 / weight))
+        return found
+
     # -- distances ---------------------------------------------------------------
 
     def distances_from(self, source: int) -> Dict[int, float]:
@@ -145,21 +174,20 @@ class RIBGraph:
         dist: Dict[int, float] = {source: 0.0}
         heap: List[Tuple[float, int]] = [(0.0, source)]
         visited: Set[int] = set()
+        lengths, known = self._lengths, dist.get
+        pop, push, inf = heapq.heappop, heapq.heappush, math.inf
         while heap:
-            d, node = heapq.heappop(heap)
+            d, node = pop(heap)
             if node in visited:
                 continue
             visited.add(node)
-            for other in self.neighbors(node):
+            for other, length in lengths(node):
                 if other in visited:
                     continue
-                weight = self._undirected_weight(node, other)
-                if weight <= 0:
-                    continue
-                candidate = d + 1.0 / weight
-                if candidate < dist.get(other, math.inf):
+                candidate = d + length
+                if candidate < known(other, inf):
                     dist[other] = candidate
-                    heapq.heappush(heap, (candidate, other))
+                    push(heap, (candidate, other))
         return dist
 
     # -- node features (Table 6, indices 0-5) ------------------------------------
@@ -170,6 +198,12 @@ class RIBGraph:
         A node absent from the graph gets all-zero features, which makes
         event differencing well-defined when an AS (dis)appears.
         """
+        found = self._node_memo.get(node)
+        if found is None:
+            found = self._node_memo[node] = self._node_features(node)
+        return found
+
+    def _node_features(self, node: int) -> Tuple[float, ...]:
         if not self.neighbors(node):
             return (0.0,) * N_NODE_FEATURES
         dist = self.distances_from(node)

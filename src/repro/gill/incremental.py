@@ -43,8 +43,10 @@ Why parity holds:
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict, deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, \
+    Tuple
 
 import numpy as np
 
@@ -53,6 +55,8 @@ from ..bgp.prefix import Prefix
 from ..core.correlation import (
     CORRELATION_WINDOW_S,
     CorrelationGroups,
+    Signature,
+    member_set,
 )
 from ..core.events import (
     EVENT_CLUSTER_WINDOW_S,
@@ -98,24 +102,51 @@ class IncrementalCorrelationGroups:
         if window is None:
             window = self._open[update.prefix] = []
         elif window and update.time - window[0].time >= self.window_s:
-            self.groups._add_window(update.prefix, window)
+            self._seal(update.prefix, window)
             self._open[update.prefix] = window = []
         window.append(update)
+
+    def _seal(self, prefix: Prefix, window: List[BGPUpdate]) -> None:
+        self.groups._add_window(prefix, window)
 
     def close(self) -> CorrelationGroups:
         """Seal the remaining open windows and return the groups."""
         if not self._closed:
             for prefix, window in self._open.items():
                 if window:
-                    self.groups._add_window(prefix, window)
+                    self._seal(prefix, window)
             self._open.clear()
             self._closed = True
         return self.groups
 
+    def _sealed_groups(self) -> int:
+        return self.groups.total_groups()
+
     def total_groups(self) -> int:
         """Sealed groups so far plus currently open windows."""
-        return self.groups.total_groups() + sum(
+        return self._sealed_groups() + sum(
             1 for window in self._open.values() if window)
+
+
+class IncrementalGroupCount(IncrementalCorrelationGroups):
+    """:meth:`total_groups` alone, for a process that never stops.
+
+    The filter stage journals how many groups the kept stream formed
+    and asks nothing else of them, so a sealed window leaves only its
+    identity behind — ``(prefix, member set)``, which an exact distinct
+    count cannot do without — and no :class:`CorrelationGroup`, weight
+    or ``Corr(p, u)`` index.  :attr:`groups` stays empty.
+    """
+
+    def __init__(self, window_s: float = CORRELATION_WINDOW_S):
+        super().__init__(window_s)
+        self._distinct: Set[Tuple[Prefix, FrozenSet[Signature]]] = set()
+
+    def _seal(self, prefix: Prefix, window: List[BGPUpdate]) -> None:
+        self._distinct.add((prefix, member_set(window)))
+
+    def _sealed_groups(self) -> int:
+        return len(self._distinct)
 
 
 class _Witness:
@@ -176,19 +207,20 @@ class IncrementalRedundancyCounter:
 class _Cluster:
     """One open observation cluster inside :class:`IncrementalVPScorer`."""
 
-    __slots__ = ("key", "kind", "pair", "prefix", "sightings",
+    __slots__ = ("key", "order", "kind", "pair", "prefix", "sightings",
                  "start_snapshot", "end_snapshot", "end_boundary")
 
-    def __init__(self, key: Tuple, kind: EventKind, pair: Tuple[int, int],
-                 prefix: Optional[Prefix],
-                 start_snapshot: Dict[str, List[float]]):
+    def __init__(self, key: Tuple, order: int, kind: EventKind,
+                 pair: Tuple[int, int], prefix: Optional[Prefix],
+                 start_snapshot: np.ndarray):
         self.key = key
+        self.order = order      # opening rank: ties among end boundaries
         self.kind = kind
         self.pair = pair
         self.prefix = prefix
         self.sightings: List[Tuple[float, str]] = []
         self.start_snapshot = start_snapshot
-        self.end_snapshot: Optional[Dict[str, List[float]]] = None
+        self.end_snapshot: Optional[np.ndarray] = None
         self.end_boundary = 0.0
 
 
@@ -240,6 +272,12 @@ class IncrementalVPScorer:
             defaultdict(lambda: defaultdict(int))
         self._origins: Dict[Tuple[str, Prefix], int] = {}
         self._clusters: "Dict[Tuple, _Cluster]" = {}
+        self._opened = 0
+        # Clusters without an end snapshot, one entry each, ordered by
+        # (end boundary when queued, opening rank).  A re-sighting only
+        # moves ``cluster.end_boundary``; the entry is re-queued at the
+        # new boundary when the cursor reaches the old one.
+        self._awaiting_end: "List[Tuple[float, int, _Cluster]]" = []
 
         self._distance_sum = np.zeros((len(self.vps), len(self.vps)))
         self._volumes: Dict[str, int] = defaultdict(int)
@@ -298,15 +336,18 @@ class IncrementalVPScorer:
         if cluster is None:
             # The graphs stand exactly at the start boundary: feed()
             # advanced the floor to time − slack before observing.
-            start = {vp_: _node_pair_features(self._graphs[vp_],
-                                              _boundary_probe(kind, pair,
-                                                              prefix))
-                     for vp_ in self.vps}
-            cluster = _Cluster(key, kind, pair, prefix, start)
+            start = self._snapshot(kind, pair, prefix)
+            self._opened += 1
+            cluster = _Cluster(key, self._opened, kind, pair, prefix, start)
             self._clusters[key] = cluster
+        # Queued already iff an earlier sighting still awaits its snapshot.
+        queued = bool(cluster.sightings) and cluster.end_snapshot is None
         cluster.sightings.append((time, vp))
         cluster.end_boundary = time + self.settle_slack_s
         cluster.end_snapshot = None
+        if not queued:
+            heapq.heappush(self._awaiting_end,
+                           (cluster.end_boundary, cluster.order, cluster))
 
     # -- graph cursor ---------------------------------------------------------
 
@@ -322,16 +363,27 @@ class IncrementalVPScorer:
         self._snapshot_ends(target)
         self._floor = target
 
+    def _snapshot(self, kind: EventKind, pair: Tuple[int, int],
+                  prefix: Optional[Prefix]) -> np.ndarray:
+        """Every VP's raw features at the cursor, one row per VP.
+
+        An array, not lists of floats: an open cluster holds two of
+        these for minutes, and the rows are only ever subtracted.
+        """
+        probe = _boundary_probe(kind, pair, prefix)
+        return np.array([_node_pair_features(self._graphs[vp], probe)
+                         for vp in self.vps], dtype=float
+                        ).reshape(len(self.vps), FEATURE_VECTOR_DIM)
+
     def _snapshot_ends(self, time: float) -> None:
-        for cluster in self._clusters.values():
-            if cluster.end_snapshot is None and cluster.end_boundary <= time:
-                cluster.end_snapshot = {
-                    vp: _node_pair_features(
-                        self._graphs[vp],
-                        _boundary_probe(cluster.kind, cluster.pair,
-                                        cluster.prefix))
-                    for vp in self.vps
-                }
+        queue = self._awaiting_end
+        while queue and queue[0][0] <= time:
+            _, order, cluster = heapq.heappop(queue)
+            if cluster.end_boundary > time:
+                heapq.heappush(queue, (cluster.end_boundary, order, cluster))
+                continue
+            cluster.end_snapshot = self._snapshot(
+                cluster.kind, cluster.pair, cluster.prefix)
 
     # -- finalization ---------------------------------------------------------
 
@@ -353,13 +405,9 @@ class IncrementalVPScorer:
             observers=observers,
             prefix=cluster.prefix,
         )
-        matrix = np.array([
-            [s - e for s, e in zip(cluster.start_snapshot[vp],
-                                   cluster.end_snapshot[vp])]
-            for vp in self.vps
-        ]).reshape(len(self.vps), FEATURE_VECTOR_DIM)
         self._distance_sum += pairwise_squared_distances(
-            normalize_features(matrix))
+            normalize_features(cluster.start_snapshot
+                               - cluster.end_snapshot))
         self.events.append(event)
         self.n_events += 1
 

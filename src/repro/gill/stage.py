@@ -62,7 +62,7 @@ from ..core.redundancy import (
     condition3,
     is_redundant_with,
 )
-from .incremental import IncrementalCorrelationGroups, IncrementalVPScorer
+from .incremental import IncrementalGroupCount, IncrementalVPScorer
 from .journal import GillJournal, gill_journal_path_for
 
 
@@ -122,7 +122,7 @@ class GillStage:
         self._ribs: Dict[str, RIB] = {}
         self._windows: Dict[Prefix, Deque[AnnotatedUpdate]] = \
             defaultdict(deque)
-        self._correlation = IncrementalCorrelationGroups()
+        self._correlation = IncrementalGroupCount()
         self._scorer = IncrementalVPScorer(self.vps)
         self._keep: Set[str] = set(config.keep)
         self._anchors: Set[str] = set()
@@ -355,6 +355,9 @@ class GillStage:
         watermark = (self._slot + 1) * self.interval_s
         started = time_mod.perf_counter()
         self._scorer.finalize_until(watermark)
+        # The scorer lists each finalized event for callers that compare
+        # them with the batch detector; here only the count is read.
+        self._scorer.events.clear()
         scores = self._scorer.scores()
         volumes = self._scorer.volumes()
         if self.config.auto_anchors:

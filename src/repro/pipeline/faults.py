@@ -519,6 +519,12 @@ class FaultInjector:
             return archive
         return _FaultyArchive(archive, self)
 
+    def release_archive(self, archive) -> None:
+        """Take back the seal subscription :meth:`wrap_archive` made on
+        ``archive`` (the raw writer, not the proxy) once the run ended."""
+        if hasattr(archive, "remove_seal_listener"):
+            archive.remove_seal_listener(self.on_segment_seal)
+
     # -- disk corruption ----------------------------------------------------
 
     def on_segment_seal(self, segment, build_s=None) -> None:

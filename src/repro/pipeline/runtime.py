@@ -254,6 +254,17 @@ class CollectionPipeline:
         if self.on_reestablish is not None:
             self.on_reestablish(name)
 
+    def _seal_metrics(self, segment, build_s) -> None:
+        if build_s is not None:
+            self.metrics.index_built(build_s)
+
+    def _release_archive(self) -> None:
+        """Drop the seal subscriptions ``start`` made (writer is done)."""
+        if hasattr(self.archive, "remove_seal_listener"):
+            self.archive.remove_seal_listener(self._seal_metrics)
+        if self.injector is not None:
+            self.injector.release_archive(self.archive)
+
     def _make_worker(self, shard: int, handoff=None,
                      start_count: int = 0) -> ShardWorker:
         assert self._writer_queue is not None
@@ -285,16 +296,6 @@ class CollectionPipeline:
         cfg = self.config
 
         archive = self.archive
-        if archive is not None and hasattr(archive, "add_seal_listener"):
-            # Subscribe to segment seals so index builds (when the
-            # archive was opened with ``index=True``) land in the live
-            # metrics the status page renders.  Other subscribers (the
-            # event pipeline, tests) coexist on the same listener list.
-            def _seal_metrics(segment, build_s):
-                if build_s is not None:
-                    self.metrics.index_built(build_s)
-
-            archive.add_seal_listener(_seal_metrics)
         if cfg.gill is not None:
             if self.archive is None:
                 raise ValueError("gill filtering requires an archive")
@@ -305,6 +306,15 @@ class CollectionPipeline:
             self.gill = GillStage(cfg.gill, vps=sorted(streams),
                                   registry=self.metrics.registry)
             self.gill.attach(self.archive)
+        if archive is not None and hasattr(archive, "add_seal_listener"):
+            # Subscribe to segment seals so index builds (when the
+            # archive was opened with ``index=True``) land in the live
+            # metrics the status page renders.  Other subscribers (the
+            # event pipeline, tests) coexist on the same listener list.
+            # The archive outlives this run: ``_release_archive`` takes
+            # the subscription back, or the caller's archive would keep
+            # every finished pipeline reachable.
+            archive.add_seal_listener(self._seal_metrics)
         if cfg.fault_plan:
             self.injector = FaultInjector(cfg.fault_plan)
             archive = self.injector.wrap_archive(archive)
@@ -545,6 +555,9 @@ class CollectionPipeline:
         self._writer.join(timeout)
         if self._writer.is_alive():
             raise TimeoutError("writer did not finish")
+        # Nothing seals after the writer thread ended, whether it
+        # drained or died; a timeout above leaves the run subscribed.
+        self._release_archive()
         self.metrics.mark_stopped()
         if self.sampler is not None:
             self.sampler.stop()

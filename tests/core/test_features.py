@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
@@ -171,3 +173,56 @@ class TestEventFeatureVector:
         g2 = graph_from_paths((1, 3))
         vec = event_feature_vector(g1, g2, 2, 3)
         assert any(v != 0.0 for v in vec)
+
+
+# ASes below 8 keep every neighbor set free of hash collisions, so a set
+# iterates in the same order however it was built up, and a graph
+# rebuilt from scratch must agree with the maintained one to the bit.
+_ASES = st.integers(min_value=1, max_value=7)
+_STEPS = st.lists(
+    st.tuples(st.sampled_from(["install", "withdraw", "again"]),
+              st.integers(min_value=0, max_value=len(P) - 1),
+              st.lists(_ASES, min_size=1, max_size=5).map(tuple)),
+    min_size=1, max_size=25)
+
+
+class TestMemoInvalidation:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_STEPS)
+    def test_maintained_graph_equals_rebuilt_graph(self, steps):
+        """After every install / withdraw / re-install of the same
+        path, the features read through the memos equal (``==``, not
+        approx) those of a graph that never held a memo entry."""
+        graph = RIBGraph()
+        installed = {}
+        touched = set()
+        for action, slot, path in steps:
+            prefix = P[slot]
+            if action == "again" and prefix in installed:
+                path = installed[prefix]
+            if action == "withdraw":
+                graph.withdraw(prefix)
+                touched.update(installed.pop(prefix, ()))
+            else:
+                graph.install(prefix, path)
+                installed[prefix] = path
+                touched.update(path)
+            rebuilt = RIBGraph.from_routes(
+                Route(p, route) for p, route in installed.items())
+            assert graph.nodes() == rebuilt.nodes()
+            for a in sorted(touched):
+                assert graph.neighbors(a) == rebuilt.neighbors(a)
+                assert graph.node_features(a) == rebuilt.node_features(a)
+                for b in sorted(touched):
+                    assert graph.pair_features(a, b) \
+                        == rebuilt.pair_features(a, b)
+
+    def test_reinstalling_the_same_edges_keeps_the_memo(self):
+        g = graph_from_paths((1, 2, 3), (1, 4))
+        features = g.node_features(2)
+        g.install(P[0], (1, 2, 3))
+        g.install(P[0], (1, 2, 2, 3))       # prepending: same edges
+        g.withdraw(P[5])                    # never installed
+        assert g.node_features(2) is features
+        g.install(P[0], (1, 3))
+        assert g.node_features(2) == (0.0,) * 6

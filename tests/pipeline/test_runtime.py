@@ -1,5 +1,8 @@
 """Tests for the concurrent collection runtime."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bgp.archive import RollingArchiveWriter
@@ -9,8 +12,11 @@ from repro.bgp.prefix import Prefix
 from repro.bgp.validation import RouteValidator
 from repro.core.forwarding import ForwardingRule, ForwardingService
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
+from repro.gill import GillConfig
 from repro.pipeline import (
     CollectionPipeline,
+    FaultPlan,
+    InjectedCrash,
     PipelineConfig,
     ServiceCostModel,
     shard_for,
@@ -212,6 +218,75 @@ class TestServiceCostModel:
             model.charge(retained=True)   # 20 * 51.2 units at 10k/s
         elapsed = time.perf_counter() - start
         assert elapsed >= 0.05            # ~0.1s of modelled work
+
+
+class TestFinishedRunPinsNothing:
+    """The archive outlives the run; a finished pipeline must not stay
+    reachable from it through a seal subscription."""
+
+    def archive(self, tmp_path):
+        return RollingArchiveWriter(str(tmp_path / "segs"),
+                                    interval_s=300.0, compress=False,
+                                    checkpoint=True, index=True)
+
+    @pytest.mark.parametrize("plan", [None, "bitflip=archive@2"])
+    def test_listeners_restored_and_pipeline_collectable(
+            self, synthetic_stream, tmp_path, plan):
+        archive = self.archive(tmp_path)
+        seals = []
+        archive.add_seal_listener(lambda segment, dt: seals.append(dt))
+        before = archive.seal_listeners
+        pipeline = CollectionPipeline(
+            PipelineConfig(n_shards=2, overflow_policy="block",
+                           gill=GillConfig(),
+                           fault_plan=FaultPlan.parse(plan)
+                           if plan else None),
+            archive=archive)
+        result = pipeline.run(split_by_vp(synthetic_stream),
+                              timeout=TIMEOUT)
+        assert_accounted(result)
+        # The run's own subscription did its work while it ran ...
+        assert result.metrics.query.index_builds == len(seals) > 0
+        if plan:
+            assert any("bitflip" in line for line in result.fault_log)
+        # ... and is gone afterwards, with the caller's left alone.
+        assert archive.seal_listeners == before
+        gone = weakref.ref(pipeline)
+        gill = weakref.ref(pipeline.gill)
+        del pipeline, result
+        gc.collect()
+        assert gone() is None and gill() is None
+        assert archive.segments            # the archive is still held
+
+    def test_error_path_unsubscribes(self, synthetic_stream, tmp_path):
+        archive = self.archive(tmp_path)
+        before = archive.seal_listeners
+        pipeline = CollectionPipeline(
+            PipelineConfig(n_shards=2, overflow_policy="block",
+                           fault_plan=FaultPlan.parse(
+                               "crash=writer@60,truncate=archive@90")),
+            archive=archive)
+        with pytest.raises(InjectedCrash):
+            pipeline.run(split_by_vp(synthetic_stream), timeout=TIMEOUT)
+        assert archive.seal_listeners == before
+
+    def test_epochs_on_one_archive_do_not_accumulate(
+            self, synthetic_stream, tmp_path):
+        archive = self.archive(tmp_path)
+        ordered = sorted(synthetic_stream, key=lambda u: u.time)
+        half = len(ordered) // 2
+        while ordered[half].time == ordered[half - 1].time:
+            half += 1
+        orchestrator = Orchestrator(OrchestratorConfig(events_per_cell=5))
+        counts = []
+        for epoch in (ordered[:half], ordered[half:]):
+            result = orchestrator.run_pipeline_epoch(
+                split_by_vp(epoch),
+                PipelineConfig(n_shards=2, overflow_policy="block"),
+                archive=archive, timeout=TIMEOUT)
+            assert_accounted(result)
+            counts.append(len(archive.seal_listeners))
+        assert counts == [0, 0]
 
 
 class TestOrchestratorEpoch:
