@@ -18,26 +18,10 @@ Three checks:
 * unsaturated — capacity is 2x demand; the empirical loss must be
   (near) zero.
 
-A fourth experiment measures the multi-process backend's scaling
-(docs/CLUSTER.md).  The thread backend models today's single-daemon
-collector: every shard charges the *same* §8 cost model, so the whole
-pipeline shares one modelled CPU budget.  The processes backend gives
-each worker its own copy of the model — one CPU budget per node,
-which is exactly the multi-node deployment the cluster reproduces —
-and the measured wall-clock updates/sec must scale with the worker
-count.  ``--backend processes --workers 4`` runs one comparison
-point; ``--sweep 1,2,4`` emits the updates/sec-vs-process-count
-curve; ``--json`` records either into a bench JSON document.
-``--spin`` switches the cost model to spin mode (work units are
-burned, not slept) for measuring *physical* CPU scaling — only
-meaningful on a host with at least as many free cores as workers.
-
 ``REPRO_BENCH_QUICK=1`` shrinks the workload for CI smoke runs; the
 module also runs standalone: ``python bench_pipeline_throughput.py``.
 """
 
-import argparse
-import json
 import os
 
 try:
@@ -114,105 +98,6 @@ def run_capacity(capacity_units_per_s: float, seed: int = 7):
     return result, analytic.loss_fraction
 
 
-# -- multi-process scaling (docs/CLUSTER.md) ---------------------------------
-
-#: Scaling-run capacity: one retained update charges ~51.2/capacity
-#: seconds (~5ms) of modelled daemon CPU, so the cost model — not the
-#: Python interpreter — is the bottleneck on every host.
-SCALING_CAPACITY_UNITS_PER_S = 10_240.0
-#: 16 VPs hash evenly over 4 shards with this seed (the per-shard
-#: critical path is ~28% of the work, close to the 25% ideal), so the
-#: curve measures the backend rather than workload skew.
-SCALING_VPS = 16
-SCALING_SEED = 3
-SCALING_DURATION_S = 450.0 if QUICK else 900.0
-#: The processes backend must beat the thread baseline by at least
-#: this factor at 4 workers (the PR's acceptance bar).
-MIN_SPEEDUP_AT_4 = 2.0
-
-
-def run_scaling(backend: str, workers: int, mode: str = "sleep"):
-    """One capacity-bound run; returns (updates, wall_s, updates_per_s).
-
-    The thread backend shares one :class:`ServiceCostModel` across all
-    shards (a single daemon CPU); the processes backend ships each
-    worker its own copy (one CPU budget per collector node), which is
-    where the scaling comes from.
-    """
-    generator = SyntheticStreamGenerator(StreamConfig(
-        n_vps=SCALING_VPS, n_prefix_groups=10,
-        duration_s=SCALING_DURATION_S, seed=SCALING_SEED,
-    ))
-    _, stream = generator.generate()
-    kwargs = dict(
-        overflow_policy="block",
-        cost_model=ServiceCostModel(SCALING_CAPACITY_UNITS_PER_S,
-                                    mode=mode),
-        backend=backend,
-    )
-    if backend == "processes":
-        kwargs["workers"] = workers
-    else:
-        kwargs["n_shards"] = workers
-    pipeline = CollectionPipeline(PipelineConfig(**kwargs))
-    result = pipeline.run(split_by_vp(stream), timeout=600.0)
-    assert result.accounted
-    metrics = result.metrics
-    return metrics.received, metrics.wall_time_s, metrics.throughput_ups
-
-
-def run_scaling_sweep(worker_counts, baseline_workers=None,
-                      mode: str = "sleep"):
-    """Thread baseline + one processes point per worker count.
-
-    Returns the bench JSON document: the curve is ``points`` (ordered
-    by worker count) and every point carries its speedup over the
-    thread baseline at ``baseline_workers`` shards.
-    """
-    baseline_workers = baseline_workers or max(worker_counts)
-    updates, base_wall, base_ups = run_scaling("threads",
-                                               baseline_workers,
-                                               mode=mode)
-    document = {
-        "experiment": "pipeline_process_scaling",
-        "workload": {
-            "updates": updates,
-            "vps": SCALING_VPS,
-            "capacity_units_per_s": SCALING_CAPACITY_UNITS_PER_S,
-            "cost_mode": mode,
-            "quick": QUICK,
-        },
-        "baseline": {
-            "backend": "threads",
-            "workers": baseline_workers,
-            "wall_s": base_wall,
-            "updates_per_s": base_ups,
-        },
-        "points": [],
-    }
-    for workers in worker_counts:
-        _, wall, ups = run_scaling("processes", workers, mode=mode)
-        document["points"].append({
-            "backend": "processes",
-            "workers": workers,
-            "wall_s": wall,
-            "updates_per_s": ups,
-            "speedup": ups / base_ups if base_ups else 0.0,
-        })
-    return document
-
-
-def check_scaling(document):
-    """The curve must rise and clear the 2x bar at >= 4 workers."""
-    points = {p["workers"]: p for p in document["points"]}
-    for workers, point in points.items():
-        if workers >= 4:
-            assert point["speedup"] >= MIN_SPEEDUP_AT_4, (
-                f"processes backend at {workers} workers is only "
-                f"{point['speedup']:.2f}x the thread baseline "
-                f"(need {MIN_SPEEDUP_AT_4}x)")
-
-
 def check_flood(offered, result):
     metrics = result.metrics
     assert result.accounted
@@ -278,78 +163,7 @@ def test_pipeline_empirical_loss_unsaturated(benchmark):
     ])
 
 
-def test_pipeline_process_scaling(benchmark):
-    document = benchmark.pedantic(
-        run_scaling_sweep, args=([4],), rounds=1, iterations=1)
-    check_scaling(document)
-    base = document["baseline"]
-    rows = [f"threads x{base['workers']}: "
-            f"{base['updates_per_s']:,.0f} updates/s (baseline)"]
-    rows += [f"processes x{p['workers']}: "
-             f"{p['updates_per_s']:,.0f} updates/s "
-             f"({p['speedup']:.2f}x)"
-             for p in document["points"]]
-    print_series("Pipeline — process scaling (CPU-bound)", rows)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="pipeline throughput / loss / process scaling")
-    parser.add_argument("--backend", choices=("threads", "processes"),
-                        default=None,
-                        help="run one scaling point on this backend")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="worker count for --backend / the "
-                             "thread baseline")
-    parser.add_argument("--sweep",
-                        help="comma-separated process counts, e.g. "
-                             "1,2,4 — emits the scaling curve")
-    parser.add_argument("--json", dest="json_out",
-                        help="write the scaling document to this file")
-    parser.add_argument("--spin", action="store_true",
-                        help="burn the modelled work units on real CPU "
-                             "instead of sleeping (needs >= workers "
-                             "free cores to show scaling)")
-    args = parser.parse_args(argv)
-    mode = "spin" if args.spin else "sleep"
-
-    if args.sweep or args.backend:
-        if args.sweep:
-            counts = sorted({int(v) for v in args.sweep.split(",")})
-        elif args.backend == "processes":
-            counts = [args.workers]
-        else:
-            counts = []
-        document = run_scaling_sweep(counts or [args.workers],
-                                     baseline_workers=args.workers,
-                                     mode=mode) \
-            if counts else None
-        if document is None:
-            # --backend threads alone: just the baseline measurement.
-            updates, wall, ups = run_scaling("threads", args.workers,
-                                             mode=mode)
-            document = {
-                "experiment": "pipeline_process_scaling",
-                "baseline": {"backend": "threads",
-                             "workers": args.workers,
-                             "wall_s": wall, "updates_per_s": ups},
-                "points": [],
-            }
-        base = document["baseline"]
-        print(f"threads x{base['workers']}: "
-              f"{base['updates_per_s']:,.0f} updates/s (baseline)")
-        for point in document["points"]:
-            print(f"processes x{point['workers']}: "
-                  f"{point['updates_per_s']:,.0f} updates/s "
-                  f"({point['speedup']:.2f}x over threads)")
-        if args.json_out:
-            with open(args.json_out, "w") as handle:
-                json.dump(document, handle, indent=1)
-            print(f"wrote scaling document to {args.json_out}")
-        check_scaling(document)
-        print("ok")
-        return
-
+def main():
     offered, result = run_flood(
         n_vps=8 if QUICK else 12,
         duration_s=300.0 if QUICK else 900.0)

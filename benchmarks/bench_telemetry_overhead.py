@@ -14,11 +14,6 @@ workload — the same lossless full-speed run as
 * ``full``    (rate 1.0)  — every update spanned; reported for scale,
   bounded only loosely (it allocates one span per update).
 
-The same off/sampled comparison then repeats on the ``processes``
-backend, where a sampled trace additionally rides the cluster wire
-(v2 frames) and is stitched back at the coordinator — distributed
-tracing must also stay under ``SAMPLED_TOLERANCE``.
-
 Throughput is noisy at these run lengths, so each configuration takes
 the best of ``REPEATS`` runs before comparing.  Numbers land in
 EXPERIMENTS.md.  ``REPRO_BENCH_QUICK=1`` shrinks the workload; the
@@ -44,7 +39,7 @@ QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 N_VPS = 8 if QUICK else 12
 DURATION_S = 300.0 if QUICK else 900.0
 #: Dense event rate: overhead comparisons need runs long enough to
-#: amortise fixed costs (thread/process pool spin-up), so this
+#: amortise fixed costs (thread spin-up), so this
 #: workload packs far more events per hour than the §4.2 default.
 EVENTS_PER_HOUR = 3600.0
 REPEATS = 5 if QUICK else 3
@@ -67,14 +62,10 @@ def make_stream():
     return stream
 
 
-def run_once(stream, sample_rate, backend="threads"):
-    kwargs = dict(overflow_policy="block", backend=backend,
-                  trace_sample_rate=sample_rate)
-    if backend == "processes":
-        kwargs["workers"] = 4
-    else:
-        kwargs["n_shards"] = 4
-    pipeline = CollectionPipeline(PipelineConfig(**kwargs))
+def run_once(stream, sample_rate):
+    pipeline = CollectionPipeline(PipelineConfig(
+        n_shards=4, overflow_policy="block",
+        trace_sample_rate=sample_rate))
     result = pipeline.run(split_by_vp(stream), timeout=120.0)
     assert result.accounted
     assert result.metrics.ingest_dropped == 0
@@ -99,8 +90,8 @@ def run_paired(stream, configs):
     """
     best = {key: (0.0, 0) for key in configs}
     for _ in range(REPEATS):
-        for key, (rate, backend) in configs.items():
-            observed = run_once(stream, rate, backend)
+        for key, rate in configs.items():
+            observed = run_once(stream, rate)
             if observed[0] > best[key][0]:
                 best[key] = observed
     return best
@@ -108,25 +99,15 @@ def run_paired(stream, configs):
 
 def measure():
     stream = make_stream()
-    threads = run_paired(stream, {
-        "off": (0.0, "threads"),
-        "sampled": (0.01, "threads"),
-        "full": (1.0, "threads"),
-    })
-    procs = run_paired(stream, {
-        "off": (0.0, "processes"),
-        "sampled": (0.01, "processes"),
-    })
+    best = run_paired(stream, {"off": 0.0, "sampled": 0.01,
+                               "full": 1.0})
     return {
         "updates": len(stream),
-        "off": threads["off"][0],
-        "sampled": threads["sampled"][0],
-        "sampled_spans": threads["sampled"][1],
-        "full": threads["full"][0],
-        "full_spans": threads["full"][1],
-        "procs_off": procs["off"][0],
-        "procs_sampled": procs["sampled"][0],
-        "procs_spans": procs["sampled"][1],
+        "off": best["off"][0],
+        "sampled": best["sampled"][0],
+        "sampled_spans": best["sampled"][1],
+        "full": best["full"][0],
+        "full_spans": best["full"][1],
     }
 
 
@@ -137,16 +118,10 @@ def check(numbers):
         f"{1 - numbers['sampled'] / numbers['off']:.1%} "
         f"(> {SAMPLED_TOLERANCE:.0%} tolerance)")
     assert numbers["full"] >= numbers["off"] * (1.0 - FULL_TOLERANCE)
-    assert numbers["procs_sampled"] >= numbers["procs_off"] \
-        * (1.0 - SAMPLED_TOLERANCE), (
-        f"distributed sampled tracing cost "
-        f"{1 - numbers['procs_sampled'] / numbers['procs_off']:.1%} "
-        f"(> {SAMPLED_TOLERANCE:.0%} tolerance)")
 
 
 def report(numbers):
     off = numbers["off"]
-    procs_off = numbers["procs_off"]
     return [
         f"{numbers['updates']} updates, best of {REPEATS} runs each",
         f"tracing off:     {off:,.0f} updates/s (baseline)",
@@ -156,10 +131,6 @@ def report(numbers):
         f"full (1.0):      {numbers['full']:,.0f} updates/s "
         f"({numbers['full'] / off - 1.0:+.1%}, "
         f"{numbers['full_spans']} spans)",
-        f"processes off:   {procs_off:,.0f} updates/s (baseline)",
-        f"processes 0.01:  {numbers['procs_sampled']:,.0f} updates/s "
-        f"({numbers['procs_sampled'] / procs_off - 1.0:+.1%}, "
-        f"{numbers['procs_spans']} spans over the wire)",
     ]
 
 

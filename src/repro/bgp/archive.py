@@ -149,11 +149,6 @@ class RollingArchiveWriter:
         #: Seal subscribers, called in registration order after a
         #: segment (and its checkpoint, when enabled) is durable.
         self._seal_listeners: List[SealHook] = []
-        #: Close subscribers, called after :meth:`close` flushed the
-        #: final segment — the hook for end-of-epoch work that must
-        #: observe the *complete* archive (crash-incident absorption,
-        #: final manifests).  Runs on the closing thread.
-        self._close_listeners: List[Callable[[], None]] = []
         #: Build time of the most recently sealed segment's index.
         self.last_index_build_s: Optional[float] = None
         self.segments: List[ArchiveSegment] = []
@@ -174,17 +169,6 @@ class RollingArchiveWriter:
         """Unsubscribe a previously added seal hook (no-op if absent)."""
         try:
             self._seal_listeners.remove(hook)
-        except ValueError:
-            pass
-
-    def add_close_listener(self, hook: Callable[[], None]) -> None:
-        """Subscribe to archive close (fires after the final seal)."""
-        self._close_listeners.append(hook)
-
-    def remove_close_listener(self, hook: Callable[[], None]) -> None:
-        """Unsubscribe a close hook (no-op if absent)."""
-        try:
-            self._close_listeners.remove(hook)
         except ValueError:
             pass
 
@@ -281,8 +265,6 @@ class RollingArchiveWriter:
         """Flush the open interval (end of collection)."""
         segment = self._flush()
         self._current_slot = None
-        for hook in list(self._close_listeners):
-            hook()
         return segment
 
     # -- crash consistency --------------------------------------------------

@@ -247,31 +247,19 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         cost_model = ServiceCostModel(args.capacity or CPU_CAPACITY)
 
     streams = split_by_vp(updates)
-    n_shards = args.workers if args.backend == "processes" \
-        and args.workers else args.shards
     fault_plan = None
-    if args.chaos_kills and args.backend != "processes":
-        print("--chaos-kills requires --backend processes",
-              file=sys.stderr)
-        return 2
     if args.faults:
         fault_plan = FaultPlan.parse(args.faults)
     elif args.chaos:
-        # Thread-stall faults have no process equivalent (a stalled
-        # worker process is a death, which worker-kill covers).
         fault_plan = FaultPlan.seeded(
-            args.chaos_seed, sorted(streams), n_shards,
-            horizon=max(2, len(updates) // max(1, len(streams))),
-            stalls=0 if args.backend == "processes" else 1,
-            worker_kills=args.chaos_kills)
+            args.chaos_seed, sorted(streams), args.shards,
+            horizon=max(2, len(updates) // max(1, len(streams))))
     if fault_plan:
         print(f"fault plan: {fault_plan.describe()}")
 
     pipeline = CollectionPipeline(
         PipelineConfig(
-            n_shards=n_shards,
-            backend=args.backend,
-            workers=args.workers,
+            n_shards=args.shards,
             shard_by=args.shard_by,
             ingest_queue_capacity=args.queue_capacity,
             overflow_policy=args.policy,
@@ -771,13 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay through the concurrent runtime")
     p.add_argument("archive")
     p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--backend", choices=("threads", "processes"),
-                   default="threads",
-                   help="run shard workers as threads (default) or OS "
-                        "processes with batched IPC (docs/CLUSTER.md)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker process count for --backend processes "
-                        "(overrides --shards)")
     p.add_argument("--shard-by", choices=("vp", "prefix"), default="vp")
     p.add_argument("--queue-capacity", type=int, default=1024)
     p.add_argument("--policy", choices=("drop", "block"), default="block")
@@ -805,9 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject a seeded random fault plan")
     p.add_argument("--chaos-seed", type=int, default=0,
                    help="seed for the --chaos fault plan")
-    p.add_argument("--chaos-kills", type=int, default=0,
-                   help="add N seeded worker-SIGKILL faults to the "
-                        "--chaos plan (requires --backend processes)")
     p.add_argument("--checkpoint", action="store_true",
                    help="crash-consistent archive checkpointing "
                         "(requires --archive-dir)")

@@ -1,17 +1,17 @@
-"""Multi-process collection cluster.
+"""Multi-collector collection: partition, then merge.
 
-``repro.cluster`` scales the collection pipeline past the GIL:
+``repro.cluster`` scales collection past one process the way the
+paper does (§8–§9) — more collectors, each peering with a subset of
+the VPs — with no per-update IPC (docs/CLUSTER.md):
 
-* :mod:`~repro.cluster.wire` — compact batched binary framing for
-  cross-process handoff (no per-update pickling);
-* :mod:`~repro.cluster.backend` — the ``processes`` worker backend:
-  per-shard worker processes with supervised respawn and exactly-once
-  frame redelivery, feeding the coordinator's watermark-ordered writer;
-* :mod:`~repro.cluster.partition` — multi-collector mode: N processes
-  each collecting a VP partition into its own partial archive;
+* :mod:`~repro.cluster.partition` — N collector processes, each
+  collecting a VP partition into its own partial archive;
 * :mod:`~repro.cluster.merge` — deterministic seal-boundary merge of
   partial archives into a stream byte-identical to a single-process
-  run.
+  run;
+* :mod:`~repro.cluster.wire` — the batched binary framing of the
+  removed ``processes`` shard backend, kept only while ``perf/``
+  still times its codec.
 """
 
 from .wire import (EndOfInput, END_OF_INPUT, WireError, decode_frame,
@@ -25,7 +25,6 @@ __all__ = [
     "decode_record",
     "encode_frame",
     "encode_record",
-    "ProcessWorkerPool",
     "MergeReport",
     "PartitionError",
     "PartitionManifest",
@@ -42,11 +41,8 @@ _PARTITION_NAMES = ("PartitionError", "PartitionManifest",
 
 
 def __getattr__(name: str):
-    # Lazy: the backend/partition/merge modules import multiprocessing
+    # Lazy: the partition/merge modules import multiprocessing
     # machinery the wire-only users never need.
-    if name == "ProcessWorkerPool":
-        from .backend import ProcessWorkerPool
-        return ProcessWorkerPool
     if name in _PARTITION_NAMES:
         from . import partition
         return getattr(partition, name)

@@ -111,11 +111,16 @@ def merge_archives(source: object,
                 f"{path} compression disagrees with the first partition")
     out_compress = in_compress if compress is None else compress
 
-    cluster_metrics = None
+    lag_gauge = None
     if registry is not None:
-        from .metrics import ClusterMetrics
-        cluster_metrics = ClusterMetrics(registry)
-        cluster_metrics.merge_started(len(part_dirs))
+        lag_gauge = registry.gauge(
+            "repro_cluster_merge_lag_seconds",
+            "Stream-time skew between partition heads during a merge.",
+            unit="seconds").labels()
+        registry.gauge(
+            "repro_cluster_merge_partitions",
+            "Partial archives feeding the current merge."
+        ).labels().set(len(part_dirs))
 
     writer = RollingArchiveWriter(out_directory,
                                   interval_s=interval_s,
@@ -179,9 +184,9 @@ def merge_archives(source: object,
                 heads,
                 ((following.time,) + canonical_key(following),
                  index, following))
-        if cluster_metrics is not None and (
+        if lag_gauge is not None and (
                 merged % _LAG_SAMPLE_EVERY == 0 or following is None):
-            cluster_metrics.merge_lag(head_lag())
+            lag_gauge.set(head_lag())
 
     if gill_stage is not None:
         for ready in gill_stage.flush():
@@ -189,8 +194,8 @@ def merge_archives(source: object,
                 segments_flushed += 1
     writer.close()
     duration = time_mod.perf_counter() - started
-    if cluster_metrics is not None:
-        cluster_metrics.merge_lag(0.0)
+    if lag_gauge is not None:
+        lag_gauge.set(0.0)
     return MergeReport(
         directory=out_directory,
         partitions=len(part_dirs),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..bgp.archive import RollingArchiveWriter
@@ -205,9 +205,6 @@ def collect_partitioned(streams: Mapping[str, Iterable[BGPUpdate]],
     if config.fault_plan:
         raise ValueError("fault plans target a single pipeline's "
                          "shards; partitions run clean")
-    # Partition collectors are plain single-node pipelines; the
-    # processes backend inside each would nest process pools.
-    config = replace(config, backend="threads")
 
     parts = partition_vps(streams, n_partitions)
     os.makedirs(directory, exist_ok=True)

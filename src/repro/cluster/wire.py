@@ -1,6 +1,11 @@
 """Compact binary wire format for cross-process pipeline handoff.
 
-The multiprocessing backend moves updates between the coordinator and
+Nothing in ``src/`` sends these frames any more: the ``processes``
+shard backend they served is gone (docs/CLUSTER.md says why), and the
+codec stays only because ``perf/layers.py`` still times it.  It goes
+once the benchmark drops its ``cluster.wire.*`` rows.
+
+The multiprocessing backend moved updates between the coordinator and
 its shard worker processes in *batched frames* rather than pickling
 queue payloads one object at a time.  A frame is::
 

@@ -13,9 +13,6 @@ into incident intelligence, live:
   incidents;
 * :mod:`repro.events.store` — the crash-recoverable JSONL-journaled
   event store with prefix/ASN/type/state indexes;
-* :mod:`repro.events.flight` — ``crash`` incidents journaled from
-  flight-recorder dumps at archive close, with the dump file attached
-  as evidence;
 * :mod:`repro.events.report` — incident reports for the
   ``repro-bgp events`` CLI.
 
@@ -32,7 +29,6 @@ from .detectors import (
     SubPrefixStreamDetector,
     default_detectors,
 )
-from .flight import absorb_crash_dumps, crash_event, crash_incidents
 from .model import EVENT_TYPES, Detection, Event, EventState, \
     sort_detections
 from .pipeline import DEFAULT_RESOLVE_AFTER_S, EventCorrelator, \
@@ -57,9 +53,6 @@ __all__ = [
     "OriginHijackStreamDetector",
     "StreamingDetector",
     "SubPrefixStreamDetector",
-    "absorb_crash_dumps",
-    "crash_event",
-    "crash_incidents",
     "default_detectors",
     "journal_path_for",
     "render_event_report",

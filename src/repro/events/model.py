@@ -32,11 +32,6 @@ EVENT_TYPES: Tuple[str, ...] = (
     # verification and is quarantined — an operator-facing incident,
     # not a routing anomaly.
     "integrity",
-    # Emitted from flight-recorder dumps when a pipeline process died
-    # mid-epoch (worker SIGKILL, writer fatality) — the black-box
-    # record of the crash, absorbed at archive close
-    # (repro.events.flight).
-    "crash",
 )
 
 

@@ -217,12 +217,6 @@ class EventPipeline:
         if replay:
             self.sync()
         archive.add_seal_listener(self._seal_listener)
-        if hasattr(archive, "add_close_listener"):
-            # Crash incidents (flight-recorder dumps) are absorbed only
-            # once the archive is complete: their event content depends
-            # only on the incident facts and the final watermark, so a
-            # recovery replay converges on identical journal bytes.
-            archive.add_close_listener(self._close_listener)
 
     def sync(self) -> int:
         """Regenerate the store from the archive's current segments.
@@ -247,32 +241,11 @@ class EventPipeline:
         self.store.reset()
         for segment in segments:
             self.process_segment(segment)
-        # Re-absorb any flight-recorder dumps last, exactly where the
-        # original run's archive-close hook journaled them.
-        self.absorb_flight_dumps()
         return len(segments)
-
-    def absorb_flight_dumps(self) -> List[Event]:
-        """Journal crash incidents from the archive directory's
-        flight-recorder dumps (no-op when there are none)."""
-        if self.archive is None:
-            return []
-        directory = getattr(self.archive, "directory", None)
-        if not isinstance(directory, str):
-            return []
-        from .flight import absorb_crash_dumps
-        events = absorb_crash_dumps(self.store, directory)
-        for event in events:
-            self._opened_total.labels(event.type).inc()
-            self._resolved_total.labels(event.type).inc()
-        return events
 
     def _seal_listener(self, segment: ArchiveSegment,
                        build_s: Optional[float]) -> None:
         self.process_segment(segment)
-
-    def _close_listener(self) -> None:
-        self.absorb_flight_dumps()
 
     def _segment_trusted(self, segment: ArchiveSegment) -> bool:
         """Verify a segment's bytes before replaying it.

@@ -109,8 +109,8 @@ def render_event_report(event: Event) -> str:
         if isinstance(dump, str) and dump not in recorders:
             recorders.append(dump)
     if recorders:
-        # Crash and quarantine incidents carry the black box that was
-        # dumped when they fired; point the operator straight at it.
+        # Quarantine incidents carry the black box that was dumped
+        # when they fired; point the operator straight at it.
         lines.append(f"black box  : {', '.join(recorders)} "
                      f"(in the archive directory)")
     lines.append("timeline:")

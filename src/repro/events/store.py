@@ -20,7 +20,8 @@ store exactly, which gives three properties for free:
   re-sealed segments — detectors are deterministic, so the store
   converges to exactly the uninterrupted run's content;
 * **torn-tail tolerance** — a crash mid-append leaves at most one
-  unparseable trailing line, which the loader drops.
+  unparseable trailing line, which the loader drops — from the file
+  too, so the next append starts on a line boundary.
 
 In-memory, events are indexed by id, prefix, ASN, type and state;
 :meth:`query` intersects the most selective indexes before filtering,
@@ -34,7 +35,7 @@ import os
 import threading
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..guard.integrity import record_intact, seal_record
+from ..guard.integrity import read_sealed_lines, seal_record
 from .model import Event, EventState, EVENT_TYPES
 
 #: Default journal file name inside an archive directory.
@@ -96,9 +97,10 @@ class EventStore:
 
         Records with ``watermark > truncate_beyond`` are dropped —
         they describe archive segments that crash recovery deleted —
-        and when any are dropped the journal file is atomically
-        rewritten without them.  Returns the number of dropped
-        records.  A ``truncate_beyond`` of None keeps everything.
+        and when any are dropped, or the journal ends in a torn or
+        corrupt line, the file is atomically rewritten without them.
+        Returns the number of dropped records.  A ``truncate_beyond``
+        of None keeps everything.
         """
         with self._lock:
             self._events.clear()
@@ -113,24 +115,19 @@ class EventStore:
             kept: List[str] = []
             dropped = 0
             with open(self.path, "r") as handle:
-                for line in handle:
-                    if not line.endswith("\n"):
-                        break       # torn tail from a crash mid-append
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        break       # corrupt tail: stop trusting the rest
-                    if not record_intact(record):
-                        break       # flipped bytes inside a sealed line
-                    watermark = record.get("watermark")
-                    if truncate_beyond is not None \
-                            and watermark is not None \
-                            and watermark > truncate_beyond:
-                        dropped += 1
-                        continue
-                    self._apply_record(record)
-                    kept.append(line)
-            if dropped:
+                entries, torn = read_sealed_lines(handle)
+            for line, record in entries:
+                watermark = record.get("watermark")
+                if truncate_beyond is not None \
+                        and watermark is not None \
+                        and watermark > truncate_beyond:
+                    dropped += 1
+                    continue
+                self._apply_record(record)
+                kept.append(line)
+            if dropped or torn:
+                # A torn tail goes too: the next ``apply`` appends, and
+                # would glue its record onto the partial line.
                 tmp = self.path + ".tmp"
                 with open(tmp, "w") as handle:
                     handle.writelines(kept)
@@ -161,19 +158,12 @@ class EventStore:
             changed: List[str] = []
             with open(self.path, "r") as handle:
                 handle.seek(self._offset)
-                for line in handle:
-                    if not line.endswith("\n"):
-                        break
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        break
-                    if not record_intact(record):
-                        break
-                    event_id = self._apply_record(record)
-                    if event_id is not None:
-                        changed.append(event_id)
-                    self._offset += len(line.encode("utf-8"))
+                entries, _ = read_sealed_lines(handle)
+            for line, record in entries:
+                event_id = self._apply_record(record)
+                if event_id is not None:
+                    changed.append(event_id)
+                self._offset += len(line.encode("utf-8"))
             return changed
 
     def _apply_record(self, record: dict) -> Optional[str]:

@@ -24,7 +24,7 @@ import os
 import threading
 from typing import Dict, List, Optional, Union
 
-from ..guard.integrity import record_intact, seal_record
+from ..guard.integrity import read_sealed_lines, seal_record
 
 #: File name of the drop journal inside an archive directory.
 JOURNAL_NAME = "gill.jsonl"
@@ -80,23 +80,13 @@ class GillJournal:
         torn = False
         if self.path is not None and os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    if not line.endswith("\n"):
-                        torn = True
-                        break
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        torn = True
-                        break
-                    if not record_intact(record):
-                        torn = True     # flipped bytes, not a torn tail
-                        break
-                    if truncate_beyond is not None and \
-                            record.get("watermark", 0.0) > truncate_beyond:
-                        dropped += 1
-                        continue
-                    records.append(record)
+                entries, torn = read_sealed_lines(handle)
+            for _, record in entries:
+                if truncate_beyond is not None and \
+                        record.get("watermark", 0.0) > truncate_beyond:
+                    dropped += 1
+                    continue
+                records.append(record)
         with self._lock:
             self._records = records
             if (dropped or torn) and self.path is not None:

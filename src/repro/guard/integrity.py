@@ -25,7 +25,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple
 
 #: Read segment files in chunks of this size when digesting.
 _CHUNK = 1 << 20
@@ -167,3 +167,28 @@ def record_intact(record: dict) -> bool:
         return True
     expected = f"{zlib.crc32(_canonical(record).encode('utf-8')) & 0xFFFFFFFF:08x}"
     return recorded == expected
+
+
+def read_sealed_lines(lines: Iterable[str]
+                      ) -> Tuple[List[Tuple[str, dict]], bool]:
+    """Read a journal's sealed lines up to the first one not to trust.
+
+    Returns ``(entries, torn)``: every ``(line, record)`` before the
+    first line that is unterminated (a crash mid-append), unparseable,
+    or fails its own seal, and whether reading stopped at such a line.
+    Nothing after it is trusted, and an appender must not write behind
+    it — the next record would be glued onto the partial line — so a
+    journal's owner rewrites the file from ``entries`` when ``torn``.
+    """
+    entries: List[Tuple[str, dict]] = []
+    for line in lines:
+        if not line.endswith("\n"):
+            return entries, True
+        try:
+            record = json.loads(line)
+        except ValueError:
+            return entries, True
+        if not isinstance(record, dict) or not record_intact(record):
+            return entries, True
+        entries.append((line, record))
+    return entries, False

@@ -42,12 +42,6 @@ The fault model (see docs/FAULTS.md):
     The N-th segment payload read sleeps ``duration_s`` first (target
     ``reader``) — an aging disk or cold NFS path; request deadlines
     must keep one slow read from wedging a serving slot forever.
-``worker-kill``
-    The shard's worker *process* SIGKILLs itself after processing its
-    N-th update (``processes`` backend only).  The kill lands before
-    the result frame is sent, so the coordinator must detect the
-    death, respawn the worker, and redeliver the outstanding frames —
-    the cluster's exactly-once recovery path (docs/CLUSTER.md).
 """
 
 from __future__ import annotations
@@ -66,8 +60,7 @@ from ..bgp.message import BGPUpdate
 
 FAULT_KINDS = ("disconnect", "malformed", "reorder", "stall",
                "io-error", "crash",
-               "bitflip", "truncate", "torn-index", "slow-read",
-               "worker-kill")
+               "bitflip", "truncate", "torn-index", "slow-read")
 
 #: The disk-corruption subset (applied to sealed segments, not writes).
 CORRUPTION_KINDS = ("bitflip", "truncate", "torn-index")
@@ -117,9 +110,8 @@ class FaultSpec:
             raise ValueError("stall duration must be nonnegative")
         if self.kind in ("io-error", "crash") and self.target != "writer":
             raise ValueError(f"{self.kind} faults target 'writer'")
-        if self.kind in ("stall", "worker-kill") \
-                and self.shard_index() is None:
-            raise ValueError(f"{self.kind} faults target 'shard<i>'")
+        if self.kind == "stall" and self.shard_index() is None:
+            raise ValueError("stall faults target 'shard<i>'")
         if self.kind in CORRUPTION_KINDS and self.target != "archive":
             raise ValueError(f"{self.kind} faults target 'archive'")
         if self.kind == "slow-read" and self.target != "reader":
@@ -190,7 +182,7 @@ class FaultPlan:
                horizon: int = 500, flaps: int = 1, malformed: int = 2,
                reorders: int = 1, stalls: int = 1, io_errors: int = 1,
                crashes: int = 0, corruptions: int = 0,
-               slow_reads: int = 0, worker_kills: int = 0) -> "FaultPlan":
+               slow_reads: int = 0) -> "FaultPlan":
         """A reproducible random plan over the given topology.
 
         ``horizon`` bounds the event counts at which faults fire; the
@@ -234,10 +226,6 @@ class FaultPlan:
                 "slow-read", "reader",
                 at=rng.randrange(1, max(2, span // 16)),
                 duration_s=rng.choice([0.05, 0.2, 0.5])))
-        for _ in range(worker_kills):
-            specs.append(FaultSpec(
-                "worker-kill", f"shard{rng.randrange(n_shards)}",
-                at=rng.randrange(1, span)))
         return cls(tuple(specs))
 
     # -- selection ----------------------------------------------------------
@@ -250,20 +238,6 @@ class FaultPlan:
     def for_shard(self, shard: int) -> Tuple[FaultSpec, ...]:
         return tuple(s for s in self.specs
                      if s.kind == "stall" and s.shard_index() == shard)
-
-    def for_worker_kills(self, shard: int) -> Tuple[FaultSpec, ...]:
-        return tuple(s for s in self.specs
-                     if s.kind == "worker-kill"
-                     and s.shard_index() == shard)
-
-    def kill_positions(self, shard: int) -> Tuple[int, ...]:
-        """Update counts at which ``shard``'s worker process dies."""
-        return tuple(sorted(
-            pos for s in self.for_worker_kills(shard)
-            for pos in s.positions()))
-
-    def has_worker_kills(self) -> bool:
-        return any(s.kind == "worker-kill" for s in self.specs)
 
     def for_writer(self) -> Tuple[FaultSpec, ...]:
         return tuple(s for s in self.specs

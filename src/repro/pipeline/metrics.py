@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..telemetry import Counter, Gauge, Histogram, MetricsRegistry, \
-    Tracer
+    Tracer, format_latency
 from ..telemetry.registry import DEFAULT_LATENCY_BOUNDS as \
     _BUCKET_BOUNDS  # noqa: F401  (re-exported for compatibility)
 from ..query.stats import QueryStats, QueryStatsSnapshot, \
@@ -168,10 +168,6 @@ class PipelineMetricsSnapshot:
     #: Online redundancy filter decisions (0/0 when no gill stage ran).
     gill_kept: int = 0
     gill_dropped: int = 0
-    #: Multi-process backend observation
-    #: (:class:`repro.cluster.metrics.ClusterSnapshot`; None when the
-    #: run used worker threads).
-    cluster: Optional[object] = None
 
     @property
     def loss_fraction(self) -> float:
@@ -282,10 +278,6 @@ class PipelineMetrics:
         self.write = StageMetrics("write", r)
         self.query = QueryStats(registry=r)
         self.tracer = Tracer(0.0, registry=r)
-        #: Bound by the 'processes' backend to a
-        #: :class:`repro.cluster.metrics.ClusterMetrics` on the same
-        #: registry; stays None for thread-backed runs.
-        self.cluster = None
         # Pre-bound per-session children and ordered bookkeeping.
         self._lock = threading.Lock()
         self._sessions: Dict[str, Tuple[Counter, Counter]] = {}
@@ -475,22 +467,12 @@ class PipelineMetrics:
             if watermark_set else None,
             gill_kept=int(self._gill_kept.value),
             gill_dropped=int(self._gill_dropped.value),
-            cluster=self.cluster.snapshot()
-            if self.cluster is not None else None,
         )
-
-
-def _format_latency(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.2f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.1f}ms"
-    return f"{seconds * 1e6:.0f}us"
 
 
 def _latency_cell(seconds: float, count: int) -> str:
     """A latency figure, or an em dash when nothing was observed."""
-    return "—" if not count else _format_latency(seconds)
+    return "—" if not count else format_latency(seconds)
 
 
 def render_metrics(snapshot: PipelineMetricsSnapshot,
@@ -518,20 +500,6 @@ def render_metrics(snapshot: PipelineMetricsSnapshot,
         lines.append(
             f"watermark {snapshot.writer_watermark:.0f} "
             f"(advanced {age:.1f}s ago)")
-    cluster = snapshot.cluster
-    if cluster is not None and cluster.active:
-        from ..cluster.metrics import format_bytes
-        line = (f"cluster: workers {cluster.workers}  "
-                f"respawns {cluster.respawns}  "
-                f"frames {cluster.frames_out}/{cluster.frames_in} "
-                f"(mean batch {cluster.mean_batch:.0f})  "
-                f"ipc {format_bytes(cluster.ipc_bytes_out)} out / "
-                f"{format_bytes(cluster.ipc_bytes_in)} in  "
-                f"outstanding-max {cluster.outstanding_high_water}")
-        if cluster.merge_partitions:
-            line += (f"  merge {cluster.merge_partitions} parts "
-                     f"lag {cluster.merge_lag_s:.0f}s")
-        lines.append(line)
     gill_total = snapshot.gill_kept + snapshot.gill_dropped
     if gill_total:
         lines.append(

@@ -45,8 +45,8 @@ from ..bgp.validation import RouteValidator
 from ..core.forwarding import ForwardingService
 from .. import __version__
 from ..gill import GillConfig, GillStage
-from ..telemetry import DistributedTracer, TimeSeriesSampler, Tracer, \
-    set_build_info, set_process_role
+from ..telemetry import TimeSeriesSampler, Tracer, set_build_info, \
+    set_process_role
 from .faults import FaultInjector, FaultPlan, SupervisorConfig
 from .metrics import PipelineMetrics, PipelineMetricsSnapshot
 from .queues import BoundedQueue, QueueClosed
@@ -61,18 +61,6 @@ class PipelineConfig:
     #: 'vp' keeps each peering session on one shard (per-session order
     #: is then trivially preserved); 'prefix' spreads hot sessions.
     shard_by: str = "vp"
-    #: 'threads' runs shard workers as threads in this process;
-    #: 'processes' runs them as supervised OS worker processes fed
-    #: over batched binary pipes (repro.cluster, docs/CLUSTER.md).
-    backend: str = "threads"
-    #: Worker-process count for the 'processes' backend; overrides
-    #: ``n_shards`` there (one shard per worker process).
-    workers: Optional[int] = None
-    #: Max envelopes packed into one IPC frame ('processes' backend).
-    ipc_batch: int = 256
-    #: How long a feeder waits for more envelopes before flushing a
-    #: partial frame ('processes' backend).
-    ipc_linger_s: float = 0.002
     ingest_queue_capacity: int = 1024
     writer_queue_capacity: int = 4096
     #: 'drop' loses updates at full ingest queues (daemon-style,
@@ -111,15 +99,6 @@ class PipelineConfig:
     gill: Optional[GillConfig] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in ("threads", "processes"):
-            raise ValueError("backend must be 'threads' or 'processes'")
-        if self.workers is not None:
-            if self.workers <= 0:
-                raise ValueError("workers must be positive")
-            if self.backend == "processes":
-                # One shard per worker process: the worker count IS the
-                # sharding degree there.
-                self.n_shards = self.workers
         if self.n_shards <= 0:
             raise ValueError("need at least one shard")
         if self.shard_by not in ("vp", "prefix"):
@@ -130,24 +109,11 @@ class PipelineConfig:
             raise ValueError("time_scale must be positive")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError("trace_sample_rate must be in [0, 1]")
-        if self.ipc_batch <= 0:
-            raise ValueError("ipc_batch must be positive")
-        if self.ipc_linger_s <= 0:
-            raise ValueError("ipc_linger_s must be positive")
         if self.metrics_interval_s is not None \
                 and self.metrics_interval_s <= 0:
             raise ValueError("metrics_interval_s must be positive")
         if self.gill is not None and not isinstance(self.gill, GillConfig):
             raise ValueError("gill must be a GillConfig (or None)")
-        if self.fault_plan:
-            kinds = {spec.kind for spec in self.fault_plan.specs}
-            if self.backend == "processes" and "stall" in kinds:
-                raise ValueError("stall faults target worker threads; "
-                                 "use worker-kill with the 'processes' "
-                                 "backend")
-            if self.backend != "processes" and "worker-kill" in kinds:
-                raise ValueError("worker-kill faults require the "
-                                 "'processes' backend")
 
 
 @dataclass(frozen=True)
@@ -189,31 +155,22 @@ class CollectionPipeline:
         self.on_reestablish = on_reestablish
         self.metrics = PipelineMetrics()
         set_build_info(self.metrics.registry, __version__,
-                       backend=self.config.backend)
+                       backend="threads")
         if self.config.trace_sample_rate > 0.0:
             # Replace the default (disabled) tracer with a sampling
             # one bound to the same registry, so the trace families
-            # appear in the same exposition.  The processes backend
-            # needs the distributed variant: its spans cross the
-            # cluster wire and are stitched back at the coordinator.
-            tracer_cls = DistributedTracer \
-                if self.config.backend == "processes" else Tracer
-            self.metrics.tracer = tracer_cls(
+            # appear in the same exposition.
+            self.metrics.tracer = Tracer(
                 self.config.trace_sample_rate,
                 registry=self.metrics.registry,
                 ring_size=self.config.trace_ring,
                 slow_threshold_s=self.config.trace_slow_threshold_s)
         #: This process's crash flight recorder, named for the
         #: coordinator role and wired so finished spans land in its
-        #: black-box ring alongside the cluster frame notes.
+        #: black-box ring.
         self.flight = set_process_role("coordinator")
         self.flight.bind_registry(self.metrics.registry)
         self.metrics.tracer.flight = self.flight
-        #: Deterministic crash incidents (worker kills) accumulated
-        #: for the flight dump's ``incidents`` block, which the event
-        #: subsystem absorbs reproducibly at archive close.
-        self._crash_reports: List[Dict[str, object]] = []
-        self._crash_lock = threading.Lock()
         self.sampler: Optional[TimeSeriesSampler] = None
         if self.config.metrics_interval_s is not None:
             self.sampler = TimeSeriesSampler(
@@ -224,8 +181,6 @@ class CollectionPipeline:
         #: The online redundancy filter (built in ``start`` when the
         #: config carries a :class:`~repro.gill.GillConfig`).
         self.gill: Optional[GillStage] = None
-        #: The multiprocessing worker pool ('processes' backend only).
-        self._pool = None
         self._stop_event = threading.Event()
         self._sessions: List[PeerSession] = []
         self._workers: List[ShardWorker] = []
@@ -332,31 +287,8 @@ class CollectionPipeline:
             cfg.writer_queue_capacity,
             gauge=self.metrics.write.queue_depth)
 
-        if cfg.backend == "processes":
-            from ..cluster.backend import ProcessWorkerPool
-            from ..cluster.metrics import ClusterMetrics
-            self.metrics.cluster = ClusterMetrics(self.metrics.registry)
-            self._pool = ProcessWorkerPool(
-                cfg.n_shards, self._ingest_queues, self._writer_queue,
-                filters=self.filters, metrics=self.metrics,
-                cluster_metrics=self.metrics.cluster,
-                cost_model=cfg.cost_model,
-                validator=self.validator,
-                validator_lock=self._validator_lock,
-                forwarding=self.forwarding,
-                forwarding_lock=self._forwarding_lock,
-                flagged_sink=self._keep_flagged,
-                fault_plan=cfg.fault_plan,
-                injector=self.injector,
-                supervision=cfg.supervision,
-                batch_max=cfg.ipc_batch,
-                linger_s=cfg.ipc_linger_s,
-                on_fatal=self._on_writer_fatal,
-                on_worker_kill=self._on_worker_kill,
-            )
-        else:
-            self._workers = [self._make_worker(shard)
-                             for shard in range(cfg.n_shards)]
+        self._workers = [self._make_worker(shard)
+                         for shard in range(cfg.n_shards)]
         self._writer = WriterStage(
             self._writer_queue, cfg.n_shards, list(streams),
             metrics=self.metrics, archive=archive,
@@ -383,15 +315,11 @@ class CollectionPipeline:
         if self.sampler is not None:
             self.sampler.start()
         self._writer.start()
-        if self._pool is not None:
-            self._pool.start()
         for worker in self._workers:
             worker.start()
         for session in self._sessions:
             session.start()
-        if self.injector is not None and self._pool is None:
-            # The stall watchdog supervises worker *threads*; worker
-            # processes are supervised by the pool's collector instead.
+        if self.injector is not None:
             self._watchdog = threading.Thread(
                 target=self._watchdog_loop, name="watchdog", daemon=True)
             self._watchdog.start()
@@ -413,40 +341,22 @@ class CollectionPipeline:
         return depths
 
     def _dump_flight(self, reason: str) -> Optional[str]:
-        """Dump the coordinator's black box next to the archive.
-
-        The dump itself is diagnostic (wall clock, live metrics); its
-        ``incidents`` block is the deterministic record of worker
-        kills that the event subsystem journals at archive close.
-        """
+        """Dump the coordinator's black box next to the archive (a
+        diagnostic artifact: wall clock, live metrics)."""
         directory = self._dump_directory()
         if directory is None:
             return None
-        with self._crash_lock:
-            incidents = list(self._crash_reports)
         try:
             return self.flight.dump(directory, reason,
-                                    incidents=incidents,
                                     registry=self.metrics.registry,
                                     queues=self._queue_depths())
         except OSError:
             return None         # a failing disk must not mask the fault
 
-    def _on_worker_kill(self, shard: int,
-                        position: Optional[int]) -> None:
-        """Pool hook: a worker process died and was respawned."""
-        with self._crash_lock:
-            self._crash_reports.append({
-                "kind": "worker-kill",
-                "shard": shard,
-                "position": position,
-            })
-        self._dump_flight(f"worker-kill shard{shard}")
-
     def _on_writer_fatal(self, exc: BaseException) -> None:
-        """The writer (or the worker pool) died: poison every queue so
-        no producer or worker stays blocked behind the corpse, then
-        let ``wait`` re-raise."""
+        """The writer died: poison every queue so no producer or
+        worker stays blocked behind the corpse, then let ``wait``
+        re-raise."""
         self.flight.note("writer-fatal", error=repr(exc))
         self._dump_flight(f"writer-fatal {type(exc).__name__}")
         self._stop_event.set()
@@ -454,8 +364,6 @@ class CollectionPipeline:
             queue.close()
         if self._writer_queue is not None:
             self._writer_queue.close()
-        if self._pool is not None:
-            self._pool.abort()
 
     def _watchdog_loop(self) -> None:
         """Replace workers wedged inside an injected stall.
@@ -537,18 +445,14 @@ class CollectionPipeline:
         # All session end-markers are enqueued; now close the shards.
         # The watchdog stays up until the workers drain — a shard can
         # still be wedged in an injected stall at this point.
-        if self._pool is not None:
-            self._pool.stop()
-            self._pool.join(timeout)
-        else:
-            with self._workers_lock:
-                workers = list(self._workers)
-            for worker in workers:
-                try:
-                    worker.stop()
-                except QueueClosed:
-                    pass        # writer died; workers are exiting anyway
-            self._join_workers(timeout)
+        with self._workers_lock:
+            workers = list(self._workers)
+        for worker in workers:
+            try:
+                worker.stop()
+            except QueueClosed:
+                pass        # writer died; workers are exiting anyway
+        self._join_workers(timeout)
         self._watchdog_stop.set()
         if self._watchdog is not None:
             self._watchdog.join(timeout)
@@ -561,8 +465,6 @@ class CollectionPipeline:
         self.metrics.mark_stopped()
         if self.sampler is not None:
             self.sampler.stop()
-        if self._pool is not None and self._pool.error is not None:
-            raise self._pool.error
         if self._writer.error is not None:
             raise self._writer.error
         return self.result()

@@ -153,34 +153,14 @@ class ServiceCostModel:
                  parse_cost: float = PARSE_COST,
                  filter_cost: float = FILTER_COST,
                  write_cost: float = WRITE_COST,
-                 min_sleep_s: float = 0.002,
-                 mode: str = "sleep"):
+                 min_sleep_s: float = 0.002):
         if units_per_s <= 0:
             raise ValueError("capacity must be positive")
-        if mode not in ("sleep", "spin"):
-            raise ValueError("mode must be 'sleep' or 'spin'")
         self.units_per_s = units_per_s
         self.parse_cost = parse_cost
         self.filter_cost = filter_cost
         self.write_cost = write_cost
         self.min_sleep_s = min_sleep_s
-        #: ``sleep`` models an I/O-like budget (worker yields the CPU
-        #: while in debt); ``spin`` busy-waits the cost instead, which
-        #: models a CPU-bound daemon: spinning threads serialize on the
-        #: GIL while spinning processes use one core each, so only
-        #: ``spin`` lets the processes backend show real scaling.
-        self.mode = mode
-        self._lock = threading.Lock()
-        self._credit_s = 0.0
-        self._last = time.perf_counter()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
         self._lock = threading.Lock()
         self._credit_s = 0.0
         self._last = time.perf_counter()
@@ -191,12 +171,6 @@ class ServiceCostModel:
 
     def charge(self, retained: bool) -> None:
         """Consume one update's work; sleep off any accumulated debt."""
-        if self.mode == "spin":
-            deadline = time.perf_counter() \
-                + self.cost(retained) / self.units_per_s
-            while time.perf_counter() < deadline:
-                pass
-            return
         with self._lock:
             now = time.perf_counter()
             self._credit_s += now - self._last
@@ -596,9 +570,8 @@ class WriterStage(threading.Thread):
         flight.  Each equal-time run is therefore released whole, in
         canonical attribute order — arrival order across shards is a
         scheduler accident, and sorting the ties is what makes the
-        archive byte stream identical across the ``threads`` backend,
-        the ``processes`` backend, and a partitioned merge.  Entries
-        *at* the watermark wait: a session whose heartbeat equals their
+        archive byte stream identical across shard counts and a
+        partitioned merge.  Entries *at* the watermark wait: a session whose heartbeat equals their
         time may still send more updates at that same timestamp.
         """
         watermark = self._safe_watermark()
@@ -645,7 +618,7 @@ class WriterStage(threading.Thread):
                 disposition.trace.mark("write")
                 if sealed:
                     # This write also rolled a segment: give the seal
-                    # its own (distributed-trace-visible) stage.
+                    # its own stage.
                     disposition.trace.mark("seal")
                 disposition.trace.finish()
         if emitted:

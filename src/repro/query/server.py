@@ -55,7 +55,6 @@ import logging
 import math
 import threading
 import traceback
-from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
@@ -70,6 +69,7 @@ from ..guard.serving import AdmissionController, CircuitBreaker, \
 from ..telemetry import RequestTracer, set_build_info
 from ..telemetry.blackbox import recorder, set_process_role
 from ..usecases import DFOHDetector, detect_moas
+from .cache import WatermarkLRUCache
 from .engine import QueryEngine
 from .planner import QuerySpec
 
@@ -91,42 +91,6 @@ def _parse_params(query: str) -> Dict[str, str]:
     return dict(parse_qsl(query, keep_blank_values=True))
 
 
-class _HijackModelCache:
-    """LRU of trained DFOH scans keyed on archive state + window.
-
-    Re-training the detector on every ``/hijacks`` request repeated
-    the whole train+scan pass per call; since the scan is a pure
-    function of (archive state, time window), caching the *unfiltered*
-    case list lets any threshold be answered from one training pass.
-    A new sealed segment (or recovery truncation) changes the
-    engine's state token and naturally invalidates entries.
-    """
-
-    def __init__(self, size: int = 4):
-        self.size = size
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple, dict]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Tuple) -> Optional[dict]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-            return entry
-
-    def put(self, key: Tuple, entry: dict) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.size:
-                self._entries.popitem(last=False)
-
-
 class _QueryAPIHandler(BaseHTTPRequestHandler):
     """Routes one request; the engine is attached by the server."""
 
@@ -137,7 +101,12 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
     #: :class:`repro.gill.GillStage` or a loaded
     #: :class:`repro.gill.GillJournal`.
     gill: Optional[object] = None
-    model_cache: _HijackModelCache
+    #: Trained DFOH scans by ``(start, end)`` window, pinned to the
+    #: engine's state token: the scan is a pure function of (archive
+    #: state, window), so caching the *unfiltered* case list answers
+    #: any threshold from one training pass, and a new sealed segment
+    #: (or recovery truncation) invalidates the entry.
+    model_cache: WatermarkLRUCache
     quiet: bool = True
     #: Overload protection, bound by QueryAPIServer.
     admission: AdmissionController
@@ -383,7 +352,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
                 raise ValueError("limit must be positive")
         sort = params.get("sort", "vp")
         if sort not in ("vp", "updates", "value"):
-            raise ValueError("sort must be 'updates' or 'value'")
+            raise ValueError("sort must be 'vp', 'updates' or 'value'")
         counts = self.engine.vp_counts()
         scores = self.gill.vp_scores() if self.gill is not None else {}
         if sort == "value" and not scores:
@@ -517,11 +486,10 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         start, end = self._time_range(params)
         # DFOH needs a trained AS graph; with only the archive to go
         # on, train on the older half of the window and scan the newer
-        # half for implausible new links.  The trained scan is a pure
-        # function of (archive state, window), so cache it under the
-        # engine's state token and filter by threshold per request.
-        cache_key = (self.engine.state_token(), start, end)
-        entry = self.model_cache.get(cache_key)
+        # half for implausible new links; filter by threshold per
+        # request.
+        token = self.engine.state_token()
+        entry = self.model_cache.get((start, end), token)
         cached = entry is not None
         if entry is None:
             spec = QuerySpec.from_params(params)
@@ -535,7 +503,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
                 "scanned": len(scan),
                 "cases": detector.scan(scan),
             }
-            self.model_cache.put(cache_key, entry)
+            self.model_cache.put((start, end), token, entry)
         cases = [case for case in entry["cases"]
                  if case.score >= threshold]
         self._send_json({
@@ -773,7 +741,7 @@ class QueryAPIServer:
         handler = type("BoundQueryAPIHandler", (_QueryAPIHandler,),
                        {"engine": engine, "quiet": quiet,
                         "events": events, "gill": gill,
-                        "model_cache": _HijackModelCache(),
+                        "model_cache": WatermarkLRUCache(4),
                         "admission": self.admission,
                         "breaker": self.breaker,
                         "guard": guard,

@@ -15,30 +15,25 @@ archive writer, query engine — and exposes them uniformly:
   (:mod:`repro.telemetry.timeseries`);
 * **dashboard** — the ``repro-bgp top`` terminal view
   (:mod:`repro.telemetry.top`);
-* **distributed tracing** — trace contexts that cross process
-  boundaries on the cluster wire and per-request serve-path spans
+* **request tracing** — per-request serve-path spans and the trace
+  identity an ``X-Trace-Id`` header carries
   (:mod:`repro.telemetry.distributed`);
 * **flight recorder** — a per-process black-box ring dumped as
-  ``flightrecorder-<proc>.json`` on crashes, quarantines and breaker
-  opens (:mod:`repro.telemetry.blackbox`).
+  ``flightrecorder-<proc>.json`` on writer death, quarantines and
+  breaker opens (:mod:`repro.telemetry.blackbox`).
 
 The module has no repro-internal imports, so every subsystem can
 depend on it without cycles.  See docs/TELEMETRY.md for the metric
 catalogue.
 """
 
-from .blackbox import FlightRecorder, dump_filename, find_dumps, \
-    load_dump, recorder, set_process_role
+from .blackbox import FlightRecorder, dump_filename, recorder, \
+    set_process_role
 from .distributed import (
-    DistributedTrace,
-    DistributedTracer,
     RemoteSpan,
     RequestTrace,
     RequestTracer,
-    SpanRecord,
-    StitchedTraceRecord,
     TraceContext,
-    TraceStitcher,
     format_trace_id,
     parse_trace_id,
     render_request_traces,
@@ -64,14 +59,13 @@ from .trace import (
     Trace,
     TraceRecord,
     Tracer,
+    format_latency,
     render_slow_traces,
 )
 
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BOUNDS",
-    "DistributedTrace",
-    "DistributedTracer",
     "FamilySnapshot",
     "FlightRecorder",
     "Gauge",
@@ -84,22 +78,18 @@ __all__ = [
     "RequestTrace",
     "RequestTracer",
     "Sample",
-    "SpanRecord",
-    "StitchedTraceRecord",
     "TimePoint",
     "TimeSeriesSampler",
     "TopDashboard",
     "Trace",
     "TraceContext",
     "TraceRecord",
-    "TraceStitcher",
     "Tracer",
     "dump_filename",
     "fetch_exposition",
-    "find_dumps",
     "flatten_scalars",
+    "format_latency",
     "format_trace_id",
-    "load_dump",
     "normalize_metrics_url",
     "parse_trace_id",
     "recorder",

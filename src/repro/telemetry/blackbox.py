@@ -2,11 +2,9 @@
 
 Aircraft-style last-seconds capture for the pipeline: every process
 keeps one bounded, lock-light ring of recent observations — finished
-trace spans, frame sequence numbers crossing the cluster wire, queue
-depths, supervision notes — and dumps it as
+trace spans, queue depths, supervision notes — and dumps it as
 ``flightrecorder-<proc>.json`` when something dies:
 
-* the coordinator detects a worker SIGKILL and respawns it;
 * the integrity guard quarantines a rotten segment;
 * a serve-path circuit breaker opens;
 * the writer stage hits an unhandled error.
@@ -18,10 +16,7 @@ snapshot under a lock (rare, already on a failure path).
 
 Dumps are *diagnostic* artifacts: their content carries wall-clock
 timestamps and live metric values and is **not** part of the archive's
-byte-identity contract.  What *is* deterministic is the ``incidents``
-block the caller passes in (e.g. worker-kill positions from a seeded
-chaos plan) — :func:`repro.events.flight.absorb_crash_dumps` reads it
-back to journal crash incidents reproducibly.
+byte-identity contract.
 
 The module keeps one process-global recorder (:func:`recorder`),
 re-created after a fork so a child never inherits its parent's ring.
@@ -73,12 +68,6 @@ class FlightRecorder:
         entry.update(payload)
         self._ring.append(entry)
 
-    def note_frame(self, direction: str, shard: int, sequence: int,
-                   **payload) -> None:
-        """A wire frame crossing the process boundary."""
-        self.note("frame", dir=direction, shard=shard, seq=sequence,
-                  **payload)
-
     # -- dumping -------------------------------------------------------------
 
     def snapshot(self) -> List[Dict[str, object]]:
@@ -86,22 +75,18 @@ class FlightRecorder:
         return list(self._ring)
 
     def dump(self, directory: str, reason: str,
-             incidents: Optional[List[Dict[str, object]]] = None,
              registry=None,
              queues: Optional[Dict[str, object]] = None) -> str:
         """Write ``flightrecorder-<proc>.json`` into ``directory``.
 
         Repeated dumps overwrite: the file always holds the *latest*
-        black box plus the caller's cumulative ``incidents`` list, so
-        its deterministic part survives any number of dumps.  Returns
-        the written path.
+        black box.  Returns the written path.
         """
         document: Dict[str, object] = {
             "process": self.proc,
             "pid": self.pid,
             "reason": reason,
             "captured_at": time.time(),
-            "incidents": list(incidents or []),
             "entries": self.snapshot(),
         }
         if queues:
@@ -164,24 +149,3 @@ def set_process_role(proc: str) -> FlightRecorder:
     box = recorder()
     box.proc = proc
     return box
-
-
-def find_dumps(directory: str) -> List[str]:
-    """Every flight-recorder dump in ``directory``, sorted by name."""
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return []
-    return sorted(os.path.join(directory, name) for name in names
-                  if name.startswith(DUMP_PREFIX)
-                  and name.endswith(".json"))
-
-
-def load_dump(path: str) -> Optional[Dict[str, object]]:
-    """Parse one dump; None when unreadable (a torn crash artifact)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    return document if isinstance(document, dict) else None

@@ -1,33 +1,17 @@
-"""Distributed tracing: spans that survive a process boundary.
+"""Trace identity on the wire, and request tracing on the serve path.
 
-The base :mod:`repro.telemetry.trace` span lives and dies inside one
-process — a :class:`~repro.telemetry.trace.Trace` is a live object and
-cannot ride an IPC pipe.  This module adds the three pieces that let a
-sampled update's span cross the cluster wire and come back whole:
-
-* :class:`TraceContext` — the compact identity that *does* cross the
-  wire: trace id + parent span id + a sample flag, 17 bytes packed.
-  The cluster wire protocol (:mod:`repro.cluster.wire`) carries it on
-  traced envelope records; an inbound HTTP ``X-Trace-Id`` header
-  hydrates one on the serve path.
-* :class:`DistributedTrace` / :class:`DistributedTracer` — the
-  coordinator-side span.  Local stage marks record the coordinator's
-  PID; :meth:`DistributedTrace.add_remote_span` grafts a span measured
-  in *another* process (a shard worker) into the same tree, so the
-  finished record shows ``ingest → feeder-batch → worker-shard →
-  coordinator-writer → seal`` as one trace spanning ≥2 PIDs.
-* :class:`TraceStitcher` — the coordinator's in-flight registry.  A
-  trace is registered when its envelope is framed onto the wire and
-  resolved when the matching disposition returns; a bounded map with
-  oldest-first eviction keeps a lost disposition from leaking spans.
-
-Request tracing on the serve path reuses the same machinery:
-:class:`RequestTracer` starts one always-on span per HTTP request
-(honouring an inbound trace id), and its ring buffer backs
-``GET /debug/traces`` and the ``repro-bgp trace`` CLI.
+* :class:`TraceContext` / :class:`RemoteSpan` — a packed trace
+  identity (trace id + parent span id + sample flag, 17 bytes) and a
+  span measured against a decoded one.  With :data:`CONTEXT_SIZE`
+  they are kept only for the traced records of
+  :mod:`repro.cluster.wire`, which outlive the ``processes`` backend
+  until the benchmark stops timing that codec.
+* :class:`RequestTracer` starts one always-on span per HTTP request
+  (honouring an inbound trace id); its ring buffer backs
+  ``GET /debug/traces`` and the ``repro-bgp trace`` CLI.
 
 Nothing here imports repro internals — the module stays importable
-from every subsystem, including worker child processes.
+from every subsystem.
 """
 
 from __future__ import annotations
@@ -35,14 +19,12 @@ from __future__ import annotations
 import itertools
 import os
 import struct
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .registry import MetricsRegistry
-from .trace import NOOP_TRACE, Trace, TraceRecord, Tracer
+from .trace import Trace, TraceRecord, Tracer, format_latency
 
 _CTX = struct.Struct("!QQB")      # trace id, parent span id, flags
 _CTX_SAMPLED = 0x01
@@ -102,40 +84,13 @@ def parse_trace_id(text: str) -> Optional[int]:
         return None
 
 
-@dataclass(frozen=True)
-class SpanRecord:
-    """One stage of a stitched trace, tagged with its process."""
-
-    name: str
-    pid: int
-    duration_s: float
-
-
-@dataclass(frozen=True)
-class StitchedTraceRecord(TraceRecord):
-    """A finished distributed trace: base record + span tree detail."""
-
-    trace_id: str = ""
-    spans: Tuple[SpanRecord, ...] = ()
-
-    @property
-    def pids(self) -> Tuple[int, ...]:
-        """Distinct processes that contributed spans, in span order."""
-        seen: List[int] = []
-        for span in self.spans:
-            if span.pid not in seen:
-                seen.append(span.pid)
-        return tuple(seen)
-
-
 class RemoteSpan:
-    """A worker-process measurement of one re-hydrated context.
+    """A measurement of one re-hydrated context in another process.
 
     Created from the :class:`TraceContext` decoded off an envelope;
     :meth:`close` freezes the duration.  The resulting
-    ``(trace_id, span_id, pid, duration)`` tuple rides the disposition
-    back to the coordinator, where the stitcher grafts it into the
-    originating :class:`DistributedTrace`.
+    ``(trace_id, span_id, pid, duration)`` tuple is what a traced
+    disposition record carries on the wire.
     """
 
     __slots__ = ("trace_id", "span_id", "parent_span", "pid",
@@ -171,155 +126,6 @@ class RemoteSpan:
         span.duration_s = duration_s
         span._t0 = 0.0
         return span
-
-
-class DistributedTrace(Trace):
-    """A coordinator-side span that accepts grafts from other PIDs."""
-
-    __slots__ = ("trace_id", "_span_seq", "_spans")
-
-    #: Stage renames applied to local marks so the distributed chain
-    #: reads as the ISSUE's canonical ``ingest → feeder-batch →
-    #: worker-shard → coordinator-writer → seal`` (the shared writer
-    #: stage marks "write" for both backends).
-    _STAGE_NAMES = {"write": "coordinator-writer"}
-
-    def __init__(self, tracer: "DistributedTracer", session: str,
-                 trace_id: int):
-        super().__init__(tracer, session)
-        self.trace_id = trace_id
-        self._span_seq = 0
-        self._spans: List[SpanRecord] = []
-
-    def mark(self, stage: str) -> None:
-        stage = self._STAGE_NAMES.get(stage, stage)
-        super().mark(stage)
-        self._spans.append(SpanRecord(stage, os.getpid(),
-                                      self._stages[-1][1]))
-
-    def context(self) -> TraceContext:
-        """The context to propagate for the *next* hop."""
-        self._span_seq += 1
-        parent = (self.trace_id + self._span_seq) & _U64 or 1
-        return TraceContext(self.trace_id, parent, True)
-
-    def add_remote_span(self, name: str, pid: int,
-                        duration_s: float) -> None:
-        """Graft a span measured in another process into this trace."""
-        self._spans.append(SpanRecord(name, pid, duration_s))
-        self._stages.append((name, duration_s))
-
-
-class TraceStitcher:
-    """Coordinator-side registry of traces whose update is on the wire.
-
-    Bounded: if dispositions stop coming back (a worker wedged beyond
-    redelivery) the oldest in-flight trace is evicted and aborted
-    rather than leaking.  All operations are O(1) under one lock.
-    """
-
-    def __init__(self, capacity: int = 4096):
-        self.capacity = max(1, capacity)
-        self._lock = threading.Lock()
-        self._inflight: "OrderedDict[int, DistributedTrace]" = \
-            OrderedDict()
-        self.evicted = 0
-
-    def register(self, trace: DistributedTrace) -> None:
-        evict: Optional[DistributedTrace] = None
-        with self._lock:
-            self._inflight[trace.trace_id] = trace
-            if len(self._inflight) > self.capacity:
-                _, evict = self._inflight.popitem(last=False)
-                self.evicted += 1
-        if evict is not None:
-            evict.abort()
-
-    def resolve(self, trace_id: int) -> Optional[DistributedTrace]:
-        """Pop and return the in-flight trace, if still registered."""
-        with self._lock:
-            return self._inflight.pop(trace_id, None)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._inflight)
-
-
-class DistributedTracer(Tracer):
-    """A :class:`Tracer` whose sampled spans can cross processes.
-
-    ``start`` hands out :class:`DistributedTrace` objects with fresh
-    trace ids; the :attr:`stitcher` tracks the ones currently on the
-    wire.  Everything else — stride sampling, histograms, the slow-span
-    ring — is inherited, so ``/metrics`` exposes the same families as
-    the single-process tracer and byte output is unaffected.
-    """
-
-    def __init__(self, sample_rate: float = 0.0,
-                 registry: Optional[MetricsRegistry] = None,
-                 ring_size: int = 64,
-                 slow_threshold_s: float = 0.0,
-                 stitch_capacity: int = 4096):
-        super().__init__(sample_rate, registry=registry,
-                         ring_size=ring_size,
-                         slow_threshold_s=slow_threshold_s)
-        self.stitcher = TraceStitcher(stitch_capacity)
-        # Per-process id seed: distinct across coordinator restarts
-        # without any per-span RNG call.
-        self._id_base = ((os.getpid() & 0xFFFF) << 48) \
-            ^ (int(time.time() * 1e6) & _U64)
-        self._id_seq = itertools.count(1)
-        self._stitched = self.registry.counter(
-            "repro_trace_stitched_total",
-            "Distributed spans stitched back from another process.")
-
-    def _next_trace_id(self) -> int:
-        return (self._id_base + next(self._id_seq)) & _U64 or 1
-
-    def start(self, session: str):
-        if not self.enabled:
-            return NOOP_TRACE
-        self._n += 1
-        if self._n >= self._stride:
-            self._n = 0
-            return DistributedTrace(self, session,
-                                    self._next_trace_id())
-        return NOOP_TRACE
-
-    def note_stitched(self) -> None:
-        self._stitched.inc()
-
-    def _record(self, trace: Trace) -> None:
-        if not isinstance(trace, DistributedTrace):
-            super()._record(trace)
-            return
-        total = trace.total_s
-        self._sampled.inc()
-        self._span_hist.record(total)
-        for span in trace._spans:
-            self._stage_hist.labels(span.name).record(span.duration_s)
-        if self.flight is not None:
-            self.flight.note("span", session=trace.session,
-                             total_s=round(total, 6),
-                             trace_id=format_trace_id(trace.trace_id))
-        if self._keep and total >= self.slow_threshold_s:
-            record = StitchedTraceRecord(
-                session=trace.session, total_s=total,
-                stages=tuple(trace._stages),
-                finished_at=time.time(),
-                trace_id=format_trace_id(trace.trace_id),
-                spans=tuple(trace._spans))
-            with self._ring_lock:
-                self._ring.append(record)
-
-    def stitched_traces(self, n: int = 10,
-                        min_pids: int = 0) -> List[StitchedTraceRecord]:
-        """Recent stitched records, slowest first, optionally filtered
-        to traces whose spans cover at least ``min_pids`` processes."""
-        records = [r for r in self.recent()
-                   if isinstance(r, StitchedTraceRecord)
-                   and len(r.pids) >= min_pids]
-        return sorted(records, key=lambda r: -r.total_s)[:n]
 
 
 # -- request tracing (the serve path) ----------------------------------------
@@ -448,14 +254,6 @@ class RequestTracer(Tracer):
         }
 
 
-def _format_latency(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.2f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.1f}ms"
-    return f"{seconds * 1e6:.0f}us"
-
-
 def render_request_traces(document: Dict[str, object]) -> str:
     """Text rendering of a ``/debug/traces`` document for the CLI."""
     traces = document.get("traces") or []
@@ -465,10 +263,10 @@ def render_request_traces(document: Dict[str, object]) -> str:
              f"in ring, slowest first) =="]
     for entry in traces:
         stages = "  ".join(
-            f"{s['name']} {_format_latency(s['duration_s'])}"
+            f"{s['name']} {format_latency(s['duration_s'])}"
             for s in entry.get("stages", ()))
         lines.append(
-            f"{_format_latency(entry['total_s']):>8s}  "
+            f"{format_latency(entry['total_s']):>8s}  "
             f"{entry.get('status', 0):>3d}  "
             f"{entry.get('trace_id', ''):<16s}  "
             f"{entry.get('endpoint', ''):<12s} {stages}")

@@ -22,6 +22,8 @@ import time
 import urllib.request
 from typing import Dict, List, Optional, Tuple
 
+from .trace import format_latency
+
 _CLEAR = "\x1b[2J\x1b[H"
 
 
@@ -75,14 +77,6 @@ class _Doc:
                 return (int(sample.get("count", 0)),
                         float(sample.get("sum", 0.0)))
         return 0, 0.0
-
-
-def _fmt_latency(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.2f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.1f}ms"
-    return f"{seconds * 1e6:.0f}us"
 
 
 def _fmt_rate(value: float) -> str:
@@ -150,7 +144,7 @@ def render_top(current: dict, previous: Optional[dict] = None,
             q_max = high.get(stage, {}).get("value", 0.0)
             count, total = cur.histogram(
                 "repro_pipeline_stage_latency_seconds", stage=stage)
-            mean = "—" if not count else _fmt_latency(total / count)
+            mean = "—" if not count else format_latency(total / count)
             lines.append(
                 f"{stage:>8s} {done:10.0f} "
                 f"{rate_of(done, 'repro_pipeline_stage_updates_total', stage=stage, result='processed'):>10s} "
@@ -233,7 +227,7 @@ def render_top(current: dict, previous: Optional[dict] = None,
         gill_events = cur.value("repro_gill_events")
         rs_count, rs_sum = cur.histogram("repro_gill_rescore_seconds")
         rescore = "—" if not rs_count \
-            else _fmt_latency(rs_sum / rs_count)
+            else format_latency(rs_sum / rs_count)
         lines.append(
             f"gill: dropped {gill_dropped:.0f}/{gill_total:.0f} "
             f"({gill_dropped / gill_total:.1%}) "
@@ -241,46 +235,12 @@ def render_top(current: dict, previous: Optional[dict] = None,
             f"anchors {anchors:.0f}  groups {groups:.0f}  "
             f"events {gill_events:.0f}  rescore mean {rescore}")
 
-    # Multi-process cluster (only when the processes backend or a
-    # partition merge populated the repro_cluster_* families).
-    workers = cur.value("repro_cluster_workers")
-    frames_out = cur.value("repro_cluster_frames_total", direction="out")
+    # Partition merge (only while one populated the merge gauges).
     merge_partitions = cur.value("repro_cluster_merge_partitions")
-    if workers or frames_out or merge_partitions:
-        from ..cluster.metrics import format_bytes
-
-        respawns = sum(
-            s.get("value", 0.0) for s in
-            cur.by_label("repro_cluster_respawns_total",
-                         "shard").values())
-        frames_in = cur.value("repro_cluster_frames_total",
-                              direction="in")
-        bytes_out = cur.value("repro_cluster_ipc_bytes_total",
-                              direction="out")
-        bytes_in = cur.value("repro_cluster_ipc_bytes_total",
-                             direction="in")
-        batch_count, batch_sum = cur.histogram(
-            "repro_cluster_frame_updates")
-        mean_batch = "—" if not batch_count \
-            else f"{batch_sum / batch_count:.0f}"
-        depth = max(
-            (s.get("value", 0.0) for s in
-             cur.by_label("repro_cluster_outstanding_frames",
-                          "shard").values()),
-            default=0.0)
-        line = (f"cluster: workers {workers:.0f}  "
-                f"respawns {respawns:.0f}  "
-                f"frames {frames_out:.0f}/{frames_in:.0f} "
-                f"{rate_of(frames_out, 'repro_cluster_frames_total', direction='out')} "
-                f"(mean batch {mean_batch})  "
-                f"ipc {format_bytes(int(bytes_out))} out / "
-                f"{format_bytes(int(bytes_in))} in  "
-                f"outstanding {depth:.0f}")
-        if merge_partitions:
-            lag = cur.value("repro_cluster_merge_lag_seconds")
-            line += (f"  merge {merge_partitions:.0f} parts "
+    if merge_partitions:
+        lag = cur.value("repro_cluster_merge_lag_seconds")
+        lines.append(f"cluster: merge {merge_partitions:.0f} parts "
                      f"lag {lag:.1f}s")
-        lines.append(line)
 
     # Integrity guard + overload protection (only once active).
     verifications = cur.by_label("repro_guard_verifications_total",
@@ -309,19 +269,15 @@ def render_top(current: dict, previous: Optional[dict] = None,
             f"shed {shed_total:.0f} ({shed_detail})  "
             f"aborts {aborts:.0f}{breaker_detail}")
 
-    # Trace spans (+ distributed stitching and the flight recorder).
+    # Trace spans and the flight recorder.
     span_count, span_sum = cur.histogram("repro_trace_span_seconds")
-    stitched = cur.value("repro_trace_stitched_total")
     dumps = sum(s.get("value", 0.0) for s in
                 cur.by_label("repro_flightrecorder_dumps_total",
                              "reason").values())
     if span_count:
-        line = (f"spans: {span_count} sampled, "
-                f"mean {_fmt_latency(span_sum / span_count)} "
-                f"end-to-end")
-        if stitched:
-            line += f"  stitched {stitched:.0f} cross-process"
-        lines.append(line)
+        lines.append(f"spans: {span_count} sampled, "
+                     f"mean {format_latency(span_sum / span_count)} "
+                     f"end-to-end")
     if dumps:
         detail = ", ".join(
             f"{reason} {sample.get('value', 0.0):.0f}"

@@ -187,7 +187,8 @@ class Tracer:
         return sorted(self.recent(), key=lambda r: -r.total_s)[:n]
 
 
-def _format_span_latency(seconds: float) -> str:
+def format_latency(seconds: float) -> str:
+    """A duration at the precision every text rendering uses."""
     if seconds >= 1.0:
         return f"{seconds:.2f}s"
     if seconds >= 1e-3:
@@ -202,9 +203,9 @@ def render_slow_traces(records: List[TraceRecord]) -> str:
     lines = ["== slow spans =="]
     for record in records:
         stages = "  ".join(
-            f"{stage} {_format_span_latency(dt)}"
+            f"{stage} {format_latency(dt)}"
             for stage, dt in record.stages)
         lines.append(
-            f"{_format_span_latency(record.total_s):>8s}  "
+            f"{format_latency(record.total_s):>8s}  "
             f"{record.session:<12s} {stages}")
     return "\n".join(lines) + "\n"

@@ -1,18 +1,19 @@
-"""Chaos for the processes backend: worker SIGKILL and crash-resume.
+"""What one collector publishes does not depend on how it ran.
 
-A shard worker is an OS process; the failure the supervisor must
-absorb is the hard one — SIGKILL mid-batch, no cleanup, result frame
-never sent.  The coordinator respawns the worker and redelivers every
-unacknowledged frame, and because workers are stateless between frames
-the replay is idempotent: the published archive must match a fault-free
-run byte for byte.
+The same seeded epoch must leave the same bytes — MRT segments,
+``gill.jsonl``, ``events.jsonl`` and the checkpoint manifest whose
+guard digests fingerprint each segment — whatever the shard count,
+with tracing on or off, and across a coordinator crash + resume.
+``test_merge.py`` holds the other half of the contract: partition +
+merge reproduces the single-process archive.
 """
 
 import pytest
 
 from repro.bgp.archive import RollingArchiveWriter
-from repro.cluster.backend import WorkerDeath
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
+from repro.events import EventPipeline, EventStore, journal_path_for
+from repro.gill import GillConfig
 from repro.pipeline import (
     CollectionPipeline,
     FaultPlan,
@@ -21,75 +22,60 @@ from repro.pipeline import (
     SupervisorConfig,
 )
 
-from .conftest import TIMEOUT, archive_digest
+from .conftest import TIMEOUT, archive_digest, archive_files
 
 
-def processes_config(fault_plan=None, workers=3, **overrides):
-    supervision = SupervisorConfig(
-        backoff_initial_s=0.005, backoff_max_s=0.02,
-        **overrides.pop("supervision_overrides", {}))
-    return PipelineConfig(backend="processes", workers=workers,
-                          overflow_policy="block",
-                          fault_plan=fault_plan,
-                          supervision=supervision, **overrides)
+def epoch_config(fault_plan=None, n_shards=3, **overrides):
+    return PipelineConfig(
+        n_shards=n_shards, overflow_policy="block",
+        fault_plan=fault_plan,
+        supervision=SupervisorConfig(backoff_initial_s=0.005,
+                                     backoff_max_s=0.02),
+        **overrides)
 
 
-def run(streams, directory, config):
-    archive = RollingArchiveWriter(str(directory), interval_s=300.0,
-                                   compress=False, checkpoint=True)
-    pipeline = CollectionPipeline(config, archive=archive)
+def open_archive(directory):
+    return RollingArchiveWriter(str(directory), interval_s=300.0,
+                                compress=False, checkpoint=True)
+
+
+def run_epoch(streams, directory, journals=True, **config):
+    """One collection epoch, by default with every journaling layer on."""
+    if journals:
+        config["gill"] = GillConfig(definition=1)
+    archive = open_archive(directory)
+    pipeline = CollectionPipeline(epoch_config(**config),
+                                  archive=archive)
+    if journals:
+        store = EventStore(journal_path_for(str(directory)))
+        EventPipeline(store=store,
+                      registry=pipeline.metrics.registry).attach(archive)
     result = pipeline.run(streams, timeout=TIMEOUT)
-    return pipeline, result
+    assert result.accounted, "pipeline lost queued updates"
+    return pipeline
 
 
-class TestWorkerKill:
-    def test_kill_respawns_and_archive_matches(self, streams,
-                                               tmp_path):
-        _, clean = run(streams, tmp_path / "clean", processes_config())
-        assert clean.accounted
+class TestPublishedBytes:
+    def test_shard_counts_agree(self, streams, tmp_path):
+        """Shard count must not change what is published, only how
+        the sessions are laid out across workers."""
+        run_epoch(streams, tmp_path / "two", journals=False, n_shards=2)
+        run_epoch(streams, tmp_path / "four", journals=False, n_shards=4)
+        assert archive_digest(tmp_path / "two") \
+            == archive_digest(tmp_path / "four")
 
-        plan = FaultPlan.parse("worker-kill=shard1@40")
-        _, killed = run(streams, tmp_path / "killed",
-                        processes_config(fault_plan=plan))
-        assert killed.accounted
-        assert killed.metrics.supervision.worker_restarts == 1
-        assert killed.metrics.cluster.respawns == 1
-        assert any("respawned shard1" in entry
-                   for entry in killed.fault_log)
-        assert archive_digest(tmp_path / "clean") \
-            == archive_digest(tmp_path / "killed")
-
-    def test_repeated_kills_on_one_shard(self, streams, tmp_path):
-        _, clean = run(streams, tmp_path / "clean", processes_config())
-        plan = FaultPlan.parse("worker-kill=shard0@25x3")
-        _, killed = run(streams, tmp_path / "killed",
-                        processes_config(fault_plan=plan))
-        assert killed.accounted
-        assert killed.metrics.cluster.respawns == 3
-        assert archive_digest(tmp_path / "clean") \
-            == archive_digest(tmp_path / "killed")
-
-    def test_respawn_budget_exhaustion_is_fatal(self, streams,
-                                                tmp_path):
-        """More kills than ``quarantine_after`` respawns: the lane is
-        declared dead and the run fails loudly instead of hanging."""
-        plan = FaultPlan.parse("worker-kill=shard0@5x8")
-        config = processes_config(
-            fault_plan=plan,
-            supervision_overrides=dict(quarantine_after=2))
-        with pytest.raises(WorkerDeath):
-            run(streams, tmp_path / "arch", config)
-
-    def test_seeded_chaos_includes_worker_kills(self):
-        plan = FaultPlan.seeded(3, ["vp1", "vp2"], 2, horizon=100,
-                                stalls=0, worker_kills=2)
-        kills = [s for s in plan.specs if s.kind == "worker-kill"]
-        assert len(kills) == 2
-        assert all(s.target.startswith("shard") for s in kills)
-        # Same seed, same plan — chaos runs are reproducible.
-        again = FaultPlan.seeded(3, ["vp1", "vp2"], 2, horizon=100,
-                                 stalls=0, worker_kills=2)
-        assert plan.describe() == again.describe()
+    def test_tracing_preserves_byte_identity(self, streams, tmp_path):
+        """Tracing is observability, not behaviour: a traced epoch
+        publishes the exact bytes an untraced one does — segments,
+        journals, checkpoint digests."""
+        traced = run_epoch(streams, tmp_path / "traced",
+                           trace_sample_rate=0.05)
+        assert traced.metrics.tracer.recent(), "nothing was sampled"
+        run_epoch(streams, tmp_path / "untraced")
+        files = archive_files(tmp_path / "traced")
+        assert "gill.jsonl" in files and "events.jsonl" in files
+        assert archive_digest(tmp_path / "traced") \
+            == archive_digest(tmp_path / "untraced")
 
 
 class TestCrashResume:
@@ -101,78 +87,32 @@ class TestCrashResume:
             events_per_cell=5,
         ))
 
-    def test_interrupted_epoch_resumes_on_processes_backend(
-            self, streams, tmp_path):
-        """The coordinator crashes mid-epoch (injected writer crash —
-        worker processes die with their coordinator), then a fresh
-        orchestrator resumes with ``resume=True`` on the processes
-        backend and the archive finishes exactly as an uninterrupted
-        epoch."""
+    def test_interrupted_epoch_resumes_byte_identical(self, streams,
+                                                      tmp_path):
+        """The coordinator crashes mid-epoch (injected writer crash),
+        then a fresh orchestrator resumes with ``resume=True`` and the
+        archive — checkpoint manifest and its digests included —
+        finishes exactly as an uninterrupted epoch."""
         baseline_dir = tmp_path / "baseline"
-        baseline = RollingArchiveWriter(str(baseline_dir),
-                                        interval_s=300.0,
-                                        compress=False, checkpoint=True)
         self.orchestrator().run_pipeline_epoch(
-            streams, processes_config(), archive=baseline,
-            timeout=TIMEOUT)
+            streams, epoch_config(),
+            archive=open_archive(baseline_dir), timeout=TIMEOUT)
 
         crashed_dir = tmp_path / "crashed"
-        archive = RollingArchiveWriter(str(crashed_dir),
-                                       interval_s=300.0,
-                                       compress=False, checkpoint=True)
         with pytest.raises(InjectedCrash):
             self.orchestrator().run_pipeline_epoch(
                 streams,
-                processes_config(
+                epoch_config(
                     fault_plan=FaultPlan.parse("crash=writer@60")),
-                archive=archive, timeout=TIMEOUT)
+                archive=open_archive(crashed_dir), timeout=TIMEOUT)
 
-        resumed_archive = RollingArchiveWriter(str(crashed_dir),
-                                               interval_s=300.0,
-                                               compress=False,
-                                               checkpoint=True)
         resumed = self.orchestrator()
         result = resumed.run_pipeline_epoch(
-            streams, processes_config(), archive=resumed_archive,
+            streams, epoch_config(),
+            archive=open_archive(crashed_dir),
             timeout=TIMEOUT, resume=True)
         assert result.accounted
         assert resumed.stats.epoch_resumes == 1
-        assert archive_digest(baseline_dir) \
-            == archive_digest(crashed_dir)
-
-    def test_worker_kill_during_resumed_epoch(self, streams, tmp_path):
-        """Chaos on top of recovery: the resumed epoch itself loses a
-        worker to SIGKILL and still converges to the baseline."""
-        baseline_dir = tmp_path / "baseline"
-        baseline = RollingArchiveWriter(str(baseline_dir),
-                                        interval_s=300.0,
-                                        compress=False, checkpoint=True)
-        self.orchestrator().run_pipeline_epoch(
-            streams, processes_config(), archive=baseline,
-            timeout=TIMEOUT)
-
-        crashed_dir = tmp_path / "crashed"
-        with pytest.raises(InjectedCrash):
-            self.orchestrator().run_pipeline_epoch(
-                streams,
-                processes_config(
-                    fault_plan=FaultPlan.parse("crash=writer@60")),
-                archive=RollingArchiveWriter(str(crashed_dir),
-                                             interval_s=300.0,
-                                             compress=False,
-                                             checkpoint=True),
-                timeout=TIMEOUT)
-
-        plan = FaultPlan.parse("worker-kill=shard1@20")
-        resumed = self.orchestrator()
-        result = resumed.run_pipeline_epoch(
-            streams, processes_config(fault_plan=plan),
-            archive=RollingArchiveWriter(str(crashed_dir),
-                                         interval_s=300.0,
-                                         compress=False,
-                                         checkpoint=True),
-            timeout=TIMEOUT, resume=True)
-        assert result.accounted
-        assert result.metrics.cluster.respawns == 1
+        assert "CHECKPOINT.json" in archive_files(crashed_dir)
         assert archive_digest(baseline_dir) \
             == archive_digest(crashed_dir)

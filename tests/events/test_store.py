@@ -71,6 +71,26 @@ class TestTornTail:
         reloaded = EventStore(path)
         assert len(reloaded) == 2
 
+    def test_append_after_torn_tail_survives_reload(self, tmp_path):
+        """Loading drops the partial line from the file too, so the
+        next append is not glued onto it and lost with everything
+        after it at the following load."""
+        path = str(tmp_path / "events.jsonl")
+        store = EventStore(path)
+        store.apply(event("ev-000001"), watermark=300.0)
+        store.apply(event("ev-000002"), watermark=600.0)
+        with open(path, "rb") as handle:
+            clean = handle.read()
+        with open(path, "a") as handle:
+            handle.write('{"op": "upsert", "waterm')   # torn mid-append
+        reopened = EventStore(path)
+        with open(path, "rb") as handle:
+            assert handle.read() == clean
+        reopened.apply(event("ev-000003"), watermark=900.0)
+        assert len(EventStore(path)) == 3
+        EventStore(path).apply(event("ev-000004"), watermark=1200.0)
+        assert len(EventStore(path)) == 4
+
     def test_corrupt_line_stops_replay(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         store = EventStore(path)
@@ -117,6 +137,19 @@ class TestRefresh:
         assert reader.refresh() == ["ev-000002"]
         assert len(reader) == 2 and reader.watermark == 600.0
         assert reader.refresh() == []
+
+    def test_tails_past_a_repaired_torn_tail(self, tmp_path):
+        path = str(tmp_path / "events.jsonl")
+        writer = EventStore(path)
+        writer.apply(event("ev-000001"), watermark=300.0)
+        reader = EventStore(path)
+        with open(path, "a") as handle:
+            handle.write('{"op": "upsert", "waterm')   # writer crashed
+        assert reader.refresh() == []       # a tailer never rewrites
+        restarted = EventStore(path)
+        restarted.apply(event("ev-000002"), watermark=600.0)
+        assert reader.refresh() == ["ev-000002"]
+        assert len(reader) == 2
 
     def test_reload_after_shrink(self, tmp_path):
         path = str(tmp_path / "events.jsonl")

@@ -99,6 +99,7 @@ class TestTokenLRU:
         assert cache.get("b", 1) is None
         assert cache.get("a", 1) == b"aaaa"
         assert cache.get("c", 1) == b"cccc"
+        assert (cache.hits, cache.misses) == (3, 1)
 
     def test_over_budget_value_is_not_retained(self):
         cache = WatermarkLRUCache(10, weigh=len)
@@ -115,6 +116,7 @@ class TestTokenLRU:
         assert cache.weight == 2
         assert cache.get("a", 1) is None         # stale token: evicted
         assert cache.weight == 0 and cache.invalidations == 1
+        assert (cache.hits, cache.misses) == (0, 1)
         cache.put("b", 1, b"bbb")
         cache.discard("b")
         cache.discard("never-there")

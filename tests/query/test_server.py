@@ -602,6 +602,9 @@ class TestVPsRanking:
                       "?bogus=1"):
             status, body = get_json(server.url + "/vps" + query)
             assert status == 400 and "error" in body, query
+        _, body = get_json(server.url + "/vps?sort=bogus")
+        assert all(repr(accepted) in body["error"]
+                   for accepted in ("vp", "updates", "value"))
 
     def test_gill_scores_merge_into_rows(self, gill_server):
         api, vps = gill_server

@@ -86,6 +86,16 @@ class TestRenderTop:
         assert "supervision:" in frame
         assert "worker_restart 1" in frame
 
+    def test_cluster_line_only_while_merging(self):
+        metrics = busy_metrics()
+        assert "cluster:" not in render_top(metrics.registry.to_json())
+        metrics.registry.gauge(
+            "repro_cluster_merge_partitions", "").labels().set(3)
+        metrics.registry.gauge(
+            "repro_cluster_merge_lag_seconds", "").labels().set(1.5)
+        assert "cluster: merge 3 parts lag 1.5s" in render_top(
+            metrics.registry.to_json())
+
     def test_empty_registry_renders_header_only(self):
         frame = render_top({"families": []})
         assert frame.startswith("== repro-bgp top ==")

@@ -197,3 +197,15 @@ class TestAnnotationConsistency:
             rib = ribs.setdefault(raw.vp, RIB(raw.vp))
             expected = rib.apply(raw)
             assert ann == expected
+
+
+@pytest.mark.parametrize("package", ["repro.cluster", "repro.telemetry",
+                                     "repro.pipeline"])
+def test_every_export_resolves(package):
+    """A stale ``__all__`` entry must fail here, not at a caller's
+    first use (``repro.cluster`` resolves its exports lazily)."""
+    import importlib
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__
+               if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ names nothing: {missing}"
