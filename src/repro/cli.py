@@ -17,9 +17,9 @@ Gives operators the platform's everyday verbs without writing Python:
                     sidecar indexes (docs/FAULTS.md)
 * ``serve``       — serve an archive directory over the JSON query
                     API (indexed per-prefix/VP/origin lookups, RIB
-                    snapshots, MOAS and hijack analyses, correlated
-                    ``/events`` incidents, plus a Prometheus
-                    ``/metrics`` endpoint)
+                    snapshots, the event store's ``/moas``,
+                    ``/hijacks`` and ``/events`` incidents, plus a
+                    Prometheus ``/metrics`` endpoint)
 * ``events``      — query or tail an archive's event journal and
                     render incident tables and reports (docs/EVENTS.md)
 * ``top``         — live terminal dashboard polling a running
@@ -186,6 +186,48 @@ def cmd_orchestrate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_gill_flags(p: argparse.ArgumentParser) -> None:
+    """``--gill`` and its tuning flags, shared by pipeline and merge."""
+    p.add_argument("--gill", action="store_true",
+                   help="filter redundant updates online ahead of the "
+                        "archive writer (pipeline: requires "
+                        "--archive-dir; docs/GILL.md)")
+    p.add_argument("--filter-def", type=int, choices=(1, 2, 3),
+                   default=1,
+                   help="redundancy definition for --gill (1 = "
+                        "prefix+time, 2 = +AS path, 3 = +communities)")
+    p.add_argument("--keep",
+                   help="comma-separated VPs that always bypass the "
+                        "gill filter (on top of the auto anchors)")
+    p.add_argument("--gill-max-anchors", type=int, default=None,
+                   help="cap the auto-selected anchor set size")
+
+
+def _gill_config(args: argparse.Namespace):
+    """The ``GillConfig`` the ``--gill`` flags ask for (None without
+    ``--gill``); raises ``ValueError`` on flags that need it."""
+    if not args.gill:
+        if args.keep or args.gill_max_anchors is not None:
+            raise ValueError("--keep/--gill-max-anchors require --gill")
+        return None
+    from .gill import GillConfig
+
+    keep = tuple(v for v in (args.keep or "").split(",") if v)
+    return GillConfig(definition=args.filter_def, keep=keep,
+                      max_anchors=args.gill_max_anchors)
+
+
+def _write_metrics(registry, path: str) -> None:
+    """``--metrics``: the Prometheus exposition to a file or stdout."""
+    text = registry.prometheus()
+    if path == "-":
+        print(text, end="")
+    else:
+        with open(path, "w") as handle:
+            handle.write(text)
+        print(f"wrote metrics exposition to {path}")
+
+
 def cmd_pipeline(args: argparse.Namespace) -> int:
     from .bgp.archive import RollingArchiveWriter
     from .bgp.daemon import CPU_CAPACITY
@@ -223,20 +265,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     elif args.checkpoint:
         print("--checkpoint requires --archive-dir", file=sys.stderr)
         return 2
-    gill_config = None
-    if args.gill:
-        from .gill import GillConfig
-
-        if archive is None:
-            print("--gill requires --archive-dir", file=sys.stderr)
-            return 2
-        keep = tuple(v for v in (args.keep or "").split(",") if v)
-        gill_config = GillConfig(definition=args.filter_def,
-                                 keep=keep,
-                                 max_anchors=args.gill_max_anchors)
-    elif args.keep or args.gill_max_anchors is not None:
-        print("--keep/--gill-max-anchors require --gill",
-              file=sys.stderr)
+    try:
+        gill_config = _gill_config(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if gill_config is not None and archive is None:
+        print("--gill requires --archive-dir", file=sys.stderr)
         return 2
     if args.metrics_jsonl and args.metrics_interval is None:
         print("--metrics-jsonl requires --metrics-interval",
@@ -260,7 +295,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     pipeline = CollectionPipeline(
         PipelineConfig(
             n_shards=args.shards,
-            shard_by=args.shard_by,
             ingest_queue_capacity=args.queue_capacity,
             overflow_policy=args.policy,
             time_scale=args.time_scale,
@@ -322,13 +356,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print(f"wrote {points} time-series points to "
               f"{args.metrics_jsonl}")
     if args.metrics_out:
-        text = pipeline.metrics.registry.prometheus()
-        if args.metrics_out == "-":
-            print(text, end="")
-        else:
-            with open(args.metrics_out, "w") as handle:
-                handle.write(text)
-            print(f"wrote metrics exposition to {args.metrics_out}")
+        _write_metrics(pipeline.metrics.registry, args.metrics_out)
     if not result.accounted:
         print("WARNING: pipeline lost queued updates", file=sys.stderr)
         return 1
@@ -339,17 +367,10 @@ def cmd_merge(args: argparse.Namespace) -> int:
     from .cluster import PartitionError, merge_archives
     from .telemetry import MetricsRegistry
 
-    gill_config = None
-    if args.gill:
-        from .gill import GillConfig
-
-        keep = tuple(v for v in (args.keep or "").split(",") if v)
-        gill_config = GillConfig(definition=args.filter_def,
-                                 keep=keep,
-                                 max_anchors=args.gill_max_anchors)
-    elif args.keep or args.gill_max_anchors is not None:
-        print("--keep/--gill-max-anchors require --gill",
-              file=sys.stderr)
+    try:
+        gill_config = _gill_config(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     registry = MetricsRegistry()
     event_pipeline = None
@@ -377,13 +398,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
         from .events import render_store_summary
         print(render_store_summary(event_store))
     if args.metrics_out:
-        text = registry.prometheus()
-        if args.metrics_out == "-":
-            print(text, end="")
-        else:
-            with open(args.metrics_out, "w") as handle:
-                handle.write(text)
-            print(f"wrote metrics exposition to {args.metrics_out}")
+        _write_metrics(registry, args.metrics_out)
     return 0
 
 
@@ -440,7 +455,8 @@ def cmd_scrub(args: argparse.Namespace) -> int:
 
 #: Endpoints the ``serve --smoke`` self-test exercises, with the
 #: statuses each may legitimately answer (``/rib`` 404s when the
-#: archive holds no RIB dump).
+#: archive holds no RIB dump; ``/moas``, ``/hijacks`` and ``/events``
+#: when it has no event journal).
 _SMOKE_ENDPOINTS = (
     ("/healthz", (200,)),
     ("/readyz", (200,)),
@@ -449,8 +465,12 @@ _SMOKE_ENDPOINTS = (
     ("/vps?limit=5&sort=updates", (200,)),
     ("/vps?sort=value", (200, 400)),
     ("/rib", (200, 404)),
-    ("/moas", (200,)),
-    ("/hijacks", (200,)),
+    ("/moas", (200, 404)),
+    # The retired source selector is an unknown parameter like any
+    # other (split so a grep for the old path finds only this note).
+    ("/moas?source="
+     "scan", (400,)),
+    ("/hijacks", (200, 404)),
     ("/events", (200, 404)),
     ("/events?state=resolved&limit=5", (200, 404)),
     ("/status", (200,)),
@@ -472,15 +492,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     metrics = PipelineMetrics()
     # Event store: auto-attach when the archive carries a journal,
     # forced on/off with --events / --no-events.
+    import os
+
+    from .events import EventPipeline, EventStore, journal_path_for
+
+    journal = journal_path_for(args.directory)
+    journaled = os.path.exists(journal)
+    backfill = bool(args.events) and not journaled
     events_store = None
-    if args.events is not False:
-        import os
-
-        from .events import EventStore, journal_path_for
-
-        journal = journal_path_for(args.directory)
-        if args.events or os.path.exists(journal):
-            events_store = EventStore(journal)
+    if args.events or (args.events is None and journaled):
+        events_store = EventStore(journal)
     # One guard instance is shared by the engine's read path, the
     # background scrubber and /readyz, so every quarantine shows up
     # everywhere at once (and as an /events integrity incident).
@@ -501,11 +522,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"no archive segments under {args.directory}",
               file=sys.stderr)
         return 2
+    if backfill:
+        # --events on an archive collected without them: build the
+        # missing journal once, with the collector's own function of
+        # the sealed segments (byte-identical to `pipeline --events`).
+        EventPipeline(store=events_store).sync(segments)
     # Gill drop journal: auto-attach when the archive was written with
     # --gill, so /vps can rank VPs by filter value.
     gill_journal = None
-    import os
-
     from .gill import GillJournal, gill_journal_path_for
 
     gill_path = gill_journal_path_for(args.directory)
@@ -528,7 +552,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"on {server.url}")
     if events_store is not None:
         print(f"event store: {len(events_store)} incidents "
-              f"from {events_store.path}")
+              f"from {events_store.path}"
+              + (f" (built from {len(segments)} segments)"
+                 if backfill else ""))
     if gill_journal is not None:
         totals = gill_journal.totals()
         print(f"gill journal: {len(gill_journal)} slot records "
@@ -759,7 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay through the concurrent runtime")
     p.add_argument("archive")
     p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--shard-by", choices=("vp", "prefix"), default="vp")
     p.add_argument("--queue-capacity", type=int, default=1024)
     p.add_argument("--policy", choices=("drop", "block"), default="block")
     p.add_argument("--time-scale", type=float, default=None,
@@ -796,19 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the event-analysis pipeline on sealed "
                         "segments, journaling incidents next to the "
                         "archive (requires --archive-dir)")
-    p.add_argument("--gill", action="store_true",
-                   help="filter redundant updates online ahead of the "
-                        "archive writer (requires --archive-dir; "
-                        "docs/GILL.md)")
-    p.add_argument("--filter-def", type=int, choices=(1, 2, 3),
-                   default=1,
-                   help="redundancy definition for --gill (1 = "
-                        "prefix+time, 2 = +AS path, 3 = +communities)")
-    p.add_argument("--keep",
-                   help="comma-separated VPs that always bypass the "
-                        "gill filter (on top of the auto anchors)")
-    p.add_argument("--gill-max-anchors", type=int, default=None,
-                   help="cap the auto-selected anchor set size")
+    _add_gill_flags(p)
     p.add_argument("--trace-sample", type=float, default=0.0,
                    help="fraction of updates carrying a telemetry "
                         "trace span (0 disables tracing)")
@@ -834,18 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory holding part-<i> partial archives "
                         "(from partitioned collection)")
     p.add_argument("out", help="combined archive output directory")
-    p.add_argument("--gill", action="store_true",
-                   help="run the gill redundancy filter over the "
-                        "merged stream (VP universe = union of the "
-                        "partition manifests)")
-    p.add_argument("--filter-def", type=int, choices=(1, 2, 3),
-                   default=1,
-                   help="redundancy definition for --gill")
-    p.add_argument("--keep",
-                   help="comma-separated VPs that always bypass the "
-                        "gill filter")
-    p.add_argument("--gill-max-anchors", type=int, default=None,
-                   help="cap the auto-selected anchor set size")
+    _add_gill_flags(p)
     p.add_argument("--events", action="store_true",
                    help="run event analysis on the merged segments, "
                         "journaling incidents next to the output")
@@ -889,8 +891,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep lazily built indexes in memory only")
     p.add_argument("--events", dest="events", action="store_true",
                    default=None,
-                   help="attach the event store even if the journal "
-                        "does not exist yet (default: auto-detect)")
+                   help="attach the event store; when the archive "
+                        "has no journal yet, build it once from the "
+                        "sealed segments (default: attach only when "
+                        "the journal exists)")
     p.add_argument("--no-events", dest="events", action="store_false",
                    help="never attach the event store")
     p.add_argument("--max-concurrent", type=int, default=8,

@@ -144,8 +144,7 @@ def encode_record(item: object) -> bytes:
         return head + _stamp(item.session, item.enqueued_at) \
             + mrt.encode_update(item.update)
     if isinstance(item, WatermarkAdvance):
-        return bytes((TAG_WATERMARK,)) + _U16.pack(item.shard) \
-            + _stamp(item.session, item.time)
+        return bytes((TAG_WATERMARK,)) + _stamp(item.session, item.time)
     if isinstance(item, EndOfInput):
         return bytes((TAG_END,))
     if isinstance(item, ShardDone):
@@ -196,9 +195,8 @@ def _record_at(data: bytes, pos: int) -> Tuple[object, int]:
         session, time, pos = _stamp_at(data, pos)
         return Heartbeat(session, time), pos
     if tag == TAG_WATERMARK:
-        (shard,) = _U16.unpack_from(data, pos)
-        session, time, pos = _stamp_at(data, pos + _U16.size)
-        return WatermarkAdvance(shard, session, time), pos
+        session, time, pos = _stamp_at(data, pos)
+        return WatermarkAdvance(session, time), pos
     if tag == TAG_END:
         return END_OF_INPUT, pos
     if tag == TAG_DONE:

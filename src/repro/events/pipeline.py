@@ -27,13 +27,15 @@ store and regenerates it from the archive's durable segments before
 subscribing.  Detectors and the correlator are deterministic functions
 of the segment sequence, so an interrupted run that recovers and
 resumes converges on a store byte-identical to an uninterrupted run
-(the chaos tests assert exactly this).
+(the chaos tests assert exactly this) — and so does
+:meth:`EventPipeline.sync` over the sealed segments of an archive that
+was collected without the pipeline (``repro-bgp serve --events``).
 """
 
 from __future__ import annotations
 
 import time as time_mod
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..bgp.archive import ArchiveSegment, RollingArchiveWriter
 from ..bgp.message import BGPUpdate
@@ -64,10 +66,6 @@ class EventCorrelator:
     def _new_id(self) -> str:
         self._seq += 1
         return f"ev-{self._seq:06d}"
-
-    @property
-    def open_count(self) -> int:
-        return len(self._open)
 
     def process(self, detections: Sequence[Detection], watermark: float
                 ) -> Tuple[List[Event], List[Event], List[Event]]:
@@ -154,31 +152,18 @@ class EventCorrelator:
 class EventPipeline:
     """Standing segment consumer feeding an :class:`EventStore`.
 
-    ``detector_factory`` builds a *fresh* detector set — attach-time
-    sync replays history through new detectors, so the factory (not a
-    detector instance) is the configuration unit.
+    The detector set and the resolve window are not configurable: a
+    journal is a function of the segment sequence alone, which is what
+    lets any process regenerate it byte for byte.
     """
 
     def __init__(self, store: Optional[EventStore] = None,
-                 detector_factory: Callable[[], List[StreamingDetector]]
-                 = default_detectors,
-                 resolve_after_s: float = DEFAULT_RESOLVE_AFTER_S,
-                 registry: Optional[MetricsRegistry] = None,
-                 compress: bool = True,
-                 guard=None):
-        #: Optional :class:`~repro.guard.manager.IntegrityGuard`: when
-        #: set, segments failing digest verification are quarantined
-        #: instead of replayed (and never contribute detections).
-        self.guard = guard
+                 registry: Optional[MetricsRegistry] = None):
         self.store = store if store is not None else EventStore()
-        self.detector_factory = detector_factory
-        self.resolve_after_s = resolve_after_s
-        self.compress = compress
         self.registry = registry if registry is not None \
             else MetricsRegistry()
-        self.detectors: List[StreamingDetector] = detector_factory()
-        self.correlator = EventCorrelator(resolve_after_s)
-        self.archive: Optional[RollingArchiveWriter] = None
+        self.detectors: List[StreamingDetector] = default_detectors()
+        self.correlator = EventCorrelator()
         self._detector_seconds = self.registry.histogram(
             "repro_events_detector_seconds",
             "Per-detector observe() latency per sealed segment",
@@ -207,37 +192,34 @@ class EventPipeline:
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach(self, archive: RollingArchiveWriter,
-               replay: bool = True) -> None:
+    def attach(self, archive: RollingArchiveWriter) -> None:
         """Subscribe to ``archive``'s seal hook, syncing to its
         already-durable segments first (so a resumed collection epoch
         starts from consistent detector/correlator/store state)."""
-        self.archive = archive
-        self.compress = archive.compress
-        if replay:
-            self.sync()
+        self.sync(archive.segments)
         archive.add_seal_listener(self._seal_listener)
 
-    def sync(self) -> int:
-        """Regenerate the store from the archive's current segments.
+    def sync(self, segments: Sequence[ArchiveSegment]) -> int:
+        """Regenerate the store by replaying ``segments`` in order.
 
-        Returns the number of segments replayed.  Raises when the
-        archive shows no segments but the store has records — that
+        This is the collector's own function of the segment sequence:
+        the journal it leaves is byte-identical to the one a live
+        pipeline attached before the first seal writes for the same
+        segments.  Returns the number of segments replayed.  Raises
+        when there are no segments but the store has records — that
         means the caller attached a fresh writer object over an
         existing directory without calling ``recover()`` first, and
         wiping the journal would destroy valid events.
         """
-        if self.archive is None:
-            raise RuntimeError("pipeline is not attached to an archive")
-        segments = list(self.archive.segments)
+        segments = list(segments)
         if not segments and len(self.store):
             raise ValueError(
                 "archive reports no segments but the event store has "
                 f"{len(self.store)} event(s); recover() the archive "
                 "before attaching so the durable segment manifest is "
                 "loaded")
-        self.detectors = self.detector_factory()
-        self.correlator = EventCorrelator(self.resolve_after_s)
+        self.detectors = default_detectors()
+        self.correlator = EventCorrelator()
         self.store.reset()
         for segment in segments:
             self.process_segment(segment)
@@ -246,29 +228,6 @@ class EventPipeline:
     def _seal_listener(self, segment: ArchiveSegment,
                        build_s: Optional[float]) -> None:
         self.process_segment(segment)
-
-    def _segment_trusted(self, segment: ArchiveSegment) -> bool:
-        """Verify a segment's bytes before replaying it.
-
-        Quarantined segments are skipped outright; a digest mismatch
-        quarantines.  Segments without recorded digests pass here and
-        rely on the decode-error fallback in ``process_segment``.
-        """
-        if self.guard is not None \
-                and self.guard.is_quarantined(segment.path):
-            return False
-        if segment.crc32 is None and segment.size is None:
-            return True
-        reason = verify_file(segment.path, size=segment.size,
-                             crc32=segment.crc32)
-        if reason is None:
-            if self.guard is not None:
-                self.guard.verification_ok()
-            return True
-        if self.guard is not None:
-            self.guard.quarantine(segment.path, reason,
-                                  watermark=segment.end)
-        return False
 
     # -- per-segment work -----------------------------------------------------
 
@@ -283,19 +242,23 @@ class EventPipeline:
         """
         started = time_mod.perf_counter()
         if updates is None:
-            if not self._segment_trusted(segment):
+            # Bytes that fail their recorded digests, or are gone
+            # (quarantined), are never replayed; a segment without
+            # digests relies on the decode-error fallback below.
+            if verify_file(segment.path, size=segment.size,
+                           crc32=segment.crc32) is not None:
                 return []
             try:
+                # The writer names a segment for its compression, the
+                # same evidence a directory catalog reads.
                 updates = [record
-                           for record in iter_archive(segment.path,
-                                                      self.compress)
+                           for record in iter_archive(
+                               segment.path,
+                               segment.path.endswith(".bz2"))
                            if isinstance(record, BGPUpdate)]
             except Exception:
                 # Structurally corrupt despite (or without) digests:
-                # condemn rather than feed garbage to the detectors.
-                if self.guard is not None:
-                    self.guard.quarantine(segment.path, "decode",
-                                          watermark=segment.end)
+                # skip rather than feed garbage to the detectors.
                 return []
         detections: List[Detection] = []
         for detector in self.detectors:

@@ -30,12 +30,11 @@ mirroring the query engine's pushdown style.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from ..guard.integrity import read_sealed_lines, seal_record
+from ..guard.integrity import SealedJournal
 from .model import Event, EventState, EVENT_TYPES
 
 #: Default journal file name inside an archive directory.
@@ -56,6 +55,11 @@ class EventStore:
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
+        # No fsync per upsert: the journal is regenerated from the
+        # archive's durable segments on attach, and appends sit on the
+        # seal path.
+        self._journal = SealedJournal(path, fsync=False) \
+            if path is not None else None
         self._lock = threading.RLock()
         self._events: Dict[str, Event] = {}
         self._by_prefix: Dict[str, Set[str]] = {}
@@ -64,10 +68,15 @@ class EventStore:
         self._by_state: Dict[str, Set[str]] = {}
         #: Highest journal watermark applied (None = empty store).
         self.watermark: Optional[float] = None
-        #: Journal byte offset consumed so far (for refresh tailing).
-        self._offset = 0
-        if path is not None and os.path.exists(path):
-            self.load()
+        self.load()
+
+    def _clear(self) -> None:
+        self._events.clear()
+        self._by_prefix.clear()
+        self._by_asn.clear()
+        self._by_type.clear()
+        self._by_state.clear()
+        self.watermark = None
 
     def reset(self) -> None:
         """Empty the store and truncate its journal.
@@ -79,63 +88,23 @@ class EventStore:
         journal byte-identical to an uninterrupted run's.
         """
         with self._lock:
-            self._events.clear()
-            self._by_prefix.clear()
-            self._by_asn.clear()
-            self._by_type.clear()
-            self._by_state.clear()
-            self.watermark = None
-            self._offset = 0
-            if self.path is not None:
-                with open(self.path, "w"):
-                    pass
+            self._clear()
+            if self._journal is not None:
+                self._journal.reset()
 
     # -- loading and tailing -------------------------------------------------
 
     def load(self, truncate_beyond: Optional[float] = None) -> int:
-        """(Re)load the journal from scratch.
-
-        Records with ``watermark > truncate_beyond`` are dropped —
-        they describe archive segments that crash recovery deleted —
-        and when any are dropped, or the journal ends in a torn or
-        corrupt line, the file is atomically rewritten without them.
-        Returns the number of dropped records.  A ``truncate_beyond``
-        of None keeps everything.
-        """
+        """(Re)load the journal from scratch; returns records dropped
+        (the truncate / torn-tail contract is
+        :meth:`~repro.guard.integrity.SealedJournal.load`)."""
         with self._lock:
-            self._events.clear()
-            self._by_prefix.clear()
-            self._by_asn.clear()
-            self._by_type.clear()
-            self._by_state.clear()
-            self.watermark = None
-            self._offset = 0
-            if self.path is None or not os.path.exists(self.path):
+            self._clear()
+            if self._journal is None:
                 return 0
-            kept: List[str] = []
-            dropped = 0
-            with open(self.path, "r") as handle:
-                entries, torn = read_sealed_lines(handle)
-            for line, record in entries:
-                watermark = record.get("watermark")
-                if truncate_beyond is not None \
-                        and watermark is not None \
-                        and watermark > truncate_beyond:
-                    dropped += 1
-                    continue
+            records, dropped = self._journal.load(truncate_beyond)
+            for record in records:
                 self._apply_record(record)
-                kept.append(line)
-            if dropped or torn:
-                # A torn tail goes too: the next ``apply`` appends, and
-                # would glue its record onto the partial line.
-                tmp = self.path + ".tmp"
-                with open(tmp, "w") as handle:
-                    handle.writelines(kept)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.path)
-            self._offset = os.path.getsize(self.path) \
-                if os.path.exists(self.path) else 0
             return dropped
 
     def refresh(self) -> List[str]:
@@ -145,26 +114,17 @@ class EventStore:
         journal.  Returns the ids of events that changed.
         """
         with self._lock:
-            if self.path is None or not os.path.exists(self.path):
+            if self._journal is None:
                 return []
-            size = os.path.getsize(self.path)
-            if size < self._offset:
+            records = self._journal.tail()
+            if records is None:
                 # Journal was rewritten (recovery truncation): reload.
                 before = set(self._events)
                 self.load()
                 return sorted(before | set(self._events))
-            if size == self._offset:
-                return []
-            changed: List[str] = []
-            with open(self.path, "r") as handle:
-                handle.seek(self._offset)
-                entries, _ = read_sealed_lines(handle)
-            for line, record in entries:
-                event_id = self._apply_record(record)
-                if event_id is not None:
-                    changed.append(event_id)
-                self._offset += len(line.encode("utf-8"))
-            return changed
+            changed = [self._apply_record(record) for record in records]
+            return [event_id for event_id in changed
+                    if event_id is not None]
 
     def _apply_record(self, record: dict) -> Optional[str]:
         if record.get("op") != "upsert":
@@ -178,24 +138,20 @@ class EventStore:
 
     # -- mutation (pipeline side) -------------------------------------------
 
-    def apply(self, event: Event, watermark: float,
-              journal: bool = True) -> None:
+    def apply(self, event: Event, watermark: float) -> None:
         """Upsert one event as of segment watermark ``watermark``."""
         with self._lock:
             self._index(event)
             self.watermark = max(self.watermark or watermark, watermark)
-            if journal and self.path is not None:
+            if self._journal is not None:
                 # Sealed with its own CRC so a flipped byte on disk is
                 # caught at load time (sealing is deterministic, so
                 # journals stay byte-identical across replays).
-                line = json.dumps(seal_record({
+                self._journal.append({
                     "op": "upsert",
                     "watermark": watermark,
                     "event": event.to_json(full=True),
-                }), sort_keys=True) + "\n"
-                with open(self.path, "a") as handle:
-                    handle.write(line)
-                self._offset += len(line.encode("utf-8"))
+                })
 
     def _index(self, event: Event) -> None:
         previous = self._events.get(event.id)

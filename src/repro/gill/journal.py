@@ -19,12 +19,11 @@ append) is tolerated and discarded on load.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from typing import Dict, List, Optional, Union
 
-from ..guard.integrity import read_sealed_lines, seal_record
+from ..guard.integrity import SealedJournal, seal_record
 
 #: File name of the drop journal inside an archive directory.
 JOURNAL_NAME = "gill.jsonl"
@@ -45,6 +44,10 @@ class GillJournal:
 
     def __init__(self, path: Optional[Union[str, os.PathLike]] = None):
         self.path = os.fspath(path) if path is not None else None
+        # fsync per record: slot k's record must be durable before the
+        # archive seals segment k (module docstring).
+        self._file = SealedJournal(self.path, fsync=True) \
+            if self.path is not None else None
         self._lock = threading.RLock()
         self._records: List[dict] = []
 
@@ -55,50 +58,22 @@ class GillJournal:
             # Sealed (CRC-carrying) both in memory and on disk, so a
             # reloaded journal equals the in-memory one byte for byte
             # and a flipped byte on disk is caught at load time.
-            record = seal_record(record)
-            self._records.append(record)
-            if self.path is not None:
-                line = json.dumps(record, sort_keys=True) + "\n"
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(line)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+            self._records.append(self._file.append(record)
+                                 if self._file is not None
+                                 else seal_record(record))
 
     # -- loading --------------------------------------------------------------
 
     def load(self, truncate_beyond: Optional[float] = None) -> int:
-        """(Re)load the journal from disk; returns records dropped.
-
-        Records with ``watermark > truncate_beyond`` are discarded and
-        the file is atomically rewritten without them — the recovery
-        contract that keeps the journal consistent with an archive whose
-        torn tail segments were truncated by ``recover()``.  A torn
-        final line stops the parse without failing it.
-        """
-        records: List[dict] = []
-        dropped = 0
-        torn = False
-        if self.path is not None and os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as handle:
-                entries, torn = read_sealed_lines(handle)
-            for _, record in entries:
-                if truncate_beyond is not None and \
-                        record.get("watermark", 0.0) > truncate_beyond:
-                    dropped += 1
-                    continue
-                records.append(record)
+        """(Re)load the journal from disk; returns records dropped
+        (the truncate / torn-tail contract is
+        :meth:`~repro.guard.integrity.SealedJournal.load`)."""
         with self._lock:
-            self._records = records
-            if (dropped or torn) and self.path is not None:
-                tmp = self.path + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    for record in records:
-                        handle.write(json.dumps(record, sort_keys=True)
-                                     + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.path)
-        return dropped
+            if self._file is None:
+                self._records = []
+                return 0
+            self._records, dropped = self._file.load(truncate_beyond)
+            return dropped
 
     # -- reading --------------------------------------------------------------
 

@@ -175,7 +175,7 @@ class GillStage:
 
     # -- attachment / replay --------------------------------------------------
 
-    def attach(self, archive, replay: bool = True) -> int:
+    def attach(self, archive) -> int:
         """Bind to an archive; replay its durable segments into state.
 
         The archive must be the *raw* writer (recover()ed when resuming),
@@ -198,8 +198,6 @@ class GillStage:
                 "before attaching so the durable segment manifest is "
                 "loaded")
         self._journaled_through = self.journal.last_watermark()
-        if not replay:
-            return 0
         from ..bgp.mrt import iter_archive
         self._replaying = True
         try:

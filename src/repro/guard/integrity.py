@@ -192,3 +192,87 @@ def read_sealed_lines(lines: Iterable[str]
             return entries, True
         entries.append((line, record))
     return entries, False
+
+
+class SealedJournal:
+    """The one on-disk implementation behind ``gill.jsonl`` and
+    ``events.jsonl``: an append-only file of :func:`seal_record` lines
+    (sorted keys, so equal records are equal bytes).  Not thread-safe;
+    the owning journal calls it under its own lock.
+
+    ``fsync`` is the owner's flush policy: gill makes each slot record
+    durable before the archive seals that slot; the event journal is
+    regenerated from the archive on attach and sits on the seal path,
+    so it does not pay for one.
+    """
+
+    def __init__(self, path: str, fsync: bool):
+        self.path = path
+        self.fsync = fsync
+        #: Bytes of the file consumed so far: where :meth:`tail` resumes.
+        self.offset = 0
+
+    def append(self, record: dict) -> dict:
+        """Seal ``record``, append its line, return the sealed copy."""
+        sealed = seal_record(record)
+        line = json.dumps(sealed, sort_keys=True) + "\n"
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(line)
+            if self.fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        self.offset += len(line.encode("utf-8"))
+        return sealed
+
+    def reset(self) -> None:
+        """Truncate the file: its owner is about to regenerate it."""
+        open(self.path, "w", encoding="utf-8").close()
+        self.offset = 0
+
+    def load(self, truncate_beyond: Optional[float] = None
+             ) -> Tuple[List[dict], int]:
+        """Re-read from the start: ``(records kept, records dropped)``.
+
+        Records whose ``watermark`` exceeds ``truncate_beyond`` describe
+        archive segments that crash recovery deleted.  When any are
+        dropped, or the file ends in a torn line — the next append would
+        be glued onto it — the file is atomically rewritten from the
+        kept lines; a clean journal is never rewritten.
+        """
+        entries: List[Tuple[str, dict]] = []
+        torn = False
+        if os.path.exists(self.path):
+            with open(self.path, "r", encoding="utf-8") as handle:
+                entries, torn = read_sealed_lines(handle)
+        kept = [(line, record) for line, record in entries
+                if truncate_beyond is None
+                or record.get("watermark") is None
+                or record["watermark"] <= truncate_beyond]
+        if torn or len(kept) < len(entries):
+            tmp = self.path + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.writelines(line for line, _ in kept)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, self.path)
+        self.offset = sum(len(line.encode("utf-8")) for line, _ in kept)
+        return [record for _, record in kept], len(entries) - len(kept)
+
+    def tail(self) -> Optional[List[dict]]:
+        """Records appended since the last load / append / tail, or
+        None when the file shrank (recovery rewrote it) and the owner
+        must :meth:`load` again.  Never rewrites: a partial last line
+        is simply not consumed yet."""
+        try:
+            size = os.path.getsize(self.path)
+        except OSError:
+            return []
+        if size < self.offset:
+            return None
+        if size == self.offset:
+            return []
+        with open(self.path, "r", encoding="utf-8") as handle:
+            handle.seek(self.offset)
+            entries, _ = read_sealed_lines(handle)
+        self.offset += sum(len(line.encode("utf-8")) for line, _ in entries)
+        return [record for _, record in entries]

@@ -35,7 +35,6 @@ from .stages import (
     ServiceCostModel,
     ShardWorker,
     WriterStage,
-    shard_for,
 )
 
 __all__ = [
@@ -64,5 +63,4 @@ __all__ = [
     "SupervisorConfig",
     "WriterStage",
     "render_metrics",
-    "shard_for",
 ]

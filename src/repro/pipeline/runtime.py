@@ -27,7 +27,10 @@ Guarantees:
   queues so no producer blocks forever behind it (docs/FAULTS.md).
 
 Each session's update iterator must be time-nondecreasing (the
-per-VP order that :func:`repro.workload.split_by_vp` produces).
+per-VP order that :func:`repro.workload.split_by_vp` produces).  A
+session lives on one shard — ``crc32(session name) % n_shards`` — so
+its updates, heartbeats and end-of-stream marker share one FIFO queue
+and the writer keeps one watermark per session.
 """
 
 from __future__ import annotations
@@ -53,31 +56,30 @@ from .queues import BoundedQueue, QueueClosed
 from .stages import PeerSession, ServiceCostModel, ShardWorker, WriterStage
 
 
+#: Capacity of the one queue between the shard workers and the writer.
+WRITER_QUEUE_CAPACITY = 4096
+
+#: Quarantined (validator-flagged) updates kept for inspection, at most.
+MAX_FLAGGED_KEPT = 10_000
+
+
 @dataclass
 class PipelineConfig:
     """Knobs of the concurrent runtime."""
 
     n_shards: int = 4
-    #: 'vp' keeps each peering session on one shard (per-session order
-    #: is then trivially preserved); 'prefix' spreads hot sessions.
-    shard_by: str = "vp"
     ingest_queue_capacity: int = 1024
-    writer_queue_capacity: int = 4096
     #: 'drop' loses updates at full ingest queues (daemon-style,
     #: Table 1); 'block' applies lossless backpressure instead.
     overflow_policy: str = "drop"
     #: Updates between watermark heartbeats; smaller = lower write
     #: latency, larger = fewer control messages.
     heartbeat_every: int = 64
-    #: Writer batch: how many queue items are drained per wake-up.
-    batch_size: int = 256
     #: Stream seconds replayed per wall-clock second (None = flood,
     #: i.e. as fast as the hardware allows).
     time_scale: Optional[float] = None
     #: Optional CPU capacity model; makes saturation empirical.
     cost_model: Optional[ServiceCostModel] = None
-    #: Keep at most this many quarantined updates for inspection.
-    max_flagged_kept: int = 10_000
     #: Deterministic chaos schedule; None runs fault-free.
     fault_plan: Optional[FaultPlan] = None
     #: Restart/backoff/watchdog policy (always in force — real
@@ -86,10 +88,6 @@ class PipelineConfig:
     #: Fraction of updates carrying a telemetry trace span (0 = off;
     #: deterministic stride sampling, see repro.telemetry.trace).
     trace_sample_rate: float = 0.0
-    #: How many recent sampled spans the tracer's ring buffer keeps.
-    trace_ring: int = 64
-    #: Only spans at least this slow enter the ring (0 keeps all).
-    trace_slow_threshold_s: float = 0.0
     #: Period of the metrics time-series sampler (None = no sampler).
     metrics_interval_s: Optional[float] = None
     #: JSONL file the sampler appends each time point to.
@@ -101,8 +99,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.n_shards <= 0:
             raise ValueError("need at least one shard")
-        if self.shard_by not in ("vp", "prefix"):
-            raise ValueError("shard_by must be 'vp' or 'prefix'")
         if self.overflow_policy not in ("drop", "block"):
             raise ValueError("overflow_policy must be 'drop' or 'block'")
         if self.time_scale is not None and self.time_scale <= 0:
@@ -162,9 +158,7 @@ class CollectionPipeline:
             # appear in the same exposition.
             self.metrics.tracer = Tracer(
                 self.config.trace_sample_rate,
-                registry=self.metrics.registry,
-                ring_size=self.config.trace_ring,
-                slow_threshold_s=self.config.trace_slow_threshold_s)
+                registry=self.metrics.registry)
         #: This process's crash flight recorder, named for the
         #: coordinator role and wired so finished spans land in its
         #: black-box ring.
@@ -201,7 +195,7 @@ class CollectionPipeline:
 
     def _keep_flagged(self, update: BGPUpdate) -> None:
         with self._flagged_lock:
-            if len(self._flagged) < self.config.max_flagged_kept:
+            if len(self._flagged) < MAX_FLAGGED_KEPT:
                 self._flagged.append(update)
 
     def _session_reestablished(self, name: str) -> None:
@@ -284,7 +278,7 @@ class CollectionPipeline:
             for _ in range(cfg.n_shards)
         ]
         self._writer_queue = BoundedQueue(
-            cfg.writer_queue_capacity,
+            WRITER_QUEUE_CAPACITY,
             gauge=self.metrics.write.queue_depth)
 
         self._workers = [self._make_worker(shard)
@@ -292,14 +286,14 @@ class CollectionPipeline:
         self._writer = WriterStage(
             self._writer_queue, cfg.n_shards, list(streams),
             metrics=self.metrics, archive=archive,
-            mirror=self.mirror, batch_size=cfg.batch_size,
+            mirror=self.mirror,
             max_archive_recoveries=cfg.supervision.max_archive_recoveries,
             on_fatal=self._on_writer_fatal,
             gill=self.gill,
         )
         self._sessions = [
             PeerSession(
-                name, updates, self._ingest_queues, cfg.shard_by,
+                name, updates, self._ingest_queues,
                 metrics=self.metrics,
                 overflow_policy=cfg.overflow_policy,
                 heartbeat_every=cfg.heartbeat_every,

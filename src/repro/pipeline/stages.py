@@ -17,11 +17,11 @@ bounded queues:
   batches.
 
 Ordering across concurrent shards uses heartbeat markers: every
-session periodically broadcasts its current stream time through *all*
-ingest queues, so the marker reaches the writer only after every
-earlier update from that session on that shard.  The writer's safe
-watermark is the minimum over all (shard, session) marker times, and
-updates leave the reorder heap only once they fall below it — this is
+session periodically sends its current stream time through its own
+ingest queue, so the marker reaches the writer only after every
+earlier update from that session.  The writer's safe watermark is the
+minimum over all sessions' marker times, and updates leave the
+reorder heap only once they fall below it — this is
 what lets many unsynchronized workers feed an archive format that
 demands nondecreasing timestamps.
 
@@ -70,6 +70,9 @@ from .queues import BoundedQueue, QueueClosed, QueueEmpty, QueueFull
 #: Marker time meaning "this session will send nothing further".
 END_OF_STREAM = float("inf")
 
+#: Queue items the writer takes per lock acquisition, then emits.
+WRITER_BATCH = 256
+
 
 # -- queue payloads ----------------------------------------------------------
 
@@ -88,7 +91,7 @@ class Envelope:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    """A session's progress marker, broadcast through every shard."""
+    """A session's progress marker, sent through the session's shard."""
 
     session: str
     time: float            # stream time; END_OF_STREAM when finished
@@ -108,9 +111,8 @@ class Disposition:
 
 @dataclass(frozen=True)
 class WatermarkAdvance:
-    """A heartbeat after passing through shard ``shard``."""
+    """A heartbeat after passing through its session's shard."""
 
-    shard: int
     session: str
     time: float
 
@@ -121,17 +123,6 @@ class ShardDone:
 
 #: Sentinel closing a shard's ingest queue.
 _STOP = object()
-
-
-def shard_for(update: BGPUpdate, n_shards: int, key: str) -> int:
-    """Stable shard assignment by VP or by prefix."""
-    if key == "vp":
-        token = update.vp
-    elif key == "prefix":
-        token = str(update.prefix)
-    else:
-        raise ValueError(f"unknown shard key: {key!r}")
-    return zlib.crc32(token.encode()) % n_shards
 
 
 # -- CPU capacity model ------------------------------------------------------
@@ -187,7 +178,10 @@ class ServiceCostModel:
 # -- stage threads -----------------------------------------------------------
 
 class PeerSession(threading.Thread):
-    """Replays one peering session into the sharded ingest queues.
+    """Replays one peering session into its shard's ingest queue.
+
+    The shard is ``crc32(session name) % n_shards``: stable across
+    runs, so seeded fault plans address the same shard every time.
 
     The thread is its own supervisor: exceptions from the update
     iterator (a disconnect, a flap, feeder garbage mid-``next``) do
@@ -197,12 +191,11 @@ class PeerSession(threading.Thread):
     state.  After ``quarantine_after`` consecutive failures the flap
     circuit breaker opens and the session is quarantined: its
     remaining stream is abandoned but its end-of-stream marker is
-    still broadcast, so the writer's watermark never wedges on it.
+    still sent, so the writer's watermark never wedges on it.
     """
 
     def __init__(self, name: str, updates: Iterable[BGPUpdate],
                  ingest_queues: Sequence[BoundedQueue],
-                 shard_key: str,
                  metrics: PipelineMetrics,
                  overflow_policy: str = "drop",
                  heartbeat_every: int = 64,
@@ -213,8 +206,8 @@ class PeerSession(threading.Thread):
         super().__init__(name=f"session-{name}", daemon=True)
         self.session = name
         self.updates = updates
-        self.queues = ingest_queues
-        self.shard_key = shard_key
+        self.queue = ingest_queues[
+            zlib.crc32(name.encode()) % len(ingest_queues)]
         self.metrics = metrics
         if overflow_policy not in ("drop", "block"):
             raise ValueError("overflow_policy must be 'drop' or 'block'")
@@ -236,12 +229,6 @@ class PeerSession(threading.Thread):
         self._last_time: Optional[float] = None
         self._degraded = False
         metrics.register_session(name)
-
-    def _broadcast(self, marker: Heartbeat) -> None:
-        # Markers always use the blocking put: losing one would stall
-        # or corrupt the writer's watermark.
-        for queue in self.queues:
-            queue.put(marker)
 
     def _pace(self, stream_time: float) -> None:
         if self._stream_t0 is None or self._wall_t0 is None:
@@ -265,7 +252,8 @@ class PeerSession(threading.Thread):
             return True
         return self._last_time is not None and t < self._last_time
 
-    def _offer(self, queue: BoundedQueue, envelope: Envelope) -> None:
+    def _offer(self, envelope: Envelope) -> None:
+        queue = self.queue
         if self.overflow_policy == "block" and not self._degraded:
             try:
                 queue.put(envelope,
@@ -324,7 +312,7 @@ class PeerSession(threading.Thread):
                         self.on_reestablish(self.session)
         finally:
             try:
-                self._broadcast(Heartbeat(self.session, END_OF_STREAM))
+                self.queue.put(Heartbeat(self.session, END_OF_STREAM))
             except QueueClosed:
                 pass
 
@@ -338,16 +326,16 @@ class PeerSession(threading.Thread):
             self._last_time = update.time
             if self.time_scale is not None:
                 self._pace(update.time)
-            queue = self.queues[
-                shard_for(update, len(self.queues), self.shard_key)]
             trace = self.metrics.tracer.start(self.session)
-            self._offer(queue, Envelope(
+            self._offer(Envelope(
                 update, self.session, time.perf_counter(),
                 None if trace is NOOP_TRACE else trace))
             self._since_heartbeat += 1
             if self._since_heartbeat >= self.heartbeat_every:
                 self._since_heartbeat = 0
-                self._broadcast(Heartbeat(self.session, update.time))
+                # Markers always use the blocking put: losing one
+                # would stall or corrupt the writer's watermark.
+                self.queue.put(Heartbeat(self.session, update.time))
 
 
 class ShardWorker(threading.Thread):
@@ -480,8 +468,7 @@ class ShardWorker(threading.Thread):
                     break
                 if isinstance(item, Heartbeat):
                     self.writer_queue.put(
-                        WatermarkAdvance(self.shard, item.session,
-                                         item.time))
+                        WatermarkAdvance(item.session, item.time))
                     continue
                 self._process_envelope(item)
             self.writer_queue.put(ShardDone())
@@ -509,7 +496,6 @@ class WriterStage(threading.Thread):
                  metrics: PipelineMetrics,
                  archive: Optional[RollingArchiveWriter] = None,
                  mirror: Optional[Callable[[BGPUpdate, bool], None]] = None,
-                 batch_size: int = 256,
                  max_archive_recoveries: int = 3,
                  on_fatal: Optional[Callable[[BaseException], None]] = None,
                  gill=None):
@@ -519,16 +505,13 @@ class WriterStage(threading.Thread):
         self.archive = archive
         self.gill = gill
         self.mirror = mirror
-        self.batch_size = max(1, batch_size)
         self.max_archive_recoveries = max_archive_recoveries
         self.on_fatal = on_fatal
-        # Safe watermark state: minimum over every (shard, session)
-        # pair of the last heartbeat time seen on that path.
-        self._watermarks: Dict[Tuple[int, str], float] = {
-            (shard, session): -END_OF_STREAM
-            for shard in range(n_shards)
-            for session in sessions
-        }
+        # Safe watermark state: minimum over every session of the
+        # last heartbeat time it sent (a session lives on one shard,
+        # whose FIFO queue orders the marker after its updates).
+        self._watermarks: Dict[str, float] = {
+            session: -END_OF_STREAM for session in sessions}
         self._pending_shards = n_shards
         self._heap: List[Tuple[float, int, Disposition]] = []
         self._sequence = 0
@@ -632,22 +615,21 @@ class WriterStage(threading.Thread):
             if len(self._heap) > self.reorder_high_water:
                 self.reorder_high_water = len(self._heap)
         elif isinstance(item, WatermarkAdvance):
-            key = (item.shard, item.session)
             # Late or duplicate heartbeats must never rewind a
             # watermark — only strictly newer times advance it.
-            if item.time > self._watermarks.get(key, -END_OF_STREAM):
-                self._watermarks[key] = item.time
+            if item.time > self._watermarks.get(item.session,
+                                                -END_OF_STREAM):
+                self._watermarks[item.session] = item.time
         elif isinstance(item, ShardDone):
             self._pending_shards -= 1
 
     def run(self) -> None:
         try:
             while self._pending_shards > 0:
-                drained = 0
                 try:
-                    while drained < self.batch_size:
-                        self._ingest_one(self.queue.get(timeout=0.05))
-                        drained += 1
+                    for item in self.queue.get_many(WRITER_BATCH,
+                                                    timeout=0.05):
+                        self._ingest_one(item)
                 except QueueEmpty:
                     pass
                 self._emit_ready()
@@ -655,7 +637,7 @@ class WriterStage(threading.Thread):
             # theirs is still buffered) and no further watermark can
             # arrive: flush the heap unconditionally.  END_OF_STREAM
             # markers normally make this a no-op; it also terminates
-            # runs whose sessions died before broadcasting them.
+            # runs whose sessions died before sending them.
             self._watermarks.clear()
             self._emit_ready()
             if self.gill is not None and self.archive is not None:

@@ -40,9 +40,6 @@ class WatermarkLRUCache:
         self._entries: "OrderedDict[Hashable, Tuple[Hashable, Any, int]]" \
             = OrderedDict()
         self._weight = 0
-        #: Lookups answered / not answered (a moved token is a miss).
-        self.hits = 0
-        self.misses = 0
         #: Stale entries discarded on lookup (token moved).
         self.invalidations = 0
 
@@ -66,7 +63,6 @@ class WatermarkLRUCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
                 return None
             if entry[0] != token:
                 # The state moved since this value was computed (the
@@ -74,10 +70,8 @@ class WatermarkLRUCache:
                 # rewritten); serving it would be stale.
                 self._drop(key)
                 self.invalidations += 1
-                self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
             return entry[1]
 
     def put(self, key: Hashable, token: Hashable, value: Any) -> None:

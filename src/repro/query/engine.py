@@ -247,16 +247,6 @@ class QueryEngine:
         """End of the last sealed segment (exclusive), if any."""
         return self._token(self.catalog.segments())[0]
 
-    def state_token(self) -> WatermarkToken:
-        """The current archive state as a cache-invalidation token.
-
-        Consumers caching anything derived from the archive (the
-        server's trained hijack model, for one) key on this: a new
-        sealed segment changes the token, recovery truncation changes
-        it too (fewer segments), so derived state can never be served
-        stale."""
-        return self._token(self.catalog.segments())
-
     # -- indexes -------------------------------------------------------------
 
     def _index_for(self, segment: ArchiveSegment

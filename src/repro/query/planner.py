@@ -21,6 +21,25 @@ from ..bgp.prefix import Prefix
 from .index import SegmentIndex
 
 
+def float_param(params: "dict[str, str]", name: str,
+                default: Optional[float] = None,
+                finite: bool = True) -> Optional[float]:
+    """A numeric HTTP query parameter, or ``default`` when absent.
+
+    NaN is never a value: it compares unequal to itself, so it would
+    key a result-cache entry no later request can hit, and ``NaN`` in
+    a response body is not JSON.  ``finite=False`` admits ±inf (an
+    open-ended ``end``).  Raises ``ValueError`` — a 400 — otherwise.
+    """
+    if name not in params:
+        return default
+    value = float(params[name])
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise ValueError(f"{name} must be a "
+                         f"{'finite ' if finite else ''}number")
+    return value
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """What a data consumer asks the archive.
@@ -38,7 +57,8 @@ class QuerySpec:
     limit: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
+        # ``not <=`` rather than ``<``: a NaN bound fails it too.
+        if not self.start <= self.end:
             raise ValueError("end must be at or after start")
         if self.limit is not None and self.limit < 0:
             raise ValueError("limit must be nonnegative")
@@ -81,8 +101,8 @@ class QuerySpec:
             if "prefix" in params else None,
             vp=params.get("vp"),
             origin=int(params["origin"]) if "origin" in params else None,
-            start=float(params.get("start", 0.0)),
-            end=float(params.get("end", math.inf)),
+            start=float_param(params, "start", 0.0),
+            end=float_param(params, "end", math.inf, finite=False),
             limit=int(params["limit"]) if "limit" in params else None,
         )
 

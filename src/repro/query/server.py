@@ -11,14 +11,14 @@ engine's thread-pool executor and GIL-releasing bz2 decode):
 * ``GET /rib``       — a published RIB snapshot, streamed; params
   ``time`` (newest dump at or before it) and ``vp``;
 * ``GET /vps``       — per-VP stored-update counts from the indexes;
-* ``GET /moas``      — MOAS conflicts in a time range: answered from
-  the event store when one is attached, by on-demand scan
-  (:func:`repro.usecases.detect_moas`) otherwise;
+* ``GET /moas``      — MOAS conflicts in a time range, from the
+  event store;
 * ``GET /hijacks``   — DFOH-style suspicious new links in a time
-  range: event store when attached, else an on-demand scan whose
-  trained model is cached keyed on the archive watermark;
+  range at or above ``threshold``, from the event store;
 * ``GET /events``    — correlated incidents from the event store
-  (docs/EVENTS.md); filters ``type``, ``prefix``, ``origin``,
+  (docs/EVENTS.md; like ``/moas`` and ``/hijacks``, 404 when the
+  server has no store — collect with ``pipeline --events`` or serve
+  with ``--events``); filters ``type``, ``prefix``, ``origin``,
   ``start``, ``end``, ``state``, ``limit`` push down into the store's
   indexes; ``GET /events/<id>`` returns one incident with evidence;
 * ``GET /status``    — watermark, segment count and engine counters;
@@ -56,7 +56,7 @@ import math
 import threading
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from .. import __version__
@@ -68,10 +68,8 @@ from ..guard.serving import AdmissionController, CircuitBreaker, \
     Deadline, DeadlineExceeded, Overloaded
 from ..telemetry import RequestTracer, set_build_info
 from ..telemetry.blackbox import recorder, set_process_role
-from ..usecases import DFOHDetector, detect_moas
-from .cache import WatermarkLRUCache
 from .engine import QueryEngine
-from .planner import QuerySpec
+from .planner import QuerySpec, float_param
 
 _log = logging.getLogger("repro.query.server")
 
@@ -101,12 +99,6 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
     #: :class:`repro.gill.GillStage` or a loaded
     #: :class:`repro.gill.GillJournal`.
     gill: Optional[object] = None
-    #: Trained DFOH scans by ``(start, end)`` window, pinned to the
-    #: engine's state token: the scan is a pure function of (archive
-    #: state, window), so caching the *unfiltered* case list answers
-    #: any threshold from one training pass, and a new sealed segment
-    #: (or recovery truncation) invalidates the entry.
-    model_cache: WatermarkLRUCache
     quiet: bool = True
     #: Overload protection, bound by QueryAPIServer.
     admission: AdmissionController
@@ -382,7 +374,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         unknown = set(params) - {"time", "vp"}
         if unknown:
             raise ValueError(f"unknown parameters: {sorted(unknown)}")
-        at = float(params["time"]) if "time" in params else None
+        at = float_param(params, "time")
         dump = self.engine.rib_dump_at(at)
         if dump is None:
             self._error(404, "no RIB dump published"
@@ -419,43 +411,31 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
     @staticmethod
     def _time_range(params: Dict[str, str]
                     ) -> Tuple[Optional[float], Optional[float]]:
-        start = float(params["start"]) if "start" in params else None
-        end = float(params["end"]) if "end" in params else None
-        return start, end
+        return (float_param(params, "start"),
+                float_param(params, "end", finite=False))
 
-    def _events_enabled(self, params: Dict[str, str]) -> bool:
-        """Route through the event store unless absent or bypassed
-        with ``source=scan`` (the historical on-demand path)."""
-        return self.events is not None and params.get("source") != "scan"
+    def _store(self) -> Optional[EventStore]:
+        """The attached event store, caught up with its journal — or
+        None after answering 404: incidents are served from the
+        collector's standing record, never re-derived per request."""
+        if self.events is None:
+            self._error(404, "no event store attached (collect with "
+                             "`pipeline --events`, or serve with "
+                             "`--events`)")
+            return None
+        self.events.refresh()
+        return self.events
 
     def _get_moas(self, params: Dict[str, str]) -> None:
-        unknown = set(params) - {"start", "end", "source"}
+        unknown = set(params) - {"start", "end"}
         if unknown:
             raise ValueError(f"unknown parameters: {sorted(unknown)}")
-        if self._events_enabled(params):
-            self._moas_from_events(params)
-            return
-        params.pop("source", None)
-        spec = QuerySpec.from_params(params)
-        updates = self.engine.query(spec, deadline=self._deadline,
-                                    trace=self._trace)
-        conflicts = detect_moas(updates)
-        self._send_json({
-            "source": "scan",
-            "count": len(conflicts),
-            "conflicts": [
-                {"prefix": str(c.prefix), "origins": sorted(c.origins)}
-                for c in conflicts
-            ],
-        })
-
-    def _moas_from_events(self, params: Dict[str, str]) -> None:
-        assert self.events is not None
-        self.events.refresh()
         start, end = self._time_range(params)
+        store = self._store()
+        if store is None:
+            return
         conflicts = []
-        for event in self.events.query(type="moas", start=start,
-                                       end=end):
+        for event in store.query(type="moas", start=start, end=end):
             origins = sorted({
                 origin
                 for detection in event.evidence
@@ -475,59 +455,17 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         })
 
     def _get_hijacks(self, params: Dict[str, str]) -> None:
-        unknown = set(params) - {"start", "end", "threshold", "source"}
+        unknown = set(params) - {"start", "end", "threshold"}
         if unknown:
             raise ValueError(f"unknown parameters: {sorted(unknown)}")
-        threshold = float(params.pop("threshold", 0.6))
-        if self._events_enabled(params):
-            self._hijacks_from_events(params, threshold)
+        threshold = float_param(params, "threshold", 0.6)
+        start, end = self._time_range(params)
+        store = self._store()
+        if store is None:
             return
-        params.pop("source", None)
-        start, end = self._time_range(params)
-        # DFOH needs a trained AS graph; with only the archive to go
-        # on, train on the older half of the window and scan the newer
-        # half for implausible new links; filter by threshold per
-        # request.
-        token = self.engine.state_token()
-        entry = self.model_cache.get((start, end), token)
-        cached = entry is not None
-        if entry is None:
-            spec = QuerySpec.from_params(params)
-            updates = self.engine.query(spec, deadline=self._deadline,
-                                        trace=self._trace)
-            train, scan = _split_for_training(updates)
-            detector = DFOHDetector()
-            detector.train_on_updates(train)
-            entry = {
-                "trained_on": len(train),
-                "scanned": len(scan),
-                "cases": detector.scan(scan),
-            }
-            self.model_cache.put((start, end), token, entry)
-        cases = [case for case in entry["cases"]
-                 if case.score >= threshold]
-        self._send_json({
-            "source": "scan",
-            "model_cache": "hit" if cached else "miss",
-            "threshold": threshold,
-            "trained_on": entry["trained_on"],
-            "scanned": entry["scanned"],
-            "count": len(cases),
-            "cases": [
-                {"link": sorted(case.link), "prefix": str(case.prefix),
-                 "score": round(case.score, 4), "origin": case.origin}
-                for case in cases
-            ],
-        })
-
-    def _hijacks_from_events(self, params: Dict[str, str],
-                             threshold: float) -> None:
-        assert self.events is not None
-        self.events.refresh()
-        start, end = self._time_range(params)
         best: Dict[Tuple, dict] = {}
-        for event in self.events.query(type="origin_hijack",
-                                       start=start, end=end):
+        for event in store.query(type="origin_hijack",
+                                 start=start, end=end):
             for detection in event.evidence:
                 if detection.type != "origin_hijack" \
                         or detection.score < threshold:
@@ -561,37 +499,33 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
                      "state", "limit"}
 
     def _get_events(self, params: Dict[str, str]) -> None:
-        if self.events is None:
-            self._error(404, "no event store attached "
-                             "(serve an archive collected with the "
-                             "event pipeline enabled)")
-            return
         unknown = set(params) - self._EVENT_PARAMS
         if unknown:
             raise ValueError(f"unknown parameters: {sorted(unknown)}")
-        self.events.refresh()
+        store = self._store()
+        if store is None:
+            return
         start, end = self._time_range(params)
         origin = int(params["origin"]) if "origin" in params else None
         limit = int(params["limit"]) if "limit" in params else None
-        hits = self.events.query(
+        hits = store.query(
             type=params.get("type"), prefix=params.get("prefix"),
             origin=origin, start=start, end=end,
             state=params.get("state"), limit=limit)
         self._send_json({
-            "watermark": self.events.watermark,
+            "watermark": store.watermark,
             "count": len(hits),
-            "open": self.events.open_counts(),
+            "open": store.open_counts(),
             "events": [event.to_json(full=False) for event in hits],
         })
 
     def _get_event(self, event_id: str, params: Dict[str, str]) -> None:
-        if self.events is None:
-            self._error(404, "no event store attached")
+        store = self._store()
+        if store is None:
             return
         if params:
             raise ValueError("/events/<id> takes no parameters")
-        self.events.refresh()
-        event = self.events.get(event_id)
+        event = store.get(event_id)
         if event is None:
             self._error(404, f"no event {event_id!r}")
             return
@@ -648,10 +582,6 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
             "segments_decoded": stats.segments_decoded,
             "index_builds": stats.index_builds,
             "index_build_time_s": round(stats.index_build_time_s, 6),
-            "hijack_model_cache": {
-                "hits": self.model_cache.hits,
-                "misses": self.model_cache.misses,
-            },
             "payload_cache": {
                 "hits": stats.payload_cache_hits,
                 "misses": stats.payload_cache_misses,
@@ -669,22 +599,6 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         if self.guard is not None:
             payload["guard"] = self.guard.status()
         self._send_json(payload)
-
-
-def _split_for_training(updates: List[BGPUpdate]
-                        ) -> Tuple[List[BGPUpdate], List[BGPUpdate]]:
-    """Older half trains the detector, newer half is scanned.
-
-    The split is at the time midpoint of the window actually covered,
-    so it is deterministic for a fixed archive.
-    """
-    if not updates:
-        return [], []
-    lo, hi = updates[0].time, updates[-1].time
-    midpoint = lo + (hi - lo) / 2.0
-    train = [u for u in updates if u.time <= midpoint]
-    scan = [u for u in updates if u.time > midpoint]
-    return train, scan
 
 
 class QueryAPIServer:
@@ -712,9 +626,7 @@ class QueryAPIServer:
                  request_timeout_s: Optional[float] = 30.0,
                  breaker_threshold: int = 5,
                  breaker_reset_s: float = 5.0,
-                 scrub_interval_s: Optional[float] = None,
-                 trace_ring_size: int = 128,
-                 slow_trace_threshold_s: float = 0.0):
+                 scrub_interval_s: Optional[float] = None):
         registry = engine.registry
         set_build_info(registry, __version__, backend="serve")
         # Name this process's black box — unless the pipeline already
@@ -731,9 +643,7 @@ class QueryAPIServer:
             failure_threshold=breaker_threshold,
             reset_after_s=breaker_reset_s, registry=registry,
             on_open=self._breaker_opened)
-        self.tracer = RequestTracer(
-            registry=registry, ring_size=trace_ring_size,
-            slow_threshold_s=slow_trace_threshold_s)
+        self.tracer = RequestTracer(registry=registry)
         self.tracer.flight = box
         aborts = registry.counter(
             "repro_query_client_aborts_total",
@@ -741,7 +651,6 @@ class QueryAPIServer:
         handler = type("BoundQueryAPIHandler", (_QueryAPIHandler,),
                        {"engine": engine, "quiet": quiet,
                         "events": events, "gill": gill,
-                        "model_cache": WatermarkLRUCache(4),
                         "admission": self.admission,
                         "breaker": self.breaker,
                         "guard": guard,

@@ -57,12 +57,16 @@ def run_epoch(streams, directory, journals=True, **config):
 
 class TestPublishedBytes:
     def test_shard_counts_agree(self, streams, tmp_path):
-        """Shard count must not change what is published, only how
-        the sessions are laid out across workers."""
-        run_epoch(streams, tmp_path / "two", journals=False, n_shards=2)
-        run_epoch(streams, tmp_path / "four", journals=False, n_shards=4)
-        assert archive_digest(tmp_path / "two") \
-            == archive_digest(tmp_path / "four")
+        """Shard count must not change what is published — segments,
+        both journals, checkpoint digests — only which worker each
+        session's one queue belongs to."""
+        digests = set()
+        for n_shards in (1, 2, 5):
+            directory = tmp_path / f"shards{n_shards}"
+            run_epoch(streams, directory, n_shards=n_shards)
+            assert "gill.jsonl" in archive_files(directory)
+            digests.add(archive_digest(directory))
+        assert len(digests) == 1
 
     def test_tracing_preserves_byte_identity(self, streams, tmp_path):
         """Tracing is observability, not behaviour: a traced epoch

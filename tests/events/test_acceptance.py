@@ -155,9 +155,9 @@ class TestEventsAPI:
         assert status == 200 and body["source"] == "events"
         assert any(c["prefix"] == str(truth.moas_prefix)
                    for c in body["conflicts"])
-        # The historical scan path stays reachable.
+        # There is no second source to select.
         status, body = get_json(url + "/moas?source=scan")
-        assert status == 200 and body["source"] == "scan"
+        assert status == 400 and "unknown parameters" in body["error"]
 
     def test_hijacks_served_from_event_store(self, served):
         url, truth = served
@@ -166,22 +166,12 @@ class TestEventsAPI:
         assert any(c["prefix"] == str(truth.forged_prefix)
                    for c in body["cases"])
 
-    def test_hijack_scan_model_cached(self, served):
-        url, _ = served
-        status, first = get_json(url + "/hijacks?source=scan")
-        assert status == 200 and first["model_cache"] == "miss"
-        # Different threshold, same window: answered from the cache.
-        status, second = get_json(
-            url + "/hijacks?source=scan&threshold=0.9")
-        assert status == 200 and second["model_cache"] == "hit"
-
     def test_status_reports_event_block(self, served):
         url, _ = served
         status, body = get_json(url + "/status")
         assert status == 200
         assert body["events"]["total"] >= 3
         assert body["events"]["states"]["resolved"] >= 3
-        assert body["hijack_model_cache"]["hits"] >= 1
 
     def test_metrics_exports_open_gauge(self, served):
         url, _ = served
@@ -196,9 +186,12 @@ class TestNoStoreFallback:
         directory, _, _, _ = showcase
         engine = QueryEngine(directory)
         with QueryAPIServer(engine) as server:
-            status, body = get_json(server.url + "/events")
-            assert status == 404
-            # /moas silently falls back to the on-demand scan.
-            status, body = get_json(server.url + "/moas")
-            assert status == 200 and body["source"] == "scan"
+            # One source, one lifecycle: nothing is re-derived from
+            # the archive per request.
+            for path in ("/events", "/moas", "/hijacks"):
+                status, body = get_json(server.url + path)
+                assert status == 404
+                assert "--events" in body["error"]
+            status, _ = get_json(server.url + "/moas?source=scan")
+            assert status == 400
         engine.close()

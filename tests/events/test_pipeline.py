@@ -226,7 +226,7 @@ class TestEventPipeline:
         archive.close()
 
         live = EventStore(path)
-        EventPipeline(store=live).attach(archive, replay=True)
+        EventPipeline(store=live).attach(archive)
         with open(path) as handle:
             live_journal = handle.read()
 

@@ -1,6 +1,8 @@
 """Chaos tests: injected faults, supervision, and crash recovery."""
 
 import math
+import time
+import zlib
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.pipeline import (
     FaultPlan,
     FaultSpec,
     InjectedCrash,
+    PeerSession,
     PipelineConfig,
     PipelineMetrics,
     SessionFault,
@@ -22,7 +25,8 @@ from repro.pipeline import (
     WriterStage,
 )
 from repro.pipeline.faults import REORDER_SKEW_S, FaultyStream
-from repro.pipeline.stages import Disposition, ShardDone, WatermarkAdvance
+from repro.pipeline.stages import END_OF_STREAM, Disposition, Heartbeat, \
+    ShardDone, WatermarkAdvance
 from repro.workload import StreamConfig, SyntheticStreamGenerator, \
     split_by_vp
 
@@ -534,9 +538,8 @@ class TestWriterReorderRegressions:
     def test_duplicate_timestamps_all_emitted(self):
         items = [self.disp(100.0, "s1"), self.disp(100.0, "s2"),
                  self.disp(100.0, "s1")]
-        for shard in range(2):
-            for session in ("s1", "s2"):
-                items.append(WatermarkAdvance(shard, session, 100.0))
+        for session in ("s1", "s2"):
+            items.append(WatermarkAdvance(session, 100.0))
         items += [ShardDone(), ShardDone()]
         mirrored, snapshot = self.drive(items)
         assert len(mirrored) == 3
@@ -545,13 +548,12 @@ class TestWriterReorderRegressions:
 
     def test_late_heartbeat_does_not_rewind_watermark(self):
         items = []
-        for shard in range(2):
-            for session in ("s1", "s2"):
-                items.append(WatermarkAdvance(shard, session, 200.0))
+        for session in ("s1", "s2"):
+            items.append(WatermarkAdvance(session, 200.0))
         items.append(self.disp(150.0, "s1"))
         # A duplicate delivery of an OLD heartbeat arrives late: the
         # watermark must stay at 200 so the t=150 update still emits.
-        items.append(WatermarkAdvance(0, "s1", 50.0))
+        items.append(WatermarkAdvance("s1", 50.0))
         items.append(self.disp(180.0, "s2"))
         items += [ShardDone(), ShardDone()]
         mirrored, snapshot = self.drive(items)
@@ -565,6 +567,52 @@ class TestWriterReorderRegressions:
                  ShardDone(), ShardDone()]
         mirrored, _ = self.drive(items)
         assert [u.time for u in mirrored] == [250.0, 300.0]
+
+    def test_ended_session_releases_the_watermark(self):
+        """One watermark per session: a session that ended (or was
+        quarantined) sends END_OF_STREAM once, through its own shard,
+        and from then on only the live session gates the heap."""
+        queue = BoundedQueue(64)
+        metrics = PipelineMetrics()
+        mirrored = []
+        writer = WriterStage(queue, 2, ["s1", "s2"], metrics=metrics,
+                             mirror=lambda u, r: mirrored.append(u))
+        writer.start()
+        queue.put(self.disp(150.0, "s2"))
+        queue.put(WatermarkAdvance("s1", END_OF_STREAM))
+        time.sleep(0.2)
+        assert mirrored == []           # s2 has not passed 150 yet
+        queue.put(WatermarkAdvance("s2", 200.0))
+        deadline = time.monotonic() + 5.0
+        while not mirrored and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [u.time for u in mirrored] == [150.0]
+        queue.put(ShardDone())
+        queue.put(ShardDone())
+        writer.join(timeout=10.0)
+        assert not writer.is_alive() and writer.error is None
+
+
+class TestSessionLivesOnOneShard:
+    def test_one_heartbeat_is_one_control_message(self):
+        """Updates, heartbeats and the end-of-stream marker all go
+        through the one queue the session's name picks; the other
+        shards never hear of the session."""
+        queues = [BoundedQueue(64) for _ in range(3)]
+        session = PeerSession(
+            "rrc00", [upd(float(t), f"vp{t % 2}") for t in range(4)],
+            queues, metrics=PipelineMetrics(), heartbeat_every=2)
+        session.start()
+        session.join(timeout=10.0)
+        assert not session.is_alive()
+        home = zlib.crc32(b"rrc00") % 3
+        for shard, queue in enumerate(queues):
+            if shard != home:
+                assert len(queue) == 0
+        items = [queues[home].get() for _ in range(len(queues[home]))]
+        assert [i.time for i in items if isinstance(i, Heartbeat)] \
+            == [1.0, 3.0, END_OF_STREAM]
+        assert len(items) == 4 + 3
 
 
 class TestGillFilteringChaos:

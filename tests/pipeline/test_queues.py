@@ -40,6 +40,50 @@ class TestBasics:
         assert queue.gauge.high_water == 5
 
 
+class TestGetMany:
+    def test_takes_the_oldest_items_up_to_the_limit(self):
+        queue = BoundedQueue(8)
+        for item in "abcde":
+            queue.put(item)
+        assert queue.get_many(3) == ["a", "b", "c"]
+        assert queue.get_many(10) == ["d", "e"]
+        assert queue.gauge.value == 0
+
+    def test_waits_for_a_first_item_like_get(self):
+        queue = BoundedQueue(2)
+        with pytest.raises(QueueEmpty):
+            queue.get_many(4, timeout=0.01)
+        threading.Timer(0.02, queue.put, args=("late",)).start()
+        assert queue.get_many(4, timeout=1.0) == ["late"]
+
+    def test_closed_queue_drains_then_raises(self):
+        queue = BoundedQueue(2)
+        queue.put("a")
+        queue.close()
+        assert queue.get_many(4) == ["a"]
+        with pytest.raises(QueueClosed):
+            queue.get_many(4)
+
+
+class TestProducerWakeUp:
+    def test_batch_drain_wakes_a_producer_per_freed_slot(self):
+        queue = BoundedQueue(2)
+        queue.put(0)
+        queue.put(1)
+        producers = [threading.Thread(target=queue.put, args=(item,),
+                                      daemon=True)
+                     for item in ("p1", "p2")]
+        for thread in producers:
+            thread.start()
+        time.sleep(0.05)
+        assert all(thread.is_alive() for thread in producers)
+        assert queue.get_many(2) == [0, 1]
+        for thread in producers:
+            thread.join(timeout=2.0)
+            assert not thread.is_alive()
+        assert sorted(queue.get_many(2)) == ["p1", "p2"]
+
+
 class TestPutTimeout:
     def test_put_timeout_raises_queue_full(self):
         queue = BoundedQueue(1)

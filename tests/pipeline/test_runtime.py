@@ -2,13 +2,12 @@
 
 import gc
 import weakref
+import zlib
 
 import pytest
 
 from repro.bgp.archive import RollingArchiveWriter
 from repro.bgp.filtering import DropRule, FilterTable
-from repro.bgp.message import BGPUpdate
-from repro.bgp.prefix import Prefix
 from repro.bgp.validation import RouteValidator
 from repro.core.forwarding import ForwardingRule, ForwardingService
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
@@ -19,7 +18,6 @@ from repro.pipeline import (
     InjectedCrash,
     PipelineConfig,
     ServiceCostModel,
-    shard_for,
 )
 from repro.workload import (
     StreamConfig,
@@ -55,21 +53,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(n_shards=0),
-        dict(shard_by="asn"),
+        dict(metrics_interval_s=0.0),
         dict(overflow_policy="spill"),
         dict(time_scale=0.0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
-
-    def test_shard_for_stable_and_bounded(self):
-        update = BGPUpdate("vp1", 0.0, Prefix.parse("10.0.0.0/24"), (1, 2))
-        assert shard_for(update, 4, "vp") == shard_for(update, 4, "vp")
-        for key in ("vp", "prefix"):
-            assert 0 <= shard_for(update, 3, key) < 3
-        with pytest.raises(ValueError):
-            shard_for(update, 4, "asn")
 
 
 class TestLosslessRun:
@@ -102,22 +92,39 @@ class TestLosslessRun:
         assert result.metrics.retained == len(expected_retained)
         assert result.metrics.discarded == len(expected_discarded)
 
-    @pytest.mark.parametrize("shard_by", ["vp", "prefix"])
+    @pytest.mark.parametrize("sessions", ["vp", "mixed"])
     def test_archive_written_in_time_order(self, synthetic_stream,
-                                           tmp_path, shard_by):
-        """Many shards must still feed the order-strict archive."""
+                                           tmp_path, sessions):
+        """Many shards must still feed the order-strict archive —
+        whether a session carries one VP or (a route-server feed)
+        interleaves several: either way it lives on one shard."""
+        if sessions == "vp":
+            streams = split_by_vp(synthetic_stream)
+        else:
+            vps = sorted({u.vp for u in synthetic_stream})
+            streams = {
+                f"feed{i}": [u for u in synthetic_stream
+                             if vps.index(u.vp) % 4 == i]
+                for i in range(4)}
+            assert all(len({u.vp for u in feed}) > 1
+                       for feed in streams.values())
         archive = RollingArchiveWriter(str(tmp_path), interval_s=300.0,
                                        compress=False)
         mirrored = []
         pipeline = CollectionPipeline(
-            PipelineConfig(n_shards=5, shard_by=shard_by,
+            PipelineConfig(n_shards=5,
                            overflow_policy="block", heartbeat_every=16),
             archive=archive,
             mirror=lambda u, retained: mirrored.append(u),
         )
-        result = pipeline.run(split_by_vp(synthetic_stream),
-                              timeout=TIMEOUT)
+        result = pipeline.run(streams, timeout=TIMEOUT)
         assert_accounted(result)
+        # Each shard handled exactly the streams of the sessions whose
+        # name hashes to it: no session was spread over two shards.
+        expected = [0] * 5
+        for name, feed in streams.items():
+            expected[zlib.crc32(name.encode()) % 5] += len(feed)
+        assert [w.processed_count for w in pipeline._workers] == expected
         # The mirror callback observed a globally time-ordered stream.
         assert all(a.time <= b.time
                    for a, b in zip(mirrored, mirrored[1:]))

@@ -345,6 +345,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuerySpec(limit=-1)
 
+    @pytest.mark.parametrize("bounds", [
+        dict(start=math.nan), dict(end=math.nan)])
+    def test_nan_bounds_rejected(self, bounds):
+        """nan != nan, so a spec carrying one could never hit the
+        result cache it is the key of."""
+        with pytest.raises(ValueError):
+            QuerySpec(**bounds)
+
+    @pytest.mark.parametrize("params", [
+        {"start": "nan"}, {"end": "nan"}, {"start": "inf"},
+        {"start": "-inf"}, {"end": "-inf"}])
+    def test_from_params_rejects_non_finite(self, params):
+        with pytest.raises(ValueError):
+            QuerySpec.from_params(params)
+
     def test_from_params(self):
         spec = QuerySpec.from_params({
             "prefix": "10.0.0.0/24", "vp": "vp1", "origin": "65001",
@@ -353,3 +368,5 @@ class TestSpecValidation:
         assert spec.origin == 65001 and spec.limit == 3
         with pytest.raises(ValueError):
             QuerySpec.from_params({"bogus": "1"})
+        # An open-ended range stays expressible.
+        assert QuerySpec.from_params({"end": "inf"}).end == math.inf

@@ -99,7 +99,6 @@ class TestTokenLRU:
         assert cache.get("b", 1) is None
         assert cache.get("a", 1) == b"aaaa"
         assert cache.get("c", 1) == b"cccc"
-        assert (cache.hits, cache.misses) == (3, 1)
 
     def test_over_budget_value_is_not_retained(self):
         cache = WatermarkLRUCache(10, weigh=len)
@@ -116,7 +115,6 @@ class TestTokenLRU:
         assert cache.weight == 2
         assert cache.get("a", 1) is None         # stale token: evicted
         assert cache.weight == 0 and cache.invalidations == 1
-        assert (cache.hits, cache.misses) == (0, 1)
         cache.put("b", 1, b"bbb")
         cache.discard("b")
         cache.discard("never-there")
@@ -401,6 +399,7 @@ class TestManifestMemo:
                     with QueryEngine(directory) as fresh:
                         assert engine.query(argument) \
                             == fresh.query(argument)
-                        assert engine.state_token() == fresh.state_token()
+                        assert engine.catalog.segments() \
+                            == fresh.catalog.segments()
                 assert engine.query(EVERYTHING) \
                     == writer.read_range(0.0, math.inf)

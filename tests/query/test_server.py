@@ -19,6 +19,7 @@ import pytest
 from repro.bgp.archive import INDEX_SUFFIX, RollingArchiveWriter
 from repro.bgp.rib import Route
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
+from repro.events import EventPipeline
 from repro.pipeline import FaultPlan, InjectedCrash, PipelineConfig, \
     SupervisorConfig
 from repro.query import QueryAPIServer, QueryEngine, index_path
@@ -82,8 +83,12 @@ def epoch_archive(stream, tmp_path_factory):
 @pytest.fixture(scope="module")
 def server(epoch_archive):
     archive, _, _ = epoch_archive
+    # /moas, /hijacks and /events answer from an event store only;
+    # this one is the collector's function of the sealed segments.
+    events = EventPipeline()
+    events.sync(archive.segments)
     engine = QueryEngine(archive)
-    with QueryAPIServer(engine) as api:
+    with QueryAPIServer(engine, events=events.store) as api:
         yield api
     engine.close()
 
@@ -157,8 +162,8 @@ class TestEndpoints:
         status, body = get_json(server.url + "/hijacks?threshold=0.5")
         assert status == 200
         assert body["threshold"] == 0.5
-        assert body["trained_on"] > 0 and body["scanned"] > 0
         assert body["count"] == len(body["cases"])
+        assert all(case["score"] >= 0.5 for case in body["cases"])
 
     def test_status(self, server, epoch_archive):
         archive, _, _ = epoch_archive
@@ -296,7 +301,7 @@ class TestRecoveredArchiveServing:
             assert [(u["time"], u["vp"], u["prefix"])
                     for u in body["updates"]] \
                 == [(u.time, u.vp, str(u.prefix)) for u in want]
-            for path in ("/vps", "/moas", "/hijacks", "/status"):
+            for path in ("/vps", "/status"):
                 status, _ = get_json(api.url + path)
                 assert status == 200
 
@@ -314,6 +319,37 @@ def sample_total(registry, name, **labels):
         if all(sample["labels"].get(k) == v for k, v in labels.items()):
             total += sample["value"]
     return total
+
+
+class TestNonFiniteParameters:
+    """Numbers arriving from the socket: NaN is never a value, and
+    ±inf only where a range may be open-ended."""
+
+    @pytest.mark.parametrize("query", [
+        "/hijacks?threshold=nan", "/hijacks?threshold=inf",
+        "/updates?start=nan", "/updates?end=nan", "/updates?start=-inf",
+        "/moas?start=nan", "/events?end=nan", "/rib?time=nan",
+    ])
+    def test_rejected_with_400(self, server, query):
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(server.url + query, timeout=10)
+        assert caught.value.code == 400
+        # The body is JSON proper — no bare NaN / Infinity token.
+        assert "error" in json.loads(
+            caught.value.read(), parse_constant=pytest.fail)
+
+    def test_open_ended_range_still_valid(self, server):
+        status, body = get_json(server.url + "/updates?end=inf&limit=1")
+        assert status == 200 and body["count"] == 1
+        status, _ = get_json(server.url + "/events?end=inf")
+        assert status == 200
+
+    def test_nan_leaves_no_dead_cache_entries(self, server):
+        before = len(server.engine.cache)
+        for _ in range(3):
+            status, _ = get_json(server.url + "/updates?start=nan")
+            assert status == 400
+        assert len(server.engine.cache) == before
 
 
 class TestHealthProbes:

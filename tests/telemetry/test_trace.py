@@ -120,7 +120,7 @@ class TestPipelineIntegration:
         updates = small_stream()
         pipeline = CollectionPipeline(PipelineConfig(
             n_shards=2, overflow_policy="block",
-            trace_sample_rate=1.0, trace_ring=16))
+            trace_sample_rate=1.0))
         result = pipeline.run(split_by_vp(updates), timeout=TIMEOUT)
         tracer = pipeline.metrics.tracer
         # Every update that reached the writer finished a span.

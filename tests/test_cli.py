@@ -100,7 +100,6 @@ class TestPipeline:
         out_dir = str(tmp_path / "segments")
         code = main(["pipeline", archive,
                      "--train-filters", "--validate",
-                     "--shard-by", "prefix",
                      "--archive-dir", out_dir,
                      "--per-session"])
         assert code == 0
@@ -250,6 +249,64 @@ class TestEventsCLI:
         out = capsys.readouterr().out
         assert "event store: " in out
         assert "ok 200 /events " in out
+
+    def test_serve_events_builds_a_missing_journal(self, event_archive,
+                                                   tmp_path, capsys):
+        """The same input collected without --events: `serve --events`
+        builds the journal the collector would have written, once."""
+        import json
+        import os
+        import urllib.request
+
+        from repro.events import EventStore, journal_path_for
+        from repro.query import QueryAPIServer, QueryEngine
+
+        bare = str(tmp_path / "bare")
+        assert main(["pipeline", str(tmp_path / "showcase.mrt.bz2"),
+                     "--archive-dir", bare, "--checkpoint",
+                     "--index"]) == 0
+        journal = journal_path_for(bare)
+        listing = sorted(os.listdir(bare))
+        capsys.readouterr()
+
+        # Default serve: no store, no backfill, no file.
+        assert main(["serve", bare, "--port", "0", "--smoke"]) == 0
+        out = capsys.readouterr().out
+        for endpoint in ("/moas", "/hijacks", "/events"):
+            assert f"ok 404 {endpoint} " in out
+        assert "ok 400 /moas?source=scan " in out
+        assert sorted(os.listdir(bare)) == listing
+
+        assert main(["serve", bare, "--port", "0", "--smoke",
+                     "--events"]) == 0
+        out = capsys.readouterr().out
+        for endpoint in ("/moas", "/hijacks", "/events"):
+            assert f"ok 200 {endpoint} " in out
+        with open(journal, "rb") as built, \
+                open(journal_path_for(event_archive), "rb") as collected:
+            assert built.read() == collected.read()
+
+        # A second start finds the journal and rewrites nothing.
+        stamp = os.stat(journal)
+        assert main(["serve", bare, "--port", "0", "--smoke",
+                     "--events"]) == 0
+        assert "built from" not in capsys.readouterr().out
+        after = os.stat(journal)
+        assert (after.st_ino, after.st_mtime_ns, after.st_size) \
+            == (stamp.st_ino, stamp.st_mtime_ns, stamp.st_size)
+
+        def bodies(directory):
+            engine = QueryEngine(directory)
+            store = EventStore(journal_path_for(directory))
+            with QueryAPIServer(engine, events=store) as api:
+                found = [json.load(urllib.request.urlopen(
+                    api.url + path, timeout=30))
+                    for path in ("/moas", "/hijacks", "/events")]
+            engine.close()
+            return found
+
+        assert bodies(bare) == bodies(event_archive)
+        assert bodies(bare)[0]["count"] >= 1
 
     def test_serve_no_events_flag(self, event_archive, capsys):
         assert main(["serve", event_archive, "--port", "0", "--smoke",
