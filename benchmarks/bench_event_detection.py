@@ -35,7 +35,7 @@ except ImportError:                      # standalone invocation
 
 from repro.bgp.archive import RollingArchiveWriter
 from repro.events import (
-    EVENT_TYPES,
+    ROUTING_EVENT_TYPES,
     EventPipeline,
     EventState,
     EventStore,
@@ -110,7 +110,9 @@ def run_query_load(store, repeats=QUERY_REPEATS):
 
 def check_detections(store):
     types = {t for e in store.events() for t in e.types}
-    missing = set(EVENT_TYPES) - types
+    # Integrity incidents come from repro.guard on quarantine, not
+    # from a detector; the showcase seeds one of each routing type.
+    missing = set(ROUTING_EVENT_TYPES) - types
     assert not missing, f"undetected incident types: {sorted(missing)}"
     assert all(e.state == EventState.RESOLVED for e in store.events())
 

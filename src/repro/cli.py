@@ -511,8 +511,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     engine = QueryEngine(
         args.directory,
         compressed=False if args.no_compress else None,
-        max_workers=args.workers,
-        cache_size=args.cache_size,
         persist_indexes=not args.no_persist_indexes,
         stats=metrics.query,
         guard=guard,
@@ -883,10 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8480,
                    help="TCP port (0 picks a free one)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="segment-decode thread pool size")
-    p.add_argument("--cache-size", type=int, default=128,
-                   help="LRU result-cache entries (0 disables)")
     p.add_argument("--no-persist-indexes", action="store_true",
                    help="keep lazily built indexes in memory only")
     p.add_argument("--events", dest="events", action="store_true",
@@ -903,8 +897,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-limit", type=int, default=16,
                    help="admission queue depth (0 sheds instantly)")
     p.add_argument("--request-timeout", type=float, default=30.0,
-                   help="per-request deadline in seconds, propagated "
-                        "into the engine's decode loops")
+                   help="per-request deadline in seconds, polled "
+                        "before each segment read and inside view "
+                        "builds")
     p.add_argument("--scrub-interval", type=float, default=300.0,
                    help="background scrubber verifies one segment "
                         "every N seconds")

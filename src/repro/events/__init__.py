@@ -29,8 +29,8 @@ from .detectors import (
     SubPrefixStreamDetector,
     default_detectors,
 )
-from .model import EVENT_TYPES, Detection, Event, EventState, \
-    sort_detections
+from .model import EVENT_TYPES, ROUTING_EVENT_TYPES, Detection, Event, \
+    EventState, sort_detections
 from .pipeline import DEFAULT_RESOLVE_AFTER_S, EventCorrelator, \
     EventPipeline
 from .report import render_event_report, render_event_table, \
@@ -51,6 +51,7 @@ __all__ = [
     "MOASStreamDetector",
     "MassWithdrawalDetector",
     "OriginHijackStreamDetector",
+    "ROUTING_EVENT_TYPES",
     "StreamingDetector",
     "SubPrefixStreamDetector",
     "default_detectors",

@@ -34,6 +34,10 @@ EVENT_TYPES: Tuple[str, ...] = (
     "integrity",
 )
 
+#: The routing anomalies: every type a detector (not repro.guard) emits.
+ROUTING_EVENT_TYPES: Tuple[str, ...] = tuple(
+    etype for etype in EVENT_TYPES if etype != "integrity")
+
 
 class EventState:
     """Incident lifecycle states (stored as plain strings)."""

@@ -2,9 +2,9 @@
 
 Turns sealed archive segments into a queryable, cacheable service:
 per-segment indexes (prefix/VP/origin postings + bloom fingerprints)
-built at seal time or lazily, a planner/executor that decodes only
-matching segments — and within them only matching record offsets — on
-a thread pool, an LRU result cache invalidated by the archive
+built at seal time or lazily, a planner that reads only segments that
+can match, per-segment views that decode, sort and render a verified
+segment once, an LRU result cache invalidated by the archive
 watermark, and a stdlib HTTP JSON API (``repro-bgp serve``).
 """
 
@@ -14,6 +14,7 @@ from .engine import (
     QueryEngine,
     WriterCatalog,
     open_catalog,
+    update_to_json,
 )
 from .index import (
     BloomFilter,
@@ -23,14 +24,13 @@ from .index import (
     index_path,
     load_index,
 )
-from .planner import PlannedSegment, QueryPlan, QuerySpec, plan_query
-from .server import QueryAPIServer, update_to_json
+from .planner import QueryPlan, QuerySpec, plan_query
+from .server import QueryAPIServer
 from .stats import QueryStats, QueryStatsSnapshot, render_query_stats
 
 __all__ = [
     "BloomFilter",
     "DirectoryCatalog",
-    "PlannedSegment",
     "QueryAPIServer",
     "QueryEngine",
     "QueryPlan",

@@ -6,18 +6,20 @@ by a *token* stored beside the value.  A lookup whose stored token
 differs from the caller's current one is treated as a miss and the
 stale entry is evicted.  The engine uses the class twice:
 
-* the **result cache** keys answers by query spec and pins them to the
-  archive's *watermark token* — ``(durable watermark, segment count)``
-  — which changes whenever the writer seals a new segment or recovery
-  truncates the archive, so a live pipeline can keep appending while
-  the serving side never returns a stale answer;
-* the **payload memo** keys decompressed segment payloads by path and
-  pins them to the identity of the compressed bytes that were just
-  read and verified — ``(size, CRC32)`` — so a rewritten or corrupted
-  file can never be answered from an older payload.
+* the **result cache** of ``QueryEngine.query`` keys answers by query
+  spec and pins them to the archive's *watermark token* — ``(durable
+  watermark, segment count)`` — which changes whenever the writer
+  seals a new segment or recovery truncates the archive, so a live
+  pipeline can keep appending while the library never returns a stale
+  answer;
+* the **segment-view memo** keys each segment's decoded, sorted and
+  rendered view by path and pins it to the identity of the file bytes
+  that were just read and verified — ``(size, CRC32)`` — so a
+  rewritten or corrupted file can never be answered from an older
+  view.
 
 Capacity is counted in whatever ``weigh`` measures: entries by default
-(the result cache), bytes with ``weigh=len`` (the payload memo).
+(the result cache), bytes for the view memo.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ segment file (``<segment>.idx``):
 
 * **postings** — for every prefix, VP and origin AS appearing in the
   segment, the byte offsets (into the decompressed payload) of the
-  matching records, so a single-prefix query decodes only its own
-  records instead of the whole segment;
+  matching records: their keys settle what the bloom only suggests,
+  and their lengths answer ``/vps`` without reading the segment;
 * a **bloom fingerprint** over all three key spaces, so the planner
   can rule a segment out without opening the segment *or* walking the
-  postings maps;
+  postings maps (:class:`IndexProbe` hashes a query's keys once for
+  every segment);
 * the record **count** and the segment file's **size**, which is the
   staleness check: an index whose recorded size disagrees with the
   file on disk is ignored and rebuilt (the lazy path for archives
@@ -97,6 +98,56 @@ def _origin_key(origin: int) -> str:
     return f"o:{origin}"
 
 
+class IndexProbe:
+    """One query's predicates, keyed once for every segment's index.
+
+    The planner asks each segment of the archive the same question.
+    Formatting the prefix and hashing the bloom keys is most of that
+    work, so it happens here once per query: the postings key texts up
+    front, and the bloom bitmask of all keys once per distinct bloom
+    shape ``(n_bits, n_hashes)``.  A segment is then a mask test and a
+    dict lookup per predicate.
+    """
+
+    __slots__ = ("_postings", "_bloom_keys", "_masks")
+
+    def __init__(self, prefix: Optional[Prefix] = None,
+                 vp: Optional[str] = None,
+                 origin: Optional[int] = None):
+        #: (SegmentIndex postings attribute, key) per predicate.
+        self._postings: List[Tuple[str, str]] = []
+        self._bloom_keys: List[str] = []
+        if prefix is not None:
+            self._postings.append(("prefixes", str(prefix)))
+            self._bloom_keys.append(_prefix_key(prefix))
+        if vp is not None:
+            self._postings.append(("vps", vp))
+            self._bloom_keys.append(_vp_key(vp))
+        if origin is not None:
+            self._postings.append(("origins", str(origin)))
+            self._bloom_keys.append(_origin_key(origin))
+        self._masks: Dict[Tuple[int, int], int] = {}
+
+    def _mask(self, bloom: BloomFilter) -> int:
+        shape = (bloom.n_bits, bloom.n_hashes)
+        mask = self._masks.get(shape)
+        if mask is None:
+            mask = 0
+            for key in self._bloom_keys:
+                for position in bloom._positions(key):
+                    mask |= 1 << position
+            self._masks[shape] = mask
+        return mask
+
+    def may_match(self, index: "SegmentIndex") -> bool:
+        """:meth:`SegmentIndex.may_match` for these predicates."""
+        mask = self._mask(index.bloom)
+        if index.bloom.bits & mask != mask:
+            return False
+        return all(key in getattr(index, family)
+                   for family, key in self._postings)
+
+
 @dataclass
 class SegmentIndex:
     """The decoded index of one sealed segment."""
@@ -118,41 +169,7 @@ class SegmentIndex:
         """Can any record match the given predicates?  False is exact
         (the segment can be pruned); True may still be a false
         positive of the bloom, which the postings then resolve."""
-        if prefix is not None and _prefix_key(prefix) not in self.bloom:
-            return False
-        if vp is not None and _vp_key(vp) not in self.bloom:
-            return False
-        if origin is not None and _origin_key(origin) not in self.bloom:
-            return False
-        if prefix is not None and str(prefix) not in self.prefixes:
-            return False
-        if vp is not None and vp not in self.vps:
-            return False
-        if origin is not None and str(origin) not in self.origins:
-            return False
-        return True
-
-    def candidate_offsets(self, prefix: Optional[Prefix] = None,
-                          vp: Optional[str] = None,
-                          origin: Optional[int] = None
-                          ) -> Optional[List[int]]:
-        """Record offsets that could match, or None for "all records".
-
-        Picks the most selective postings list among the given
-        predicates; the decoded records still go through the full
-        predicate, so over-approximation is fine and intersection
-        is unnecessary.
-        """
-        postings: List[List[int]] = []
-        if prefix is not None:
-            postings.append(self.prefixes.get(str(prefix), []))
-        if vp is not None:
-            postings.append(self.vps.get(vp, []))
-        if origin is not None:
-            postings.append(self.origins.get(str(origin), []))
-        if not postings:
-            return None
-        return min(postings, key=len)
+        return IndexProbe(prefix, vp, origin).may_match(self)
 
     # -- serialization -------------------------------------------------------
 

@@ -3,10 +3,9 @@
 A :class:`QuerySpec` is the engine's (and the HTTP API's) unit of
 work: optional exact-match predicates on prefix, VP and origin AS,
 plus a half-open time range and a result limit.  The planner turns a
-spec into a :class:`QueryPlan`: which sealed segments must be decoded
-(and, via the per-segment postings, *which byte offsets within them*),
+spec into a :class:`QueryPlan`: which sealed segments must be read,
 and which can be pruned — by the time range without touching any file,
-or by the index without decoding the segment.
+or by the index without reading the segment.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..bgp.archive import ArchiveSegment
 from ..bgp.message import BGPUpdate
 from ..bgp.prefix import Prefix
-from .index import SegmentIndex
+from .index import IndexProbe, SegmentIndex
 
 
 def float_param(params: "dict[str, str]", name: str,
@@ -108,24 +107,14 @@ class QuerySpec:
 
 
 @dataclass(frozen=True)
-class PlannedSegment:
-    """One segment the executor must decode.
-
-    ``offsets`` is the postings-selected candidate set (byte offsets
-    into the decompressed payload); None means no index was available
-    and the whole segment is decoded.
-    """
-
-    segment: ArchiveSegment
-    offsets: Optional[Tuple[int, ...]]
-
-
-@dataclass(frozen=True)
 class QueryPlan:
-    """The pruning decision for every segment of the archive."""
+    """The pruning decision for every segment of the archive.
+
+    ``scan`` lists, in archive order, the segments that must be read:
+    the index could not rule them out (or there was no index)."""
 
     spec: QuerySpec
-    scan: Tuple[PlannedSegment, ...]
+    scan: Tuple[ArchiveSegment, ...]
     pruned_time: int
     pruned_index: int
 
@@ -141,25 +130,21 @@ def plan_query(segments: Sequence[ArchiveSegment], spec: QuerySpec,
     """Prune segments against a spec.
 
     ``index_for`` resolves a segment to its (possibly lazily built)
-    index; returning None for a segment degrades that segment to a
-    full decode — correct, just slower — so the planner works
-    unchanged over pre-index archives.
+    index; returning None for a segment keeps it in the scan —
+    correct, just slower — so the planner works unchanged over
+    pre-index archives.  The spec's index keys are computed once for
+    all segments (:class:`~repro.query.index.IndexProbe`).
     """
-    scan: List[PlannedSegment] = []
+    probe = IndexProbe(spec.prefix, spec.vp, spec.origin)
+    scan: List[ArchiveSegment] = []
     pruned_time = pruned_index = 0
     for segment in segments:
         if segment.end <= spec.start or segment.start >= spec.end:
             pruned_time += 1
             continue
         index = index_for(segment) if index_for is not None else None
-        if index is None:
-            scan.append(PlannedSegment(segment, None))
-            continue
-        if not index.may_match(spec.prefix, spec.vp, spec.origin):
+        if index is not None and not probe.may_match(index):
             pruned_index += 1
             continue
-        offsets = index.candidate_offsets(spec.prefix, spec.vp,
-                                          spec.origin)
-        scan.append(PlannedSegment(
-            segment, None if offsets is None else tuple(offsets)))
+        scan.append(segment)
     return QueryPlan(spec, tuple(scan), pruned_time, pruned_index)

@@ -3,11 +3,12 @@
 bgproutes.io's pitch (§8) is that collected data is *easy to get at* —
 per-prefix, per-VP lookups rather than "download the MRT files and
 grep".  This module serves that API from the Python standard library
-(``ThreadingHTTPServer``; one OS thread per request, which matches the
-engine's thread-pool executor and GIL-releasing bz2 decode):
+(``ThreadingHTTPServer``; one OS thread per request):
 
 * ``GET /updates``   — archived updates; params ``prefix``, ``vp``,
-  ``origin``, ``start``, ``end``, ``limit``;
+  ``origin``, ``start``, ``end``, ``limit``; the body is joined from
+  the elements the engine rendered once per sealed segment
+  (:meth:`~repro.query.engine.QueryEngine.render`);
 * ``GET /rib``       — a published RIB snapshot, streamed; params
   ``time`` (newest dump at or before it) and ``vp``;
 * ``GET /vps``       — per-VP stored-update counts from the indexes;
@@ -29,8 +30,8 @@ engine's thread-pool executor and GIL-releasing bz2 decode):
 
 Every request is traced (:class:`~repro.telemetry.distributed.
 RequestTracer`): an inbound ``X-Trace-Id`` is honoured, spans cover
-admission, the engine's cache lookup / index prune / segment decode /
-guard verification, and the response write, and **all** responses —
+admission, the engine's index prune / segment select / guard
+verification, and the response write, and **all** responses —
 including sheds and errors — carry ``X-Trace-Id`` and ``X-Request-Id``
 headers matching the server log.
 
@@ -60,7 +61,6 @@ from typing import Dict, Iterator, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from .. import __version__
-from ..bgp.message import BGPUpdate
 from ..events.store import EventStore
 from ..guard.manager import IntegrityGuard
 from ..guard.scrub import Scrubber
@@ -72,17 +72,6 @@ from .engine import QueryEngine
 from .planner import QuerySpec, float_param
 
 _log = logging.getLogger("repro.query.server")
-
-
-def update_to_json(update: BGPUpdate) -> dict:
-    return {
-        "vp": update.vp,
-        "time": update.time,
-        "prefix": str(update.prefix),
-        "as_path": list(update.as_path),
-        "communities": sorted(list(c) for c in update.communities),
-        "withdrawal": update.is_withdrawal,
-    }
 
 
 def _parse_params(query: str) -> Dict[str, str]:
@@ -131,11 +120,11 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
             self.send_header("X-Request-Id", trace.request_id)
             self._last_status = status
 
-    def _send_json(self, payload: dict, status: int = 200,
-                   headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send_body(self, body: bytes, status: int = 200,
+                   headers: Optional[Dict[str, str]] = None,
+                   content_type: str = "application/json") -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self._send_trace_headers(status)
         for name, value in (headers or {}).items():
@@ -143,15 +132,15 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_json(self, payload: dict, status: int = 200,
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        self._send_body(json.dumps(payload).encode("utf-8"), status,
+                        headers)
+
     def _send_text(self, body: str, status: int = 200) -> None:
-        encoded = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type",
-                         "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(encoded)))
-        self._send_trace_headers(status)
-        self.end_headers()
-        self.wfile.write(encoded)
+        self._send_body(body.encode("utf-8"), status,
+                        content_type="text/plain; version=0.0.4; "
+                                     "charset=utf-8")
 
     def _send_json_stream(self, chunks: Iterator[bytes]) -> None:
         """Stream a response of unknown length (chunked transfer).
@@ -325,13 +314,15 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         # Read before the query: under a live writer a watermark read
         # afterwards could cover a segment the answer does not carry.
         watermark = self.engine.watermark()
-        updates = self.engine.query(spec, deadline=self._deadline,
-                                    trace=self._trace)
-        self._send_json({
-            "watermark": watermark,
-            "count": len(updates),
-            "updates": [update_to_json(u) for u in updates],
-        })
+        count, parts = self.engine.render(spec, deadline=self._deadline,
+                                          trace=self._trace)
+        # Byte for byte json.dumps({"watermark", "count", "updates"}):
+        # the elements were rendered when their segment's view was
+        # built, so the response only joins slices of them.
+        head = json.dumps({"watermark": watermark, "count": count})
+        self._send_body(b"".join((head[:-1].encode("utf-8"),
+                                  b', "updates": [', b", ".join(parts),
+                                  b"]}")))
 
     def _get_vps(self, params: Dict[str, str]) -> None:
         unknown = set(params) - {"limit", "sort"}

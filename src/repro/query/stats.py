@@ -51,12 +51,12 @@ class QueryStatsSnapshot:
     index_builds: int = 0
     index_build_time_s: float = 0.0
     index_loads: int = 0
-    #: Scanned segments whose decompressed payload was reused / had to
-    #: be decompressed (every one is still read and verified, and
-    #: counted in ``segments_decoded``).
+    #: Scanned segments whose view was reused / had to be built
+    #: (every one is still read and verified, and counted in
+    #: ``segments_decoded``).
     payload_cache_hits: int = 0
     payload_cache_misses: int = 0
-    #: Decompressed bytes the engine retains right now.
+    #: Segment-view bytes the engine retains right now.
     payload_cache_bytes: int = 0
 
     @property
@@ -116,14 +116,14 @@ class QueryStats:
             unit="seconds")
         payloads = r.counter(
             "repro_query_payload_cache_total",
-            "Verified segment reads, by whether the decompressed "
-            "payload was reused.",
+            "Verified segment reads, by whether the segment's view "
+            "was reused.",
             labels=("result",))
         self._payload_hits = payloads.labels("hit")
         self._payload_misses = payloads.labels("miss")
         self._payload_bytes = r.gauge(
             "repro_query_payload_cache_bytes",
-            "Decompressed segment payload bytes retained in memory.",
+            "Segment-view bytes retained in memory.",
             unit="bytes")
 
     # -- write side (unchanged call sites) -----------------------------------

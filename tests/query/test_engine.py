@@ -155,7 +155,7 @@ class TestPruning:
             plan = engine.plan(QuerySpec(start=first.start,
                                          end=first.end))
             assert plan.pruned_time == len(writer.segments) - 1
-            assert [p.segment for p in plan.scan] == [first]
+            assert plan.scan == (first,)
 
     def test_selective_query_decodes_fewer_records(self, archive):
         writer, _ = archive

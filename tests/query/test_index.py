@@ -10,6 +10,7 @@ from repro.bgp.mrt import decode_record_at, iter_decoded, write_archive
 from repro.bgp.prefix import Prefix
 from repro.query.index import (
     BloomFilter,
+    IndexProbe,
     SegmentIndex,
     build_index,
     ensure_index,
@@ -96,17 +97,62 @@ class TestBuildIndex:
         indexed = {o for lst in index.prefixes.values() for o in lst}
         assert indexed == walked
 
-    def test_may_match_and_candidates(self, segment):
+    def test_may_match(self, segment):
         path, compressed = segment
         index = build_index(path, compressed)
         assert index.may_match(prefix=P1)
         assert not index.may_match(prefix=P3)
         assert index.may_match(vp="vp2", origin=65003)
         assert not index.may_match(vp="vp2", origin=999999)
-        # The most selective postings list is chosen.
-        offsets = index.candidate_offsets(prefix=P1, vp="vp3")
-        assert len(offsets) == 1
-        assert index.candidate_offsets() is None
+        assert index.may_match()
+
+
+class TestIndexProbe:
+    """One probe per query answers every segment as the per-segment
+    membership tests would, whatever the bloom's shape."""
+
+    KEYS = ([None, P1, P2, P3], [None, "vp1", "vp2", "vp9"],
+            [None, 65002, 65003, 65005, 1])
+
+    @staticmethod
+    def reference(index, prefix, vp, origin):
+        keys = []
+        if prefix is not None:
+            keys.append((f"p:{prefix}", index.prefixes, str(prefix)))
+        if vp is not None:
+            keys.append((f"v:{vp}", index.vps, vp))
+        if origin is not None:
+            keys.append((f"o:{origin}", index.origins, str(origin)))
+        return all(bloom_key in index.bloom and key in postings
+                   for bloom_key, postings, key in keys)
+
+    @pytest.mark.parametrize("shape", [(4096, 4), (64, 3), (8, 1)])
+    def test_probe_equals_per_key_membership(self, segment, shape):
+        path, compressed = segment
+        index = build_index(path, compressed)
+        bloom = BloomFilter(*shape)
+        for key in index.prefixes:
+            bloom.add(f"p:{key}")
+        for key in index.vps:
+            bloom.add(f"v:{key}")
+        for key in index.origins:
+            bloom.add(f"o:{key}")
+        index.bloom = bloom
+        other = build_index(path, compressed)      # the default shape
+        for prefix in self.KEYS[0]:
+            for vp in self.KEYS[1]:
+                for origin in self.KEYS[2]:
+                    probe = IndexProbe(prefix, vp, origin)
+                    for target in (index, other, index):
+                        assert probe.may_match(target) == self.reference(
+                            target, prefix, vp, origin), \
+                            (prefix, vp, origin, shape)
+
+    def test_bloom_alone_can_prune(self, segment):
+        path, compressed = segment
+        index = build_index(path, compressed)
+        index.prefixes[str(P3)] = []          # postings say maybe...
+        assert not IndexProbe(P3).may_match(index)   # ...the bloom: no
 
 
 class TestPersistence:

@@ -1,10 +1,11 @@
 """Safety tests for the serve path's two memos.
 
-The engine keeps the decompressed payload of a sealed segment and the
-parsed checkpoint manifest between requests.  Neither may ever change
-an answer: every read still opens and verifies the segment file, a
-payload is reused only for compressed bytes of the same size and
-CRC32, and the manifest is re-parsed whenever the file on disk moves.
+The engine keeps the view of a sealed segment (decoded, sorted and
+rendered once) and the parsed checkpoint manifest between requests.
+Neither may ever change an answer: every read still opens and
+verifies the segment file, a view is reused only for file bytes of
+the same size and CRC32, and the manifest is re-parsed whenever the
+file on disk moves.
 """
 
 import bz2
@@ -26,7 +27,7 @@ from repro.bgp.prefix import Prefix
 from repro.guard import IntegrityGuard
 from repro.pipeline.faults import corrupt_bitflip, corrupt_truncate
 from repro.query import DirectoryCatalog, QueryEngine, QuerySpec, \
-    WatermarkLRUCache
+    WatermarkLRUCache, update_to_json
 
 PREFIXES = [Prefix.parse(f"10.{i}.0.0/24") for i in range(5)]
 VPS = [f"vp{i}" for i in range(4)]
@@ -68,6 +69,25 @@ def without_segment(updates, index):
 
 def slot_spec(index):
     return QuerySpec(start=index * INTERVAL_S, end=(index + 1) * INTERVAL_S)
+
+
+def rendered(engine, spec):
+    """What /updates carries for ``spec``: (count, joined elements)."""
+    count, parts = engine.render(spec)
+    return count, b", ".join(parts)
+
+
+def expected(updates):
+    """The same, from ``json.dumps`` of the reference elements."""
+    body = json.dumps([update_to_json(u) for u in updates])
+    return len(updates), body[1:-1].encode()
+
+
+def view_weight(path):
+    """The bytes a memoised view of this (bz2) segment weighs."""
+    with open(path, "rb") as handle:
+        return engine_module.SegmentView(
+            bz2.decompress(handle.read())).weight
 
 
 def ok_verifications(guard):
@@ -127,23 +147,26 @@ class TestTokenLRU:
 
 
 class TestPayloadMemoSafety:
+    """The segment-view memo (it replaced the decompressed-payload
+    memo and reports through the same ``payload_cache`` counters)."""
+
     @manifested
     def test_steady_state_decompresses_nothing_but_verifies_all(
             self, tmp_path, manifested):
         updates = make_updates()
         build_archive(tmp_path, updates, manifested)
         guard = IntegrityGuard(str(tmp_path))
-        with QueryEngine(str(tmp_path), cache_size=0,
-                         guard=guard) as engine:
+        with QueryEngine(str(tmp_path), guard=guard) as engine:
             for _ in range(3):
-                assert engine.query(EVERYTHING) == updates
+                assert rendered(engine, EVERYTHING) == expected(updates)
             snap = engine.stats_snapshot()
         assert snap.payload_cache_misses == N_SEGMENTS
         assert snap.payload_cache_hits == 2 * N_SEGMENTS
         assert snap.segments_decoded == 3 * N_SEGMENTS
+        assert snap.records_decoded == 0        # render decodes nothing
         assert 0 < snap.payload_cache_bytes \
             <= engine_module._PAYLOAD_CACHE_BYTES
-        # Verification is per read, not per decompression.
+        # Verification is per read, not per view build.
         assert ok_verifications(guard) \
             == (3 * N_SEGMENTS if manifested else 0)
 
@@ -154,21 +177,22 @@ class TestPayloadMemoSafety:
         updates = make_updates()
         writer = build_archive(tmp_path, updates, manifested)
         guard = IntegrityGuard(str(tmp_path))
-        with QueryEngine(str(tmp_path), cache_size=0,
-                         guard=guard) as engine:
-            assert engine.query(EVERYTHING) == updates
+        with QueryEngine(str(tmp_path), guard=guard) as engine:
+            assert rendered(engine, EVERYTHING) == expected(updates)
             held = engine.stats_snapshot().payload_cache_bytes
             victim = writer.segments[2].path
             damage(victim)
-            # The payload of segment 2 is in memory and would decode
+            # The view of segment 2 is in memory and would render
             # fine; the bytes on disk no longer back it.
-            assert engine.query(EVERYTHING) == without_segment(updates, 2)
+            intact = without_segment(updates, 2)
+            assert rendered(engine, EVERYTHING) == expected(intact)
             assert guard.quarantined == (os.path.basename(victim),)
             assert not os.path.exists(victim)
             snap = engine.stats_snapshot()
             assert snap.payload_cache_hits == N_SEGMENTS - 1
             assert 0 < snap.payload_cache_bytes < held
-            assert engine.query(EVERYTHING) == without_segment(updates, 2)
+            assert engine.query(EVERYTHING) == intact
+            assert rendered(engine, EVERYTHING) == expected(intact)
 
     @manifested
     def test_rewritten_segment_serves_new_contents(self, tmp_path,
@@ -177,33 +201,31 @@ class TestPayloadMemoSafety:
         file names again — with whatever arrived the second time."""
         first = make_updates(per_segment=12)
         build_archive(tmp_path, first, manifested)
-        with QueryEngine(str(tmp_path), cache_size=0) as engine:
-            assert engine.query(EVERYTHING) == first
+        with QueryEngine(str(tmp_path)) as engine:
+            assert rendered(engine, EVERYTHING) == expected(first)
             second = make_updates(per_segment=15, salt=1)
             build_archive(tmp_path, second, manifested)
-            assert engine.query(EVERYTHING) == second
+            assert rendered(engine, EVERYTHING) == expected(second)
             snap = engine.stats_snapshot()
             assert snap.payload_cache_hits == 0
-            assert engine.query(slot_spec(3)) \
-                == [u for u in second if slot_spec(3).matches(u)]
+            slot = [u for u in second if slot_spec(3).matches(u)]
+            assert rendered(engine, slot_spec(3)) == expected(slot)
             assert engine.stats_snapshot().payload_cache_hits == 1
+            assert engine.query(slot_spec(3)) == slot
 
     def test_budget_evicts_lru_first_and_is_never_exceeded(
             self, tmp_path, monkeypatch):
         updates = make_updates()
         writer = build_archive(tmp_path, updates)
-        sizes = []
-        for segment in writer.segments:
-            with open(segment.path, "rb") as handle:
-                sizes.append(len(bz2.decompress(handle.read())))
+        sizes = [view_weight(segment.path) for segment in writer.segments]
         budget = 2 * max(sizes)
         assert 3 * min(sizes) > budget       # two fit, three never do
         monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE_BYTES", budget)
-        with QueryEngine(str(tmp_path), cache_size=0) as engine:
+        with QueryEngine(str(tmp_path)) as engine:
             def read(index):
                 before = engine.stats_snapshot().payload_cache_hits
-                assert engine.query(slot_spec(index)) \
-                    == [u for u in updates if slot_spec(index).matches(u)]
+                want = [u for u in updates if slot_spec(index).matches(u)]
+                assert rendered(engine, slot_spec(index)) == expected(want)
                 snap = engine.stats_snapshot()
                 assert snap.payload_cache_bytes <= budget
                 return snap.payload_cache_hits - before
@@ -222,40 +244,48 @@ class TestPayloadMemoSafety:
         updates = make_updates()
         build_archive(tmp_path, updates)
         monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE_BYTES", 16)
-        with QueryEngine(str(tmp_path), cache_size=0) as engine:
+        with QueryEngine(str(tmp_path)) as engine:
             for _ in range(2):
-                assert engine.query(EVERYTHING) == updates
+                assert rendered(engine, EVERYTHING) == expected(updates)
+            assert engine.query(EVERYTHING) == updates
             snap = engine.stats_snapshot()
         assert snap.payload_cache_bytes == 0
         assert snap.payload_cache_hits == 0
-        assert snap.payload_cache_misses == 2 * N_SEGMENTS
+        assert snap.payload_cache_misses == 3 * N_SEGMENTS
 
     def test_threads_on_overlapping_segments_match_a_fresh_engine(
             self, tmp_path, monkeypatch):
         updates = make_updates(per_segment=40)
         writer = build_archive(tmp_path, updates)
-        with open(writer.segments[0].path, "rb") as handle:
-            one_payload = len(bz2.decompress(handle.read()))
+        one_view = view_weight(writer.segments[0].path)
         # Room for about half the archive, so hits, misses and
         # evictions all happen while the threads overlap.
         monkeypatch.setattr(engine_module, "_PAYLOAD_CACHE_BYTES",
-                            3 * one_payload + one_payload // 2)
+                            3 * one_view + one_view // 2)
         specs = [EVERYTHING, QuerySpec(prefix=PREFIXES[0]),
                  QuerySpec(vp=VPS[1], start=150.0, end=450.0),
                  QuerySpec(origin=ORIGINS[2]),
                  QuerySpec(start=250.0, end=600.0, limit=30)] \
             + [slot_spec(i) for i in range(N_SEGMENTS)]
-        expected = {}
+        expected_answers = {}
         for spec in specs:
             with QueryEngine(str(tmp_path), cache_size=0) as fresh:
-                expected[spec.key()] = fresh.query(spec)
+                expected_answers[spec.key()] = (rendered(fresh, spec),
+                                                fresh.query(spec))
         failures = []
 
         def hammer(offset):
             for turn in range(12):
                 for step in range(len(specs)):
                     spec = specs[(offset + turn + step) % len(specs)]
-                    if engine.query(spec) != expected[spec.key()]:
+                    want_body, want_updates = expected_answers[spec.key()]
+                    # Mostly the serve path; now and then a library
+                    # call, which decodes from the same views.
+                    if (turn + step) % 4:
+                        ok = rendered(engine, spec) == want_body
+                    else:
+                        ok = engine.query(spec) == want_updates
+                    if not ok:
                         failures.append(spec)
                         return
 

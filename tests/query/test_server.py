@@ -6,6 +6,8 @@ one interrupted by an injected writer crash and recovered with
 ``resume=True``.
 """
 
+import gc
+import http.client
 import json
 import math
 import os
@@ -17,12 +19,14 @@ import urllib.request
 import pytest
 
 from repro.bgp.archive import INDEX_SUFFIX, RollingArchiveWriter
+from repro.bgp.message import BGPUpdate
 from repro.bgp.rib import Route
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.events import EventPipeline
 from repro.pipeline import FaultPlan, InjectedCrash, PipelineConfig, \
     SupervisorConfig
-from repro.query import QueryAPIServer, QueryEngine, index_path
+from repro.query import QueryAPIServer, QueryEngine, QuerySpec, \
+    index_path, update_to_json
 from repro.workload import StreamConfig, SyntheticStreamGenerator, \
     split_by_vp
 
@@ -387,12 +391,12 @@ class TestHealthProbes:
 
 class TestSanitizedInternalErrors:
     class BoomEngine:
-        """Engine stand-in whose query path always explodes."""
+        """Engine stand-in whose /updates path always explodes."""
 
         def __init__(self, registry):
             self.registry = registry
 
-        def query(self, spec, deadline=None, trace=None):
+        def render(self, spec, deadline=None, trace=None):
             raise RuntimeError("secret internal detail")
 
         def watermark(self):
@@ -456,7 +460,7 @@ class TestClientAborts:
             class Hangup:
                 registry = engine.registry
 
-                def query(self, spec, deadline=None, trace=None):
+                def render(self, spec, deadline=None, trace=None):
                     # What a write to a closed socket raises mid-body.
                     raise BrokenPipeError("client went away")
 
@@ -495,14 +499,14 @@ class TestOverloadShedding:
         engine = QueryEngine(archive)
         entered = threading.Event()
         release = threading.Event()
-        real_query = engine.query
+        real_render = engine.render
 
-        def slow_query(spec, deadline=None, trace=None):
+        def slow_render(spec, deadline=None, trace=None):
             entered.set()
             release.wait(10.0)
-            return real_query(spec, deadline=deadline)
+            return real_render(spec, deadline=deadline)
 
-        engine.query = slow_query
+        engine.render = slow_render
         with QueryAPIServer(engine, max_concurrent=1,
                             queue_limit=0) as api:
             outcome = []
@@ -534,23 +538,19 @@ class TestOverloadShedding:
             # Probes bypassed admission the whole time.
             status, _ = get_json(api.url + "/healthz")
             assert status == 200
-        engine.query = real_query
+        engine.render = real_render
         engine.close()
 
     def test_expired_deadline_sheds_mid_request(self, epoch_archive):
-        import time
-
         archive, _, _ = epoch_archive
         engine = QueryEngine(archive)
-        real_query = engine.query
+        real_render = engine.render
 
-        def glacial_query(spec, deadline=None, trace=None):
+        def glacial_render(spec, deadline=None, trace=None):
             time.sleep(0.1)
-            if deadline is not None:
-                deadline.check("mid decode")
-            return real_query(spec, deadline=deadline)
+            return real_render(spec, deadline=deadline, trace=trace)
 
-        engine.query = glacial_query
+        engine.render = glacial_render
         with QueryAPIServer(engine, request_timeout_s=0.02) as api:
             status, body = get_json(api.url + "/updates")
             assert status == 503
@@ -558,7 +558,7 @@ class TestOverloadShedding:
             assert sample_total(engine.registry,
                                 "repro_guard_shed_total",
                                 reason="deadline") >= 1
-        engine.query = real_query
+        engine.render = real_render
         engine.close()
 
 
@@ -715,7 +715,8 @@ class TestRequestTracing:
             time.sleep(0.01)
         assert mine, body["traces"]
         stages = [s["name"] for s in mine[0]["stages"]]
-        for stage in ("admission", "cache-lookup", "respond"):
+        for stage in ("admission", "index-prune", "segment-select",
+                      "respond"):
             assert stage in stages, stages
         assert mine[0]["endpoint"] == "/updates"
         assert mine[0]["status"] == 200
@@ -749,20 +750,20 @@ class TestWatermarkClaim:
                                       compress=False, index=True)
         writer.write_stream(stream[:half])
         engine = QueryEngine(writer)          # a WriterCatalog
-        real_query = engine.query
+        real_render = engine.render
 
-        def query_then_seal(spec, deadline=None, trace=None):
-            answer = real_query(spec, deadline=deadline, trace=trace)
+        def render_then_seal(spec, deadline=None, trace=None):
+            answer = real_render(spec, deadline=deadline, trace=trace)
             writer.write_stream(stream[half:])
             writer.close()
             return answer
 
-        engine.query = query_then_seal
+        engine.render = render_then_seal
         before = engine.watermark()
         sealed_before = writer.read_range(0.0, before)
         with QueryAPIServer(engine) as api:
             status, body = get_json(api.url + "/updates")
-        engine.query = real_query
+        engine.render = real_render
         assert status == 200
         assert engine.watermark() > before    # the seal did happen
         assert body["count"] == len(sealed_before)
@@ -781,8 +782,9 @@ class TestPayloadCacheObservability:
         writer.write_stream(stream)
         writer.close()
         n = len(writer.segments)
-        # No result cache: both requests reach the segment reads.
-        with QueryEngine(str(tmp_path), cache_size=0) as engine, \
+        # /updates never reads the result cache: both requests reach
+        # the segment reads.
+        with QueryEngine(str(tmp_path)) as engine, \
                 QueryAPIServer(engine) as api:
             for _ in range(2):
                 status, body = get_json(api.url + "/updates")
@@ -809,3 +811,74 @@ class TestPayloadCacheObservability:
             rendered = render_query_stats(engine.stats_snapshot())
             assert f"payloads: {n} reused / {n} decompressed, " \
                    f"{block['bytes']} bytes held" in rendered
+
+
+class TestRenderedBodies:
+    """/updates joins slices of elements rendered once per segment; the
+    bytes on the wire must be what json.dumps of the answer gives."""
+
+    def test_bodies_are_json_dumps_byte_for_byte(self, server,
+                                                 epoch_archive):
+        archive, _, _ = epoch_archive
+        everything = archive.read_range(0.0, math.inf)
+        sample = everything[len(everything) // 2]
+        cases = [
+            ("/updates", QuerySpec()),
+            (f"/updates?prefix={sample.prefix}&limit=3",
+             QuerySpec(prefix=sample.prefix, limit=3)),
+            (f"/updates?vp={sample.vp}&start=300&end=420",
+             QuerySpec(vp=sample.vp, start=300.0, end=420.0)),
+            ("/updates?start=5000", QuerySpec(start=5000.0)),
+        ]
+        # One keep-alive connection: every request after the first
+        # relies on the previous Content-Length being exact.
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        try:
+            for path, spec in cases:
+                want = [u for u in everything if spec.matches(u)]
+                if spec.limit is not None:
+                    want = want[:spec.limit]
+                conn.request("GET", path)
+                reply = conn.getresponse()
+                body = reply.read()
+                assert reply.status == 200, path
+                assert int(reply.headers["Content-Length"]) == len(body)
+                assert body == json.dumps({
+                    "watermark": archive.segments[-1].end,
+                    "count": len(want),
+                    "updates": [update_to_json(u) for u in want],
+                }).encode(), path
+        finally:
+            conn.close()
+
+    def test_scans_retain_no_decoded_updates(self, stream, tmp_path):
+        """Answers are not kept as update objects: after 200 distinct
+        scans the process holds exactly the updates it held before."""
+        writer = RollingArchiveWriter(str(tmp_path), interval_s=120.0,
+                                      compress=True, checkpoint=True,
+                                      index=True)
+        writer.write_stream(stream)
+        writer.close()
+
+        def live_updates():
+            gc.collect()
+            return sum(isinstance(o, BGPUpdate) for o in gc.get_objects())
+
+        with QueryEngine(str(tmp_path)) as engine, \
+                QueryAPIServer(engine) as api:
+            before = live_updates()
+            conn = http.client.HTTPConnection(api.host, api.port,
+                                              timeout=10)
+            first, last = stream[0].time, stream[-1].time
+            try:
+                for i in range(200):
+                    start = first + (last - first) * i / 200
+                    conn.request("GET", f"/updates?start={start!r}"
+                                        f"&end={start + 240.0!r}")
+                    reply = conn.getresponse()
+                    reply.read()
+                    assert reply.status == 200
+            finally:
+                conn.close()
+            assert live_updates() == before

@@ -190,8 +190,12 @@ class TestServe:
 
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve", "somedir"])
-        assert args.port == 8480 and args.workers == 4
-        assert args.cache_size == 128 and not args.smoke
+        assert args.port == 8480 and not args.smoke
+        # Nothing the serve path reads is sized by a flag any more.
+        for retired in ("--workers", "--cache-size"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "somedir", retired,
+                                           "4"])
 
 
 class TestEventsCLI:
