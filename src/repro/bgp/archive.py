@@ -16,14 +16,13 @@ import os
 import time as time_mod
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
     Sequence, Tuple
 
-import bz2
-
 from .message import BGPUpdate
-from .mrt import MRTError, RIBRecord, encode_rib_entry, iter_archive, \
-    read_archive, write_archive
+from .mrt import MRTError, RIBRecord, encode_rib_entry, encode_update, \
+    iter_archive, read_archive, write_records
 from .prefix import Prefix
 from .rib import Route
 
@@ -97,6 +96,18 @@ def read_manifest(directory: str
     return segments, bool(state.get("compress", True))
 
 
+def _manifest_entry(segment: ArchiveSegment) -> str:
+    """One segment's entry of ``CHECKPOINT.json``, rendered as
+    ``json.dump(state, indent=1)`` renders it inside the ``segments``
+    list (two levels deep)."""
+    entry = {"start": segment.start, "end": segment.end,
+             "count": segment.count,
+             "file": os.path.basename(segment.path),
+             "size": segment.size, "crc32": segment.crc32,
+             "sha256": segment.sha256}
+    return "  " + json.dumps(entry, indent=1).replace("\n", "\n  ")
+
+
 @dataclass(frozen=True)
 class RecoveryReport:
     """What :meth:`RollingArchiveWriter.recover` found and fixed."""
@@ -142,9 +153,10 @@ class RollingArchiveWriter:
         self.interval_s = interval_s
         self.compress = compress
         self.checkpoint_enabled = checkpoint
-        #: Build the query index for every segment at seal time, so
-        #: the archive is servable with no lazy-indexing first-query
-        #: cost (:mod:`repro.query`).
+        #: Build the query index for every segment at seal time, from
+        #: the updates just encoded (no read-back), so the archive is
+        #: servable with no lazy-indexing first-query cost
+        #: (:mod:`repro.query`).
         self.index_enabled = index
         #: Seal subscribers, called in registration order after a
         #: segment (and its checkpoint, when enabled) is durable.
@@ -155,6 +167,9 @@ class RollingArchiveWriter:
         # Segment start times, for bisection: segments are flushed in
         # time order, so ``_starts`` is strictly increasing.
         self._starts: List[float] = []
+        # With checkpointing, each segment's manifest entry, rendered
+        # once at seal (aligned with ``segments``).
+        self._manifest_entries: List[str] = []
         self._pending: List[BGPUpdate] = []
         self._current_slot: Optional[int] = None
         self._last_time: Optional[float] = None
@@ -221,7 +236,8 @@ class RollingArchiveWriter:
         if not self._pending or self._current_slot is None:
             return None
         path = self._segment_path(self._current_slot)
-        count = write_archive(self._pending, path, self.compress)
+        records = [encode_update(update) for update in self._pending]
+        write_records(records, path, self.compress)
         if self.checkpoint_enabled:
             _fsync_path(path)
         # Fingerprint the sealed bytes so every future read can prove
@@ -231,12 +247,12 @@ class RollingArchiveWriter:
         segment = ArchiveSegment(
             self._current_slot * self.interval_s,
             (self._current_slot + 1) * self.interval_s,
-            path, count,
+            path, len(records),
             size=digests.size, crc32=digests.crc32, sha256=digests.sha256,
         )
         build_s = None
         if self.index_enabled:
-            build_s = self._build_index(segment)
+            build_s = self._build_index(segment, records)
         self.segments.append(segment)
         self._starts.append(segment.start)
         self._pending = []
@@ -244,20 +260,25 @@ class RollingArchiveWriter:
             # The manifest is updated only after the segment is
             # durable, so a crash between the two leaves a torn file
             # that recovery identifies and deletes.
+            self._manifest_entries.append(_manifest_entry(segment))
             self._write_checkpoint()
         for hook in list(self._seal_listeners):
             hook(segment, build_s)
         return segment
 
-    def _build_index(self, segment: ArchiveSegment) -> float:
-        """Build and persist the segment's query index; returns the
-        build time in seconds."""
+    def _build_index(self, segment: ArchiveSegment,
+                     records: List[bytes]) -> float:
+        """Index and persist the segment from the updates just encoded
+        (a record's offset is the sum of the lengths before it), with
+        no read-back; returns the build time in seconds."""
         # Imported lazily: repro.query depends on this module, and the
         # index is only needed when indexing was requested.
-        from ..query.index import build_index
+        from ..query.index import index_records
 
         started = time_mod.perf_counter()
-        build_index(segment.path, self.compress, persist=True)
+        offsets = accumulate(map(len, records), initial=0)
+        index_records(zip(offsets, self._pending), segment.size) \
+            .save(segment.path)
         self.last_index_build_s = time_mod.perf_counter() - started
         return self.last_index_build_s
 
@@ -270,21 +291,23 @@ class RollingArchiveWriter:
     # -- crash consistency --------------------------------------------------
 
     def _write_checkpoint(self) -> None:
-        """Atomically persist the segment manifest + durable watermark."""
-        state = {
-            "interval_s": self.interval_s,
-            "compress": self.compress,
-            "watermark": self.durable_watermark,
-            "segments": [
-                {"start": s.start, "end": s.end, "count": s.count,
-                 "file": os.path.basename(s.path),
-                 "size": s.size, "crc32": s.crc32, "sha256": s.sha256}
-                for s in self.segments
-            ],
-        }
+        """Atomically persist the segment manifest + durable watermark.
+
+        The text is ``json.dump(state, indent=1)`` of ``{"interval_s",
+        "compress", "watermark", "segments": [...]}``, assembled from
+        the entries rendered at seal, so a seal costs one join rather
+        than re-encoding every earlier segment.
+        """
+        entries = self._manifest_entries
+        segments = "[\n" + ",\n".join(entries) + "\n ]" if entries \
+            else "[]"
+        text = (f'{{\n "interval_s": {json.dumps(self.interval_s)},\n'
+                f' "compress": {json.dumps(self.compress)},\n'
+                f' "watermark": {json.dumps(self.durable_watermark)},\n'
+                f' "segments": {segments}\n}}')
         tmp = self.checkpoint_path + ".tmp"
         with open(tmp, "w") as handle:
-            json.dump(state, handle, indent=1)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.checkpoint_path)
@@ -339,6 +362,7 @@ class RollingArchiveWriter:
         lost = len(self._pending)
         self.segments = durable
         self._starts = [s.start for s in durable]
+        self._manifest_entries = [_manifest_entry(s) for s in durable]
         self._pending = []
         self._current_slot = None
         self._last_time = self.durable_watermark
@@ -388,15 +412,10 @@ class RollingArchiveWriter:
         suffix = ".mrt.bz2" if self.compress else ".mrt"
         path = os.path.join(self.directory,
                             f"rib.{int(time):012d}{suffix}")
-        payload = b"".join(
-            encode_rib_entry(vp, route)
-            for vp in sorted(ribs)
-            for route in ribs[vp]
-        )
-        if self.compress:
-            payload = bz2.compress(payload)
-        with open(path, "wb") as handle:
-            handle.write(payload)
+        write_records((encode_rib_entry(vp, route)
+                       for vp in sorted(ribs)
+                       for route in ribs[vp]),
+                      path, self.compress)
         return path
 
     def iter_rib_dump(self, path: str) -> Iterator[RIBRecord]:

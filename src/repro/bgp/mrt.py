@@ -208,6 +208,17 @@ def read_record(buf: BinaryIO) -> Optional[Record]:
     return decode_at(header + buf.read(_HEADER.unpack(header)[3]))[0]
 
 
+def write_records(records: Iterable[bytes], path: str,
+                  compress: bool = True) -> None:
+    """Write encoded records, back to back, to an (optionally
+    bz2-compressed) MRT file."""
+    payload = b"".join(records)
+    if compress:
+        payload = bz2.compress(payload)
+    with open(path, "wb") as handle:
+        handle.write(payload)
+
+
 def write_archive(updates: Iterable[BGPUpdate], path: str,
                   compress: bool = True) -> int:
     """Write updates to an (optionally bz2-compressed) MRT archive file.
@@ -215,11 +226,7 @@ def write_archive(updates: Iterable[BGPUpdate], path: str,
     Returns the number of records written.
     """
     records = [encode_update(update) for update in updates]
-    payload = b"".join(records)
-    if compress:
-        payload = bz2.compress(payload)
-    with open(path, "wb") as handle:
-        handle.write(payload)
+    write_records(records, path, compress)
     return len(records)
 
 

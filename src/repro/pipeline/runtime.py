@@ -473,20 +473,6 @@ class CollectionPipeline:
         self.start(streams)
         return self.wait(timeout)
 
-    # -- serving -------------------------------------------------------------
-
-    def query_engine(self, **kwargs) -> "object":
-        """A :class:`repro.query.QueryEngine` over this pipeline's
-        archive, sharing the pipeline's query counters — the archive
-        watermark keys the engine's cache, so answers served while
-        collection is still running are never stale."""
-        if self.archive is None:
-            raise RuntimeError("pipeline has no archive to query")
-        from ..query.engine import QueryEngine
-
-        kwargs.setdefault("stats", self.metrics.query)
-        return QueryEngine(self.archive, **kwargs)
-
     # -- results -------------------------------------------------------------
 
     def snapshot(self) -> PipelineMetricsSnapshot:

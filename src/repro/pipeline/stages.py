@@ -140,25 +140,19 @@ class ServiceCostModel:
     aggregate rate accurate despite coarse timer granularity.
     """
 
-    def __init__(self, units_per_s: float,
-                 parse_cost: float = PARSE_COST,
-                 filter_cost: float = FILTER_COST,
-                 write_cost: float = WRITE_COST,
-                 min_sleep_s: float = 0.002):
+    def __init__(self, units_per_s: float, min_sleep_s: float = 0.002):
         if units_per_s <= 0:
             raise ValueError("capacity must be positive")
         self.units_per_s = units_per_s
-        self.parse_cost = parse_cost
-        self.filter_cost = filter_cost
-        self.write_cost = write_cost
         self.min_sleep_s = min_sleep_s
         self._lock = threading.Lock()
         self._credit_s = 0.0
         self._last = time.perf_counter()
 
-    def cost(self, retained: bool) -> float:
-        base = self.parse_cost + self.filter_cost
-        return base + self.write_cost if retained else base
+    @staticmethod
+    def cost(retained: bool) -> float:
+        base = PARSE_COST + FILTER_COST
+        return base + WRITE_COST if retained else base
 
     def charge(self, retained: bool) -> None:
         """Consume one update's work; sleep off any accumulated debt."""

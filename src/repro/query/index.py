@@ -27,14 +27,15 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import bz2
 
 from ..bgp.archive import INDEX_SUFFIX
 from ..bgp.message import BGPUpdate
-from ..bgp.mrt import MRTError, RIBRecord, iter_decoded
+from ..bgp.mrt import MRTError, Record, RIBRecord, iter_decoded
 from ..bgp.prefix import Prefix
 
 INDEX_VERSION = 1
@@ -77,6 +78,11 @@ class BloomFilter:
     def __contains__(self, key: str) -> bool:
         return all(self.bits >> p & 1 for p in self._positions(key))
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BloomFilter) and (
+            (self.n_bits, self.n_hashes, self.bits)
+            == (other.n_bits, other.n_hashes, other.bits))
+
     def to_hex(self) -> str:
         return f"{self.bits:x}"
 
@@ -86,7 +92,10 @@ class BloomFilter:
         return cls(n_bits, n_hashes, int(hexed, 16))
 
 
-def _prefix_key(prefix: Prefix) -> str:
+# Bloom keys; the prefix and origin may also be given as their text
+# (the postings key), which formats the same.
+
+def _prefix_key(prefix: Union[Prefix, str]) -> str:
     return f"p:{prefix}"
 
 
@@ -94,7 +103,7 @@ def _vp_key(vp: str) -> str:
     return f"v:{vp}"
 
 
-def _origin_key(origin: int) -> str:
+def _origin_key(origin: Union[int, str]) -> str:
     return f"o:{origin}"
 
 
@@ -209,8 +218,9 @@ class SegmentIndex:
         """Atomically persist next to the segment; returns the path."""
         path = index_path(segment_path)
         tmp = path + ".tmp"
+        text = json.dumps(self.to_json(), separators=(",", ":"))
         with open(tmp, "w") as handle:
-            json.dump(self.to_json(), handle, separators=(",", ":"))
+            handle.write(text)
         os.replace(tmp, path)
         return path
 
@@ -222,19 +232,22 @@ def read_payload(segment_path: str, compressed: bool = True) -> bytes:
     return bz2.decompress(payload) if compressed else payload
 
 
-def build_index(segment_path: str, compressed: bool = True,
-                persist: bool = False,
-                payload: Optional[bytes] = None) -> SegmentIndex:
-    """Index one sealed segment (optionally persisting the sidecar).
+def index_records(records: Iterable[Tuple[int, Record]], size: int
+                  ) -> SegmentIndex:
+    """Index one segment's ``(payload offset, record)`` pairs.
 
-    ``payload`` lets a caller who already decompressed the segment
-    skip doing it twice.
+    ``size`` is the segment file's size (the staleness key).  The
+    writer passes the updates it has just encoded; :func:`build_index`
+    passes the records it decoded from the file.  Postings keep each
+    key's first-appearance order, and each distinct key is formatted
+    and added to the bloom once.
     """
-    if payload is None:
-        payload = read_payload(segment_path, compressed)
-    index = SegmentIndex(count=0, size=os.path.getsize(segment_path))
-    for offset, record in iter_decoded(payload):
-        index.count += 1
+    count = 0
+    prefixes: Dict[Prefix, List[int]] = defaultdict(list)
+    vps: Dict[str, List[int]] = defaultdict(list)
+    origins: Dict[int, List[int]] = defaultdict(list)
+    for offset, record in records:
+        count += 1
         if isinstance(record, BGPUpdate):
             prefix, vp, origin = record.prefix, record.vp, record.origin_as
         elif isinstance(record, RIBRecord):
@@ -243,13 +256,34 @@ def build_index(segment_path: str, compressed: bool = True,
             origin = path[-1] if path else None
         else:           # pragma: no cover - no other record types yet
             continue
-        index.prefixes.setdefault(str(prefix), []).append(offset)
-        index.vps.setdefault(vp, []).append(offset)
-        index.bloom.add(_prefix_key(prefix))
-        index.bloom.add(_vp_key(vp))
+        prefixes[prefix].append(offset)
+        vps[vp].append(offset)
         if origin is not None:
-            index.origins.setdefault(str(origin), []).append(offset)
-            index.bloom.add(_origin_key(origin))
+            origins[origin].append(offset)
+    index = SegmentIndex(
+        count=count, size=size,
+        prefixes={str(prefix): offsets
+                  for prefix, offsets in prefixes.items()},
+        vps=dict(vps),
+        origins={str(origin): offsets
+                 for origin, offsets in origins.items()})
+    for key in index.prefixes:
+        index.bloom.add(_prefix_key(key))
+    for key in index.vps:
+        index.bloom.add(_vp_key(key))
+    for key in index.origins:
+        index.bloom.add(_origin_key(key))
+    return index
+
+
+def build_index(segment_path: str, compressed: bool = True,
+                persist: bool = False) -> SegmentIndex:
+    """Index one sealed segment from its file (optionally persisting
+    the sidecar): the lazy path for segments sealed without an index
+    or with a stale one."""
+    index = index_records(
+        iter_decoded(read_payload(segment_path, compressed)),
+        os.path.getsize(segment_path))
     if persist:
         index.save(segment_path)
     return index

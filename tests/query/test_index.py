@@ -1,8 +1,12 @@
 """Tests for per-segment query indexes (repro.query.index)."""
 
+import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.archive import RollingArchiveWriter
 from repro.bgp.message import BGPUpdate
@@ -230,3 +234,83 @@ class TestSealTimeIndexing:
         writer.write(BGPUpdate("vp1", 10.0, P1, (1, 2)))
         writer.close()
         assert events == [None]
+
+
+def reference_index(path, compressed):
+    """The indexing loop as it was before seals indexed from memory:
+    decode every record of the file, and format and add to the bloom
+    every key of every record."""
+    index = SegmentIndex(count=0, size=os.path.getsize(path))
+    for offset, record in iter_decoded(read_payload(path, compressed)):
+        index.count += 1
+        prefix, vp, origin = record.prefix, record.vp, record.origin_as
+        index.prefixes.setdefault(str(prefix), []).append(offset)
+        index.vps.setdefault(vp, []).append(offset)
+        index.bloom.add(f"p:{prefix}")
+        index.bloom.add(f"v:{vp}")
+        if origin is not None:
+            index.origins.setdefault(str(origin), []).append(offset)
+            index.bloom.add(f"o:{origin}")
+    return index
+
+
+#: Small pools, so that many records share a prefix, VP or origin.
+SEAL_PREFIXES = [Prefix.parse(text) for text in (
+    "10.0.0.0/24", "10.0.1.0/24", "0.0.0.0/0", "2001:db8::/32",
+    "2001:db8::1/128")]
+SEAL_VPS = ["vp0", "vp1", "vp-é", "观测点"]
+SEAL_ASNS = [1, 65001, 4200000000, 4294967295]
+
+
+@st.composite
+def seal_updates(draw):
+    vp = draw(st.sampled_from(SEAL_VPS))
+    time = draw(st.integers(0, 30)) * 2.5
+    prefix = draw(st.sampled_from(SEAL_PREFIXES))
+    if draw(st.integers(0, 3)) == 0:
+        return BGPUpdate(vp, time, prefix, is_withdrawal=True)
+    path = draw(st.lists(st.sampled_from(SEAL_ASNS), max_size=3))
+    communities = draw(st.frozensets(
+        st.tuples(st.sampled_from(SEAL_ASNS), st.integers(0, 70000)),
+        max_size=3))
+    return BGPUpdate(vp, time, prefix, tuple(path), communities)
+
+
+class TestSealFromMemory:
+    """The sidecar a seal writes from the updates it has just encoded
+    is the one a rebuild from the sealed file writes, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(updates=st.lists(seal_updates(), min_size=1, max_size=50),
+           compress=st.booleans(),
+           interval_s=st.sampled_from([1.0, 10.0, 1000.0]))
+    def test_sealed_sidecar_equals_rebuild(self, updates, compress,
+                                           interval_s):
+        # interval 1.0 seals one-record segments (times are 2.5 apart),
+        # 1000.0 puts every record in one segment.
+        with tempfile.TemporaryDirectory() as directory:
+            writer = RollingArchiveWriter(
+                directory, interval_s=interval_s, compress=compress,
+                checkpoint=True, index=True)
+            writer.write_stream(sorted(updates, key=lambda u: u.time))
+            writer.close()
+            assert sum(s.count for s in writer.segments) == len(updates)
+            for segment in writer.segments:
+                with open(index_path(segment.path), "rb") as handle:
+                    sealed = handle.read()
+                loaded = load_index(segment.path)
+                reference = reference_index(segment.path, compress)
+                assert sealed == json.dumps(
+                    reference.to_json(), separators=(",", ":")).encode()
+                rebuilt = build_index(segment.path, compress, persist=True)
+                with open(index_path(segment.path), "rb") as handle:
+                    assert handle.read() == sealed
+                assert loaded == rebuilt == reference
+
+    def test_bloom_equality(self):
+        a, b = BloomFilter(64, 2), BloomFilter(64, 2)
+        a.add("p:10.0.0.0/24")
+        assert a != b
+        b.add("p:10.0.0.0/24")
+        assert a == b
+        assert a != BloomFilter(128, 2, a.bits)
