@@ -348,7 +348,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if args.slow_traces:
         from .telemetry import render_slow_traces
         print(render_slow_traces(
-            pipeline.metrics.tracer.slow_traces(args.slow_traces)),
+            pipeline.metrics.tracer.to_json(args.slow_traces)["traces"]),
             end="")
     if args.metrics_jsonl:
         points = len(pipeline.sampler.points()) if pipeline.sampler \

@@ -29,19 +29,15 @@ granularity without any shared state.
 Record tags:
 
 ``ENVELOPE``     coordinator → worker, one in-flight update
-``HEARTBEAT``    coordinator → worker, a session progress marker
+``HEARTBEAT``    a session progress marker, either way: the worker
+                 forwards the session's heartbeat as is
 ``END``          coordinator → worker, shard input exhausted
 ``DISPOSITION``  worker → coordinator, the verdict on one update
-``WATERMARK``    worker → coordinator, a heartbeat echoed past the shard
 ``DONE``         worker → coordinator, shard has drained and is exiting
-``ENVELOPE_TRACED``     an envelope carrying a distributed trace context
-``DISPOSITION_TRACED``  a disposition carrying the worker's remote span
 
-There is one frame layout.  A record that carries a distributed trace
-payload says so in its own tag (``ENVELOPE_TRACED`` /
-``DISPOSITION_TRACED``), so frames need no version marker and
-tracing-off traffic is byte-identical whether or not the peer can
-trace.
+Tags 5, 7 and 8 are retired and decode as unknown.  A trace span is a
+live in-process object and never crosses the wire: an envelope or
+disposition carrying one encodes to the same bytes as one without.
 """
 
 from __future__ import annotations
@@ -52,23 +48,17 @@ from typing import List, Sequence, Tuple
 from ..bgp import mrt
 from ..bgp.message import BGPUpdate
 from ..pipeline.stages import Disposition, Envelope, Heartbeat, \
-    ShardDone, WatermarkAdvance
-from ..telemetry.distributed import CONTEXT_SIZE, RemoteSpan, \
-    TraceContext
+    ShardDone
 
 TAG_ENVELOPE = 1
 TAG_HEARTBEAT = 2
 TAG_END = 3
 TAG_DISPOSITION = 4
-TAG_WATERMARK = 5
 TAG_DONE = 6
-TAG_ENVELOPE_TRACED = 7
-TAG_DISPOSITION_TRACED = 8
 
 _F64 = struct.Struct("!d")
 _U16 = struct.Struct("!H")
 _FRAME = struct.Struct("!QHI")     # sequence, shard, record count
-_SPAN = struct.Struct("!QQId")     # trace id, span id, pid, duration
 
 _FLAG_RETAINED = 0x01
 
@@ -95,26 +85,6 @@ class EndOfInput:
 END_OF_INPUT = EndOfInput()
 
 
-def _trace_context(trace: object) -> "TraceContext | None":
-    """The propagatable context of an envelope's trace, if any.
-
-    Only sampled distributed traces produce one: a plain in-process
-    :class:`~repro.telemetry.trace.Trace` has no wire identity and is
-    deliberately *not* transported (the live object cannot cross a
-    pipe), so those envelopes go out untraced.
-    """
-    if trace is None:
-        return None
-    if isinstance(trace, TraceContext):
-        return trace if trace.sampled else None
-    derive = getattr(trace, "context", None)
-    if callable(derive):
-        context = derive()
-        if isinstance(context, TraceContext) and context.sampled:
-            return context
-    return None
-
-
 def _stamp(session: str, value: float) -> bytes:
     """The ``(session, f64)`` pair every non-marker record carries."""
     raw = session.encode("utf-8")
@@ -126,25 +96,16 @@ def _stamp(session: str, value: float) -> bytes:
 def encode_record(item: object) -> bytes:
     """Encode one tagged record."""
     if isinstance(item, Envelope):
-        head = bytes((TAG_ENVELOPE,))
-        context = _trace_context(item.trace)
-        if context is not None:
-            head = bytes((TAG_ENVELOPE_TRACED,)) + context.to_bytes()
-        return head + _stamp(item.session, item.enqueued_at) \
+        return bytes((TAG_ENVELOPE,)) \
+            + _stamp(item.session, item.enqueued_at) \
             + mrt.encode_update(item.update)
     if isinstance(item, Heartbeat):
         return bytes((TAG_HEARTBEAT,)) + _stamp(item.session, item.time)
     if isinstance(item, Disposition):
         flags = _FLAG_RETAINED if item.retained else 0
-        head = bytes((TAG_DISPOSITION, flags))
-        span = item.trace
-        if isinstance(span, RemoteSpan):
-            head = bytes((TAG_DISPOSITION_TRACED, flags)) + _SPAN.pack(
-                span.trace_id, span.span_id, span.pid, span.duration_s)
-        return head + _stamp(item.session, item.enqueued_at) \
+        return bytes((TAG_DISPOSITION, flags)) \
+            + _stamp(item.session, item.enqueued_at) \
             + mrt.encode_update(item.update)
-    if isinstance(item, WatermarkAdvance):
-        return bytes((TAG_WATERMARK,)) + _stamp(item.session, item.time)
     if isinstance(item, EndOfInput):
         return bytes((TAG_END,))
     if isinstance(item, ShardDone):
@@ -171,32 +132,18 @@ def _record_at(data: bytes, pos: int) -> Tuple[object, int]:
     """Parse the record at ``pos``; returns it and the next offset."""
     tag = data[pos]
     pos += 1
-    if tag in (TAG_ENVELOPE, TAG_ENVELOPE_TRACED):
-        context = None
-        if tag == TAG_ENVELOPE_TRACED:
-            context = TraceContext.from_bytes(
-                data[pos:pos + CONTEXT_SIZE])
-            pos += CONTEXT_SIZE
+    if tag == TAG_ENVELOPE:
         session, enqueued_at, pos = _stamp_at(data, pos)
         update, pos = _update_at(data, pos)
-        return Envelope(update, session, enqueued_at, trace=context), pos
-    if tag in (TAG_DISPOSITION, TAG_DISPOSITION_TRACED):
+        return Envelope(update, session, enqueued_at), pos
+    if tag == TAG_DISPOSITION:
         retained = bool(data[pos] & _FLAG_RETAINED)
-        pos += 1
-        span = None
-        if tag == TAG_DISPOSITION_TRACED:
-            span = RemoteSpan.from_wire(*_SPAN.unpack_from(data, pos))
-            pos += _SPAN.size
-        session, enqueued_at, pos = _stamp_at(data, pos)
+        session, enqueued_at, pos = _stamp_at(data, pos + 1)
         update, pos = _update_at(data, pos)
-        return Disposition(update, retained, session, enqueued_at,
-                           trace=span), pos
+        return Disposition(update, retained, session, enqueued_at), pos
     if tag == TAG_HEARTBEAT:
         session, time, pos = _stamp_at(data, pos)
         return Heartbeat(session, time), pos
-    if tag == TAG_WATERMARK:
-        session, time, pos = _stamp_at(data, pos)
-        return WatermarkAdvance(session, time), pos
     if tag == TAG_END:
         return END_OF_INPUT, pos
     if tag == TAG_DONE:

@@ -147,9 +147,6 @@ class Scrubber:
         self._scrubbed = registry.counter(
             "repro_guard_scrub_segments_total",
             "Segments examined by the background scrubber.")
-        self._passes = registry.counter(
-            "repro_guard_scrub_passes_total",
-            "Completed full sweeps of the archive by the scrubber.")
 
     def start(self) -> "Scrubber":
         if self._thread is not None:
@@ -180,7 +177,6 @@ class Scrubber:
             return None
         if self._cursor >= len(live):
             self._cursor = 0
-            self._passes.inc()
         segment = live[self._cursor]
         self._cursor += 1
         self._scrubbed.inc()

@@ -87,16 +87,11 @@ class AdmissionController:
         self._queued = 0
         self._draining = False
         self._shed = None
-        self._inflight = None
         if registry is not None:
             self._shed = registry.counter(
                 "repro_guard_shed_total",
                 "Requests shed by overload protection, by reason.",
                 labels=("reason",))
-            self._inflight = registry.gauge(
-                "repro_guard_requests_inflight",
-                "Requests currently executing inside the admission gate.",
-                track_high_water=True)
 
     @property
     def draining(self) -> bool:
@@ -130,7 +125,6 @@ class AdmissionController:
                 raise self._refuse("draining")
             if self._active < self.max_concurrent:
                 self._active += 1
-                self._note_inflight()
                 return
             if self._queued >= self.max_queue:
                 raise self._refuse("queue_full")
@@ -147,17 +141,11 @@ class AdmissionController:
             finally:
                 self._queued -= 1
             self._active += 1
-            self._note_inflight()
 
     def _leave(self) -> None:
         with self._cond:
             self._active -= 1
-            self._note_inflight()
             self._cond.notify_all()
-
-    def _note_inflight(self) -> None:
-        if self._inflight is not None:
-            self._inflight.set(float(self._active))
 
     def drain(self) -> None:
         """Refuse all future admissions; wake queued waiters so they shed."""

@@ -160,11 +160,9 @@ class CollectionPipeline:
                 self.config.trace_sample_rate,
                 registry=self.metrics.registry)
         #: This process's crash flight recorder, named for the
-        #: coordinator role and wired so finished spans land in its
-        #: black-box ring.
+        #: coordinator role; finished spans land in its ring.
         self.flight = set_process_role("coordinator")
         self.flight.bind_registry(self.metrics.registry)
-        self.metrics.tracer.flight = self.flight
         self.sampler: Optional[TimeSeriesSampler] = None
         if self.config.metrics_interval_s is not None:
             self.sampler = TimeSeriesSampler(

@@ -57,7 +57,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
     Tuple
 
 from ..bgp.archive import RollingArchiveWriter
-from ..telemetry import NOOP_TRACE
 from ..bgp.daemon import FILTER_COST, PARSE_COST, WRITE_COST
 from ..bgp.filtering import FilterTable
 from ..bgp.message import BGPUpdate, canonical_key
@@ -91,7 +90,8 @@ class Envelope:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    """A session's progress marker, sent through the session's shard."""
+    """A session's progress marker, sent through the session's shard
+    and forwarded unchanged to the writer."""
 
     session: str
     time: float            # stream time; END_OF_STREAM when finished
@@ -107,14 +107,6 @@ class Disposition:
     enqueued_at: float
     #: The envelope's sampled span, carried through to the writer.
     trace: Optional[object] = None
-
-
-@dataclass(frozen=True)
-class WatermarkAdvance:
-    """A heartbeat after passing through its session's shard."""
-
-    session: str
-    time: float
 
 
 class ShardDone:
@@ -320,10 +312,9 @@ class PeerSession(threading.Thread):
             self._last_time = update.time
             if self.time_scale is not None:
                 self._pace(update.time)
-            trace = self.metrics.tracer.start(self.session)
             self._offer(Envelope(
                 update, self.session, time.perf_counter(),
-                None if trace is NOOP_TRACE else trace))
+                self.metrics.tracer.start(self.session)))
             self._since_heartbeat += 1
             if self._since_heartbeat >= self.heartbeat_every:
                 self._since_heartbeat = 0
@@ -461,8 +452,9 @@ class ShardWorker(threading.Thread):
                 if item is _STOP:
                     break
                 if isinstance(item, Heartbeat):
-                    self.writer_queue.put(
-                        WatermarkAdvance(item.session, item.time))
+                    # Forwarded as is: FIFO puts it behind every
+                    # disposition it vouches for.
+                    self.writer_queue.put(item)
                     continue
                 self._process_envelope(item)
             self.writer_queue.put(ShardDone())
@@ -608,7 +600,7 @@ class WriterStage(threading.Thread):
             self._sequence += 1
             if len(self._heap) > self.reorder_high_water:
                 self.reorder_high_water = len(self._heap)
-        elif isinstance(item, WatermarkAdvance):
+        elif isinstance(item, Heartbeat):
             # Late or duplicate heartbeats must never rewind a
             # watermark — only strictly newer times advance it.
             if item.time > self._watermarks.get(item.session,

@@ -596,7 +596,7 @@ class QueryEngine:
         A ``deadline`` is polled before each segment and inside view
         builds: when it expires, :class:`~repro.guard.serving.
         DeadlineExceeded` is raised and the view is not kept.  A
-        ``trace`` (any :class:`~repro.telemetry.trace.Trace`, e.g. the
+        ``trace`` (a :class:`~repro.telemetry.trace.Span`, e.g. the
         server's per-request span) gets stage marks for the index
         prune and the segment reads + selection, plus guard
         verification as an aggregated overlay.

@@ -20,6 +20,13 @@ from ..bgp.prefix import Prefix
 from .index import IndexProbe, SegmentIndex
 
 
+def check_params(params: "dict[str, str]", known: "set[str]") -> None:
+    """Reject an HTTP query naming a parameter outside ``known`` (a 400)."""
+    unknown = set(params) - known
+    if unknown:
+        raise ValueError(f"unknown parameters: {sorted(unknown)}")
+
+
 def float_param(params: "dict[str, str]", name: str,
                 default: Optional[float] = None,
                 finite: bool = True) -> Optional[float]:
@@ -91,10 +98,8 @@ class QuerySpec:
         Raises ``ValueError`` on malformed values — the server maps
         that to a 400 response.
         """
-        known = {"prefix", "vp", "origin", "start", "end", "limit"}
-        unknown = set(params) - known
-        if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
+        check_params(params, {"prefix", "vp", "origin", "start", "end",
+                              "limit"})
         return cls(
             prefix=Prefix.parse(params["prefix"])
             if "prefix" in params else None,

@@ -28,8 +28,8 @@ grep".  This module serves that API from the Python standard library
 * ``GET /debug/traces`` — the slowest recently-traced requests with
   per-stage latencies (``repro-bgp trace`` renders it).
 
-Every request is traced (:class:`~repro.telemetry.distributed.
-RequestTracer`): an inbound ``X-Trace-Id`` is honoured, spans cover
+Every request is traced (:meth:`~repro.telemetry.Tracer.
+start_request`): an inbound ``X-Trace-Id`` is honoured, spans cover
 admission, the engine's index prune / segment select / guard
 verification, and the response write, and **all** responses —
 including sheds and errors — carry ``X-Trace-Id`` and ``X-Request-Id``
@@ -66,10 +66,10 @@ from ..guard.manager import IntegrityGuard
 from ..guard.scrub import Scrubber
 from ..guard.serving import AdmissionController, CircuitBreaker, \
     Deadline, DeadlineExceeded, Overloaded
-from ..telemetry import RequestTracer, set_build_info
+from ..telemetry import Tracer, set_build_info
 from ..telemetry.blackbox import recorder, set_process_role
 from .engine import QueryEngine
-from .planner import QuerySpec, float_param
+from .planner import QuerySpec, check_params, float_param
 
 _log = logging.getLogger("repro.query.server")
 
@@ -95,7 +95,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
     guard: Optional[IntegrityGuard] = None
     #: Always-on request tracing, bound by QueryAPIServer; backs the
     #: X-Trace-Id / X-Request-Id response headers and /debug/traces.
-    tracer: RequestTracer
+    tracer: Tracer
     request_timeout_s: Optional[float] = None
     aborts = None                # repro_query_client_aborts_total child
     protocol_version = "HTTP/1.1"
@@ -116,7 +116,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         server's logs and /debug/traces)."""
         trace = getattr(self, "_trace", None)
         if trace is not None:
-            self.send_header("X-Trace-Id", trace.trace_id_hex)
+            self.send_header("X-Trace-Id", trace.trace_id)
             self.send_header("X-Request-Id", trace.request_id)
             self._last_status = status
 
@@ -325,9 +325,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
                                   b"]}")))
 
     def _get_vps(self, params: Dict[str, str]) -> None:
-        unknown = set(params) - {"limit", "sort"}
-        if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
+        check_params(params, {"limit", "sort"})
         limit: Optional[int] = None
         if "limit" in params:
             limit = int(params["limit"])
@@ -362,9 +360,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         })
 
     def _get_rib(self, params: Dict[str, str]) -> None:
-        unknown = set(params) - {"time", "vp"}
-        if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
+        check_params(params, {"time", "vp"})
         at = float_param(params, "time")
         dump = self.engine.rib_dump_at(at)
         if dump is None:
@@ -418,9 +414,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         return self.events
 
     def _get_moas(self, params: Dict[str, str]) -> None:
-        unknown = set(params) - {"start", "end"}
-        if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
+        check_params(params, {"start", "end"})
         start, end = self._time_range(params)
         store = self._store()
         if store is None:
@@ -446,9 +440,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         })
 
     def _get_hijacks(self, params: Dict[str, str]) -> None:
-        unknown = set(params) - {"start", "end", "threshold"}
-        if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
+        check_params(params, {"start", "end", "threshold"})
         threshold = float_param(params, "threshold", 0.6)
         start, end = self._time_range(params)
         store = self._store()
@@ -486,13 +478,9 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
 
     # -- event intelligence ---------------------------------------------------
 
-    _EVENT_PARAMS = {"type", "prefix", "origin", "start", "end",
-                     "state", "limit"}
-
     def _get_events(self, params: Dict[str, str]) -> None:
-        unknown = set(params) - self._EVENT_PARAMS
-        if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
+        check_params(params, {"type", "prefix", "origin", "start", "end",
+                              "state", "limit"})
         store = self._store()
         if store is None:
             return
@@ -523,9 +511,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         self._send_json({"event": event.to_json(full=True)})
 
     def _get_metrics(self, params: Dict[str, str]) -> None:
-        unknown = set(params) - {"format"}
-        if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
+        check_params(params, {"format"})
         fmt = params.get("format", "prometheus")
         registry = self.engine.registry
         if self.events is not None:
@@ -548,11 +534,9 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
                              "(expected 'prometheus' or 'json')")
 
     def _get_debug_traces(self, params: Dict[str, str]) -> None:
-        """The slow-request ring (docs/TELEMETRY.md): the ``n``
-        slowest recently-traced requests with per-stage latencies."""
-        unknown = set(params) - {"n"}
-        if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
+        """This server's spans in the process ring (docs/TELEMETRY.md):
+        the ``n`` slowest recent requests with per-stage latencies."""
+        check_params(params, {"n"})
         n = int(params.get("n", 20))
         if n <= 0:
             raise ValueError("n must be positive")
@@ -634,8 +618,7 @@ class QueryAPIServer:
             failure_threshold=breaker_threshold,
             reset_after_s=breaker_reset_s, registry=registry,
             on_open=self._breaker_opened)
-        self.tracer = RequestTracer(registry=registry)
-        self.tracer.flight = box
+        self.tracer = Tracer(1.0, registry=registry)
         aborts = registry.counter(
             "repro_query_client_aborts_total",
             "Responses abandoned because the client disconnected.")

@@ -7,37 +7,24 @@ archive writer, query engine — and exposes them uniformly:
 * **exposition** — Prometheus text and JSON renderings
   (:mod:`repro.telemetry.exposition`), served at ``GET /metrics`` by
   ``repro-bgp serve`` and dumpable from ``repro-bgp pipeline``;
-* **trace spans** — sampled per-update latency spans through
-  ingest → shard → writer (:mod:`repro.telemetry.trace`), with a ring
-  buffer of recent slow spans;
+* **trace spans** — one span type, for sampled updates through
+  ingest → shard → writer and for every serve-path request (with the
+  trace id an ``X-Trace-Id`` header carries) (:mod:`repro.telemetry.trace`);
 * **time series** — periodic registry snapshots with per-interval
   rates, ring-buffered and optionally appended to a JSONL file
   (:mod:`repro.telemetry.timeseries`);
 * **dashboard** — the ``repro-bgp top`` terminal view
   (:mod:`repro.telemetry.top`);
-* **request tracing** — per-request serve-path spans and the trace
-  identity an ``X-Trace-Id`` header carries
-  (:mod:`repro.telemetry.distributed`);
-* **flight recorder** — a per-process black-box ring dumped as
-  ``flightrecorder-<proc>.json`` on writer death, quarantines and
-  breaker opens (:mod:`repro.telemetry.blackbox`).
+* **flight recorder** — the per-process black-box ring that finished
+  spans land in, dumped as ``flightrecorder-<proc>.json`` on writer
+  death, quarantines and breaker opens (:mod:`repro.telemetry.blackbox`).
 
 The module has no repro-internal imports, so every subsystem can
 depend on it without cycles.  See docs/TELEMETRY.md for the metric
 catalogue.
 """
 
-from .blackbox import FlightRecorder, dump_filename, recorder, \
-    set_process_role
-from .distributed import (
-    RemoteSpan,
-    RequestTrace,
-    RequestTracer,
-    TraceContext,
-    format_trace_id,
-    parse_trace_id,
-    render_request_traces,
-)
+from .blackbox import FlightRecorder, recorder, set_process_role
 from .exposition import flatten_scalars, to_json, to_prometheus
 from .registry import (
     DEFAULT_LATENCY_BOUNDS,
@@ -55,11 +42,11 @@ from .timeseries import TimePoint, TimeSeriesSampler
 from .top import TopDashboard, fetch_exposition, normalize_metrics_url, \
     render_top
 from .trace import (
-    NOOP_TRACE,
-    Trace,
-    TraceRecord,
+    Span,
     Tracer,
     format_latency,
+    parse_trace_id,
+    render_request_traces,
     render_slow_traces,
 )
 
@@ -73,23 +60,15 @@ __all__ = [
     "HistogramSnapshot",
     "MetricFamily",
     "MetricsRegistry",
-    "NOOP_TRACE",
-    "RemoteSpan",
-    "RequestTrace",
-    "RequestTracer",
     "Sample",
+    "Span",
     "TimePoint",
     "TimeSeriesSampler",
     "TopDashboard",
-    "Trace",
-    "TraceContext",
-    "TraceRecord",
     "Tracer",
-    "dump_filename",
     "fetch_exposition",
     "flatten_scalars",
     "format_latency",
-    "format_trace_id",
     "normalize_metrics_url",
     "parse_trace_id",
     "recorder",

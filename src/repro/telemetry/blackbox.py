@@ -1,25 +1,19 @@
 """The crash flight recorder: a per-process black box.
 
-Aircraft-style last-seconds capture for the pipeline: every process
-keeps one bounded, lock-light ring of recent observations — finished
-trace spans, queue depths, supervision notes — and dumps it as
-``flightrecorder-<proc>.json`` when something dies:
+Every process keeps one bounded ring of recent observations — finished
+trace spans (:class:`~repro.telemetry.trace.Span`, appended as-is) and
+supervision notes — and dumps it as ``flightrecorder-<proc>.json``
+when the integrity guard quarantines a segment, a serve-path circuit
+breaker opens, or the writer stage dies.  The same ring backs
+``GET /debug/traces`` and ``--slow-traces``: a tracer reads its own
+spans back out of it.
 
-* the integrity guard quarantines a rotten segment;
-* a serve-path circuit breaker opens;
-* the writer stage hits an unhandled error.
-
-The ring itself is a ``collections.deque`` with ``maxlen`` — appends
-are atomic under the GIL, so :meth:`FlightRecorder.note` takes no lock
-on the hot path and costs one small dict allocation.  Dumping walks a
-snapshot under a lock (rare, already on a failure path).
-
-Dumps are *diagnostic* artifacts: their content carries wall-clock
-timestamps and live metric values and is **not** part of the archive's
-byte-identity contract.
-
-The module keeps one process-global recorder (:func:`recorder`),
-re-created after a fork so a child never inherits its parent's ring.
+The ring is a ``deque`` with ``maxlen``: appends are atomic under the
+GIL, so neither a finished span nor :meth:`note` takes a lock.  Dumps
+are diagnostic (wall clock, live metric values), **not** part of the
+archive's byte-identity contract.  The process-global recorder
+(:func:`recorder`) is re-created after a fork, so a child never
+inherits its parent's ring.
 """
 
 from __future__ import annotations
@@ -29,28 +23,22 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
-#: Dump file name pattern; ``<proc>`` is the recorder's process role.
-DUMP_PREFIX = "flightrecorder-"
-
-
-def dump_filename(proc: str) -> str:
-    return f"{DUMP_PREFIX}{proc}.json"
+#: Entries the ring keeps, spans and notes together.
+RING_SIZE = 256
 
 
 class FlightRecorder:
     """One process's bounded black-box ring."""
 
-    def __init__(self, proc: str = "", capacity: int = 256):
+    def __init__(self, proc: str = ""):
         self.proc = proc or f"pid{os.getpid()}"
         self.pid = os.getpid()
-        self.capacity = max(8, capacity)
-        self._ring: Deque[Dict[str, object]] = \
-            deque(maxlen=self.capacity)
+        #: Finished spans and note dicts, oldest first.
+        self.ring: Deque[object] = deque(maxlen=RING_SIZE)
         self._dump_lock = threading.Lock()
         self._last_metrics: Dict[str, float] = {}
-        self.dumps = 0
         self._dump_counter = None       # bound lazily via bind_registry
 
     def bind_registry(self, registry) -> None:
@@ -60,19 +48,9 @@ class FlightRecorder:
             "Flight-recorder dumps written, by trigger reason.",
             labels=("reason",))
 
-    # -- the hot path --------------------------------------------------------
-
     def note(self, kind: str, **payload) -> None:
         """Append one observation; lock-free (atomic deque append)."""
-        entry = {"t": time.time(), "kind": kind}
-        entry.update(payload)
-        self._ring.append(entry)
-
-    # -- dumping -------------------------------------------------------------
-
-    def snapshot(self) -> List[Dict[str, object]]:
-        """Ring contents, oldest first (a copy)."""
-        return list(self._ring)
+        self.ring.append({"t": time.time(), "kind": kind, **payload})
 
     def dump(self, directory: str, reason: str,
              registry=None,
@@ -82,12 +60,17 @@ class FlightRecorder:
         Repeated dumps overwrite: the file always holds the *latest*
         black box.  Returns the written path.
         """
+        entries = [
+            entry if isinstance(entry, dict)
+            else {"t": entry.finished_at, "kind": "span", **entry.to_json()}
+            for entry in list(self.ring)
+        ]
         document: Dict[str, object] = {
             "process": self.proc,
             "pid": self.pid,
             "reason": reason,
             "captured_at": time.time(),
-            "entries": self.snapshot(),
+            "entries": entries,
         }
         if queues:
             document["queues"] = queues
@@ -104,7 +87,7 @@ class FlightRecorder:
                 self._last_metrics = current
             document["metrics"] = current
             document["metric_deltas"] = delta
-        path = os.path.join(directory, dump_filename(self.proc))
+        path = os.path.join(directory, f"flightrecorder-{self.proc}.json")
         with self._dump_lock:
             tmp = f"{path}.tmp"
             with open(tmp, "w", encoding="utf-8") as handle:
@@ -112,7 +95,6 @@ class FlightRecorder:
                           default=str)
                 handle.write("\n")
             os.replace(tmp, path)
-            self.dumps += 1
         if self._dump_counter is not None:
             self._dump_counter.labels(reason=reason.split()[0]).inc()
         self.note("dump", reason=reason)

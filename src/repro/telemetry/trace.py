@@ -1,88 +1,87 @@
-"""Sampled per-update trace spans through the collection pipeline.
+"""Trace spans: one timed path through the collector or the server.
 
-A :class:`Tracer` decides, per update, whether to follow it through
-the pipeline.  A sampled update carries a :class:`Trace` on its
-envelope from the peer session's ingest, through its shard worker, to
-the archive writer's emit; each stage calls :meth:`Trace.mark` with
-its name, and the writer calls :meth:`Trace.finish`.  Finishing
-records the end-to-end latency and every per-stage latency into
-registry histograms and appends slow spans to a bounded ring buffer
-for inspection (``repro-bgp pipeline --slow-traces``).
+A :class:`Tracer` decides what to follow and owns the span histograms.
+A sampled update carries a :class:`Span` on its envelope from session
+ingest through its shard worker to the writer's emit, each stage
+calling :meth:`Span.mark`; the query server is a tracer at rate 1.0
+whose :meth:`Tracer.start_request` gives every HTTP request a span
+with a trace id (an inbound ``X-Trace-Id`` is honoured) and a request
+id.  :meth:`Span.finish` records the latencies into registry
+histograms and appends the span itself to this process's black-box
+ring (:mod:`repro.telemetry.blackbox`), which ``GET /debug/traces``,
+``--slow-traces`` and the flight-recorder dump all read through
+:meth:`Span.to_json`.
 
-The hot path stays hot:
-
-* an unsampled update gets :data:`NOOP_TRACE` — one shared, stateless
-  singleton, so sampling rate 0.0 allocates **zero** objects per
-  update (tests identity-check this);
-* sampling is a deterministic stride (rate 0.01 → every 100th
-  update), so there is no RNG call per update;
-* a sampled span allocates one small ``__slots__`` object and appends
-  ``(stage, dt)`` pairs — no dicts, no locks until ``finish``.
-
-The stride counter is deliberately unlocked: concurrent sessions may
-occasionally skew which update is sampled, never whether the rate is
-approximately honoured, and a lock per update would cost more than
-the spans themselves.
+The hot path stays hot: an unsampled update gets ``None`` (rate 0.0
+allocates **zero** objects per update; stages guard on ``trace is not
+None``), sampling is a deterministic stride (rate 0.01 → every 100th
+update, no RNG), and a span appends ``(stage, dt)`` pairs to one
+``__slots__`` object.  The stride counter is deliberately unlocked:
+concurrent sessions may skew *which* update is sampled, never whether
+the rate is honoured, and a lock per update would cost more than the
+spans themselves.
 """
 
 from __future__ import annotations
 
-import threading
+import itertools
+import os
 import time
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .blackbox import recorder
 from .registry import MetricsRegistry
 
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One finished span, as kept in the tracer's ring buffer."""
-
-    session: str
-    total_s: float
-    stages: Tuple[Tuple[str, float], ...]
-    finished_at: float          # wall-clock (time.time) at finish
+#: Mask keeping ids inside an unsigned 64-bit field.
+_U64 = (1 << 64) - 1
 
 
-class _NoopTrace:
-    """The do-nothing span given to unsampled updates (a singleton)."""
+def parse_trace_id(text: Optional[str]) -> Optional[str]:
+    """An inbound ``X-Trace-Id`` as 16 hex digits, or None.
 
-    __slots__ = ()
-
-    def mark(self, stage: str) -> None:
-        pass
-
-    def finish(self) -> None:
-        pass
-
-    def abort(self) -> None:
-        pass
-
-
-#: The shared no-op span: identity-comparable (``trace is NOOP_TRACE``)
-#: so pipeline stages can skip even the no-op method calls.
-NOOP_TRACE = _NoopTrace()
+    Accepts 1-32 hex digits (W3C-style 128-bit ids are folded to their
+    low 64 bits); anything else is rejected so a hostile header cannot
+    smuggle arbitrary strings into telemetry output.
+    """
+    text = (text or "").strip()
+    if not text or len(text) > 32:
+        return None
+    try:
+        return format(int(text, 16) & _U64, "016x")
+    except ValueError:
+        return None
 
 
-class Trace:
-    """One sampled update's span through the pipeline stages."""
+class Span:
+    """One sampled update through the pipeline stages, or one HTTP
+    request through the server; a finished span is its own ring record.
 
-    __slots__ = ("_tracer", "session", "_t0", "_last", "_stages")
+    ``session`` names what the span follows (the peering session, or
+    the request's endpoint); the request fields stay empty on pipeline
+    spans.
+    """
 
-    def __init__(self, tracer: "Tracer", session: str):
+    __slots__ = ("_tracer", "session", "_t0", "_last", "stages",
+                 "finished_at", "trace_id", "request_id", "query",
+                 "status")
+
+    def __init__(self, tracer: "Tracer", session: str,
+                 trace_id: str = "", request_id: str = "",
+                 query: str = ""):
         self._tracer = tracer
         self.session = session
-        now = time.perf_counter()
-        self._t0 = now
-        self._last = now
-        self._stages: List[Tuple[str, float]] = []
+        self._t0 = self._last = time.perf_counter()
+        self.stages: List[Tuple[str, float]] = []
+        self.finished_at = 0.0          # wall clock (time.time) at finish
+        self.trace_id = trace_id
+        self.request_id = request_id
+        self.query = query
+        self.status = 0
 
     def mark(self, stage: str) -> None:
         """Close the current stage under ``stage``'s name."""
         now = time.perf_counter()
-        self._stages.append((stage, now - self._last))
+        self.stages.append((stage, now - self._last))
         self._last = now
 
     def add_stage(self, stage: str, duration_s: float) -> None:
@@ -92,7 +91,7 @@ class Trace:
         attached by the caller.  Such stages overlap wall-clock time
         already covered by a :meth:`mark`, so ``total_s`` is *not*
         the sum of stages once one is present."""
-        self._stages.append((stage, duration_s))
+        self.stages.append((stage, duration_s))
 
     @property
     def total_s(self) -> float:
@@ -100,26 +99,39 @@ class Trace:
         stages; see :meth:`add_stage` for the one exception)."""
         return self._last - self._t0
 
-    def finish(self) -> None:
-        """Record this span into the tracer's histograms and ring."""
+    def finish(self, status: int = 0) -> None:
+        """Record this span into the tracer's histograms and the ring;
+        ``status`` is a request's HTTP status."""
+        self.status = status
         self._tracer._record(self)
 
     def abort(self) -> None:
         """Discard this span (the update was dropped mid-pipeline)."""
         self._tracer._aborted.inc()
 
+    def to_json(self) -> Dict[str, object]:
+        """The one rendering of a finished span (``endpoint`` is
+        ``session``)."""
+        return {
+            "trace_id": self.trace_id,
+            "request_id": self.request_id,
+            "endpoint": self.session,
+            "query": self.query,
+            "status": self.status,
+            "total_s": round(self.total_s, 6),
+            "finished_at": self.finished_at,
+            "stages": [{"name": name, "duration_s": round(dt, 6)}
+                       for name, dt in self.stages],
+        }
+
 
 class Tracer:
-    """Decides sampling and owns the span histograms and ring buffer."""
+    """Decides sampling and owns the span histograms."""
 
     def __init__(self, sample_rate: float = 0.0,
-                 registry: Optional[MetricsRegistry] = None,
-                 ring_size: int = 64,
-                 slow_threshold_s: float = 0.0):
+                 registry: Optional[MetricsRegistry] = None):
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample_rate must be in [0, 1]")
-        if ring_size < 0:
-            raise ValueError("ring_size must be nonnegative")
         self.sample_rate = sample_rate
         self.enabled = sample_rate > 0.0
         self._stride = 0 if sample_rate <= 0 \
@@ -141,50 +153,53 @@ class Tracer:
         self._aborted = self.registry.counter(
             "repro_trace_aborted_total",
             "Spans aborted because their update was dropped.")
-        self.slow_threshold_s = slow_threshold_s
-        self._ring_lock = threading.Lock()
-        self._ring: Deque[TraceRecord] = deque(maxlen=max(1, ring_size))
-        self._keep = ring_size > 0
-        #: Optional flight recorder (repro.telemetry.blackbox): when
-        #: set, finished spans also land in the black-box ring.
-        self.flight = None
+        self._id_base = ((os.getpid() & 0xFFFF) << 48) \
+            ^ (int(time.time() * 1e6) & _U64)
+        self._trace_seq = itertools.count(1)
+        self._request_seq = itertools.count(1)
 
-    def start(self, session: str):
-        """A span for this update — :data:`NOOP_TRACE` unless sampled."""
+    def start(self, session: str) -> Optional[Span]:
+        """A span for this update, or None unless it is sampled."""
         if not self.enabled:
-            return NOOP_TRACE
+            return None
         # Unlocked stride counter: see the module docstring.
         self._n += 1
         if self._n >= self._stride:
             self._n = 0
-            return Trace(self, session)
-        return NOOP_TRACE
+            return Span(self, session)
+        return None
 
-    def _record(self, trace: Trace) -> None:
-        total = trace.total_s
+    def start_request(self, endpoint: str,
+                      inbound_trace_id: Optional[str] = None,
+                      query: str = "") -> Span:
+        """A span for one request, honouring an inbound trace id."""
+        trace_id = parse_trace_id(inbound_trace_id) or format(
+            (self._id_base + next(self._trace_seq)) & _U64 or 1, "016x")
+        return Span(self, endpoint, trace_id,
+                    f"{next(self._request_seq):08x}", query)
+
+    def _record(self, span: Span) -> None:
+        total = span.total_s
+        span.finished_at = time.time()
         self._sampled.inc()
         self._span_hist.record(total)
-        for stage, dt in trace._stages:
+        for stage, dt in span.stages:
             self._stage_hist.labels(stage).record(dt)
-        if self.flight is not None:
-            self.flight.note("span", session=trace.session,
-                             total_s=round(total, 6))
-        if self._keep and total >= self.slow_threshold_s:
-            record = TraceRecord(trace.session, total,
-                                 tuple(trace._stages), time.time())
-            with self._ring_lock:
-                self._ring.append(record)
+        recorder().ring.append(span)
 
     # -- inspection ----------------------------------------------------------
 
-    def recent(self) -> List[TraceRecord]:
-        """Ring contents, oldest first."""
-        with self._ring_lock:
-            return list(self._ring)
+    def recent(self) -> List[Span]:
+        """This tracer's spans still in the ring, oldest first."""
+        return [entry for entry in list(recorder().ring)
+                if isinstance(entry, Span) and entry._tracer is self]
 
-    def slow_traces(self, n: int = 10) -> List[TraceRecord]:
-        """The ``n`` slowest spans still in the ring, slowest first."""
-        return sorted(self.recent(), key=lambda r: -r.total_s)[:n]
+    def to_json(self, n: int = 20) -> Dict[str, object]:
+        """The ``/debug/traces`` document: the ``n`` slowest spans."""
+        spans = self.recent()
+        slowest = sorted(spans, key=lambda span: -span.total_s)[:n]
+        return {"count": len(spans),
+                "traces": [span.to_json() for span in slowest]}
 
 
 def format_latency(seconds: float) -> str:
@@ -196,16 +211,33 @@ def format_latency(seconds: float) -> str:
     return f"{seconds * 1e6:.0f}us"
 
 
-def render_slow_traces(records: List[TraceRecord]) -> str:
-    """One text block listing spans, slowest first (for the CLI)."""
-    if not records:
+def _stages(entry: Dict[str, object]) -> str:
+    return "  ".join(f"{stage['name']} {format_latency(stage['duration_s'])}"
+                     for stage in entry.get("stages", ()))
+
+
+def render_slow_traces(traces: List[Dict[str, object]]) -> str:
+    """``--slow-traces``: one line per rendered span, as given."""
+    if not traces:
         return "no sampled spans\n"
     lines = ["== slow spans =="]
-    for record in records:
-        stages = "  ".join(
-            f"{stage} {format_latency(dt)}"
-            for stage, dt in record.stages)
+    for entry in traces:
+        lines.append(f"{format_latency(entry['total_s']):>8s}  "
+                     f"{entry['endpoint']:<12s} {_stages(entry)}")
+    return "\n".join(lines) + "\n"
+
+
+def render_request_traces(document: Dict[str, object]) -> str:
+    """Text rendering of a ``/debug/traces`` document for the CLI."""
+    traces = document.get("traces") or []
+    if not traces:
+        return "no traced requests\n"
+    lines = [f"== traced requests ({document.get('count', len(traces))} "
+             f"in ring, slowest first) =="]
+    for entry in traces:
         lines.append(
-            f"{format_latency(record.total_s):>8s}  "
-            f"{record.session:<12s} {stages}")
+            f"{format_latency(entry['total_s']):>8s}  "
+            f"{entry.get('status', 0):>3d}  "
+            f"{entry.get('trace_id', ''):<16s}  "
+            f"{entry.get('endpoint', ''):<12s} {_stages(entry)}")
     return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ round-trips byte→object→byte without pickle, malformed data raises
 number and shard id faithfully.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -25,15 +26,14 @@ from repro.cluster.wire import (
     encode_frame,
     encode_record,
 )
-from repro.telemetry.distributed import RemoteSpan, TraceContext
 from repro.pipeline.stages import (
     END_OF_STREAM,
     Disposition,
     Envelope,
     Heartbeat,
     ShardDone,
-    WatermarkAdvance,
 )
+from repro.telemetry import Tracer
 
 # -- strategies --------------------------------------------------------------
 
@@ -83,31 +83,18 @@ heartbeats = st.one_of(
 dispositions = st.builds(Disposition, updates, st.booleans(),
                          names, stamps)
 
-watermarks = st.builds(WatermarkAdvance, names, times)
-
-records = st.one_of(envelopes, heartbeats, dispositions, watermarks,
+records = st.one_of(envelopes, heartbeats, dispositions,
                     st.just(END_OF_INPUT))
 
-# Traced variants: a sampled TraceContext on an envelope, a closed
-# RemoteSpan on a disposition — the two trace payloads (tags 7/8).
-trace_contexts = st.builds(
-    TraceContext,
-    st.integers(1, 2 ** 64 - 1),        # trace id
-    st.integers(0, 2 ** 64 - 1),        # parent span id
-    st.just(True))
+# Traced variants: a live pipeline span on an envelope or disposition,
+# as a sampling tracer hands them out.
+live_spans = st.builds(Tracer(1.0).start, names)
 
 traced_envelopes = st.builds(Envelope, updates, names, stamps,
-                             trace_contexts)
-
-remote_spans = st.builds(
-    RemoteSpan.from_wire,
-    st.integers(1, 2 ** 64 - 1),        # trace id
-    st.integers(1, 2 ** 64 - 1),        # span id
-    st.integers(0, 2 ** 31 - 1),        # pid
-    st.floats(min_value=0.0, max_value=1e4, allow_nan=False))
+                             live_spans)
 
 traced_dispositions = st.builds(Disposition, updates, st.booleans(),
-                                names, stamps, remote_spans)
+                                names, stamps, live_spans)
 
 traced_records = st.one_of(traced_envelopes, traced_dispositions)
 
@@ -130,9 +117,14 @@ class TestRecordRoundtrip:
     def test_disposition(self, disposition):
         assert decode_record(encode_record(disposition)) == disposition
 
-    @given(watermarks)
-    def test_watermark(self, advance):
-        assert decode_record(encode_record(advance)) == advance
+    @given(heartbeats)
+    def test_watermark(self, heartbeat):
+        """The watermark a shard forwards is the session's heartbeat
+        itself; the retired watermark tag no longer decodes."""
+        assert encode_record(heartbeat)[0] == wire.TAG_HEARTBEAT
+        assert decode_record(encode_record(heartbeat)) == heartbeat
+        with pytest.raises(WireError, match="unknown wire tag 5"):
+            decode_record(b"\x05" + encode_record(heartbeat)[1:])
 
     def test_end_marker(self):
         data = encode_record(END_OF_INPUT)
@@ -184,38 +176,38 @@ class TestFrameRoundtrip:
 
 # -- traced records -----------------------------------------------------------
 
+def _untraced(item):
+    if isinstance(item, (Envelope, Disposition)):
+        return dataclasses.replace(item, trace=None)
+    return item
+
+
 class TestTracedWire:
+    """A span never crosses the wire: a traced record encodes to the
+    bytes of its untraced twin and decodes to that twin."""
+
     @given(traced_envelopes)
     @settings(max_examples=200)
     def test_traced_envelope_roundtrip(self, envelope):
-        # TraceContext is a frozen dataclass, so envelope equality
-        # covers the re-hydrated context exactly.
-        assert decode_record(encode_record(envelope)) == envelope
+        plain = _untraced(envelope)
+        assert encode_record(envelope) == encode_record(plain)
+        assert decode_record(encode_record(envelope)) == plain
 
     @given(traced_dispositions)
     @settings(max_examples=200)
     def test_traced_disposition_roundtrip(self, disposition):
-        decoded = decode_record(encode_record(disposition))
-        span, back = disposition.trace, decoded.trace
-        assert isinstance(back, RemoteSpan)
-        assert (back.trace_id, back.span_id, back.pid) \
-            == (span.trace_id, span.span_id, span.pid)
-        assert back.duration_s == pytest.approx(span.duration_s)
+        plain = _untraced(disposition)
+        assert encode_record(disposition) == encode_record(plain)
+        assert decode_record(encode_record(disposition)) == plain
 
     @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 0xFFFF),
            st.lists(st.one_of(records, traced_records), max_size=12))
     @settings(max_examples=100)
     def test_mixed_frame_roundtrip(self, sequence, shard, batch):
+        plain = [_untraced(item) for item in batch]
         encoded = encode_frame(sequence, shard, batch)
-        got_seq, got_shard, got = decode_frame(encoded)
-        assert (got_seq, got_shard) == (sequence, shard)
-        assert len(got) == len(batch)
-        for sent, received in zip(batch, got):
-            if isinstance(sent, Disposition) \
-                    and isinstance(sent.trace, RemoteSpan):
-                assert received.trace.span_id == sent.trace.span_id
-            else:
-                assert received == sent
+        assert encoded == encode_frame(sequence, shard, plain)
+        assert decode_frame(encoded) == (sequence, shard, plain)
 
 
 # -- malformed input ---------------------------------------------------------
@@ -285,14 +277,7 @@ _UNTRACED = [
     Heartbeat("s1", END_OF_STREAM),
     Disposition(_WITHDRAW, True, "s0", 0.5),
     Disposition(_ANNOUNCE, False, "s1", 0.75),
-    WatermarkAdvance("s0", 9.0), END_OF_INPUT, ShardDone()]
-_TRACED = [
-    Envelope(_ANNOUNCE, "s0", 0.125,
-             trace=TraceContext(0xABCDEF0123456789, 77, True)),
-    Disposition(_WITHDRAW, True, "s0", 0.5,
-                trace=RemoteSpan.from_wire(
-                    0xABCDEF0123456789, 991, 4242, 0.015625)),
-    Heartbeat("s0", 9.0)]
+    END_OF_INPUT, ShardDone()]
 
 _ANNOUNCE_HEX = (
     "40934a0000000000001000010000002f00077670313030313004180a000b0000"
@@ -301,28 +286,19 @@ _WITHDRAW_HEX = (
     "401d000000000000001000020000001c000872726330302dcf80062020010db8"
     "000000000000000000000000")
 
-# encode_frame(7, 3, _UNTRACED) and encode_frame(8, 1, _TRACED) as
-# captured before the offset-based codec (commit 393e2c3).  The traced
-# capture began with the two bytes f7 02 (frame magic + version); that
-# prefix is what the single frame layout drops, and the WATERMARK
-# record (tag 05) lost its u16 shard id when a session came to live on
-# one shard (the frame header still names the shard); nothing else moved.
+# encode_frame(7, 3, _UNTRACED) as captured before the offset-based
+# codec (commit 393e2c3).  Since then the frame has lost its WATERMARK
+# record (tag 05: a shard forwards the session's heartbeat itself, so
+# there is no separate watermark record) and the record count says 7,
+# not 8; nothing else moved.
 _UNTRACED_HEX = (
-    "0000000000000007" "0003" "00000008"
+    "0000000000000007" "0003" "00000007"
     "01" "00027330" "3fc0000000000000" + _ANNOUNCE_HEX +
     "02" "00027330" "4022000000000000"
     "02" "00027331" "7ff0000000000000"
     "04" "01" "00027330" "3fe0000000000000" + _WITHDRAW_HEX +
     "04" "00" "00027331" "3fe8000000000000" + _ANNOUNCE_HEX +
-    "05" "00027330" "4022000000000000"
     "03" "06")
-_TRACED_HEX = (
-    "0000000000000008" "0001" "00000003"
-    "07" "abcdef0123456789" "000000000000004d" "01"
-    "00027330" "3fc0000000000000" + _ANNOUNCE_HEX +
-    "08" "01" "abcdef0123456789" "00000000000003df" "00001092"
-    "3f90000000000000" "00027330" "3fe0000000000000" + _WITHDRAW_HEX +
-    "02" "00027330" "4022000000000000")
 
 
 class TestGoldenFrames:
@@ -331,16 +307,3 @@ class TestGoldenFrames:
         seq, shard, got = decode_frame(bytes.fromhex(_UNTRACED_HEX))
         assert (seq, shard, got[:-1]) == (7, 3, _UNTRACED[:-1])
         assert isinstance(got[-1], ShardDone)
-
-    def test_traced_frame_is_the_old_body_without_the_prefix(self):
-        assert encode_frame(8, 1, _TRACED).hex() == _TRACED_HEX
-        _, _, got = decode_frame(bytes.fromhex(_TRACED_HEX))
-        assert got[0] == _TRACED[0] and got[2] == _TRACED[2]
-        assert got[1].trace.span_id == 991
-
-    def test_unsampled_context_goes_out_untraced(self):
-        plain = Envelope(_ANNOUNCE, "s0", 0.125)
-        unsampled = Envelope(_ANNOUNCE, "s0", 0.125,
-                             trace=TraceContext(7, 3, False))
-        assert encode_record(unsampled) == encode_record(plain)
-        assert encode_record(_TRACED[0])[0] == wire.TAG_ENVELOPE_TRACED

@@ -26,7 +26,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.faults import REORDER_SKEW_S, FaultyStream
 from repro.pipeline.stages import END_OF_STREAM, Disposition, Heartbeat, \
-    ShardDone, WatermarkAdvance
+    ShardDone
 from repro.workload import StreamConfig, SyntheticStreamGenerator, \
     split_by_vp
 
@@ -539,7 +539,7 @@ class TestWriterReorderRegressions:
         items = [self.disp(100.0, "s1"), self.disp(100.0, "s2"),
                  self.disp(100.0, "s1")]
         for session in ("s1", "s2"):
-            items.append(WatermarkAdvance(session, 100.0))
+            items.append(Heartbeat(session, 100.0))
         items += [ShardDone(), ShardDone()]
         mirrored, snapshot = self.drive(items)
         assert len(mirrored) == 3
@@ -549,11 +549,11 @@ class TestWriterReorderRegressions:
     def test_late_heartbeat_does_not_rewind_watermark(self):
         items = []
         for session in ("s1", "s2"):
-            items.append(WatermarkAdvance(session, 200.0))
+            items.append(Heartbeat(session, 200.0))
         items.append(self.disp(150.0, "s1"))
         # A duplicate delivery of an OLD heartbeat arrives late: the
         # watermark must stay at 200 so the t=150 update still emits.
-        items.append(WatermarkAdvance("s1", 50.0))
+        items.append(Heartbeat("s1", 50.0))
         items.append(self.disp(180.0, "s2"))
         items += [ShardDone(), ShardDone()]
         mirrored, snapshot = self.drive(items)
@@ -579,10 +579,10 @@ class TestWriterReorderRegressions:
                              mirror=lambda u, r: mirrored.append(u))
         writer.start()
         queue.put(self.disp(150.0, "s2"))
-        queue.put(WatermarkAdvance("s1", END_OF_STREAM))
+        queue.put(Heartbeat("s1", END_OF_STREAM))
         time.sleep(0.2)
         assert mirrored == []           # s2 has not passed 150 yet
-        queue.put(WatermarkAdvance("s2", 200.0))
+        queue.put(Heartbeat("s2", 200.0))
         deadline = time.monotonic() + 5.0
         while not mirrored and time.monotonic() < deadline:
             time.sleep(0.01)

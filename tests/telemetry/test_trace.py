@@ -4,11 +4,11 @@ import pytest
 
 from repro.pipeline import CollectionPipeline, PipelineConfig
 from repro.telemetry import (
-    NOOP_TRACE,
     MetricsRegistry,
     Tracer,
     render_slow_traces,
 )
+from repro.telemetry.blackbox import RING_SIZE
 from repro.workload import StreamConfig, SyntheticStreamGenerator, \
     split_by_vp
 
@@ -27,20 +27,20 @@ class TestSampling:
     def test_rate_one_samples_every_update(self):
         tracer = Tracer(1.0, registry=MetricsRegistry())
         spans = [tracer.start("vp") for _ in range(50)]
-        assert all(span is not NOOP_TRACE for span in spans)
+        assert all(span is not None for span in spans)
 
     def test_rate_zero_allocates_nothing(self):
-        """The no-op span is one shared singleton (identity check)."""
+        """An unsampled update gets no span object at all."""
         tracer = Tracer(0.0, registry=MetricsRegistry())
         for _ in range(1000):
-            assert tracer.start("vp") is NOOP_TRACE
+            assert tracer.start("vp") is None
         # Nothing was recorded anywhere.
         assert tracer._sampled.value == 0
         assert tracer.recent() == []
 
     def test_stride_honours_rate(self):
         tracer = Tracer(0.1, registry=MetricsRegistry())
-        sampled = sum(tracer.start("vp") is not NOOP_TRACE
+        sampled = sum(tracer.start("vp") is not None
                       for _ in range(1000))
         assert sampled == 100
 
@@ -49,11 +49,6 @@ class TestSampling:
             Tracer(1.5)
         with pytest.raises(ValueError):
             Tracer(-0.1)
-
-    def test_noop_trace_absorbs_all_calls(self):
-        NOOP_TRACE.mark("ingest")
-        NOOP_TRACE.finish()
-        NOOP_TRACE.abort()
 
 
 class TestSpans:
@@ -85,32 +80,52 @@ class TestSpans:
         assert tracer._sampled.value == 0
         assert tracer.recent() == []
 
-    def test_ring_keeps_only_slow_spans(self):
-        tracer = Tracer(1.0, registry=MetricsRegistry(),
-                        slow_threshold_s=10.0)
-        span = tracer.start("vp-1")
-        span.mark("write")
-        span.finish()
-        assert tracer.recent() == []         # fast span filtered out
-        assert tracer._sampled.value == 1    # but still counted
-
     def test_ring_is_bounded_and_slowest_first(self):
-        tracer = Tracer(1.0, registry=MetricsRegistry(), ring_size=4)
-        for _ in range(10):
+        tracer = Tracer(1.0, registry=MetricsRegistry())
+        for _ in range(RING_SIZE + 10):
             span = tracer.start("vp-1")
             span.mark("write")
             span.finish()
-        assert len(tracer.recent()) == 4
-        slow = tracer.slow_traces(2)
+        assert len(tracer.recent()) == RING_SIZE
+        assert tracer._sampled.value == RING_SIZE + 10
+        document = tracer.to_json(2)
+        assert document["count"] == RING_SIZE
+        slow = document["traces"]
         assert len(slow) == 2
-        assert slow[0].total_s >= slow[1].total_s
+        assert slow[0]["total_s"] >= slow[1]["total_s"]
+
+    def test_tracers_share_the_ring_but_read_their_own(self):
+        pipeline, requests = Tracer(1.0), Tracer(1.0)
+        pipeline.start("vp-1").finish()
+        requests.start_request("/updates", query="limit=1").finish(200)
+        [update_span] = pipeline.recent()
+        [request_span] = requests.recent()
+        assert update_span.trace_id == "" and update_span.status == 0
+        entry = requests.to_json()["traces"][0]
+        assert set(entry) == {"trace_id", "request_id", "endpoint",
+                              "query", "status", "total_s",
+                              "finished_at", "stages"}
+        assert (entry["endpoint"], entry["query"], entry["status"]) \
+            == ("/updates", "limit=1", 200)
+        assert entry["trace_id"] == request_span.trace_id
+
+    def test_inbound_trace_ids(self):
+        tracer = Tracer(1.0)
+        span = tracer.start_request("/x", inbound_trace_id="DEADBEEF")
+        assert span.trace_id == "00000000deadbeef"
+        wide = "1" * 16 + "00000000cafef00d"
+        assert tracer.start_request("/x", wide).trace_id \
+            == "00000000cafef00d"
+        for hostile in ("", "not-hex", "f" * 33):
+            minted = tracer.start_request("/x", hostile).trace_id
+            assert len(minted) == 16 and int(minted, 16)
 
     def test_render_slow_traces(self):
         tracer = Tracer(1.0, registry=MetricsRegistry())
         span = tracer.start("vp-9")
         span.mark("write")
         span.finish()
-        text = render_slow_traces(tracer.slow_traces())
+        text = render_slow_traces(tracer.to_json()["traces"])
         assert "vp-9" in text and "write" in text
         assert render_slow_traces([]) == "no sampled spans\n"
 
