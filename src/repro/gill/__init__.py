@@ -5,17 +5,16 @@ the redundant fraction of the stream *before* it reaches the archive,
 keeping anchor VPs so the dropped data stays reconstitutable (§3-§4).
 :class:`GillStage` runs between the pipeline's watermark-ordered writer
 heap and the rolling archive; :mod:`repro.gill.incremental` holds the
-streaming twins of the batch §4.2 machinery (correlation groups,
-update redundancy, event detection, VP scoring) with differential
-parity tests; :mod:`repro.gill.journal` persists per-segment drop
-accounting that survives crash/resume byte-identically.
+streaming twins of the batch §4.2 machinery (correlation groups, event
+detection, VP scoring) with differential parity tests;
+:mod:`repro.gill.journal` persists per-segment drop accounting that
+survives crash/resume byte-identically.
 
 See docs/GILL.md for the design and tuning guide.
 """
 
 from .incremental import (
     IncrementalCorrelationGroups,
-    IncrementalRedundancyCounter,
     IncrementalVPScorer,
 )
 from .journal import GillJournal, gill_journal_path_for
@@ -27,6 +26,5 @@ __all__ = [
     "GillJournal",
     "gill_journal_path_for",
     "IncrementalCorrelationGroups",
-    "IncrementalRedundancyCounter",
     "IncrementalVPScorer",
 ]

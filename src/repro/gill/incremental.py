@@ -1,20 +1,20 @@
 """Incremental §4.2 trackers with batch parity (GILL-in-the-loop).
 
 The batch reproduction in :mod:`repro.core` answers "how redundant was
-this hour of data?" after the fact: :func:`repro.core.redundancy.
-update_redundancy` scans a finished stream, :meth:`repro.core.
-correlation.CorrelationGroups.build` buckets it per prefix, and
+this hour of data?" after the fact: :meth:`repro.core.correlation.
+CorrelationGroups.build` buckets a finished stream per prefix, and
 :func:`repro.core.scoring.compute_event_features` replays it once per
 scoring pass.  Running the filter *inside* the pipeline needs the same
 answers while the stream is still arriving, one update at a time, with
-bounded memory.
+bounded memory.  (Per-update redundancy itself is decided by
+:class:`~repro.gill.stage.GillStage`'s own witness scan.)
 
 This module holds the incremental counterparts.  Each one is written
 against its batch twin and guarded by differential tests
 (``tests/gill/test_incremental.py``): feeding a time-ordered stream
 through the incremental path must produce the same groups, the same
-redundancy report (for all three definitions), the same events, and the
-same score matrix as the batch pass over the full stream.
+events, and the same score matrix as the batch pass over the full
+stream.
 
 Why parity holds:
 
@@ -23,12 +23,6 @@ Why parity holds:
   not depend on how equal-time ties were ordered.  The incremental
   tracker keeps one open window per prefix and seals it through the
   same ``CorrelationGroups._add_window`` the batch builder uses.
-* **Update redundancy** — an update is redundant when some *other*
-  update within ±slack witnesses it.  Condition 1 bounds witnesses to
-  ``|Δt| < slack``, so a per-prefix deque of recent updates sees every
-  ordered pair exactly once; checking both directions of each pair
-  (earlier-vs-later and later-vs-earlier) reproduces the batch's
-  symmetric window scan, including the asymmetric Definitions 2/3.
 * **Events** — a cluster's membership is final once the stream is more
   than the cluster window past its last sighting: any later sighting of
   the same key would open a new cluster in the batch pass too.
@@ -66,12 +60,6 @@ from ..core.events import (
     ObservedEvent,
 )
 from ..core.features import FEATURE_VECTOR_DIM, RIBGraph
-from ..core.redundancy import (
-    TIME_SLACK_S,
-    RedundancyDefinition,
-    UpdateRedundancyReport,
-    is_redundant_with,
-)
 from ..core.scoring import (
     _node_pair_features,
     normalize_features,
@@ -147,61 +135,6 @@ class IncrementalGroupCount(IncrementalCorrelationGroups):
 
     def _sealed_groups(self) -> int:
         return len(self._distinct)
-
-
-class _Witness:
-    """One window entry of :class:`IncrementalRedundancyCounter`."""
-
-    __slots__ = ("annotated", "flagged")
-
-    def __init__(self, annotated: AnnotatedUpdate):
-        self.annotated = annotated
-        self.flagged = False
-
-
-class IncrementalRedundancyCounter:
-    """Streaming twin of :func:`repro.core.redundancy.update_redundancy`.
-
-    Keeps, per prefix, the updates of the last ``slack`` seconds and
-    checks each arriving update against that window in both directions
-    (the batch scan is symmetric in time even though Definitions 2/3
-    are asymmetric in arguments).  An update counts as redundant the
-    first time either direction flags it, whether it is the newcomer or
-    an earlier update retroactively witnessed by the newcomer.
-    """
-
-    def __init__(self, definition: RedundancyDefinition,
-                 slack: float = TIME_SLACK_S):
-        self.definition = definition
-        self.slack = slack
-        self._windows: Dict[Prefix, Deque[_Witness]] = defaultdict(deque)
-        self._total = 0
-        self._redundant = 0
-
-    def add(self, annotated: AnnotatedUpdate) -> bool:
-        """Ingest one annotated update; True when it is itself redundant."""
-        update = annotated.update
-        window = self._windows[update.prefix]
-        while window and update.time - window[0].annotated.update.time \
-                >= self.slack:
-            window.popleft()
-        entry = _Witness(annotated)
-        for other in window:
-            if not entry.flagged and is_redundant_with(
-                    annotated, other.annotated, self.definition, self.slack):
-                entry.flagged = True
-                self._redundant += 1
-            if not other.flagged and is_redundant_with(
-                    other.annotated, annotated, self.definition, self.slack):
-                other.flagged = True
-                self._redundant += 1
-        window.append(entry)
-        self._total += 1
-        return entry.flagged
-
-    def report(self) -> UpdateRedundancyReport:
-        return UpdateRedundancyReport(self.definition, self._total,
-                                      self._redundant)
 
 
 class _Cluster:

@@ -62,8 +62,15 @@ from ..core.redundancy import (
     condition3,
     is_redundant_with,
 )
+from ..telemetry import Declared, MetricsRegistry, bind
 from .incremental import IncrementalGroupCount, IncrementalVPScorer
 from .journal import GillJournal, gill_journal_path_for
+
+#: The filter's decisions, also read by the pipeline snapshot.
+GILL_DECISIONS = Declared(
+    "counter", "repro_gill_decisions_total",
+    "Filter decisions on archive-bound updates", ("decision",),
+    gill_kept=("kept",), gill_dropped=("dropped",))
 
 
 @dataclass
@@ -147,14 +154,11 @@ class GillStage:
 
     def _register_metrics(self, registry) -> None:
         if registry is None:
-            from ..telemetry import MetricsRegistry
             registry = MetricsRegistry()
         self.registry = registry
-        decisions = registry.counter(
-            "repro_gill_decisions_total",
-            "Filter decisions on archive-bound updates", labels=("decision",))
-        self._kept_counter = decisions.labels(decision="kept")
-        self._dropped_counter = decisions.labels(decision="dropped")
+        decisions = bind(registry, (GILL_DECISIONS,))
+        self._kept_counter = decisions["gill_kept"]
+        self._dropped_counter = decisions["gill_dropped"]
         self._dropped_by = registry.counter(
             "repro_gill_dropped_total",
             "Dropped updates by VP and strictest satisfied definition",

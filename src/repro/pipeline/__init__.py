@@ -20,7 +20,6 @@ from .faults import (
     SupervisorConfig,
 )
 from .metrics import (
-    LatencyHistogram,
     PipelineMetrics,
     PipelineMetricsSnapshot,
     SessionSnapshot,
@@ -45,7 +44,6 @@ __all__ = [
     "FaultSpec",
     "InjectedCrash",
     "InjectedIOError",
-    "LatencyHistogram",
     "PeerSession",
     "PipelineConfig",
     "PipelineMetrics",

@@ -1,78 +1,103 @@
 """Live metrics for the concurrent collection runtime.
 
-Every stage of :mod:`repro.pipeline` reports into one
-:class:`PipelineMetrics` object — now a thin facade over the shared
-:class:`repro.telemetry.MetricsRegistry`: per-session ingest counters
-(enqueued vs dropped — the empirical Table-1 loss signal), per-shard
-processing counters, writer throughput and watermark, queue-depth
-high-water marks, a latency histogram per stage, and the fault
-supervision counters all live in one exported namespace
-(``repro_pipeline_*``, ``repro_session_*``, ``repro_supervision_*``,
-``repro_writer_*`` families — see docs/TELEMETRY.md for the
-catalogue).  The same registry also carries the query-engine counters
-(:class:`~repro.query.stats.QueryStats`) and the trace-span
-histograms (:class:`~repro.telemetry.Tracer`), so one ``/metrics``
-scrape covers collection, supervision and serving.
+Every metric the pipeline reports is declared once below, as a
+:class:`~repro.telemetry.Declared`: its family (``repro_session_*``,
+``repro_pipeline_*``, ``repro_supervision_*``, ``repro_writer_*``,
+``repro_archive_*`` — docs/TELEMETRY.md has the catalogue), HELP
+text, labels, and the snapshot field each child fills.  The per-session
+ingest counters (enqueued vs dropped) are the empirical Table-1 loss
+signal.
 
-Counters are individually lock-protected so any thread may report;
-:meth:`PipelineMetrics.snapshot` produces an immutable view for the
-status page and the CLI, and ``PipelineMetrics.registry`` exposes the
-underlying registry for Prometheus/JSON exposition and the snapshot
-time-series sampler.
+Call sites increment children bound before their loops: the flat
+families' children are attributes of :class:`PipelineMetrics` named
+for their fields (``metrics.writer_io_errors.inc()``), each stage's
+are on ``metrics.ingest`` / ``.process`` / ``.write``, and a
+:class:`~repro.pipeline.stages.PeerSession` binds its own session row
+when it is constructed.  :meth:`PipelineMetrics.snapshot` reads every
+field back from the shared :class:`~repro.telemetry.MetricsRegistry`,
+which also carries the query engine's counters
+(:class:`~repro.query.stats.QueryStats`) and the trace-span histograms,
+so one ``/metrics`` scrape covers collection, supervision and serving.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Optional, Tuple
 
-from ..telemetry import Counter, Gauge, Histogram, MetricsRegistry, \
-    Tracer, format_latency
-from ..telemetry.registry import DEFAULT_LATENCY_BOUNDS as \
-    _BUCKET_BOUNDS  # noqa: F401  (re-exported for compatibility)
+from ..gill.stage import GILL_DECISIONS
+from ..telemetry import Declared, HistogramSnapshot, MetricsRegistry, \
+    Tracer, bind, format_latency, read
 from ..query.stats import QueryStats, QueryStatsSnapshot, \
     render_query_stats
 
-#: The pipeline's stage latency histogram type — the registry
-#: histogram, whose (sum, count) reads are atomic under its lock.
-LatencyHistogram = Histogram
+#: One row per peering session (``PeerSession`` binds its own).
+SESSION_METRICS = (
+    Declared("counter", "repro_session_updates_total",
+             "Updates offered by each peering session, by outcome.",
+             ("session", "result"),
+             enqueued=("enqueued",), dropped=("dropped",)),
+    Declared("counter", "repro_session_restarts_total",
+             "Supervised restarts after session faults.", ("session",),
+             restarts=()),
+    Declared("counter", "repro_session_malformed_total",
+             "Malformed updates skipped at the session boundary.",
+             ("session",), malformed=()),
+    Declared("gauge", "repro_session_backoff_seconds",
+             "Current restart backoff (0 while established).",
+             ("session",), unit="seconds", backoff_s=()),
+    Declared("gauge", "repro_session_quarantined",
+             "1 while the flap circuit breaker holds the session open.",
+             ("session",), quarantined=()),
+)
 
+#: Whole-pipeline families (fields of the pipeline and supervision
+#: snapshots).
+PIPELINE_METRICS = (
+    Declared("counter", "repro_pipeline_dispositions_total",
+             "Processed updates by verdict (retained / discarded / "
+             "flagged).", ("disposition",), retained=("retained",),
+             discarded=("discarded",), flagged=("flagged",)),
+    Declared("counter", "repro_pipeline_forwarded_total",
+             "Operator deliveries by the forwarding service.",
+             forwarded=()),
+    Declared("counter", "repro_archive_segments_total",
+             "Archive segments sealed and flushed.", segments=()),
+    Declared("counter", "repro_supervision_events_total",
+             "Fault-supervision events, by kind.", ("event",),
+             degraded_episodes=("session_degraded",),
+             worker_restarts=("worker_restart",),
+             writer_io_errors=("writer_io_error",),
+             archive_recoveries=("archive_recovery",),
+             rib_redumps=("rib_redump",),
+             order_violations=("order_violation",)),
+    Declared("counter", "repro_archive_updates_lost_total",
+             "Buffered updates lost to archive crash recovery.",
+             archive_lost=()),
+    GILL_DECISIONS,
+    Declared("gauge", "repro_writer_watermark_seconds",
+             "Stream time of the last update the writer emitted.",
+             unit="seconds", writer_watermark=()),
+    Declared("gauge", "repro_writer_watermark_wall_seconds",
+             "Wall-clock time the writer watermark last advanced.",
+             unit="seconds", writer_watermark_wall=()),
+)
 
-class StageMetrics:
-    """Counters for one pipeline stage, bound into the registry."""
-
-    def __init__(self, name: str, registry: MetricsRegistry) -> None:
-        self.name = name
-        updates = registry.counter(
-            "repro_pipeline_stage_updates_total",
-            "Updates handled per pipeline stage, by result.",
-            labels=("stage", "result"))
-        self._processed = updates.labels(name, "processed")
-        self._dropped = updates.labels(name, "dropped")
-        self.latency = registry.histogram(
-            "repro_pipeline_stage_latency_seconds",
-            "Latency from ingest enqueue to stage completion.",
-            labels=("stage",), unit="seconds").labels(name)
-        self.queue_depth = registry.gauge(
-            "repro_pipeline_queue_depth",
-            "Current depth of each stage's bounded queue.",
-            labels=("stage",), track_high_water=True).labels(name)
-
-    def add(self, processed: int = 0, dropped: int = 0) -> None:
-        if processed:
-            self._processed.inc(processed)
-        if dropped:
-            self._dropped.inc(dropped)
-
-    @property
-    def processed(self) -> int:
-        return int(self._processed.value)
-
-    @property
-    def dropped(self) -> int:
-        return int(self._dropped.value)
+#: One row per stage.
+STAGE_METRICS = (
+    Declared("counter", "repro_pipeline_stage_updates_total",
+             "Updates handled per pipeline stage, by result.",
+             ("stage", "result"),
+             processed=("processed",), dropped=("dropped",)),
+    Declared("histogram", "repro_pipeline_stage_latency_seconds",
+             "Latency from ingest enqueue to stage completion.",
+             ("stage",), unit="seconds", latency=()),
+    Declared("gauge", "repro_pipeline_queue_depth",
+             "Current depth of each stage's bounded queue.", ("stage",),
+             high_water="queue_high_water", queue_depth=()),
+)
 
 
 @dataclass(frozen=True)
@@ -114,29 +139,35 @@ class SupervisionSnapshot:
     rib_redumps: int = 0
     order_violations: int = 0
 
-    @property
-    def any_faults(self) -> bool:
-        return bool(self.session_restarts or self.quarantined
-                    or self.malformed or self.degraded_episodes
-                    or self.worker_restarts or self.writer_io_errors
-                    or self.archive_recoveries or self.archive_lost
-                    or self.rib_redumps or self.order_violations)
-
 
 @dataclass(frozen=True)
 class StageSnapshot:
     """Immutable view of one stage's counters."""
 
     name: str
+    latency: HistogramSnapshot
     processed: int
     dropped: int
-    queue_depth: int
-    queue_high_water: int
-    latency_p50_s: float
-    latency_p99_s: float
-    latency_mean_s: float
-    #: Samples behind the latency quantiles (0 = no observations).
-    latency_count: int = 0
+    #: Gauges: 0 until the stage's queue is first used.
+    queue_depth: int = 0
+    queue_high_water: int = 0
+
+    @property
+    def latency_p50_s(self) -> float:
+        return self.latency.percentile(0.5)
+
+    @property
+    def latency_p99_s(self) -> float:
+        return self.latency.percentile(0.99)
+
+    @property
+    def latency_mean_s(self) -> float:
+        return self.latency.mean
+
+    @property
+    def latency_count(self) -> int:
+        """Samples behind the latency quantiles (0 = no observations)."""
+        return self.latency.count
 
 
 @dataclass(frozen=True)
@@ -191,194 +222,28 @@ class PipelineMetricsSnapshot:
 
 
 class PipelineMetrics:
-    """The shared metrics hub every pipeline stage reports into."""
+    """The shared metrics hub every pipeline stage reports into.
+
+    Attributes: the children of :data:`PIPELINE_METRICS`, named for
+    their fields; ``ingest``, ``process`` and ``write``, each stage's
+    :data:`STAGE_METRICS` children; ``query``, the engine's
+    :class:`~repro.query.stats.QueryStats`; and the ``tracer``.
+    """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None
                  ) -> None:
-        self.registry = registry if registry is not None \
+        self.registry = r = registry if registry is not None \
             else MetricsRegistry()
-        r = self.registry
-        # Per-session families; children are pre-bound at
-        # register_session time so the per-update path is one inc().
-        self._session_updates = r.counter(
-            "repro_session_updates_total",
-            "Updates offered by each peering session, by outcome.",
-            labels=("session", "result"))
-        self._session_restarts = r.counter(
-            "repro_session_restarts_total",
-            "Supervised restarts after session faults.",
-            labels=("session",))
-        self._session_malformed = r.counter(
-            "repro_session_malformed_total",
-            "Malformed updates skipped at the session boundary.",
-            labels=("session",))
-        self._session_backoff = r.gauge(
-            "repro_session_backoff_seconds",
-            "Current restart backoff (0 while established).",
-            labels=("session",), unit="seconds")
-        self._session_quarantined = r.gauge(
-            "repro_session_quarantined",
-            "1 while the flap circuit breaker holds the session open.",
-            labels=("session",))
-        # Worker dispositions.
-        dispositions = r.counter(
-            "repro_pipeline_dispositions_total",
-            "Processed updates by verdict (retained / discarded / "
-            "flagged).", labels=("disposition",))
-        self._retained = dispositions.labels("retained")
-        self._discarded = dispositions.labels("discarded")
-        self._flagged = dispositions.labels("flagged")
-        self._forwarded = r.counter(
-            "repro_pipeline_forwarded_total",
-            "Operator deliveries by the forwarding service.")
-        self._segments = r.counter(
-            "repro_archive_segments_total",
-            "Archive segments sealed and flushed.")
-        # Fault supervision (global events; per-session restarts and
-        # malformed counts live in the session families above).
-        self._supervision = r.counter(
-            "repro_supervision_events_total",
-            "Fault-supervision events, by kind.", labels=("event",))
-        self._degraded = self._supervision.labels("session_degraded")
-        self._worker_restarts = \
-            self._supervision.labels("worker_restart")
-        self._writer_io_errors = \
-            self._supervision.labels("writer_io_error")
-        self._archive_recoveries = \
-            self._supervision.labels("archive_recovery")
-        self._rib_redumps = self._supervision.labels("rib_redump")
-        self._order_violations = \
-            self._supervision.labels("order_violation")
-        self._archive_lost = r.counter(
-            "repro_archive_updates_lost_total",
-            "Buffered updates lost to archive crash recovery.")
-        # Gill filter decisions: the same family the GillStage binds
-        # (get-or-create by name), so the snapshot reads the counts the
-        # filter increments without a direct reference to the stage.
-        gill = r.counter(
-            "repro_gill_decisions_total",
-            "Filter decisions on archive-bound updates",
-            labels=("decision",))
-        self._gill_kept = gill.labels(decision="kept")
-        self._gill_dropped = gill.labels(decision="dropped")
-        # Writer watermark: stream time plus the wall-clock instant it
-        # advanced, so the status page can render its *age*.
-        self._watermark = r.gauge(
-            "repro_writer_watermark_seconds",
-            "Stream time of the last update the writer emitted.",
-            unit="seconds").labels()
-        self._watermark_wall = r.gauge(
-            "repro_writer_watermark_wall_seconds",
-            "Wall-clock time the writer watermark last advanced.",
-            unit="seconds").labels()
-        # Stage counters, the query facade and the (default-off)
-        # tracer all join the same registry.
-        self.ingest = StageMetrics("ingest", r)
-        self.process = StageMetrics("process", r)
-        self.write = StageMetrics("write", r)
+        for declared in SESSION_METRICS:    # sessions bind their rows
+            declared.family(r)
+        vars(self).update(bind(r, PIPELINE_METRICS))
+        self.ingest, self.process, self.write = (
+            SimpleNamespace(**bind(r, STAGE_METRICS, stage))
+            for stage in ("ingest", "process", "write"))
         self.query = QueryStats(registry=r)
         self.tracer = Tracer(0.0, registry=r)
-        # Pre-bound per-session children and ordered bookkeeping.
-        self._lock = threading.Lock()
-        self._sessions: Dict[str, Tuple[Counter, Counter]] = {}
-        self._restarts: Dict[str, Counter] = {}
-        self._malformed: Dict[str, Counter] = {}
-        self._backoff: Dict[str, Gauge] = {}
-        self._quarantine_flags: Dict[str, Gauge] = {}
-        self._quarantined: List[str] = []
         self._started_at: Optional[float] = None
         self._stopped_at: Optional[float] = None
-
-    # -- session accounting -------------------------------------------------
-
-    def register_session(self, name: str) -> None:
-        with self._lock:
-            if name in self._sessions:
-                return
-            self._sessions[name] = (
-                self._session_updates.labels(name, "enqueued"),
-                self._session_updates.labels(name, "dropped"),
-            )
-            self._restarts[name] = \
-                self._session_restarts.labels(name)
-            self._malformed[name] = \
-                self._session_malformed.labels(name)
-            self._backoff[name] = self._session_backoff.labels(name)
-            self._quarantine_flags[name] = \
-                self._session_quarantined.labels(name)
-
-    def session_enqueued(self, name: str, count: int = 1) -> None:
-        self._sessions[name][0].inc(count)
-        self.ingest.add(processed=count)
-
-    def session_dropped(self, name: str, count: int = 1) -> None:
-        self._sessions[name][1].inc(count)
-        self.ingest.add(dropped=count)
-
-    # -- supervision accounting --------------------------------------------
-
-    def session_restarted(self, name: str) -> None:
-        self._restarts[name].inc()
-
-    def session_quarantined(self, name: str) -> None:
-        with self._lock:
-            if name in self._quarantined:
-                return
-            self._quarantined.append(name)
-        self._quarantine_flags[name].set(1)
-
-    def session_malformed(self, name: str, count: int = 1) -> None:
-        self._malformed[name].inc(count)
-
-    def session_backoff(self, name: str, seconds: float) -> None:
-        """Record a session's current restart backoff (0 = established)."""
-        self._backoff[name].set(seconds)
-
-    def session_degraded(self, name: str) -> None:
-        self._degraded.inc()
-
-    def worker_restarted(self, shard: int) -> None:
-        self._worker_restarts.inc()
-
-    def writer_io_error(self) -> None:
-        self._writer_io_errors.inc()
-
-    def archive_recovered(self, lost: int = 0) -> None:
-        self._archive_recoveries.inc()
-        if lost:
-            self._archive_lost.inc(lost)
-
-    def rib_redumped(self, name: str) -> None:
-        self._rib_redumps.inc()
-
-    def order_violation(self) -> None:
-        self._order_violations.inc()
-
-    def index_built(self, seconds: float) -> None:
-        """A segment's query index was built at seal time."""
-        self.query.index_built(seconds)
-
-    # -- worker / writer accounting ----------------------------------------
-
-    def update_processed(self, retained: bool, flagged: bool = False,
-                         forwarded_to: int = 0) -> None:
-        if flagged:
-            self._flagged.inc()
-        elif retained:
-            self._retained.inc()
-        else:
-            self._discarded.inc()
-        if forwarded_to:
-            self._forwarded.inc(forwarded_to)
-        self.process.add(processed=1)
-
-    def segment_flushed(self, count: int = 1) -> None:
-        self._segments.inc(count)
-
-    def writer_advanced(self, stream_time: float) -> None:
-        """The writer emitted up to ``stream_time`` (watermark move)."""
-        self._watermark.set(stream_time)
-        self._watermark_wall.set(time.time())
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -397,77 +262,28 @@ class PipelineMetrics:
 
     # -- snapshots ----------------------------------------------------------
 
-    def _stage_snapshot(self, stage: StageMetrics) -> StageSnapshot:
-        latency = stage.latency.snapshot()
-        return StageSnapshot(
-            name=stage.name,
-            processed=stage.processed,
-            dropped=stage.dropped,
-            queue_depth=int(stage.queue_depth.value),
-            queue_high_water=int(stage.queue_depth.high_water),
-            latency_p50_s=latency.percentile(0.5),
-            latency_p99_s=latency.percentile(0.99),
-            latency_mean_s=latency.mean,
-            latency_count=latency.count,
-        )
-
     def snapshot(self) -> PipelineMetricsSnapshot:
-        with self._lock:
-            names = sorted(self._sessions)
-            quarantined = tuple(self._quarantined)
-        sessions = tuple(
-            SessionSnapshot(
-                name,
-                int(self._sessions[name][0].value),
-                int(self._sessions[name][1].value),
-                restarts=int(self._restarts[name].value),
-                malformed=int(self._malformed[name].value),
-                quarantined=name in quarantined,
-                backoff_s=self._backoff[name].value,
-            )
-            for name in names
-        )
-        supervision = SupervisionSnapshot(
+        r = self.registry
+        sessions = tuple(sorted(
+            read(SessionSnapshot, r, SESSION_METRICS, row="session"),
+            key=lambda s: s.session))
+        stages = {s.name: s for s in
+                  read(StageSnapshot, r, STAGE_METRICS, row="name")}
+        supervision = read(
+            SupervisionSnapshot, r, PIPELINE_METRICS,
             session_restarts=sum(s.restarts for s in sessions),
-            quarantined=quarantined,
-            malformed=sum(s.malformed for s in sessions),
-            degraded_episodes=int(self._degraded.value),
-            worker_restarts=int(self._worker_restarts.value),
-            writer_io_errors=int(self._writer_io_errors.value),
-            archive_recoveries=int(self._archive_recoveries.value),
-            archive_lost=int(self._archive_lost.value),
-            rib_redumps=int(self._rib_redumps.value),
-            order_violations=int(self._order_violations.value),
-        )
-        received = sum(s.offered for s in sessions)
-        dropped = sum(s.dropped for s in sessions)
-        watermark_set = self._watermark_wall.touched
-        return PipelineMetricsSnapshot(
-            received=received,
-            ingest_dropped=dropped,
-            processed=self.process.processed,
-            flagged=int(self._flagged.value),
-            retained=int(self._retained.value),
-            discarded=int(self._discarded.value),
-            forwarded=int(self._forwarded.value),
-            written=self.write.processed,
-            segments=int(self._segments.value),
+            quarantined=tuple(s.session for s in sessions
+                              if s.quarantined),
+            malformed=sum(s.malformed for s in sessions))[0]
+        return read(
+            PipelineMetricsSnapshot, r, PIPELINE_METRICS,
+            received=sum(s.offered for s in sessions),
+            ingest_dropped=sum(s.dropped for s in sessions),
+            processed=stages["process"].processed,
+            written=stages["write"].processed,
             wall_time_s=self.wall_time_s,
-            stages=(
-                self._stage_snapshot(self.ingest),
-                self._stage_snapshot(self.process),
-                self._stage_snapshot(self.write),
-            ),
-            sessions=sessions,
-            supervision=supervision,
-            query=self.query.snapshot(),
-            writer_watermark=self._watermark.value
-            if watermark_set else None,
-            writer_watermark_wall=self._watermark_wall.value
-            if watermark_set else None,
-            gill_kept=int(self._gill_kept.value),
-            gill_dropped=int(self._gill_dropped.value),
-        )
+            stages=tuple(stages.values()), sessions=sessions,
+            supervision=supervision, query=self.query.snapshot())[0]
 
 
 def _latency_cell(seconds: float, count: int) -> str:

@@ -197,13 +197,14 @@ class CollectionPipeline:
                 self._flagged.append(update)
 
     def _session_reestablished(self, name: str) -> None:
-        self.metrics.rib_redumped(name)
+        self.metrics.rib_redumps.inc()
         if self.on_reestablish is not None:
             self.on_reestablish(name)
 
     def _seal_metrics(self, segment, build_s) -> None:
         if build_s is not None:
-            self.metrics.index_built(build_s)
+            self.metrics.query.index_builds.inc()
+            self.metrics.query.index_build_time_s.inc(build_s)
 
     def _release_archive(self) -> None:
         """Drop the seal subscriptions ``start`` made (writer is done)."""
@@ -398,7 +399,7 @@ class CollectionPipeline:
                 with self._workers_lock:
                     self._replaced.append(worker)
                     self._workers[index] = replacement
-                self.metrics.worker_restarted(worker.shard)
+                self.metrics.worker_restarts.inc()
                 injector.record(
                     f"watchdog restarted shard{worker.shard} "
                     f"after {stalled_for:.2f}s stall")

@@ -53,6 +53,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
     Tuple
 
@@ -62,8 +63,9 @@ from ..bgp.filtering import FilterTable
 from ..bgp.message import BGPUpdate, canonical_key
 from ..bgp.validation import RouteValidator
 from ..core.forwarding import ForwardingService
+from ..telemetry import bind
 from .faults import FaultInjector, SupervisorConfig
-from .metrics import PipelineMetrics
+from .metrics import SESSION_METRICS, PipelineMetrics
 from .queues import BoundedQueue, QueueClosed, QueueEmpty, QueueFull
 
 #: Marker time meaning "this session will send nothing further".
@@ -214,7 +216,11 @@ class PeerSession(threading.Thread):
         self._since_heartbeat = 0
         self._last_time: Optional[float] = None
         self._degraded = False
-        metrics.register_session(name)
+        #: This session's row of the ``repro_session_*`` families, one
+        #: child per :class:`~repro.pipeline.metrics.SessionSnapshot`
+        #: field.
+        self.meters = SimpleNamespace(
+            **bind(metrics.registry, SESSION_METRICS, name))
 
     def _pace(self, stream_time: float) -> None:
         if self._stream_t0 is None or self._wall_t0 is None:
@@ -240,11 +246,13 @@ class PeerSession(threading.Thread):
 
     def _offer(self, envelope: Envelope) -> None:
         queue = self.queue
+        meters, ingest = self.meters, self.metrics.ingest
         if self.overflow_policy == "block" and not self._degraded:
             try:
                 queue.put(envelope,
                           timeout=self.supervisor.degrade_after_s)
-                self.metrics.session_enqueued(self.session)
+                meters.enqueued.inc()
+                ingest.processed.inc()
                 if envelope.trace is not None:
                     envelope.trace.mark("ingest")
                 return
@@ -253,16 +261,18 @@ class PeerSession(threading.Thread):
                 # this producer cannot hang forever behind a wedged
                 # consumer.  First successful try_put restores block.
                 self._degraded = True
-                self.metrics.session_degraded(self.session)
+                self.metrics.degraded_episodes.inc()
         if queue.try_put(envelope):
-            self.metrics.session_enqueued(self.session)
+            meters.enqueued.inc()
+            ingest.processed.inc()
             if envelope.trace is not None:
                 envelope.trace.mark("ingest")
             self._degraded = False
         else:
             # Daemon-style loss: a full queue means the update is
             # gone, exactly like Table 1's overloaded CPU.
-            self.metrics.session_dropped(self.session)
+            meters.dropped.inc()
+            ingest.dropped.inc()
             if envelope.trace is not None:
                 envelope.trace.abort()
 
@@ -283,14 +293,14 @@ class PeerSession(threading.Thread):
                     if failures >= cfg.quarantine_after:
                         # Flap circuit breaker: abandon the stream.
                         self.quarantined = True
-                        self.metrics.session_quarantined(self.session)
+                        self.meters.quarantined.set(1)
                         return
                     delay = cfg.backoff_s(failures, rng)
                     self.restarts += 1
-                    self.metrics.session_restarted(self.session)
-                    self.metrics.session_backoff(self.session, delay)
+                    self.meters.restarts.inc()
+                    self.meters.backoff_s.set(delay)
                     interrupted = self.stop_event.wait(delay)
-                    self.metrics.session_backoff(self.session, 0.0)
+                    self.meters.backoff_s.set(0.0)
                     if interrupted:
                         return
                     # Re-established: §8 — the peer re-dumps its RIB.
@@ -307,7 +317,7 @@ class PeerSession(threading.Thread):
             if self.stop_event.is_set():
                 return
             if self._is_malformed(update):
-                self.metrics.session_malformed(self.session)
+                self.meters.malformed.inc()
                 continue
             self._last_time = update.time
             if self.time_scale is not None:
@@ -378,6 +388,7 @@ class ShardWorker(threading.Thread):
     def _handle(self, envelope: Envelope) -> None:
         update = envelope.update
         trace = envelope.trace
+        metrics = self.metrics
         if trace is not None:
             trace.mark("queue")
         if self.validator is not None:
@@ -385,10 +396,11 @@ class ShardWorker(threading.Thread):
                 verdict = self.validator.validate(update)
             if verdict.flagged:
                 # Quarantined: never archived, never mirrored (§14).
-                self.metrics.update_processed(False, flagged=True)
+                metrics.flagged.inc()
+                metrics.process.processed.inc()
                 if self.flagged_sink is not None:
                     self.flagged_sink(update)
-                self.metrics.process.latency.record(
+                metrics.process.latency.record(
                     time.perf_counter() - envelope.enqueued_at)
                 if trace is not None:
                     # The span ends here: flagged updates never reach
@@ -404,8 +416,11 @@ class ShardWorker(threading.Thread):
         retained = self.filters.accept(update)
         if self.cost_model is not None:
             self.cost_model.charge(retained)
-        self.metrics.update_processed(retained, forwarded_to=reached)
-        self.metrics.process.latency.record(
+        (metrics.retained if retained else metrics.discarded).inc()
+        if reached:
+            metrics.forwarded.inc(reached)
+        metrics.process.processed.inc()
+        metrics.process.latency.record(
             time.perf_counter() - envelope.enqueued_at)
         if trace is not None:
             trace.mark("process")
@@ -515,7 +530,7 @@ class WriterStage(threading.Thread):
         try:
             return self.archive.write(update)
         except OSError:
-            self.metrics.writer_io_error()
+            self.metrics.writer_io_errors.inc()
             if self._recoveries >= self.max_archive_recoveries:
                 raise
             recover = getattr(self.archive, "recover", None)
@@ -523,8 +538,10 @@ class WriterStage(threading.Thread):
                 raise
             self._recoveries += 1
             report = recover()
-            self.metrics.archive_recovered(
-                lost=getattr(report, "lost_pending", 0))
+            self.metrics.archive_recoveries.inc()
+            lost = getattr(report, "lost_pending", 0)
+            if lost:
+                self.metrics.archive_lost.inc(lost)
             # The checkpoint rewound the archive to its last durable
             # segment; the current update is at or past the watermark,
             # so the retry is order-safe.
@@ -549,14 +566,16 @@ class WriterStage(threading.Thread):
             batch.append(heapq.heappop(self._heap)[2])
         batch.sort(key=lambda d: (d.update.time,
                                   canonical_key(d.update), d.session))
+        metrics = self.metrics
+        written = metrics.write.processed
         emitted = False
         for disposition in batch:
             if disposition.update.time < self._last_emitted:
                 # Defensive: FIFO loss (e.g. a genuinely stuck worker
                 # whose item surfaced late).  Emitting would corrupt
                 # the order-strict archive and mirror; count and skip.
-                self.metrics.order_violation()
-                self.metrics.write.add(processed=1)
+                metrics.order_violations.inc()
+                written.inc()
                 if disposition.trace is not None:
                     disposition.trace.abort()
                 continue
@@ -573,15 +592,15 @@ class WriterStage(threading.Thread):
                     # deterministic regardless of heap arrival order.
                     for ready in self.gill.offer(disposition.update):
                         if self._write_archived(ready) is not None:
-                            self.metrics.segment_flushed()
+                            metrics.segments.inc()
                             sealed = True
                 else:
                     segment = self._write_archived(disposition.update)
                     if segment is not None:
-                        self.metrics.segment_flushed()
+                        metrics.segments.inc()
                         sealed = True
-            self.metrics.write.add(processed=1)
-            self.metrics.write.latency.record(
+            written.inc()
+            metrics.write.latency.record(
                 time.perf_counter() - disposition.enqueued_at)
             if disposition.trace is not None:
                 disposition.trace.mark("write")
@@ -591,7 +610,8 @@ class WriterStage(threading.Thread):
                     disposition.trace.mark("seal")
                 disposition.trace.finish()
         if emitted:
-            self.metrics.writer_advanced(self._last_emitted)
+            metrics.writer_watermark.set(self._last_emitted)
+            metrics.writer_watermark_wall.set(time.time())
 
     def _ingest_one(self, item: object) -> None:
         if isinstance(item, Disposition):
@@ -631,10 +651,10 @@ class WriterStage(threading.Thread):
                 # last slot before the archive seals it.
                 for ready in self.gill.flush():
                     if self._write_archived(ready) is not None:
-                        self.metrics.segment_flushed()
+                        self.metrics.segments.inc()
             if self.archive is not None:
                 if self.archive.close() is not None:
-                    self.metrics.segment_flushed()
+                    self.metrics.segments.inc()
         except BaseException as exc:   # surfaced by the pipeline
             self.error = exc
             if self.on_fatal is not None:

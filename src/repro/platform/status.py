@@ -16,8 +16,6 @@ from typing import Dict, Optional, Sequence
 from ..bgp.message import BGPUpdate
 from ..bgp.session import SessionManager, SessionState
 from ..core.orchestrator import Orchestrator
-from ..pipeline.metrics import PipelineMetricsSnapshot, render_metrics
-from ..query.stats import QueryStatsSnapshot, render_query_stats
 
 
 @dataclass(frozen=True)
@@ -48,24 +46,9 @@ class PlatformStatus:
     component2_runs: int
     pending_sessions: int = 0
     rejected_sessions: int = 0
-    #: Live metrics when collection runs on the concurrent runtime.
-    pipeline: Optional[PipelineMetricsSnapshot] = None
     #: Crash-recovery bookkeeping from the orchestrator (§8).
     epoch_resumes: int = 0
     rib_redumps: int = 0
-    #: Read-side counters of a standalone query engine (when serving
-    #: runs inside the pipeline, they arrive via ``pipeline.query``).
-    query: Optional[QueryStatsSnapshot] = None
-    #: Open incident counts per event type when the event-analysis
-    #: pipeline runs (``EventStore.open_counts()``, docs/EVENTS.md).
-    events_open: Optional[Dict[str, int]] = None
-
-    @property
-    def quarantined_sessions(self) -> int:
-        """Sessions currently flap-quarantined by the runtime."""
-        if self.pipeline is None or self.pipeline.supervision is None:
-            return 0
-        return len(self.pipeline.supervision.quarantined)
 
     @property
     def retention(self) -> float:
@@ -77,10 +60,7 @@ class PlatformStatus:
 def collect_status(orchestrator: Orchestrator,
                    processed: Sequence[BGPUpdate],
                    retained: Sequence[BGPUpdate],
-                   sessions: Optional[SessionManager] = None,
-                   pipeline: Optional[PipelineMetricsSnapshot] = None,
-                   query: Optional[QueryStatsSnapshot] = None,
-                   events_open: Optional[Dict[str, int]] = None
+                   sessions: Optional[SessionManager] = None
                    ) -> PlatformStatus:
     """Assemble the status snapshot after (or during) a collection run.
 
@@ -128,31 +108,20 @@ def collect_status(orchestrator: Orchestrator,
         component2_runs=stats.component2_runs,
         pending_sessions=pending,
         rejected_sessions=rejected,
-        pipeline=pipeline,
         epoch_resumes=stats.epoch_resumes,
         rib_redumps=stats.rib_redumps,
-        query=query,
-        events_open=events_open,
     )
 
 
-def render_status(status: PlatformStatus,
-                  now: Optional[float] = None) -> str:
-    """Render the status page as plain text.
-
-    ``now`` anchors relative ages (the writer-watermark line shows
-    how long ago the watermark advanced, not a raw timestamp);
-    defaults to the wall clock.
-    """
+def render_status(status: PlatformStatus) -> str:
+    """Render the status page as plain text."""
     lines = [
         "== platform status ==",
         f"peers: {len(status.vps)} active"
         + (f", {status.pending_sessions} pending" if
            status.pending_sessions else "")
         + (f", {status.rejected_sessions} rejected" if
-           status.rejected_sessions else "")
-        + (f", {status.quarantined_sessions} quarantined" if
-           status.quarantined_sessions else ""),
+           status.rejected_sessions else ""),
         f"updates: {status.total_received} received, "
         f"{status.total_retained} retained "
         f"({status.retention:.1%})",
@@ -165,14 +134,6 @@ def render_status(status: PlatformStatus,
         lines.append(
             f"recovery: {status.epoch_resumes} epoch resumes, "
             f"{status.rib_redumps} RIB re-dumps")
-    if status.events_open is not None:
-        total_open = sum(status.events_open.values())
-        detail = ", ".join(
-            f"{etype}={count}"
-            for etype, count in sorted(status.events_open.items())
-            if count)
-        lines.append(f"events: {total_open} open incident(s)"
-                     + (f" ({detail})" if detail else ""))
     lines += [
         "",
         f"{'peer':>12s} {'recv':>7s} {'kept':>7s} {'ret%':>6s} "
@@ -184,9 +145,4 @@ def render_status(status: PlatformStatus,
             f"{row.retention:6.1%} {'yes' if row.is_anchor else '-':>6s} "
             f"{row.honesty:7.2f}"
         )
-    rendered = "\n".join(lines) + "\n"
-    if status.pipeline is not None:
-        rendered += "\n" + render_metrics(status.pipeline, now=now)
-    if status.query is not None and status.query.any_activity:
-        rendered += "\n" + render_query_stats(status.query) + "\n"
-    return rendered
+    return "\n".join(lines) + "\n"

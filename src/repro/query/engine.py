@@ -404,7 +404,7 @@ class QueryEngine:
         """Release the memoised views and cached answers."""
         self._views.clear()
         self.cache.clear()
-        self.stats.payload_cache_bytes(0)
+        self.stats.payload_cache_bytes.set(0)
 
     def __enter__(self) -> "QueryEngine":
         return self
@@ -457,10 +457,11 @@ class QueryEngine:
             except MRTError:
                 return None
             if built:
-                self.stats.index_built(
+                self.stats.index_builds.inc()
+                self.stats.index_build_time_s.inc(
                     time_mod.perf_counter() - started)
             else:
-                self.stats.index_loaded()
+                self.stats.index_loads.inc()
             self._indexes[key] = index
             return index
 
@@ -474,7 +475,7 @@ class QueryEngine:
             for key in [k for k in self._indexes if k[0] == segment.path]:
                 del self._indexes[key]
         self._views.discard(segment.path)
-        self.stats.payload_cache_bytes(self._views.weight)
+        self.stats.payload_cache_bytes.set(self._views.weight)
         if self.guard is not None:
             self.guard.quarantine(segment.path, reason,
                                   watermark=segment.end)
@@ -521,7 +522,8 @@ class QueryEngine:
         view = self._views.get(segment.path, identity)
         if view is not None and render and view.rendered is None:
             view = None         # built for query(); render it this once
-        self.stats.payload_cache_lookup(hit=view is not None)
+        (self.stats.payload_cache_hits if view is not None
+         else self.stats.payload_cache_misses).inc()
         if view is None:
             try:
                 payload = self._payload(raw)
@@ -536,7 +538,7 @@ class QueryEngine:
                 self._quarantine(segment, "decode")
                 return None
             self._views.put(segment.path, identity, view)
-            self.stats.payload_cache_bytes(self._views.weight)
+            self.stats.payload_cache_bytes.set(self._views.weight)
         return view, raw
 
     def _payload(self, raw: bytes) -> bytes:
@@ -565,11 +567,14 @@ class QueryEngine:
             positions = view.select(spec)
             if positions:
                 selected.append((view, raw, positions))
-        self.stats.plan_executed(
-            considered=plan.considered,
-            pruned_time=plan.pruned_time,
-            pruned_index=plan.pruned_index,
-            decoded=len(plan.scan))
+        stats = self.stats
+        for child, count in ((stats.segments_considered, plan.considered),
+                             (stats.segments_pruned_time, plan.pruned_time),
+                             (stats.segments_pruned_index,
+                              plan.pruned_index),
+                             (stats.segments_decoded, len(plan.scan))):
+            if count:
+                child.inc(count)
         if not all(a[0].times[a[2][-1]] < b[0].times[b[2][0]]
                    for a, b in pairwise(selected)):
             selected = _interleave(selected)
@@ -616,7 +621,9 @@ class QueryEngine:
         for view, _, positions in selected:
             count += len(positions)
             parts.extend(view.parts(positions))
-        self.stats.query_served(cache_hit=False, returned=count)
+        self.stats.cache_misses.inc()
+        if count:
+            self.stats.records_returned.inc(count)
         return count, parts
 
     def query(self, spec: QuerySpec,
@@ -635,11 +642,14 @@ class QueryEngine:
         key = spec.key()
         stale_before = self.cache.invalidations
         cached = self.cache.get(key, token)
+        stats = self.stats
         if cached is not None:
-            self.stats.query_served(cache_hit=True, returned=len(cached))
+            stats.cache_hits.inc()
+            if cached:
+                stats.records_returned.inc(len(cached))
             return list(cached)
         if self.cache.invalidations > stale_before:
-            self.stats.cache_invalidated()
+            stats.cache_invalidations.inc()
         plan = plan_query(segments, spec, self._index_for)
         results: List[BGPUpdate] = []
         for view, raw, positions in self._select(plan, False, deadline,
@@ -648,9 +658,11 @@ class QueryEngine:
             offsets = view.offsets
             results.extend(decode_at(payload, offsets[p])[0]
                            for p in positions)
-        self.stats.records_scanned(len(results))
         self.cache.put(key, token, tuple(results))
-        self.stats.query_served(cache_hit=False, returned=len(results))
+        stats.cache_misses.inc()
+        if results:
+            stats.records_decoded.inc(len(results))
+            stats.records_returned.inc(len(results))
         return results
 
     # -- aggregate views (the /vps endpoint) ---------------------------------

@@ -29,6 +29,7 @@ from .exposition import flatten_scalars, to_json, to_prometheus
 from .registry import (
     DEFAULT_LATENCY_BOUNDS,
     Counter,
+    Declared,
     FamilySnapshot,
     Gauge,
     Histogram,
@@ -36,6 +37,8 @@ from .registry import (
     MetricFamily,
     MetricsRegistry,
     Sample,
+    bind,
+    read,
     set_build_info,
 )
 from .timeseries import TimePoint, TimeSeriesSampler
@@ -53,6 +56,7 @@ from .trace import (
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BOUNDS",
+    "Declared",
     "FamilySnapshot",
     "FlightRecorder",
     "Gauge",
@@ -66,11 +70,13 @@ __all__ = [
     "TimeSeriesSampler",
     "TopDashboard",
     "Tracer",
+    "bind",
     "fetch_exposition",
     "flatten_scalars",
     "format_latency",
     "normalize_metrics_url",
     "parse_trace_id",
+    "read",
     "recorder",
     "render_request_traces",
     "render_slow_traces",

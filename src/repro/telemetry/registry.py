@@ -21,6 +21,10 @@ Design rules:
 * **pre-bindable** — ``family.labels(...)`` returns the same child
   object for the same label values, so per-update code paths bind
   their child once and pay a single ``inc()`` per event;
+* **declared once** — a :class:`Declared` names a family and the
+  snapshot field each of its children fills; :func:`bind` hands call
+  sites those children and :func:`read` fills the snapshot dataclasses
+  back from the registry, so a count lives nowhere else;
 * **no repro-internal imports** — both the collection side
   (:mod:`repro.pipeline`) and the serving side (:mod:`repro.query`)
   depend on this module without cycles.
@@ -33,7 +37,7 @@ import re
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 #: Histogram bucket upper bounds in seconds (log-spaced 1µs .. ~67s,
@@ -438,6 +442,95 @@ class MetricsRegistry:
         """
         from .exposition import flatten_scalars
         return flatten_scalars(self.collect())
+
+
+# -- declared metrics ----------------------------------------------------------
+
+class Declared:
+    """One metric family, declared once: its name, HELP text and
+    labels, and the snapshot field each of its children fills.
+
+    ``fields`` maps a snapshot field to its child's label values.  When
+    they cover fewer labels than the family has, the leading labels
+    are the *row* (a session, a stage): :func:`bind` takes the row's
+    values and :func:`read` builds one snapshot per row.  A gauge's
+    ``high_water`` names the field its high-water mark fills (and adds
+    the ``_high_water`` exposition companion).
+    """
+
+    def __init__(self, kind: str, name: str, help: str,
+                 labels: Sequence[str] = (), unit: str = "",
+                 high_water: str = "", **fields: Tuple[str, ...]):
+        self.kind = kind
+        self.name = name
+        self.help = help
+        self.labels = tuple(labels)
+        self.unit = unit
+        self.high_water = high_water
+        self.fields = fields
+        self.row = len(self.labels) - len(next(iter(fields.values())))
+
+    def family(self, registry: MetricsRegistry) -> MetricFamily:
+        if self.kind == "gauge":
+            return registry.gauge(self.name, self.help, self.labels,
+                                  self.unit, bool(self.high_water))
+        return getattr(registry, self.kind)(self.name, self.help,
+                                            self.labels, self.unit)
+
+
+def bind(registry: MetricsRegistry, declarations: Sequence[Declared],
+         *row: str) -> Dict[str, Metric]:
+    """Register ``declarations`` and bind one row's children, keyed by
+    the snapshot field each fills (the names call sites increment)."""
+    children: Dict[str, Metric] = {}
+    for declared in declarations:
+        family = declared.family(registry)
+        for field, values in declared.fields.items():
+            children[field] = family.labels(*row, *values)
+    return children
+
+
+#: Snapshot field types a counter or gauge value is cast to.
+_CASTS = {"int": int, "bool": bool}
+
+
+def read(cls, registry: MetricsRegistry,
+         declarations: Sequence[Declared], row: Optional[str] = None,
+         **extra) -> list:
+    """Snapshot dataclasses ``cls`` filled from the declared children.
+
+    One per row, in the order rows were first bound, the row's label
+    value in field ``row``; a flat family reads as the single row.  A
+    counter or gauge fills its field with its value (``int`` and
+    ``bool`` fields are cast), a histogram with its
+    :class:`HistogramSnapshot`.  A gauge nothing has set is skipped,
+    so its field keeps the dataclass default.  ``extra`` fills the
+    fields no declaration names.
+    """
+    rows: Dict[Tuple[str, ...], Dict[str, object]] = {}
+    for declared in declarations:
+        field_of = {v: f for f, v in declared.fields.items()}
+        for key, child in declared.family(registry).children():
+            field = field_of.get(key[declared.row:])
+            if field is None:
+                continue
+            values = rows.setdefault(key[:declared.row], {})
+            if isinstance(child, Histogram):
+                values[field] = child.snapshot()
+            elif isinstance(child, Counter) or child.touched:
+                values[field] = child.value
+                if declared.high_water:
+                    values[declared.high_water] = child.high_water
+    casts = {f.name: _CASTS.get(getattr(f.type, "__name__", f.type))
+             for f in dataclass_fields(cls)}
+    snapshots = []
+    for key, values in rows.items():
+        kwargs = {name: casts[name](value) if casts[name] else value
+                  for name, value in values.items() if name in casts}
+        if row is not None:
+            kwargs[row] = key[0]
+        snapshots.append(cls(**kwargs, **extra))
+    return snapshots
 
 
 def set_build_info(registry: MetricsRegistry, version: str,

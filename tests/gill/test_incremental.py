@@ -13,11 +13,9 @@ import pytest
 from repro.bgp.rib import annotate_stream
 from repro.core.correlation import CorrelationGroups
 from repro.core.events import detect_events
-from repro.core.redundancy import RedundancyDefinition, update_redundancy
 from repro.core.scoring import score_vps, update_volumes
 from repro.gill import (
     IncrementalCorrelationGroups,
-    IncrementalRedundancyCounter,
     IncrementalVPScorer,
 )
 from repro.workload.generator import (
@@ -76,21 +74,6 @@ def test_total_groups_counts_open_windows(mixed):
     assert live == tracker.close().total_groups()
     with pytest.raises(ValueError):
         tracker.add(stream[-1])
-
-
-@pytest.mark.parametrize("definition", list(RedundancyDefinition))
-@pytest.mark.parametrize("stream_fixture", ["mixed", "overshoot"])
-def test_redundancy_parity(definition, stream_fixture, request):
-    _, stream = request.getfixturevalue(stream_fixture)
-    annotated = annotate_stream(stream)
-    batch = update_redundancy(annotated, definition)
-    counter = IncrementalRedundancyCounter(definition)
-    for one in annotated:
-        counter.add(one)
-    report = counter.report()
-    assert report.total_updates == batch.total_updates
-    assert report.redundant_updates == batch.redundant_updates
-    assert report.fraction == batch.fraction
 
 
 def _event_key(event):

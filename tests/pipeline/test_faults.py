@@ -518,8 +518,6 @@ class TestWriterReorderRegressions:
     def drive(self, items, n_shards=2, sessions=("s1", "s2")):
         queue = BoundedQueue(1024)
         metrics = PipelineMetrics()
-        for session in sessions:
-            metrics.register_session(session)
         mirrored = []
         writer = WriterStage(queue, n_shards, list(sessions),
                              metrics=metrics,

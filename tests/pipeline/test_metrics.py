@@ -1,55 +1,22 @@
 """Tests for the pipeline metrics hub."""
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.pipeline.metrics import (
-    LatencyHistogram,
+    SESSION_METRICS,
     PipelineMetrics,
     render_metrics,
 )
 from repro.pipeline.queues import BoundedQueue, QueueEmpty
+from repro.telemetry import bind
 
 
-class TestLatencyHistogram:
-    def test_empty(self):
-        hist = LatencyHistogram()
-        assert hist.count == 0
-        assert hist.mean == 0.0
-        assert hist.percentile(0.99) == 0.0
-
-    def test_percentile_brackets_samples(self):
-        hist = LatencyHistogram()
-        for _ in range(99):
-            hist.record(1e-5)
-        hist.record(1.0)
-        assert hist.percentile(0.5) < 1e-3
-        assert hist.percentile(0.999) >= 1.0
-
-    def test_mean(self):
-        hist = LatencyHistogram()
-        hist.record(1.0)
-        hist.record(3.0)
-        assert hist.mean == pytest.approx(2.0)
-
-    def test_invalid_percentile(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram().percentile(1.5)
-
-    def test_thread_safe_counts(self):
-        hist = LatencyHistogram()
-
-        def record():
-            for _ in range(1000):
-                hist.record(1e-4)
-
-        threads = [threading.Thread(target=record) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert hist.count == 8000
+def session_row(metrics, name):
+    """The children a ``PeerSession`` named ``name`` would bind."""
+    return SimpleNamespace(**bind(metrics.registry, SESSION_METRICS, name))
 
 
 class TestBoundedQueue:
@@ -105,12 +72,11 @@ class TestBoundedQueue:
 class TestPipelineMetrics:
     def test_session_accounting(self):
         metrics = PipelineMetrics()
-        metrics.register_session("vp1")
-        metrics.register_session("vp2")
+        vp1, vp2 = session_row(metrics, "vp1"), session_row(metrics, "vp2")
         for _ in range(3):
-            metrics.session_enqueued("vp1")
-        metrics.session_dropped("vp1")
-        metrics.session_enqueued("vp2")
+            vp1.enqueued.inc()
+        vp1.dropped.inc()
+        vp2.enqueued.inc()
         snap = metrics.snapshot()
         assert snap.received == 5
         assert snap.ingest_dropped == 1
@@ -121,10 +87,11 @@ class TestPipelineMetrics:
 
     def test_disposition_counters(self):
         metrics = PipelineMetrics()
-        metrics.update_processed(True)
-        metrics.update_processed(False)
-        metrics.update_processed(False, flagged=True)
-        metrics.update_processed(True, forwarded_to=2)
+        metrics.retained.inc(2)
+        metrics.discarded.inc()
+        metrics.flagged.inc()
+        metrics.forwarded.inc(2)
+        metrics.process.processed.inc(4)
         snap = metrics.snapshot()
         assert snap.retained == 2
         assert snap.discarded == 1
@@ -134,9 +101,8 @@ class TestPipelineMetrics:
 
     def test_render_contains_stages(self):
         metrics = PipelineMetrics()
-        metrics.register_session("vp1")
-        metrics.session_enqueued("vp1")
-        metrics.update_processed(True)
+        session_row(metrics, "vp1").enqueued.inc()
+        metrics.retained.inc()
         text = render_metrics(metrics.snapshot(), per_session=True)
         assert "pipeline metrics" in text
         assert "ingest" in text and "process" in text and "write" in text

@@ -87,23 +87,3 @@ class TestRenderStatus:
         text = render_status(status)
         assert "peers: 0 active" in text
         assert status.retention == 1.0
-
-    def test_pipeline_metrics_section(self, run):
-        from repro.pipeline import PipelineMetrics
-
-        orchestrator, data, retained = run
-        metrics = PipelineMetrics()
-        metrics.register_session("vp1")
-        metrics.session_enqueued("vp1")
-        metrics.update_processed(True)
-        status = collect_status(orchestrator, data, retained,
-                                pipeline=metrics.snapshot())
-        text = render_status(status)
-        assert "pipeline metrics" in text
-        assert "throughput" in text
-
-    def test_no_pipeline_section_by_default(self, run):
-        orchestrator, data, retained = run
-        status = collect_status(orchestrator, data, retained)
-        assert status.pipeline is None
-        assert "pipeline metrics" not in render_status(status)

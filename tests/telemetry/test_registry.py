@@ -4,12 +4,18 @@ import json
 import math
 import re
 import threading
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
 from repro.telemetry import (
+    Declared,
     Histogram,
+    HistogramSnapshot,
     MetricsRegistry,
+    bind,
+    read,
     to_json,
     to_prometheus,
 )
@@ -109,6 +115,12 @@ class TestHistogram:
         assert hist.mean == 0.0
         assert hist.percentile(0.99) == 0.0
 
+    def test_mean(self):
+        hist = Histogram()
+        hist.record(1.0)
+        hist.record(3.0)
+        assert hist.mean == pytest.approx(2.0)
+
     def test_snapshot_is_atomic_pair(self):
         """The torn-read fix: mean is always sum/count of one moment."""
         hist = Histogram(bounds=(1.0,))
@@ -133,6 +145,61 @@ class TestHistogram:
             stop.set()
             for thread in writers:
                 thread.join()
+
+
+@dataclass(frozen=True)
+class _Row:
+    name: str
+    latency: HistogramSnapshot
+    done: int = 0
+    depth: int = 0
+    peak: int = 0
+    level: Optional[float] = None
+
+
+_ROWS = (
+    Declared("counter", "repro_x_total", "", ("stage", "result"),
+             done=("done",)),
+    Declared("histogram", "repro_x_seconds", "", ("stage",), latency=()),
+    Declared("gauge", "repro_x_depth", "", ("stage",),
+             high_water="peak", depth=()),
+    Declared("gauge", "repro_x_level", "", ("stage",), level=()),
+)
+
+
+class TestDeclared:
+    def test_bind_then_read_one_snapshot_per_row(self):
+        registry = MetricsRegistry()
+        a, b = bind(registry, _ROWS, "a"), bind(registry, _ROWS, "b")
+        assert bind(registry, _ROWS, "a")["done"] is a["done"]
+        a["done"].inc(3)
+        a["latency"].record(0.5)
+        a["depth"].set(7)
+        a["depth"].set(2)
+        b["level"].set(1.5)
+        rows = read(_Row, registry, _ROWS, row="name")
+        assert [r.name for r in rows] == ["a", "b"]
+        first, second = rows
+        assert (first.done, first.depth, first.peak) == (3, 2, 7)
+        assert isinstance(first.done, int)
+        assert first.latency.count == 1
+        # A gauge nothing set keeps the dataclass default.
+        assert first.level is None and second.level == 1.5
+
+    def test_flat_family_reads_as_one_row(self):
+        registry = MetricsRegistry()
+        flat = (Declared("counter", "repro_y_total", "", ("kind",),
+                         hits=("hit",), misses=("miss",)),)
+        bind(registry, flat)["hits"].inc()
+
+        @dataclass(frozen=True)
+        class Flat:
+            hits: int = 0
+            misses: int = 0
+            note: str = ""
+
+        assert read(Flat, registry, flat, note="x") \
+            == [Flat(hits=1, misses=0, note="x")]
 
 
 class TestExposition:

@@ -2,38 +2,53 @@
 
 import io
 import time
+from types import SimpleNamespace
 
-from repro.pipeline.metrics import PipelineMetrics
+from repro.pipeline.metrics import SESSION_METRICS, PipelineMetrics
 from repro.telemetry import (
     TopDashboard,
+    bind,
     normalize_metrics_url,
     render_top,
 )
 
 
+def enqueue(metrics, session, count=1):
+    """What a ``PeerSession`` counts for ``count`` enqueued updates."""
+    SimpleNamespace(**bind(metrics.registry, SESSION_METRICS,
+                           session)).enqueued.inc(count)
+    metrics.ingest.processed.inc(count)
+
+
 def busy_metrics():
     """A PipelineMetrics hub with representative activity."""
     metrics = PipelineMetrics()
-    metrics.register_session("vp-1")
-    metrics.register_session("vp-2")
-    for _ in range(100):
-        metrics.session_enqueued("vp-1")
-    for _ in range(40):
-        metrics.session_enqueued("vp-2")
-    metrics.session_dropped("vp-2", 10)
-    metrics.session_restarted("vp-2")
-    metrics.session_quarantined("vp-2")
+    enqueue(metrics, "vp-1", 100)
+    enqueue(metrics, "vp-2", 40)
+    vp2 = SimpleNamespace(**bind(metrics.registry, SESSION_METRICS,
+                                 "vp-2"))
+    vp2.dropped.inc(10)
+    metrics.ingest.dropped.inc(10)
+    vp2.restarts.inc()
+    vp2.quarantined.set(1)
     for _ in range(130):
-        metrics.update_processed(retained=True)
+        metrics.retained.inc()
+        metrics.process.processed.inc()
         metrics.process.latency.record(0.002)
-        metrics.write.add(processed=1)
+        metrics.write.processed.inc()
         metrics.write.latency.record(0.004)
-    metrics.segment_flushed(3)
-    metrics.writer_advanced(1500.0)
-    metrics.query.query_served(cache_hit=True, returned=5)
-    metrics.query.query_served(cache_hit=False, returned=9)
-    metrics.query.plan_executed(considered=4, pruned_time=1,
-                                pruned_index=1, decoded=2)
+    metrics.segments.inc(3)
+    metrics.writer_watermark.set(1500.0)
+    metrics.writer_watermark_wall.set(time.time())
+    query = metrics.query
+    query.cache_hits.inc()
+    query.records_returned.inc(5)
+    query.cache_misses.inc()
+    query.records_returned.inc(9)
+    query.segments_considered.inc(4)
+    query.segments_pruned_time.inc()
+    query.segments_pruned_index.inc()
+    query.segments_decoded.inc(2)
     return metrics
 
 
@@ -66,8 +81,7 @@ class TestRenderTop:
     def test_rates_from_two_frames(self):
         metrics = busy_metrics()
         before = metrics.registry.to_json()
-        for _ in range(50):
-            metrics.session_enqueued("vp-1")
+        enqueue(metrics, "vp-1", 50)
         after = metrics.registry.to_json()
         frame = render_top(after, before, dt_s=2.0)
         vp1 = next(line for line in frame.splitlines()
@@ -81,7 +95,7 @@ class TestRenderTop:
         metrics = busy_metrics()
         assert "supervision:" not in render_top(
             PipelineMetrics().registry.to_json())
-        metrics.worker_restarted(0)
+        metrics.worker_restarts.inc()
         frame = render_top(metrics.registry.to_json())
         assert "supervision:" in frame
         assert "worker_restart 1" in frame
@@ -122,8 +136,7 @@ class TestDashboard:
         frames = [metrics.registry.to_json()]
 
         def fake_fetch(url):
-            for _ in range(30):
-                metrics.session_enqueued("vp-1")
+            enqueue(metrics, "vp-1", 30)
             return metrics.registry.to_json()
 
         dashboard = TopDashboard("localhost:1", interval_s=0.01,
