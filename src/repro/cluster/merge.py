@@ -6,8 +6,8 @@ into the canonical combined archive.  The merge happens at the seal
 boundary — every partial is closed and durable before any combined
 byte is written — so it is a pure function of the partial contents.
 
-Ordering is the same rule the single-process writer applies to its
-reorder heap: updates sort by ``(time,) + canonical_key(update)``.
+Ordering is the same rule the single-process writer applies when it
+releases updates: they sort by ``(time,) + canonical_key(update)``.
 Each partial archive is already emitted in that order (partitions hold
 disjoint VPs and the writer sorts equal-time runs canonically), so a
 k-way streaming merge over the partition iterators reproduces the

@@ -5,13 +5,13 @@ the redundant fraction of the firehose *before* it hits storage, keeping
 a set of anchor VPs whose data preserves reconstitution power.  The
 batch reproduction already measures all of that offline; this stage is
 the same machinery run inline, between the pipeline's watermark-ordered
-reorder heap and the rolling archive writer.
+writer stage and the rolling archive writer.
 
 Placement and protocol
 ======================
 
-The writer releases updates in nondecreasing time order, but equal-time
-updates pop off its heap in *arrival* order, which varies run to run.
+The writer releases updates in nondecreasing time order, but this
+stage's contract does not fix the order of equal-time updates.
 Definitions 2/3 are asymmetric, so "which of two simultaneous updates
 is the witness" would make the filtered archive nondeterministic.  The
 stage therefore buffers all updates sharing a timestamp and decides the

@@ -1,12 +1,12 @@
 """Bounded queues with depth tracking for the collection runtime.
 
 :class:`BoundedQueue` is a small condition-variable queue that exposes
-what the pipeline needs and :mod:`queue` does not: a non-blocking
-``try_put`` whose refusal the caller turns into an explicit drop (the
-daemon-loss signal of Table 1), a depth gauge sampled on every
-transition so queue high-water marks appear in the metrics, and
-``close`` semantics so a producer blocked in ``put`` wakes with
-:class:`QueueClosed` instead of deadlocking when its consumer dies.
+what the pipeline needs and :mod:`queue` does not: lists moved under
+one lock, a ``try_put_many`` whose unfitted tail the caller turns into
+an explicit drop (the daemon-loss signal of Table 1), a depth gauge
+sampled on every transition so queue high-water marks appear in the
+metrics, and ``close`` semantics so a producer blocked in ``put`` wakes
+with :class:`QueueClosed` instead of deadlocking when its consumer dies.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, List, Optional, Sequence
 
 from ..telemetry import Gauge
 
@@ -24,7 +24,12 @@ class QueueEmpty(Exception):
 
 
 class QueueFull(Exception):
-    """Raised by :meth:`BoundedQueue.put` when its timeout expires."""
+    """Raised by :meth:`BoundedQueue.put_many` when its timeout expires;
+    ``entered`` counts the items enqueued before it did."""
+
+    def __init__(self, entered: int = 0):
+        super().__init__(entered)
+        self.entered = entered
 
 
 class QueueClosed(Exception):
@@ -36,10 +41,10 @@ class QueueClosed(Exception):
 class BoundedQueue:
     """A FIFO queue with a hard capacity bound.
 
-    ``try_put`` never blocks and reports refusal; ``put`` blocks until
-    space frees up — the backpressure edge between two stages.  Control
-    markers use ``put`` even on drop-policy paths so watermarks and
-    end-of-stream signals are never lost.
+    ``try_put_many`` never blocks and reports how much fitted;
+    ``put_many`` blocks until space frees up — the backpressure edge
+    between two stages.  Control markers block even on drop-policy
+    sessions so watermarks and end-of-stream signals are never lost.
 
     Once :meth:`close` is called every ``put``/``try_put`` raises
     :class:`QueueClosed`; ``get`` keeps draining buffered items and
@@ -75,41 +80,57 @@ class BoundedQueue:
 
     def try_put(self, item: Any) -> bool:
         """Enqueue without blocking; False when the queue is full."""
+        return self.try_put_many((item,)) == 1
+
+    def try_put_many(self, items: Sequence[Any]) -> int:
+        """Enqueue the prefix of ``items`` that fits; its length."""
         with self._lock:
             if self._closed:
                 raise QueueClosed()
-            if len(self._items) >= self.capacity:
-                return False
-            self._items.append(item)
-            self.gauge.set(len(self._items))
-            self._not_empty.notify()
-            return True
+            fitted = items[:self.capacity - len(self._items)]
+            if fitted:
+                self._items.extend(fitted)
+                self.gauge.set(len(self._items))
+                self._not_empty.notify()
+            return len(fitted)
 
     def put(self, item: Any, timeout: Optional[float] = None) -> None:
-        """Enqueue, blocking while the queue is full (backpressure).
+        """Enqueue, blocking while the queue is full (backpressure);
+        raises like :meth:`put_many`."""
+        self.put_many((item,), timeout)
 
-        Raises :class:`QueueFull` when ``timeout`` elapses with the
-        queue still full, and :class:`QueueClosed` if the queue is (or
-        becomes) closed while waiting.
-        """
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
+    def put_many(self, items: Sequence[Any],
+                 timeout: Optional[float] = None) -> None:
+        """Enqueue ``items`` in order, in chunks as room frees up.
+
+        Raises :class:`QueueFull` (``entered`` items made it in) when
+        ``timeout`` passes with no room for the next item, and
+        :class:`QueueClosed` if the queue is (or becomes) closed."""
+        entered, total = 0, len(items)
+        deadline = None
         with self._not_full:
-            while len(self._items) >= self.capacity:
+            while True:
                 if self._closed:
                     raise QueueClosed()
-                if deadline is None:
+                room = min(total - entered,
+                           self.capacity - len(self._items))
+                if room > 0:
+                    self._items.extend(items[entered:entered + room])
+                    entered += room
+                    self.gauge.set(len(self._items))
+                    self._not_empty.notify()
+                    deadline = None     # progress restarts the clock
+                if entered == total:
+                    return
+                if timeout is None:
                     self._not_full.wait()
                 else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 \
-                            or not self._not_full.wait(remaining):
-                        raise QueueFull()
-            if self._closed:
-                raise QueueClosed()
-            self._items.append(item)
-            self.gauge.set(len(self._items))
-            self._not_empty.notify()
+                    now = time.monotonic()
+                    if deadline is None:
+                        deadline = now + timeout
+                    if now >= deadline \
+                            or not self._not_full.wait(deadline - now):
+                        raise QueueFull(entered)
 
     def get(self, timeout: Optional[float] = None) -> Any:
         """Dequeue the oldest item; raises :class:`QueueEmpty` on

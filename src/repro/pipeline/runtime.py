@@ -16,7 +16,7 @@ Guarantees:
   holds exactly (the acceptance invariant for graceful drain);
 * **ordering** — the archive and the mirror callback observe updates
   in nondecreasing time order even with many shards, via the
-  watermark reorder buffer in the writer stage;
+  writer stage's per-session runs and safe watermark;
 * **backpressure** — with the ``block`` overflow policy a full queue
   stalls its producer instead of losing data, all the way back to the
   peer sessions;
@@ -365,10 +365,11 @@ class CollectionPipeline:
         no progress for ``stall_timeout_s`` *and* the injector confirms
         the worker is inside a scheduled stall — the deterministic case
         where abandonment is provably safe.  The handoff protocol
-        (surrender-under-lock, see :class:`ShardWorker`) moves the
-        in-flight envelope to the replacement exactly once; queued
-        heartbeats drain through the replacement, so the writer's
-        watermark is released instead of wedging forever.
+        (:meth:`ShardWorker.surrender`) moves the stalled worker's
+        unfinished batch — decided-but-unforwarded dispositions, the
+        in-flight envelope and the rest — to the replacement exactly
+        once; queued heartbeats drain through the replacement, so the
+        writer's watermark is released instead of wedging forever.
         """
         cfg = self.config.supervision
         injector = self.injector
@@ -384,15 +385,9 @@ class CollectionPipeline:
                     continue
                 if not injector.holding(worker.shard):
                     continue
-                with worker.claim_lock:
-                    if worker.claimed or worker.inflight is None:
-                        continue
-                    worker.surrendered = True
-                    handoff = worker.inflight
-                # Wake the stalled sleep; the worker sees
-                # ``surrendered`` and exits without touching the
-                # envelope or the queue again.
-                worker.abandoned.set()
+                handoff = worker.surrender()
+                if handoff is None:
+                    continue
                 replacement = self._make_worker(
                     worker.shard, handoff=handoff,
                     start_count=worker.processed_count)
@@ -424,9 +419,10 @@ class CollectionPipeline:
         """Block until every stage drained; return the run's result.
 
         Draining is lossless by construction: sessions finish (or are
-        stopped, or quarantined), workers consume every queued update,
-        and the writer flushes its reorder buffer completely once all
-        end-of-stream watermarks arrive.
+        stopped, or quarantined) after handing over what they read,
+        workers consume every queued update, and the writer flushes its
+        per-session runs completely once all end-of-stream watermarks
+        arrive.
         """
         if not self._started or self._writer is None:
             raise RuntimeError("pipeline not started")

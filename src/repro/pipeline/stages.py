@@ -4,15 +4,16 @@ Data flows ``PeerSession -> ShardWorker -> WriterStage`` through
 bounded queues:
 
 * :class:`PeerSession` replays one peering session's time-ordered
-  update iterator into its shard's ingest queue.  When the queue is
-  full it either *drops* the update (daemon-style loss, Table 1) or
-  *blocks* (lossless backpressure), per the configured policy.
+  update iterator into its shard's ingest queue, one list per
+  heartbeat interval.  When the queue is full it either *drops* the
+  updates that do not fit (daemon-style loss, Table 1) or *blocks*
+  (lossless backpressure), per the configured policy.
 * :class:`ShardWorker` owns one ingest queue and runs the per-update
   stages — parse-cost accounting, route validation, operator
-  forwarding, filter evaluation — then hands the disposition to the
-  writer queue.
-* :class:`WriterStage` restores global time order across shards with a
-  watermark reorder buffer and feeds retained updates to a
+  forwarding, filter evaluation — on each list it drains, then hands
+  the dispositions to the writer queue as one list.
+* :class:`WriterStage` restores global time order across shards from
+  per-session runs and a watermark, and feeds retained updates to a
   :class:`~repro.bgp.archive.RollingArchiveWriter` in amortized
   batches.
 
@@ -20,8 +21,8 @@ Ordering across concurrent shards uses heartbeat markers: every
 session periodically sends its current stream time through its own
 ingest queue, so the marker reaches the writer only after every
 earlier update from that session.  The writer's safe watermark is the
-minimum over all sessions' marker times, and updates leave the
-reorder heap only once they fall below it — this is
+minimum over all sessions' marker times, and updates leave their
+session's run only once they fall below it — this is
 what lets many unsynchronized workers feed an archive format that
 demands nondecreasing timestamps.
 
@@ -37,7 +38,8 @@ failure modes instead of dying silently.
   to ``drop`` so it cannot wedge behind a dead consumer forever.
 * A worker exposes its in-flight envelope and a progress timestamp so
   the runtime's watchdog can detect a stalled shard, abandon the
-  stuck thread, and hand the envelope to a replacement exactly once.
+  stuck thread, and hand its unfinished batch to a replacement
+  exactly once.
 * The writer survives archive I/O errors by recovering the archive
   from its crash-consistent checkpoint and retrying; unrecoverable
   errors propagate to the runtime, which poisons the queues so no
@@ -46,16 +48,15 @@ failure modes instead of dying silently.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import threading
 import time
 import zlib
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
-    Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
 from ..bgp.archive import RollingArchiveWriter
 from ..bgp.daemon import FILTER_COST, PARSE_COST, WRITE_COST
@@ -71,13 +72,15 @@ from .queues import BoundedQueue, QueueClosed, QueueEmpty, QueueFull
 #: Marker time meaning "this session will send nothing further".
 END_OF_STREAM = float("inf")
 
-#: Queue items the writer takes per lock acquisition, then emits.
+#: Queue items a shard worker or the writer takes per lock acquisition.
 WRITER_BATCH = 256
 
 
 # -- queue payloads ----------------------------------------------------------
+# Made once per update, so not frozen: a frozen dataclass's __init__
+# costs five times a plain one's.  Nothing mutates them.
 
-@dataclass(frozen=True)
+@dataclass
 class Envelope:
     """One update in flight, stamped for latency accounting."""
 
@@ -99,7 +102,7 @@ class Heartbeat:
     time: float            # stream time; END_OF_STREAM when finished
 
 
-@dataclass(frozen=True)
+@dataclass
 class Disposition:
     """A worker's verdict on one update, bound for the writer."""
 
@@ -216,6 +219,8 @@ class PeerSession(threading.Thread):
         self._since_heartbeat = 0
         self._last_time: Optional[float] = None
         self._degraded = False
+        #: Read since the last hand-over: at most a heartbeat interval.
+        self._buffer: List[Envelope] = []
         #: This session's row of the ``repro_session_*`` families, one
         #: child per :class:`~repro.pipeline.metrics.SessionSnapshot`
         #: field.
@@ -233,6 +238,7 @@ class PeerSession(threading.Thread):
         if ahead > 0.002:
             # Amortized pacing: only sleep once meaningfully ahead, so
             # timer granularity does not distort the aggregate rate.
+            self._hand_over()           # nothing read waits out a sleep
             time.sleep(ahead)
 
     def _is_malformed(self, update: BGPUpdate) -> bool:
@@ -244,37 +250,49 @@ class PeerSession(threading.Thread):
             return True
         return self._last_time is not None and t < self._last_time
 
-    def _offer(self, envelope: Envelope) -> None:
-        queue = self.queue
-        meters, ingest = self.meters, self.metrics.ingest
-        if self.overflow_policy == "block" and not self._degraded:
-            try:
-                queue.put(envelope,
-                          timeout=self.supervisor.degrade_after_s)
-                meters.enqueued.inc()
-                ingest.processed.inc()
+    def _hand_over(self, marker: Optional[Heartbeat] = None) -> None:
+        """Move what was read since the last hand-over, then
+        ``marker``, to the shard as one list.  ``block`` waits for room
+        but degrades to ``drop`` after ``degrade_after_s`` without any
+        (until a hand-over fits again); ``drop`` enqueues the prefix
+        that fits and counts the rest as lost, like Table 1's overloaded
+        CPU.  The marker always blocks: losing one stalls the watermark.
+        """
+        batch, self._buffer = self._buffer, []
+        n = len(batch)
+        if self.metrics.tracer.enabled:
+            for envelope in batch:      # before the shard can see them
                 if envelope.trace is not None:
                     envelope.trace.mark("ingest")
-                return
-            except QueueFull:
-                # Sustained downstream stall: degrade to drop mode so
-                # this producer cannot hang forever behind a wedged
-                # consumer.  First successful try_put restores block.
-                self._degraded = True
-                self.metrics.degraded_episodes.inc()
-        if queue.try_put(envelope):
-            meters.enqueued.inc()
-            ingest.processed.inc()
-            if envelope.trace is not None:
-                envelope.trace.mark("ingest")
-            self._degraded = False
-        else:
-            # Daemon-style loss: a full queue means the update is
-            # gone, exactly like Table 1's overloaded CPU.
-            meters.dropped.inc()
-            ingest.dropped.inc()
-            if envelope.trace is not None:
-                envelope.trace.abort()
+        if marker is not None:
+            batch.append(marker)
+        elif not n:
+            return
+        entered = 0
+        if self.overflow_policy == "block" and not self._degraded:
+            try:
+                self.queue.put_many(
+                    batch, timeout=self.supervisor.degrade_after_s)
+                entered = len(batch)
+            except QueueFull as full:
+                entered = full.entered
+                if entered < n:
+                    self._degraded = True
+                    self.metrics.degraded_episodes.inc()
+        if entered < n:
+            fitted = self.queue.try_put_many(batch[entered:n])
+            if fitted:
+                self._degraded = False
+            entered += fitted
+            self.meters.dropped.inc(n - entered)
+            self.metrics.ingest.dropped.inc(n - entered)
+            for envelope in batch[entered:n]:
+                if envelope.trace is not None:
+                    envelope.trace.abort()
+        if entered <= n and marker is not None:
+            self.queue.put(marker)
+        self.meters.enqueued.inc(min(entered, n))
+        self.metrics.ingest.processed.inc(min(entered, n))
 
     def run(self) -> None:
         cfg = self.supervisor
@@ -313,36 +331,42 @@ class PeerSession(threading.Thread):
                 pass
 
     def _replay(self, source) -> None:
-        for update in source:
-            if self.stop_event.is_set():
-                return
-            if self._is_malformed(update):
-                self.meters.malformed.inc()
-                continue
-            self._last_time = update.time
-            if self.time_scale is not None:
-                self._pace(update.time)
-            self._offer(Envelope(
-                update, self.session, time.perf_counter(),
-                self.metrics.tracer.start(self.session)))
-            self._since_heartbeat += 1
-            if self._since_heartbeat >= self.heartbeat_every:
-                self._since_heartbeat = 0
-                # Markers always use the blocking put: losing one
-                # would stall or corrupt the writer's watermark.
-                self.queue.put(Heartbeat(self.session, update.time))
+        """Read ``source``, handing over at every heartbeat; however
+        the replay ends, what was read goes out before the end-of-stream
+        marker or the backoff."""
+        tracer = self.metrics.tracer
+        try:
+            for update in source:
+                if self.stop_event.is_set():
+                    return
+                if self._is_malformed(update):
+                    self.meters.malformed.inc()
+                    continue
+                self._last_time = update.time
+                if self.time_scale is not None:
+                    self._pace(update.time)
+                self._buffer.append(Envelope(
+                    update, self.session, time.perf_counter(),
+                    tracer.start(self.session)))
+                self._since_heartbeat += 1
+                if self._since_heartbeat >= self.heartbeat_every:
+                    self._since_heartbeat = 0
+                    self._hand_over(Heartbeat(self.session, update.time))
+        finally:
+            self._hand_over()
 
 
 class ShardWorker(threading.Thread):
-    """Runs validate -> forward -> filter for one shard's queue.
+    """Runs validate -> forward -> filter on each drain of one shard's
+    queue and forwards the drain, in queue order, as one list.
 
     For the watchdog the worker exposes ``inflight`` (the envelope it
     is working on) and ``inflight_since``; an abandonment protocol
     (``abandoned`` event + claim lock) lets the watchdog take the
-    in-flight envelope from a worker stuck in an injected stall and
-    hand it to a replacement *exactly once*: either the watchdog
-    surrenders it to the replacement before the worker claims it, or
-    the worker finishes it itself — never both, never neither.
+    unfinished batch of a worker stuck in an injected stall and hand
+    it to a replacement *exactly once*: either the watchdog surrenders
+    it before the worker claims its envelope, or the worker finishes
+    the envelope itself — never both, never neither.
     """
 
     def __init__(self, shard: int, ingest: BoundedQueue,
@@ -356,7 +380,7 @@ class ShardWorker(threading.Thread):
                  cost_model: Optional[ServiceCostModel] = None,
                  flagged_sink: Optional[Callable[[BGPUpdate], None]] = None,
                  injector: Optional[FaultInjector] = None,
-                 handoff: Optional[Envelope] = None,
+                 handoff: Optional[List[object]] = None,
                  start_count: int = 0):
         super().__init__(name=f"shard-{shard}", daemon=True)
         self.shard = shard
@@ -380,12 +404,47 @@ class ShardWorker(threading.Thread):
         self.surrendered = False
         self.inflight: Optional[Envelope] = None
         self.inflight_since = 0.0
+        self._batch: Sequence[object] = ()
+        self._decided: List[object] = []
+        self._position = 0
 
     def stop(self) -> None:
         """Close this shard's ingest queue after the sessions finish."""
         self.ingest.put(_STOP)
 
-    def _handle(self, envelope: Envelope) -> None:
+    def surrender(self) -> Optional[List[object]]:
+        """Watchdog side of the claim protocol: this worker's decided
+        but unforwarded items, then its in-flight envelope and the rest
+        of its batch — or None once it claimed the envelope."""
+        with self.claim_lock:
+            if self.claimed or self.inflight is None:
+                return None
+            self.surrendered = True
+            handoff = self._decided + list(self._batch[self._position:])
+        # Wake the stalled sleep; the worker sees ``surrendered`` and
+        # exits without touching the batch or the queues again.
+        self.abandoned.set()
+        return handoff
+
+    def _claim(self, envelope: Envelope, position: int) -> bool:
+        """Sit out an injected stall on ``envelope``, then claim it
+        (False when the watchdog took the batch first)."""
+        with self.claim_lock:
+            self.claimed = False
+            self.inflight = envelope
+            self._position = position
+            self.inflight_since = time.monotonic()
+        self.injector.maybe_stall(self.shard, self.processed_count,
+                                  self.abandoned)
+        with self.claim_lock:
+            if self.surrendered:
+                return False
+            self.claimed = True
+            return True
+
+    def _decide(self, envelope: Envelope) -> Optional[Disposition]:
+        """The verdict on one update; None when the validator flagged
+        it (counted here: flagged updates never reach the writer)."""
         update = envelope.update
         trace = envelope.trace
         metrics = self.metrics
@@ -407,72 +466,73 @@ class ShardWorker(threading.Thread):
                     # the writer.
                     trace.mark("process")
                     trace.finish()
-                return
-        reached = 0
+                return None
         if self.forwarding is not None:
             # Operators see the raw stream before any discard (§14).
             with self.forwarding_lock:
                 reached = len(self.forwarding.process(update))
+            if reached:
+                metrics.forwarded.inc(reached)
         retained = self.filters.accept(update)
         if self.cost_model is not None:
             self.cost_model.charge(retained)
-        (metrics.retained if retained else metrics.discarded).inc()
-        if reached:
-            metrics.forwarded.inc(reached)
-        metrics.process.processed.inc()
         metrics.process.latency.record(
             time.perf_counter() - envelope.enqueued_at)
         if trace is not None:
             trace.mark("process")
-        self.writer_queue.put(Disposition(update, retained,
-                                          envelope.session,
-                                          envelope.enqueued_at,
-                                          trace))
+        return Disposition(update, retained, envelope.session,
+                           envelope.enqueued_at, trace)
 
-    def _process_envelope(self, envelope: Envelope) -> None:
-        with self.claim_lock:
-            self.claimed = False
-            self.surrendered = False
-            self.inflight = envelope
-            self.inflight_since = time.monotonic()
-        self.processed_count += 1
-        if self.injector is not None:
-            self.injector.maybe_stall(self.shard, self.processed_count,
-                                      self.abandoned)
-        # Claim the envelope: from here on the watchdog cannot hand it
-        # to a replacement, so we either finish it or it was already
-        # surrendered — exactly-once either way.
-        with self.claim_lock:
-            if self.surrendered:
-                return
-            self.claimed = True
-        self._handle(envelope)
+    def _work(self, batch: Sequence[object]) -> bool:
+        """Decide ``batch`` and forward it with one ``put_many``; True
+        once the worker is done (stop sentinel, or surrendered)."""
+        decided: List[object] = []
+        # Only a chaos run has a watchdog, so only it pays for claims.
+        claims = self.injector is not None
+        if claims:
+            with self.claim_lock:
+                self._batch, self._decided = batch, decided
+        judged = retained = 0
+        done = False
+        for position, item in enumerate(batch):
+            if item is _STOP:
+                done = True
+                break
+            if isinstance(item, (Heartbeat, Disposition)):
+                # Forwarded as is: FIFO puts a heartbeat behind every
+                # disposition it vouches for (and a predecessor's
+                # decided dispositions ride ahead of its handoff).
+                decided.append(item)
+                continue
+            self.processed_count += 1
+            if claims and not self._claim(item, position):
+                done = True
+                break
+            disposition = self._decide(item)
+            if disposition is not None:
+                decided.append(disposition)
+                judged += 1
+                retained += disposition.retained
         self.inflight = None
+        metrics = self.metrics
+        metrics.retained.inc(retained)
+        metrics.discarded.inc(judged - retained)
+        metrics.process.processed.inc(judged)
+        if decided and not self.surrendered:
+            self.writer_queue.put_many(decided)
+        return done
 
     def run(self) -> None:
+        # A replacement starts on its abandoned predecessor's batch.
+        batch, self.handoff = self.handoff or (), None
         try:
-            if self.handoff is not None:
-                # Envelope inherited from an abandoned predecessor;
-                # FIFO is preserved because the predecessor took it
-                # from the queue head and forwarded nothing after it.
-                self._process_envelope(self.handoff)
-                self.handoff = None
-            while True:
-                if self.abandoned.is_set():
-                    return          # replaced; the successor owns the queue
+            while not self._work(batch):
                 try:
-                    item = self.ingest.get(timeout=0.1)
+                    batch = self.ingest.get_many(WRITER_BATCH, timeout=0.1)
                 except QueueEmpty:
-                    continue
-                if item is _STOP:
-                    break
-                if isinstance(item, Heartbeat):
-                    # Forwarded as is: FIFO puts it behind every
-                    # disposition it vouches for.
-                    self.writer_queue.put(item)
-                    continue
-                self._process_envelope(item)
-            self.writer_queue.put(ShardDone())
+                    batch = ()
+            if not self.surrendered:
+                self.writer_queue.put(ShardDone())
         except QueueClosed:
             # The runtime poisoned the queues (writer death); exit
             # without a ShardDone — nobody is listening.
@@ -514,11 +574,11 @@ class WriterStage(threading.Thread):
         self._watermarks: Dict[str, float] = {
             session: -END_OF_STREAM for session in sessions}
         self._pending_shards = n_shards
-        self._heap: List[Tuple[float, int, Disposition]] = []
-        self._sequence = 0
+        #: Each session's unemitted dispositions in arrival order, which
+        #: is time order (one shard's FIFO queues; no regressions).
+        self._runs: Dict[str, Deque[Disposition]] = defaultdict(deque)
         self._last_emitted = -END_OF_STREAM
         self._recoveries = 0
-        self.reorder_high_water = 0
         self.error: Optional[BaseException] = None
 
     def _safe_watermark(self) -> float:
@@ -548,26 +608,31 @@ class WriterStage(threading.Thread):
             return self.archive.write(update)
 
     def _emit_ready(self) -> None:
-        """Flush every *complete* equal-time run below the watermark.
+        """Flush every *complete* equal-time group below the watermark.
 
         Entries strictly below the safe watermark are complete: every
         session has heartbeat past their timestamp, so (queues being
         FIFO) no further disposition at those times can still be in
-        flight.  Each equal-time run is therefore released whole, in
-        canonical attribute order — arrival order across shards is a
-        scheduler accident, and sorting the ties is what makes the
-        archive byte stream identical across shard counts and a
-        partitioned merge.  Entries *at* the watermark wait: a session whose heartbeat equals their
-        time may still send more updates at that same timestamp.
+        flight.  Each run is time-ordered, so its complete entries are
+        its head.  They are released together, in
+        ``(time, canonical key, session)`` order — arrival order across
+        shards is a scheduler accident, and sorting the ties is what
+        makes the archive byte stream identical across shard counts and
+        a partitioned merge.  Entries *at* the watermark wait: a
+        session whose heartbeat equals their time may still send more
+        updates at that same timestamp.
         """
         watermark = self._safe_watermark()
         batch: List[Disposition] = []
-        while self._heap and self._heap[0][0] < watermark:
-            batch.append(heapq.heappop(self._heap)[2])
+        for run in self._runs.values():
+            while run and run[0].update.time < watermark:
+                batch.append(run.popleft())
+        if not batch:
+            return
         batch.sort(key=lambda d: (d.update.time,
                                   canonical_key(d.update), d.session))
         metrics = self.metrics
-        written = metrics.write.processed
+        metrics.write.processed.inc(len(batch))
         emitted = False
         for disposition in batch:
             if disposition.update.time < self._last_emitted:
@@ -575,7 +640,6 @@ class WriterStage(threading.Thread):
                 # whose item surfaced late).  Emitting would corrupt
                 # the order-strict archive and mirror; count and skip.
                 metrics.order_violations.inc()
-                written.inc()
                 if disposition.trace is not None:
                     disposition.trace.abort()
                 continue
@@ -589,7 +653,7 @@ class WriterStage(threading.Thread):
                     # The gill filter buffers equal-time updates and
                     # releases the kept ones of completed timestamps in
                     # a canonical order, so the filtered archive is
-                    # deterministic regardless of heap arrival order.
+                    # deterministic regardless of arrival order.
                     for ready in self.gill.offer(disposition.update):
                         if self._write_archived(ready) is not None:
                             metrics.segments.inc()
@@ -599,7 +663,6 @@ class WriterStage(threading.Thread):
                     if segment is not None:
                         metrics.segments.inc()
                         sealed = True
-            written.inc()
             metrics.write.latency.record(
                 time.perf_counter() - disposition.enqueued_at)
             if disposition.trace is not None:
@@ -613,35 +676,32 @@ class WriterStage(threading.Thread):
             metrics.writer_watermark.set(self._last_emitted)
             metrics.writer_watermark_wall.set(time.time())
 
-    def _ingest_one(self, item: object) -> None:
-        if isinstance(item, Disposition):
-            heapq.heappush(self._heap,
-                           (item.update.time, self._sequence, item))
-            self._sequence += 1
-            if len(self._heap) > self.reorder_high_water:
-                self.reorder_high_water = len(self._heap)
-        elif isinstance(item, Heartbeat):
-            # Late or duplicate heartbeats must never rewind a
-            # watermark — only strictly newer times advance it.
-            if item.time > self._watermarks.get(item.session,
-                                                -END_OF_STREAM):
-                self._watermarks[item.session] = item.time
-        elif isinstance(item, ShardDone):
-            self._pending_shards -= 1
+    def _ingest(self, items: Sequence[object]) -> None:
+        runs, watermarks = self._runs, self._watermarks
+        for item in items:
+            if isinstance(item, Disposition):
+                runs[item.session].append(item)
+            elif isinstance(item, Heartbeat):
+                # Late or duplicate heartbeats must never rewind a
+                # watermark — only strictly newer times advance it.
+                if item.time > watermarks.get(item.session,
+                                              -END_OF_STREAM):
+                    watermarks[item.session] = item.time
+            elif isinstance(item, ShardDone):
+                self._pending_shards -= 1
 
     def run(self) -> None:
         try:
             while self._pending_shards > 0:
                 try:
-                    for item in self.queue.get_many(WRITER_BATCH,
-                                                    timeout=0.05):
-                        self._ingest_one(item)
+                    self._ingest(self.queue.get_many(WRITER_BATCH,
+                                                     timeout=0.05))
                 except QueueEmpty:
                     pass
                 self._emit_ready()
             # Every worker has exited (the queue is FIFO, so nothing of
             # theirs is still buffered) and no further watermark can
-            # arrive: flush the heap unconditionally.  END_OF_STREAM
+            # arrive: flush the runs unconditionally.  END_OF_STREAM
             # markers normally make this a no-op; it also terminates
             # runs whose sessions died before sending them.
             self._watermarks.clear()

@@ -7,7 +7,7 @@ import zlib
 import pytest
 
 from repro.bgp.archive import RollingArchiveWriter
-from repro.bgp.message import BGPUpdate
+from repro.bgp.message import BGPUpdate, canonical_key
 from repro.bgp.prefix import Prefix
 from repro.bgp.session import SessionManager
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
@@ -33,6 +33,10 @@ from repro.workload import StreamConfig, SyntheticStreamGenerator, \
 TIMEOUT = 30.0
 
 P1 = Prefix.parse("10.0.0.0/24")
+
+
+def time_order(update):
+    return (update.time, canonical_key(update))
 
 
 def upd(t, vp="vp1"):
@@ -291,6 +295,24 @@ class TestSessionSupervision:
         assert result.metrics.received >= others
         assert result.metrics.received < len(synthetic_stream)
 
+    def test_disconnect_mid_batch_loses_nothing(self, synthetic_stream):
+        """The flap fires 36 updates into a 64-update hand-over: what
+        was read goes out before the backoff, nothing twice."""
+        streams = split_by_vp(synthetic_stream)
+        victim = max(streams, key=lambda name: len(streams[name]))
+        mirrored = []
+        pipeline = CollectionPipeline(PipelineConfig(
+            n_shards=2, overflow_policy="block", heartbeat_every=64,
+            fault_plan=FaultPlan.parse(f"disconnect={victim}@100"),
+            supervision=fast_supervision(),
+        ), mirror=lambda u, retained: mirrored.append(u))
+        result = pipeline.run(streams, timeout=TIMEOUT)
+        assert_accounted(result)
+        assert result.metrics.supervision.session_restarts == 1
+        assert result.metrics.received == len(synthetic_stream)
+        assert sorted(mirrored, key=time_order) \
+            == sorted(synthetic_stream, key=time_order)
+
     def test_malformed_updates_skipped_and_counted(self, synthetic_stream):
         streams = split_by_vp(synthetic_stream)
         victim = sorted(streams)[0]
@@ -347,6 +369,28 @@ class TestShardWatchdog:
         assert len(mirrored) == len(synthetic_stream)
         assert all(a.time <= b.time
                    for a, b in zip(mirrored, mirrored[1:]))
+
+    def test_stall_mid_batch_hands_over_exactly_once(self,
+                                                     synthetic_stream):
+        """One session on one shard, handing over 50 updates at a
+        time: a worker batch is one or more whole hand-overs, so the
+        75th envelope is mid-batch — the replacement inherits decided
+        but unforwarded dispositions, the in-flight envelope and the
+        envelopes behind it."""
+        name, updates = max(split_by_vp(synthetic_stream).items(),
+                            key=lambda item: len(item[1]))
+        pipeline = CollectionPipeline(PipelineConfig(
+            n_shards=1, overflow_policy="block", heartbeat_every=50,
+            fault_plan=FaultPlan.parse("stall=shard0@75~inf"),
+            supervision=fast_supervision(),
+        ))
+        mirrored = []
+        pipeline.mirror = lambda u, retained: mirrored.append(u)
+        result = pipeline.run({name: updates}, timeout=TIMEOUT)
+        assert_accounted(result)
+        assert result.metrics.supervision.worker_restarts == 1
+        assert result.metrics.supervision.order_violations == 0
+        assert mirrored == sorted(updates, key=time_order)
 
     def test_transient_stall_needs_no_restart(self, synthetic_stream):
         streams = split_by_vp(synthetic_stream)
@@ -557,6 +601,30 @@ class TestWriterReorderRegressions:
         mirrored, snapshot = self.drive(items)
         assert [u.time for u in mirrored] == [150.0, 180.0]
         assert snapshot.supervision.order_violations == 0
+
+    def test_entries_at_the_watermark_wait(self):
+        """A session whose heartbeat equals a disposition's time may
+        still send more at that time: the writer holds the whole
+        equal-time group until the watermark passes it, then releases
+        it in canonical order."""
+        queue = BoundedQueue(64)
+        mirrored = []
+        writer = WriterStage(queue, 1, ["s1", "s2"],
+                             metrics=PipelineMetrics(),
+                             mirror=lambda u, r: mirrored.append(u))
+        writer.start()
+        late = BGPUpdate("s1", 5.0, P1, (1, 2))
+        early = BGPUpdate("s1", 5.0, P1, (1, 3))
+        assert canonical_key(late) < canonical_key(early)
+        queue.put_many([Disposition(early, True, "s1", 0.0),
+                        Heartbeat("s1", 5.0), Heartbeat("s2", 10.0)])
+        time.sleep(0.2)
+        assert mirrored == []           # s1 is only *at* 5
+        queue.put_many([Disposition(late, True, "s1", 0.0),
+                        Heartbeat("s1", 10.0), ShardDone()])
+        writer.join(timeout=10.0)
+        assert not writer.is_alive() and writer.error is None
+        assert mirrored == [late, early]
 
     def test_heap_flushes_once_all_shards_done(self):
         # No END_OF_STREAM markers at all: once both ShardDones are

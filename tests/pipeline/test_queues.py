@@ -160,3 +160,96 @@ class TestCloseSemantics:
         assert queue.get() == "b"
         with pytest.raises(QueueClosed):
             queue.get()
+
+
+class TestPutMany:
+    def test_keeps_order(self):
+        queue = BoundedQueue(8)
+        queue.put_many(["a", "b"])
+        queue.put_many(["c", "d", "e"])
+        assert queue.get_many(8) == ["a", "b", "c", "d", "e"]
+        assert queue.gauge.high_water == 5
+
+    def test_batch_larger_than_capacity_enters_in_chunks(self):
+        queue = BoundedQueue(3)
+        taken = []
+
+        def consumer():
+            while len(taken) < 10:
+                taken.extend(queue.get_many(10, timeout=2.0))
+
+        thread = threading.Thread(target=consumer, daemon=True)
+        thread.start()
+        queue.put_many(list(range(10)), timeout=2.0)
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert taken == list(range(10))
+        assert queue.gauge.high_water <= 3
+
+    def test_close_wakes_a_blocked_put_many(self):
+        queue = BoundedQueue(2)
+        outcome = []
+
+        def producer():
+            try:
+                queue.put_many(["a", "b", "c", "d"])
+            except QueueClosed:
+                outcome.append("woke")
+
+        thread = threading.Thread(target=producer, daemon=True)
+        thread.start()
+        time.sleep(0.05)              # "a", "b" in; blocked on "c"
+        assert thread.is_alive()
+        queue.close()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert outcome == ["woke"]
+        assert queue.get_many(4) == ["a", "b"]
+
+    def test_timeout_reports_how_many_entered(self):
+        queue = BoundedQueue(3)
+        queue.put("first")
+        start = time.monotonic()
+        with pytest.raises(QueueFull) as raised:
+            queue.put_many(["a", "b", "c", "d"], timeout=0.05)
+        assert time.monotonic() - start >= 0.04
+        assert raised.value.entered == 2
+        assert queue.get_many(4) == ["first", "a", "b"]
+
+    def test_progress_restarts_the_timeout(self):
+        queue = BoundedQueue(1)
+        taken = []
+
+        def slow_consumer():
+            for _ in range(6):
+                time.sleep(0.04)
+                taken.append(queue.get(timeout=2.0))
+
+        thread = threading.Thread(target=slow_consumer, daemon=True)
+        thread.start()
+        # ~0.2 s in all, but never 0.1 s without room for the next item.
+        queue.put_many(list("abcdef"), timeout=0.1)
+        thread.join(timeout=2.0)
+        assert taken == list("abcdef")
+
+    def test_empty_batch_never_blocks(self):
+        queue = BoundedQueue(1)
+        queue.put("full")
+        queue.put_many([], timeout=0.01)
+        assert queue.get_many(4) == ["full"]
+
+
+class TestTryPutMany:
+    def test_fits_a_prefix(self):
+        queue = BoundedQueue(4)
+        queue.put("x")
+        assert queue.try_put_many(["a", "b", "c", "d", "e"]) == 3
+        assert queue.try_put_many(["f"]) == 0
+        assert queue.get_many(8) == ["x", "a", "b", "c"]
+        assert queue.try_put_many(["g", "h"]) == 2
+
+    def test_closed_queue_raises(self):
+        queue = BoundedQueue(4)
+        queue.close()
+        with pytest.raises(QueueClosed):
+            queue.try_put_many(["a"])

@@ -8,17 +8,23 @@ import pytest
 
 from repro.bgp.archive import RollingArchiveWriter
 from repro.bgp.filtering import DropRule, FilterTable
+from repro.bgp.message import BGPUpdate, canonical_key
+from repro.bgp.prefix import Prefix
 from repro.bgp.validation import RouteValidator
 from repro.core.forwarding import ForwardingRule, ForwardingService
 from repro.core.orchestrator import Orchestrator, OrchestratorConfig
 from repro.gill import GillConfig
 from repro.pipeline import (
+    BoundedQueue,
     CollectionPipeline,
     FaultPlan,
     InjectedCrash,
+    PeerSession,
     PipelineConfig,
+    PipelineMetrics,
     ServiceCostModel,
 )
+from repro.pipeline.stages import END_OF_STREAM, Heartbeat
 from repro.workload import (
     StreamConfig,
     SyntheticStreamGenerator,
@@ -338,3 +344,49 @@ class TestOrchestratorEpoch:
         assert orchestrator.stats.received == len(synthetic_stream)
         for update in orchestrator.flagged_updates:
             assert update not in orchestrator._mirror
+
+
+class TestHandOffBatching:
+    """A session hands its shard one list per heartbeat interval."""
+
+    def test_session_stopped_mid_batch_is_accounted(self, synthetic_stream):
+        streams = split_by_vp(synthetic_stream)
+        name = sorted(streams)[0]
+        mirrored = []
+        pipeline = CollectionPipeline(
+            PipelineConfig(n_shards=2, overflow_policy="block",
+                           heartbeat_every=64),
+            mirror=lambda u, retained: mirrored.append(u))
+
+        def stopping(updates, after=40):
+            for count, update in enumerate(updates, 1):
+                yield update
+                if count == after:     # 40 read, none handed over yet
+                    pipeline.stop()
+
+        pipeline.start({name: stopping(streams[name])})
+        result = pipeline.wait(timeout=TIMEOUT)
+        assert_accounted(result)
+        assert result.metrics.received == 40
+        assert mirrored == sorted(list(streams[name])[:40],
+                                  key=lambda u: (u.time, canonical_key(u)))
+
+    def test_drop_counts_the_unfitted_tail(self):
+        updates = [BGPUpdate("s1", float(t), Prefix.parse("10.0.0.0/24"),
+                             (1, 2)) for t in range(10)]
+        queue = BoundedQueue(5)
+        metrics = PipelineMetrics()
+        # One hand-over of all ten at stream end: five fit, five drop.
+        session = PeerSession("s1", updates, [queue], metrics=metrics,
+                              overflow_policy="drop", heartbeat_every=100)
+        session.start()
+        items = []
+        while not items or not isinstance(items[-1], Heartbeat):
+            items.extend(queue.get_many(8, timeout=5.0))
+        session.join(timeout=5.0)
+        assert not session.is_alive()
+        assert [i.update for i in items[:-1]] == updates[:5]
+        assert items[-1].time == END_OF_STREAM
+        row, = metrics.snapshot().sessions
+        assert (row.enqueued, row.dropped) == (5, 5)
+        assert metrics.snapshot().ingest_dropped == 5
