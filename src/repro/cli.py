@@ -511,7 +511,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     engine = QueryEngine(
         args.directory,
         compressed=False if args.no_compress else None,
-        persist_indexes=not args.no_persist_indexes,
         stats=metrics.query,
         guard=guard,
     )
@@ -881,8 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8480,
                    help="TCP port (0 picks a free one)")
-    p.add_argument("--no-persist-indexes", action="store_true",
-                   help="keep lazily built indexes in memory only")
     p.add_argument("--events", dest="events", action="store_true",
                    default=None,
                    help="attach the event store; when the archive "

@@ -38,10 +38,6 @@ The fault model (see docs/FAULTS.md):
     digests are recorded, and the bytes later stop matching them; the
     ``repro.guard`` read path must detect, quarantine and never serve
     them.
-``slow-read``
-    The N-th segment payload read sleeps ``duration_s`` first (target
-    ``reader``) — an aging disk or cold NFS path; request deadlines
-    must keep one slow read from wedging a serving slot forever.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ import os
 import random
 import re
 import threading
-import time as time_mod
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
     Tuple
@@ -60,7 +55,7 @@ from ..bgp.message import BGPUpdate
 
 FAULT_KINDS = ("disconnect", "malformed", "reorder", "stall",
                "io-error", "crash",
-               "bitflip", "truncate", "torn-index", "slow-read")
+               "bitflip", "truncate", "torn-index")
 
 #: The disk-corruption subset (applied to sealed segments, not writes).
 CORRUPTION_KINDS = ("bitflip", "truncate", "torn-index")
@@ -114,8 +109,6 @@ class FaultSpec:
             raise ValueError("stall faults target 'shard<i>'")
         if self.kind in CORRUPTION_KINDS and self.target != "archive":
             raise ValueError(f"{self.kind} faults target 'archive'")
-        if self.kind == "slow-read" and self.target != "reader":
-            raise ValueError("slow-read faults target 'reader'")
 
     def shard_index(self) -> Optional[int]:
         match = re.fullmatch(r"shard(\d+)", self.target)
@@ -129,7 +122,7 @@ class FaultSpec:
         text = f"{self.kind}={self.target}@{self.at}"
         if self.count > 1:
             text += f"x{self.count}"
-        if self.kind in ("stall", "slow-read"):
+        if self.kind == "stall":
             text += f"~{self.duration_s:g}"
         return text
 
@@ -181,8 +174,7 @@ class FaultPlan:
     def seeded(cls, seed: int, sessions: Sequence[str], n_shards: int,
                horizon: int = 500, flaps: int = 1, malformed: int = 2,
                reorders: int = 1, stalls: int = 1, io_errors: int = 1,
-               crashes: int = 0, corruptions: int = 0,
-               slow_reads: int = 0) -> "FaultPlan":
+               crashes: int = 0, corruptions: int = 0) -> "FaultPlan":
         """A reproducible random plan over the given topology.
 
         ``horizon`` bounds the event counts at which faults fire; the
@@ -221,11 +213,6 @@ class FaultPlan:
             specs.append(FaultSpec(
                 rng.choice(list(CORRUPTION_KINDS)), "archive",
                 at=rng.randrange(1, max(2, span // 16))))
-        for _ in range(slow_reads):
-            specs.append(FaultSpec(
-                "slow-read", "reader",
-                at=rng.randrange(1, max(2, span // 16)),
-                duration_s=rng.choice([0.05, 0.2, 0.5])))
         return cls(tuple(specs))
 
     # -- selection ----------------------------------------------------------
@@ -246,9 +233,6 @@ class FaultPlan:
     def for_archive(self) -> Tuple[FaultSpec, ...]:
         return tuple(s for s in self.specs
                      if s.kind in CORRUPTION_KINDS)
-
-    def for_reader(self) -> Tuple[FaultSpec, ...]:
-        return tuple(s for s in self.specs if s.kind == "slow-read")
 
     def describe(self) -> str:
         return ",".join(s.describe() for s in self.specs) or "(no faults)"
@@ -415,10 +399,6 @@ class FaultInjector:
         self._corruptions: List[Tuple[int, str]] = sorted(
             (pos, s.kind) for s in plan.for_archive()
             for pos in s.positions())
-        self._read_count = 0
-        self._slow_reads: List[Tuple[int, float]] = sorted(
-            (pos, s.duration_s) for s in plan.for_reader()
-            for pos in s.positions())
         self._stalls: Dict[int, List[Tuple[int, float]]] = {}
         for spec in plan.specs:
             if spec.kind != "stall":
@@ -534,22 +514,6 @@ class FaultInjector:
                         f"({os.path.basename(path)})")
             applied.append((kind, path))
         return applied
-
-    # -- reader faults ------------------------------------------------------
-
-    def on_payload_read(self, path: str) -> None:
-        """Read hook for :class:`repro.query.QueryEngine`: sleeps when a
-        slow-read fault is scheduled at this read position."""
-        with self._lock:
-            self._read_count += 1
-            if not self._slow_reads \
-                    or self._slow_reads[0][0] != self._read_count:
-                return
-            position, duration = self._slow_reads.pop(0)
-            self.log.append(f"slow-read at read {position} "
-                            f"for {duration:g}s "
-                            f"({os.path.basename(path)})")
-        time_mod.sleep(duration)
 
     def on_archive_write(self) -> None:
         """Called by the proxy before each write; raises when scheduled."""

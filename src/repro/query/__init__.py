@@ -1,11 +1,12 @@
 """repro.query — the read side of the platform (§8's data service).
 
 Turns sealed archive segments into a queryable, cacheable service:
-per-segment indexes (prefix/VP/origin postings + bloom fingerprints)
-built at seal time or lazily, a planner that reads only segments that
-can match, per-segment views that decode, sort and render a verified
-segment once, an LRU result cache invalidated by the archive
-watermark, and a stdlib HTTP JSON API (``repro-bgp serve``).
+per-segment indexes (distinct prefixes and origins, per-VP record
+counts) built at seal time or lazily, a planner that reads only
+segments that can match, per-segment views that decode, sort and
+render a verified segment once, an LRU result cache invalidated by
+the archive watermark, and a stdlib HTTP JSON API
+(``repro-bgp serve``).
 """
 
 from .cache import WatermarkLRUCache
@@ -17,7 +18,6 @@ from .engine import (
     update_to_json,
 )
 from .index import (
-    BloomFilter,
     SegmentIndex,
     build_index,
     ensure_index,
@@ -29,7 +29,6 @@ from .server import QueryAPIServer
 from .stats import QueryStats, QueryStatsSnapshot, render_query_stats
 
 __all__ = [
-    "BloomFilter",
     "DirectoryCatalog",
     "QueryAPIServer",
     "QueryEngine",

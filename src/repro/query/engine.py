@@ -7,8 +7,8 @@ to) or a bare archive directory (a published dataset).  Execution:
 
 1. **prune** — the planner drops segments outside the time range,
    then consults each surviving segment's index (built lazily and
-   persisted for pre-index archives): the bloom fingerprint and the
-   postings rule segments out without reading them;
+   persisted for pre-index archives): a predicate key absent from the
+   segment's key sets rules it out without reading it;
 2. **read + verify** — every surviving segment is read and checked
    against the manifest's size/CRC32, on every request;
 3. **select** — the :class:`SegmentView` of the bytes just verified
@@ -40,8 +40,8 @@ import time as time_mod
 from array import array
 from bisect import bisect_left
 from itertools import accumulate, pairwise
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
-    Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, \
+    Union
 
 from ..bgp.archive import CHECKPOINT_NAME, ArchiveSegment, \
     RollingArchiveWriter, read_manifest
@@ -370,26 +370,16 @@ class QueryEngine:
     def __init__(self, source: Union[str, RollingArchiveWriter, Catalog],
                  compressed: Optional[bool] = None,
                  cache_size: int = 128,
-                 persist_indexes: bool = True,
                  stats: Optional[QueryStats] = None,
-                 verify: bool = True,
-                 guard: Optional[IntegrityGuard] = None,
-                 read_hook: Optional[Callable[[str], None]] = None):
+                 guard: Optional[IntegrityGuard] = None):
         self.catalog = open_catalog(source, compressed)
         self.stats = stats if stats is not None else QueryStats()
         #: Answers of :meth:`query` (``render`` never reads it).
         self.cache = WatermarkLRUCache(cache_size)
-        self.persist_indexes = persist_indexes
-        #: Verify manifest digests on every segment read (repro.guard).
-        #: ``verify=False`` exists for the benchmark's overhead A/B.
-        self.verify = verify
         #: Quarantine bookkeeping shared with the scrubber and server;
         #: without one, mismatching segments are still skipped (never
         #: served) but stay on disk.
         self.guard = guard
-        #: Test/chaos hook called with the path before each segment
-        #: read (slow-read fault injection).
-        self.read_hook = read_hook
         self._indexes: Dict[Tuple[str, int, Optional[str]],
                             SegmentIndex] = {}
         #: Segment views by path, pinned to the (size, CRC32) of the
@@ -451,9 +441,8 @@ class QueryEngine:
                 return index
             try:
                 started = time_mod.perf_counter()
-                index, built = ensure_index(
-                    segment.path, self.catalog.compressed,
-                    persist=self.persist_indexes)
+                index, built = ensure_index(segment.path,
+                                            self.catalog.compressed)
             except MRTError:
                 return None
             if built:
@@ -489,35 +478,28 @@ class QueryEngine:
         gone (quarantined/deleted) or fails verification.
 
         Verification hashes the raw bytes that were just read anyway,
-        so its cost is one CRC32 pass — the ≤5% overhead budget the
-        query benchmark enforces.  It runs on every read.  Only what
-        follows it is memoised: building a view from bytes whose size
-        and CRC32 equal those a retained view came from would produce
-        that view again, so it is reused.
+        so its cost is one CRC32 pass, and it runs on every read.  Only
+        what follows it is memoised: building a view from bytes whose
+        size and CRC32 equal those a retained view came from would
+        produce that view again, so it is reused.
         """
         if self.guard is not None \
                 and self.guard.is_quarantined(segment.path):
             return None
-        if self.read_hook is not None:
-            self.read_hook(segment.path)
         try:
             raw = _read_file(segment.path, segment.size)
         except OSError:
             return None
-        crc32 = None
-        if self.verify:
-            started = time_mod.perf_counter()
-            reason = mismatch_reason(raw, size=segment.size,
-                                     crc32=segment.crc32)
-            if verify_sink is not None:
-                verify_sink.append(time_mod.perf_counter() - started)
-            if reason is not None:
-                self._quarantine(segment, reason)
-                return None
-            if segment.crc32 is not None:
-                crc32 = segment.crc32       # just checked equal
-                if self.guard is not None:
-                    self.guard.verification_ok()
+        started = time_mod.perf_counter()
+        reason = mismatch_reason(raw, size=segment.size, crc32=segment.crc32)
+        if verify_sink is not None:
+            verify_sink.append(time_mod.perf_counter() - started)
+        if reason is not None:
+            self._quarantine(segment, reason)
+            return None
+        crc32 = segment.crc32               # just checked equal, if any
+        if crc32 is not None and self.guard is not None:
+            self.guard.verification_ok()
         identity = (len(raw), crc32 or crc32_of(raw))
         view = self._views.get(segment.path, identity)
         if view is not None and render and view.rendered is None:
@@ -609,8 +591,7 @@ class QueryEngine:
         plan = self.plan(spec)
         if trace is not None:
             trace.mark("index-prune")
-        verify_sink: Optional[List[float]] = \
-            [] if trace is not None and self.verify else None
+        verify_sink: Optional[List[float]] = [] if trace is not None else None
         selected = self._select(plan, True, deadline, verify_sink)
         if trace is not None:
             trace.mark("segment-select")
@@ -677,8 +658,8 @@ class QueryEngine:
                 continue
             index = self._index_for(segment)
             if index is not None:
-                for vp, offsets in index.vps.items():
-                    counts[vp] = counts.get(vp, 0) + len(offsets)
+                for vp, count in index.vps.items():
+                    counts[vp] = counts.get(vp, 0) + count
                 continue
             # Unindexable segment: count from its view (a corrupt one
             # is condemned there and contributes nothing).

@@ -137,8 +137,9 @@ def plan_query(segments: Sequence[ArchiveSegment], spec: QuerySpec,
     ``index_for`` resolves a segment to its (possibly lazily built)
     index; returning None for a segment keeps it in the scan —
     correct, just slower — so the planner works unchanged over
-    pre-index archives.  The spec's index keys are computed once for
-    all segments (:class:`~repro.query.index.IndexProbe`).
+    pre-index archives.  The spec's index keys are formatted once for
+    all segments (:class:`~repro.query.index.IndexProbe`); a segment
+    is pruned exactly when one of them is absent from its index.
     """
     probe = IndexProbe(spec.prefix, spec.vp, spec.origin)
     scan: List[ArchiveSegment] = []

@@ -71,7 +71,7 @@ class QueryStatsSnapshot:
     segments_considered: int = 0
     #: Skipped by the time range without touching any file.
     segments_pruned_time: int = 0
-    #: Skipped by the bloom fingerprint / postings without decoding.
+    #: Skipped by the index's key sets without decoding.
     segments_pruned_index: int = 0
     segments_decoded: int = 0
     records_decoded: int = 0

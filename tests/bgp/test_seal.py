@@ -34,55 +34,55 @@ GOLDEN_3600 = {
     "updates.000000000900-000000001200.mrt.bz2":
         "1e9b80d04d9af92b8c64d36af757c74927bcc321fa1d8a3d2f5f50c49ffd1b54",
     "updates.000000000900-000000001200.mrt.bz2.idx":
-        "8650979422edfc404576f63746aa7c644262106a6e1293c14187899066d34c9d",
+        "14942d34fde4a80555dbe3f2df10d56bf5c20a4f577e743bbde8bff9a65a2f3a",
     "updates.000000001200-000000001500.mrt.bz2":
         "1827c0db6309d5a1ba62a09a5dc35063f40b9c1208490dfcbb6ef78ba2e87427",
     "updates.000000001200-000000001500.mrt.bz2.idx":
-        "674ed2732c8c7b2fa3058b71ca782b6d51215d0bcfbf25a7b46fac8e81059d70",
+        "b794614479834edb0902f542dd24a31e9afcd414fdc397cc9f423fa476fa618e",
     "updates.000000001500-000000001800.mrt.bz2":
         "6a8afba39e824a624b7025690071830c1bc650dd48610df479bd5c9b41ac122e",
     "updates.000000001500-000000001800.mrt.bz2.idx":
-        "462488cf518918a8381509dec2e51a4e8fc84d05e4632990569697e7184e66a8",
+        "7375b157a70b15f53f0cee0606666a178ca214701b8d228c74c0f3257c0ccbc7",
     "updates.000000001800-000000002100.mrt.bz2":
         "93330f1ced7dff08e678e011b359763d4049dcdbcad315c7a1c956180c9ee1a3",
     "updates.000000001800-000000002100.mrt.bz2.idx":
-        "324fdfcb369f02e1181cd8adb5a6f4dc5316959276926dd466a582be396058c2",
+        "255fb307f8b76420e5598285c5dedd81ad3d84f8a2acb49c016d55d729888744",
     "updates.000000002100-000000002400.mrt.bz2":
         "d767db77cf16c1f26bc4d7d624b97ec859a5756e218102951083aba177c16f7b",
     "updates.000000002100-000000002400.mrt.bz2.idx":
-        "1e54906b363b7e6deb82b1c9027413ff4539d51c7b31745872e298f4b9823601",
+        "7a0db21ef7dc92acc448979ab877268460e76d14d7c087e153b5784c9ce96c1c",
     "updates.000000002400-000000002700.mrt.bz2":
         "b0ffb15edda19fc9e987a611d5f10fca0366adbaa98985fb4925e9cb52c62130",
     "updates.000000002400-000000002700.mrt.bz2.idx":
-        "e15c09da768cb17c9e3851404c09904866e51063cd7a1bac7145407ad75823a1",
+        "117f7838e2bb6557b350a80fa37c6f08626f0ca8a624393d9c6c11d09d3f7ff7",
     "updates.000000002700-000000003000.mrt.bz2":
         "96fb5daf6d692fd81fa537e3c93be33debe72eb371235c44020896000ceb7572",
     "updates.000000002700-000000003000.mrt.bz2.idx":
-        "ccf4ece270276aac447ecbf0b7ff4117088593676a713ee3739b9aaa121952d2",
+        "b2def9c73e7761dd1b4d1bf866ee4c224ff16316aeeb456d775cf08e12a35cd9",
     "updates.000000003000-000000003300.mrt.bz2":
         "fb14ee5b03bdbad3cc540fed6f1947a7e9bdc0f7fdb862f52944c00f3a511bd4",
     "updates.000000003000-000000003300.mrt.bz2.idx":
-        "1634a26caae3f3131d662fe2efb151c7178baa771a62a1daa3b8afdaa69ae99a",
+        "358eedeb2f16dc79b00502494d46484c8f899b31c679ac5159ddb605e079d318",
     "updates.000000003300-000000003600.mrt.bz2":
         "84621746cdeab5bea54234e5537565f0903197040540171cc12586bad35ff4e1",
     "updates.000000003300-000000003600.mrt.bz2.idx":
-        "51929d9cdd6ab00fbe09641dad33d1b074dcad1b32d2d60b97a362d8d28d444e",
+        "04c27b47406355dcf5e549dc81a95a9eb02d912a1c71e6b4f351403dc791f51a",
     "updates.000000003600-000000003900.mrt.bz2":
         "077f93151c9316fedf69e1d8d8f3ca4016bf5964e031bce25a1042473079c3e5",
     "updates.000000003600-000000003900.mrt.bz2.idx":
-        "83852ee42d9ae3c997b53574444ce5fd2b0ac1ad9f990282c9908bcc4afbe0e5",
+        "500e4491039692d36cad2b2f97ce790557453b9f6a9d401f9ff118ab794c49ce",
     "updates.000000003900-000000004200.mrt.bz2":
         "19ce03c4d9ee42f43e072169b0f819220f41a85577b323cd13506c81be769397",
     "updates.000000003900-000000004200.mrt.bz2.idx":
-        "5f6e866894b36e620f02618d056f3be48a9a49763323bc48c346a2281e42c442",
+        "b7e507c0eed88db4fa443bd04614c2e7d5189d7df292e776fab5649c0b7d16f0",
     "updates.000000004200-000000004500.mrt.bz2":
         "756138612bb644ec7bae5bcc0af5e2fe063ea34c6c809fe7bb132206f1f7b65f",
     "updates.000000004200-000000004500.mrt.bz2.idx":
-        "a2664e208250d50ecf22d8846b93fc8a3cbf2332b3b76b0e8b9e24a29a83d35c",
+        "02e85830e8082b671ce7ae4170719d0d52f9bcf753d92f9a7d6419e63100a3c1",
     "updates.000000004500-000000004800.mrt.bz2":
         "5de4bfa31e384a9a6836155082a334416e5789add475ea690d5aa13999aa01fb",
     "updates.000000004500-000000004800.mrt.bz2.idx":
-        "a1d6b985698e32636a77ed4fa2db0bc070cd435c5ea525687642f9809800baef",
+        "ae70988a5f8904618ed9e8013d714f1b1816f87d3344c2454208fecdb1a90378",
 }
 
 

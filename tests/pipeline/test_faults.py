@@ -112,16 +112,14 @@ class TestFaultSpec:
 
 
 class TestCorruptionFaults:
-    """The disk-rot kinds: bitflip / truncate / torn-index / slow-read."""
+    """The disk-rot kinds: bitflip / truncate / torn-index."""
 
     def test_parse_corruption_kinds(self):
         plan = FaultPlan.parse(
-            "bitflip=archive@2,truncate=archive@4,"
-            "torn-index=archive@1,slow-read=reader@3~0.2")
-        assert len(plan.specs) == 4
+            "bitflip=archive@2,truncate=archive@4,torn-index=archive@1")
+        assert len(plan.specs) == 3
         assert {s.kind for s in plan.for_archive()} \
             == {"bitflip", "truncate", "torn-index"}
-        assert plan.for_reader()[0].duration_s == 0.2
         # Corruption kinds never reach the session/writer selectors.
         assert plan.for_writer() == ()
         assert plan.for_session("archive") == ()
@@ -130,8 +128,9 @@ class TestCorruptionFaults:
         "bitflip=writer@1",           # corruption targets the archive
         "truncate=vp1@1",
         "torn-index=reader@1",
-        "slow-read=archive@1~0.1",    # slow-read targets the reader
+        "slow-read=archive@1~0.1",    # slow-read is no fault kind
         "slow-read=writer@1",
+        "slow-read=reader@1",
     ])
     def test_bad_targets_rejected(self, text):
         with pytest.raises(ValueError):
@@ -139,13 +138,11 @@ class TestCorruptionFaults:
 
     def test_seeded_plan_can_include_corruptions(self):
         kwargs = dict(sessions=["a", "b"], n_shards=2, horizon=200,
-                      corruptions=2, slow_reads=1)
+                      corruptions=2)
         plan = FaultPlan.seeded(7, **kwargs)
         assert plan == FaultPlan.seeded(7, **kwargs)
         assert len(plan.for_archive()) == 2
-        assert len(plan.for_reader()) == 1
         assert all(s.target == "archive" for s in plan.for_archive())
-        assert all(s.duration_s > 0 for s in plan.for_reader())
 
     def test_corrupt_bitflip_preserves_length(self, tmp_path):
         from repro.pipeline.faults import corrupt_bitflip
@@ -208,23 +205,6 @@ class TestCorruptionFaults:
         assert len(injector.log) == 2
         # The schedule is consumed: a second call corrupts nothing.
         assert injector.apply_archive_corruption(segments) == []
-
-    def test_on_payload_read_sleeps_at_position(self):
-        import time
-        from repro.pipeline.faults import FaultInjector
-
-        injector = FaultInjector(FaultPlan.parse(
-            "slow-read=reader@2~0.05"))
-        before = time.monotonic()
-        injector.on_payload_read("/seg/a")          # read 1: fast
-        fast = time.monotonic() - before
-        before = time.monotonic()
-        injector.on_payload_read("/seg/b")          # read 2: slow
-        slow = time.monotonic() - before
-        assert fast < 0.04
-        assert slow >= 0.05
-        assert any("slow-read at read 2" in line
-                   for line in injector.log)
 
 
 class TestFaultyStream:

@@ -22,6 +22,7 @@ from repro.query import (
     DirectoryCatalog,
     QueryEngine,
     QuerySpec,
+    SegmentIndex,
     WriterCatalog,
 )
 
@@ -125,17 +126,28 @@ class TestDifferential:
             assert engine.query(spec) == naive(writer, spec)
             assert engine.stats_snapshot().index_builds == 0
 
-    def test_no_persist_mode_leaves_directory_untouched(self, tmp_path):
+    def test_unwritable_directory_builds_each_index_once(
+            self, tmp_path, monkeypatch):
         rng = random.Random(7)
         writer = RollingArchiveWriter(str(tmp_path), interval_s=120.0,
                                       compress=False)
         writer.write_stream(random_updates(rng, 100))
         writer.close()
-        import os
         before = sorted(os.listdir(tmp_path))
-        with QueryEngine(writer, persist_indexes=False) as engine:
-            spec = QuerySpec(vp=VPS[0])
-            assert engine.query(spec) == naive(writer, spec)
+
+        def refuse(index, segment_path):
+            raise PermissionError(f"read-only: {segment_path}")
+
+        monkeypatch.setattr(SegmentIndex, "save", refuse)
+        with QueryEngine(writer) as engine:
+            for spec in (QuerySpec(prefix=Prefix.parse("172.16.0.0/12")),
+                         QuerySpec(vp=VPS[0], origin=ORIGINS[1])):
+                assert engine.query(spec) == naive(writer, spec)
+            snap = engine.stats_snapshot()
+        # The built indexes are kept in memory: both queries prune
+        # with them, and none is rebuilt for the second.
+        assert snap.segments_pruned_index >= len(writer.segments)
+        assert snap.index_builds == len(writer.segments)
         assert sorted(os.listdir(tmp_path)) == before
 
 

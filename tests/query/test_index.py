@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from repro.bgp.archive import RollingArchiveWriter
 from repro.bgp.message import BGPUpdate
-from repro.bgp.mrt import decode_record_at, iter_decoded, write_archive
+from repro.bgp.mrt import iter_decoded, write_archive
 from repro.bgp.prefix import Prefix
+from repro.cli import main
+from repro.query import QueryEngine, QuerySpec, plan_query
 from repro.query.index import (
-    BloomFilter,
+    INDEX_VERSION,
     IndexProbe,
     SegmentIndex,
     build_index,
@@ -47,116 +50,63 @@ def segment(request, tmp_path):
     return path, compressed
 
 
-class TestBloomFilter:
-    def test_membership(self):
-        bloom = BloomFilter(n_bits=256, n_hashes=3)
-        bloom.add("p:10.0.0.0/24")
-        assert "p:10.0.0.0/24" in bloom
-        assert "p:10.99.0.0/24" not in bloom
-
-    def test_no_false_negatives(self):
-        bloom = BloomFilter()
-        keys = [f"v:vp{i}" for i in range(200)]
-        for key in keys:
-            bloom.add(key)
-        assert all(key in bloom for key in keys)
-
-    def test_hex_round_trip(self):
-        bloom = BloomFilter(n_bits=512, n_hashes=4)
-        bloom.add("o:65001")
-        again = BloomFilter.from_hex(512, 4, bloom.to_hex())
-        assert "o:65001" in again and "o:1" not in again
-
-    def test_invalid_sizing(self):
-        with pytest.raises(ValueError):
-            BloomFilter(n_bits=0)
-
-
 class TestBuildIndex:
     def test_counts_and_postings(self, segment):
         path, compressed = segment
         index = build_index(path, compressed)
         assert index.count == 5
-        assert sorted(index.prefixes) == sorted({str(P1), str(P2)})
-        assert len(index.prefixes[str(P1)]) == 3    # incl. withdrawal
-        assert len(index.vps["vp1"]) == 3
+        assert list(index.prefixes) == [str(P1), str(P2)]
+        assert index.vps == {"vp1": 3, "vp2": 1, "vp3": 1}
         # Withdrawals carry no origin.
-        assert len(index.origins["65002"]) == 2
-        assert "65005" in index.origins
-
-    def test_offsets_decode_the_right_records(self, segment):
-        path, compressed = segment
-        index = build_index(path, compressed)
-        payload = read_payload(path, compressed)
-        for prefix_str, offsets in index.prefixes.items():
-            for offset in offsets:
-                record = decode_record_at(payload, offset)
-                assert str(record.prefix) == prefix_str
-
-    def test_offsets_match_sequential_walk(self, segment):
-        path, compressed = segment
-        payload = read_payload(path, compressed)
-        walked = {offset for offset, _ in iter_decoded(payload)}
-        index = build_index(path, compressed)
-        indexed = {o for lst in index.prefixes.values() for o in lst}
-        assert indexed == walked
+        assert list(index.origins) == [65002, 65003, 65005]
 
     def test_may_match(self, segment):
         path, compressed = segment
         index = build_index(path, compressed)
-        assert index.may_match(prefix=P1)
-        assert not index.may_match(prefix=P3)
-        assert index.may_match(vp="vp2", origin=65003)
-        assert not index.may_match(vp="vp2", origin=999999)
-        assert index.may_match()
+        assert IndexProbe(prefix=P1).may_match(index)
+        assert not IndexProbe(prefix=P3).may_match(index)
+        assert IndexProbe(vp="vp2", origin=65003).may_match(index)
+        assert not IndexProbe(vp="vp2", origin=999999).may_match(index)
+        assert IndexProbe().may_match(index)
 
 
 class TestIndexProbe:
-    """One probe per query answers every segment as the per-segment
-    membership tests would, whatever the bloom's shape."""
+    """A probe answers exactly as per-key membership in the decoded
+    segment would."""
 
     KEYS = ([None, P1, P2, P3], [None, "vp1", "vp2", "vp9"],
             [None, 65002, 65003, 65005, 1])
 
     @staticmethod
-    def reference(index, prefix, vp, origin):
-        keys = []
-        if prefix is not None:
-            keys.append((f"p:{prefix}", index.prefixes, str(prefix)))
-        if vp is not None:
-            keys.append((f"v:{vp}", index.vps, vp))
-        if origin is not None:
-            keys.append((f"o:{origin}", index.origins, str(origin)))
-        return all(bloom_key in index.bloom and key in postings
-                   for bloom_key, postings, key in keys)
+    def reference(updates, prefix, vp, origin):
+        return ((prefix is None or prefix in {u.prefix for u in updates})
+                and (vp is None or vp in {u.vp for u in updates})
+                and (origin is None
+                     or origin in {u.origin_as for u in updates}))
 
-    @pytest.mark.parametrize("shape", [(4096, 4), (64, 3), (8, 1)])
+    # Segment contents: the mixed fixture, one announcement, and
+    # withdrawals only (no origin keys at all).
+    SHAPES = [
+        updates_fixture(),
+        [BGPUpdate("vp2", 5.0, P2, (65001, 65003))],
+        [BGPUpdate("vp1", 5.0, P1, is_withdrawal=True),
+         BGPUpdate("vp2", 6.0, P3, is_withdrawal=True)],
+    ]
+
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_probe_equals_per_key_membership(self, segment, shape):
         path, compressed = segment
+        write_archive(shape, path, compress=compressed)
         index = build_index(path, compressed)
-        bloom = BloomFilter(*shape)
-        for key in index.prefixes:
-            bloom.add(f"p:{key}")
-        for key in index.vps:
-            bloom.add(f"v:{key}")
-        for key in index.origins:
-            bloom.add(f"o:{key}")
-        index.bloom = bloom
-        other = build_index(path, compressed)      # the default shape
+        updates = [record for _, record in
+                   iter_decoded(read_payload(path, compressed))]
+        assert len(updates) == len(shape)
         for prefix in self.KEYS[0]:
             for vp in self.KEYS[1]:
                 for origin in self.KEYS[2]:
                     probe = IndexProbe(prefix, vp, origin)
-                    for target in (index, other, index):
-                        assert probe.may_match(target) == self.reference(
-                            target, prefix, vp, origin), \
-                            (prefix, vp, origin, shape)
-
-    def test_bloom_alone_can_prune(self, segment):
-        path, compressed = segment
-        index = build_index(path, compressed)
-        index.prefixes[str(P3)] = []          # postings say maybe...
-        assert not IndexProbe(P3).may_match(index)   # ...the bloom: no
+                    assert probe.may_match(index) == self.reference(
+                        updates, prefix, vp, origin), (prefix, vp, origin)
 
 
 class TestPersistence:
@@ -165,12 +115,7 @@ class TestPersistence:
         index = build_index(path, compressed, persist=True)
         assert os.path.exists(index_path(path))
         loaded = load_index(path)
-        assert loaded is not None
-        assert loaded.count == index.count
-        assert loaded.prefixes == index.prefixes
-        assert loaded.vps == index.vps
-        assert loaded.origins == index.origins
-        assert loaded.bloom.bits == index.bloom.bits
+        assert loaded == index
 
     def test_stale_index_rejected(self, segment):
         path, compressed = segment
@@ -237,21 +182,19 @@ class TestSealTimeIndexing:
 
 
 def reference_index(path, compressed):
-    """The indexing loop as it was before seals indexed from memory:
-    decode every record of the file, and format and add to the bloom
-    every key of every record."""
-    index = SegmentIndex(count=0, size=os.path.getsize(path))
-    for offset, record in iter_decoded(read_payload(path, compressed)):
-        index.count += 1
-        prefix, vp, origin = record.prefix, record.vp, record.origin_as
-        index.prefixes.setdefault(str(prefix), []).append(offset)
-        index.vps.setdefault(vp, []).append(offset)
-        index.bloom.add(f"p:{prefix}")
-        index.bloom.add(f"v:{vp}")
-        if origin is not None:
-            index.origins.setdefault(str(origin), []).append(offset)
-            index.bloom.add(f"o:{origin}")
-    return index
+    """The index, from first principles: decode every record of the
+    file and collect its keys in first-appearance order."""
+    records = [record for _, record in
+               iter_decoded(read_payload(path, compressed))]
+    vps = {}
+    for record in records:
+        vps[record.vp] = vps.get(record.vp, 0) + 1
+    return SegmentIndex(
+        count=len(records), size=os.path.getsize(path),
+        prefixes=dict.fromkeys(str(r.prefix) for r in records),
+        origins=dict.fromkeys(r.origin_as for r in records
+                              if r.origin_as is not None),
+        vps=vps)
 
 
 #: Small pools, so that many records share a prefix, VP or origin.
@@ -307,10 +250,113 @@ class TestSealFromMemory:
                     assert handle.read() == sealed
                 assert loaded == rebuilt == reference
 
-    def test_bloom_equality(self):
-        a, b = BloomFilter(64, 2), BloomFilter(64, 2)
-        a.add("p:10.0.0.0/24")
-        assert a != b
-        b.add("p:10.0.0.0/24")
-        assert a == b
-        assert a != BloomFilter(128, 2, a.bits)
+
+#: Keys no drawn update carries: each prunes every segment.
+ABSENT_PREFIX = Prefix.parse("172.16.0.0/12")
+ABSENT_VP = "vp-absent"
+ABSENT_ASN = 7
+
+
+class TestPlanDifferential:
+    """Planning over the key-set indexes prunes exactly the segments
+    whose decoded records lack some predicate's key, and the per-VP
+    counts sum to the decoded updates."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(updates=st.lists(seal_updates(), min_size=1, max_size=50),
+           compress=st.booleans())
+    def test_plan_and_vp_counts_equal_decoding(self, updates, compress):
+        with tempfile.TemporaryDirectory() as directory:
+            writer = RollingArchiveWriter(
+                directory, interval_s=10.0, compress=compress,
+                checkpoint=True, index=True)
+            writer.write_stream(sorted(updates, key=lambda u: u.time))
+            writer.close()
+            segments = writer.segments
+            decoded = [[record for _, record in iter_decoded(
+                read_payload(segment.path, compress))]
+                for segment in segments]
+            keys = [({u.prefix for u in records}, {u.vp for u in records},
+                     {u.origin_as for u in records})
+                    for records in decoded]
+            indexes = {s.path: load_index(s.path) for s in segments}
+            for prefix in SEAL_PREFIXES + [None, ABSENT_PREFIX]:
+                for vp in SEAL_VPS + [None, ABSENT_VP]:
+                    for origin in SEAL_ASNS + [None, ABSENT_ASN]:
+                        spec = QuerySpec(prefix=prefix, vp=vp,
+                                         origin=origin)
+                        plan = plan_query(segments, spec,
+                                          lambda s: indexes[s.path])
+                        kept = tuple(
+                            segment for segment, (prefixes, vps, origins)
+                            in zip(segments, keys)
+                            if (prefix is None or prefix in prefixes)
+                            and (vp is None or vp in vps)
+                            and (origin is None or origin in origins))
+                        assert plan.scan == kept, spec
+                        assert plan.pruned_index \
+                            == len(segments) - len(kept)
+            with QueryEngine(directory) as engine:
+                assert engine.vp_counts() \
+                    == Counter(u.vp for records in decoded for u in records)
+
+
+#: The format-1 sidecar (bloom + offset postings) of
+#: ``updates_fixture()`` written as a raw segment, as the format-1
+#: writer left it on disk.
+V1_SIDECAR = (
+    '{"version":1,"count":5,"size":183,'
+    '"bloom":{"n_bits":4096,"n_hashes":4,"bits":"'
+    '2000000000000000000000000000000000000000000000000000004000000000'
+    '0000000000000000000000000000000010101000000000000000000000004000'
+    '0000000000000000000000000000000000000000000000000000000000000004'
+    '0400000000000000000000000000000000000000000000000000000000000000'
+    '0000000000000000000000000000000000000000000400000000000000000000'
+    '0000000000000000002000000002000000000000000000000000000000000100'
+    '0000000000000000000000000000000000000200000000000000000000000000'
+    '0080000000000000000000000000000000000000000000000004000000020000'
+    '0000000000000000000000000000000000000000008000000000200000000000'
+    '0800000000000000000000000800000000000000000000002000000000000000'
+    '1004000000000010080000000000000000000000000000000000000000000000'
+    '0010008000000000000000000000000000000010000000000000000000080000'
+    '0000000000000000000000000000000000000000000000000000000000000000'
+    '0000000000000000000000000000000000000000000000000000000000000000'
+    '0000000000000000000000000000000000000080000000000000000000000040'
+    '0002000000000000000000000000000000'
+    '"},"prefixes":{"10.0.0.0/24":[0,117,144],"10.0.1.0/24":[39,78]},'
+    '"vps":{"vp1":[0,78,117],"vp2":[39],"vp3":[144]},'
+    '"origins":{"65002":[0,78],"65003":[39],"65005":[144]}}')
+
+
+class TestV1Upgrade:
+    """A format-1 sidecar is stale: the first reader rebuilds and
+    re-persists it in the current format."""
+
+    @pytest.fixture
+    def v1_segment(self, tmp_path):
+        path = str(tmp_path / "updates.000000000000-000000000100.mrt")
+        write_archive(updates_fixture(), path, compress=False)
+        with open(index_path(path), "w") as handle:
+            handle.write(V1_SIDECAR)
+        assert json.loads(V1_SIDECAR)["size"] == os.path.getsize(path)
+        return path
+
+    def test_first_query_rebuilds_it(self, v1_segment):
+        assert load_index(v1_segment) is None
+        directory = os.path.dirname(v1_segment)
+        with QueryEngine(directory) as engine:
+            assert engine.query(QuerySpec(vp="vp2")) \
+                == [updates_fixture()[1]]
+            assert engine.query(QuerySpec(vp="vp9")) == []
+            snap = engine.stats_snapshot()
+        assert (snap.index_builds, snap.index_loads) == (1, 0)
+        assert snap.segments_pruned_index == 1
+        with open(index_path(v1_segment)) as handle:
+            assert json.load(handle)["version"] == INDEX_VERSION == 2
+        assert load_index(v1_segment) == reference_index(v1_segment, False)
+
+    def test_scrub_reports_it_rebuilt(self, v1_segment, capsys):
+        assert main(["scrub", os.path.dirname(v1_segment)]) == 0
+        assert "1 intact, 0 quarantined, 1 indexes rebuilt" \
+            in capsys.readouterr().out
+        assert load_index(v1_segment) == reference_index(v1_segment, False)

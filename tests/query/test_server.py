@@ -541,6 +541,69 @@ class TestOverloadShedding:
         engine.render = real_render
         engine.close()
 
+    def test_overload_thread_growth_is_bounded(self, epoch_archive):
+        """Eight keep-alive clients against one held slot: every extra
+        request is refused while the slot is still held (a 503 never
+        waits), and the server grows at most one handler thread per
+        connection."""
+        import threading
+
+        archive, _, _ = epoch_archive
+        engine = QueryEngine(archive)
+        entered = threading.Event()
+        release = threading.Event()
+        real_render = engine.render
+
+        def held_render(spec, deadline=None, trace=None):
+            entered.set()
+            release.wait(10.0)
+            return real_render(spec, deadline=deadline)
+
+        engine.render = held_render
+        n_clients, n_requests = 8, 5
+        with QueryAPIServer(engine, max_concurrent=1,
+                            queue_limit=0) as api:
+            outcome = []
+            occupant = threading.Thread(target=lambda: outcome.append(
+                get_json(api.url + "/updates?limit=1")))
+            occupant.start()
+            assert entered.wait(10.0)
+            statuses = []
+            lock = threading.Lock()
+
+            def client():
+                conn = http.client.HTTPConnection(api.host, api.port,
+                                                  timeout=10)
+                try:
+                    for _ in range(n_requests):
+                        conn.request("GET", "/updates?limit=1")
+                        reply = conn.getresponse()
+                        reply.read()
+                        with lock:
+                            statuses.append(reply.status)
+                finally:
+                    conn.close()
+
+            baseline = threading.active_count()
+            peak = baseline
+            clients = [threading.Thread(target=client)
+                       for _ in range(n_clients)]
+            for thread in clients:
+                thread.start()
+            while any(thread.is_alive() for thread in clients):
+                peak = max(peak, threading.active_count())
+                time.sleep(0.002)
+            for thread in clients:
+                thread.join(10.0)
+            assert statuses == [503] * (n_clients * n_requests)
+            # A client thread and its connection's handler thread each.
+            assert peak - baseline <= 2 * n_clients + 4
+            release.set()
+            occupant.join(10.0)
+            assert outcome[0][0] == 200
+        engine.render = real_render
+        engine.close()
+
     def test_expired_deadline_sheds_mid_request(self, epoch_archive):
         archive, _, _ = epoch_archive
         engine = QueryEngine(archive)
