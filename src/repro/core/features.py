@@ -53,16 +53,27 @@ class RIBGraph:
         self._pred: Dict[int, Set[int]] = defaultdict(set)
         # Per-prefix installed path, so updates can be diffed out.
         self._paths: Dict[Prefix, Tuple[int, ...]] = {}
-        # Memos of derived values, valid for one state of the edge
-        # multiset: ``_replace_edges`` is the only writer of the three
-        # maps above and the only place these are dropped.  A node's
-        # features depend on the whole graph (distances), so any change
-        # clears them all; the edge lengths around a node depend only
-        # on its own incident edges, so those drop per endpoint.
+        # Distinct edges touching each node: its keys are the node set.
+        self._incident: Dict[int, int] = {}
+        # Memos of derived values.  ``_replace_edges`` is the only
+        # writer of the maps above and the only place these are
+        # dropped, each when its own inputs change:
+        #   * node features read distances, which are global, so any
+        #     change clears them all;
+        #   * a node's neighbour set (``succ | pred``) and edge lengths
+        #     read only its incident edges; the set drops when one
+        #     appears or disappears, the lengths on any weight change;
+        #   * the local features (average neighbour degree, triangles,
+        #     clustering) read the weights around a node and the
+        #     adjacency of its neighbours: a weight change drops its
+        #     edge's endpoints, an edge that appears or disappears drops
+        #     its endpoints and their neighbours.
         # Values are the results of the unmemoised expressions, held
         # rather than re-evaluated: same neighbor order, same float
         # operations in the same order.
         self._node_memo: Dict[int, Tuple[float, ...]] = {}
+        self._local_memo: Dict[int, Tuple[float, float, float]] = {}
+        self._neighbor_memo: Dict[int, Set[int]] = {}
         self._length_memo: Dict[int, List[Tuple[int, float]]] = {}
 
     # -- maintenance ---------------------------------------------------------
@@ -82,22 +93,56 @@ class RIBGraph:
         """
         if old == new:
             return
+        weight, succ, pred = self._weight, self._succ, self._pred
+        incident = self._incident
+        # Edges that disappeared or appeared: their endpoints' ``succ``
+        # or ``pred`` set was written (an edge taken out and put back
+        # in is both, and its sets may iterate in a new order).
+        moved: List[Tuple[int, int]] = []
         for edge in old:
-            count = self._weight.get(edge, 0) - 1
+            count = weight.get(edge, 0) - 1
             if count > 0:
-                self._weight[edge] = count
+                weight[edge] = count
             else:
-                self._weight.pop(edge, None)
-                self._succ[edge[0]].discard(edge[1])
-                self._pred[edge[1]].discard(edge[0])
+                weight.pop(edge, None)
+                succ[edge[0]].discard(edge[1])
+                pred[edge[1]].discard(edge[0])
+                moved.append(edge)
+                for node in edge:
+                    left = incident[node] - 1
+                    if left:
+                        incident[node] = left
+                    else:
+                        del incident[node]
         for edge in new:
-            self._weight[edge] = self._weight.get(edge, 0) + 1
-            self._succ[edge[0]].add(edge[1])
-            self._pred[edge[1]].add(edge[0])
+            count = weight.get(edge, 0)
+            weight[edge] = count + 1
+            if not count:
+                succ[edge[0]].add(edge[1])
+                pred[edge[1]].add(edge[0])
+                moved.append(edge)
+                for node in edge:
+                    incident[node] = incident.get(node, 0) + 1
         self._node_memo.clear()
-        for edge in old + new:
-            self._length_memo.pop(edge[0], None)
-            self._length_memo.pop(edge[1], None)
+        lengths, local = self._length_memo, self._local_memo
+        for a, b in old + new:
+            lengths.pop(a, None)
+            lengths.pop(b, None)
+            local.pop(a, None)
+            local.pop(b, None)
+        neighbors = self._neighbor_memo
+        for a, b in moved:
+            neighbors.pop(a, None)
+            neighbors.pop(b, None)
+        # A neighbour an endpoint lost is itself the endpoint of a
+        # moved edge, so the neighbours after the change cover those
+        # before it.
+        for edge in moved:
+            for node in edge:
+                for other in succ.get(node, ()):
+                    local.pop(other, None)
+                for other in pred.get(node, ()):
+                    local.pop(other, None)
 
     def install(self, prefix: Prefix, path: Tuple[int, ...]) -> None:
         """Install (or replace) the path for a prefix."""
@@ -124,8 +169,7 @@ class RIBGraph:
     # -- basic queries ----------------------------------------------------------
 
     def nodes(self) -> Set[int]:
-        return {n for n in self._succ if self._succ[n]} | \
-               {n for n in self._pred if self._pred[n]}
+        return set(self._incident)
 
     def has_edge(self, a: int, b: int) -> bool:
         return (a, b) in self._weight
@@ -137,11 +181,20 @@ class RIBGraph:
         return len(self._weight)
 
     def neighbors(self, node: int) -> Set[int]:
-        """Undirected neighborhood."""
+        """Undirected neighborhood (a new set each call)."""
         return self._succ.get(node, set()) | self._pred.get(node, set())
 
+    def _neighbors(self, node: int) -> Set[int]:
+        """:meth:`neighbors`, memoised: the same set, iterated in the
+        same order, for as long as the node's ``succ`` and ``pred``
+        sets are not written.  Never handed out."""
+        found = self._neighbor_memo.get(node)
+        if found is None:
+            found = self._neighbor_memo[node] = self.neighbors(node)
+        return found
+
     def degree(self, node: int) -> int:
-        return len(self.neighbors(node))
+        return len(self._neighbors(node))
 
     def weighted_degree(self, node: int) -> float:
         total = 0.0
@@ -160,7 +213,7 @@ class RIBGraph:
         found = self._length_memo.get(node)
         if found is None:
             found = self._length_memo[node] = []
-            for other in self.neighbors(node):
+            for other in self._neighbors(node):
                 weight = self._undirected_weight(node, other)
                 if weight > 0:
                     found.append((other, 1.0 / weight))
@@ -171,19 +224,22 @@ class RIBGraph:
     def distances_from(self, source: int) -> Dict[int, float]:
         """Weighted shortest-path distances on the undirected projection,
         with edge length 1/weight."""
+        # No visited set: lengths are positive, so a settled node's
+        # distance d is never improved (``d + length >= d``) and it is
+        # never pushed again; an entry above its node's final distance
+        # is stale and skipped.  Same pushes, same ``dist`` order.
         dist: Dict[int, float] = {source: 0.0}
         heap: List[Tuple[float, int]] = [(0.0, source)]
-        visited: Set[int] = set()
-        lengths, known = self._lengths, dist.get
+        memo, lengths, known = self._length_memo, self._lengths, dist.get
         pop, push, inf = heapq.heappop, heapq.heappush, math.inf
         while heap:
             d, node = pop(heap)
-            if node in visited:
+            if d > dist[node]:
                 continue
-            visited.add(node)
-            for other, length in lengths(node):
-                if other in visited:
-                    continue
+            edges = memo.get(node)
+            if edges is None:
+                edges = lengths(node)
+            for other, length in edges:
                 candidate = d + length
                 if candidate < known(other, inf):
                     dist[other] = candidate
@@ -204,33 +260,39 @@ class RIBGraph:
         return found
 
     def _node_features(self, node: int) -> Tuple[float, ...]:
-        if not self.neighbors(node):
+        if not self._neighbors(node):
             return (0.0,) * N_NODE_FEATURES
         dist = self.distances_from(node)
-        reachable = [d for other, d in dist.items() if other != node]
-        n_nodes = len(self.nodes())
+        # The source is ``dist``'s first key and is never improved on.
+        reachable = list(dist.values())[1:]
+        n_nodes = len(self._incident)
         if reachable:
             total = sum(reachable)
             closeness = (len(reachable) / total if total > 0 else 0.0)
             # Wasserman-Faust scaling keeps values comparable across
             # graphs with different reachable-set sizes.
             closeness *= len(reachable) / max(1, n_nodes - 1)
-            harmonic = sum(1.0 / d for d in reachable if d > 0)
+            harmonic = sum([1.0 / d for d in reachable if d > 0])
             eccentricity = max(reachable)
         else:
             closeness = harmonic = eccentricity = 0.0
-        return (
-            closeness,
-            harmonic,
-            self._average_neighbor_degree(node),
-            eccentricity,
-            float(self._triangles(node)),
-            self._clustering(node),
-        )
+        local = self._local_memo.get(node)
+        if local is None:
+            local = self._local_memo[node] = self._local_features(node)
+        average_degree, triangles, clustering = local
+        return (closeness, harmonic, average_degree, eccentricity,
+                triangles, clustering)
+
+    def _local_features(self, node: int) -> Tuple[float, float, float]:
+        """Average neighbour degree, triangles and clustering: what a
+        node's features read of its 1-2 hop neighbourhood only."""
+        return (self._average_neighbor_degree(node),
+                float(self._triangles(node)),
+                self._clustering(node))
 
     def _average_neighbor_degree(self, node: int) -> float:
         """Weighted average neighbor degree (Barrat et al.)."""
-        neighbors = self.neighbors(node)
+        neighbors = self._neighbors(node)
         if not neighbors:
             return 0.0
         strength = sum(self._undirected_weight(node, o) for o in neighbors)
@@ -242,17 +304,17 @@ class RIBGraph:
         ) / strength
 
     def _triangles(self, node: int) -> int:
-        neighbors = self.neighbors(node)
+        neighbors = self._neighbors(node)
         count = 0
         for a in neighbors:
-            for b in self.neighbors(a):
+            for b in self._neighbors(a):
                 if b in neighbors and b != node:
                     count += 1
         return count // 2
 
     def _clustering(self, node: int) -> float:
         """Weighted clustering coefficient (Barrat et al. [54])."""
-        neighbors = sorted(self.neighbors(node))
+        neighbors = sorted(self._neighbors(node))
         degree = len(neighbors)
         if degree < 2:
             return 0.0
@@ -271,10 +333,13 @@ class RIBGraph:
 
     def pair_features(self, a: int, b: int) -> Tuple[float, ...]:
         """Jaccard, Adamic-Adar, preferential attachment for an AS pair."""
-        na, nb = self.neighbors(a), self.neighbors(b)
-        union = na | nb
+        na = self._neighbors(a)
+        # Two objects even for ``a == b``, as unmemoised: ``s & s``
+        # copies ``s`` rather than probing it, in another order.
+        nb = self._neighbors(b) if b != a else self.neighbors(b)
         common = na & nb
-        jaccard = len(common) / len(union) if union else 0.0
+        union = len(na) + len(nb) - len(common)
+        jaccard = len(common) / union if union else 0.0
         adamic = sum(
             1.0 / math.log(self.degree(z))
             for z in common if self.degree(z) > 1

@@ -87,7 +87,7 @@ class OriginHijackStreamDetector(StreamingDetector):
         if self._segments_seen <= self.train_segments:
             self.dfoh.train_on_updates(updates)
             return []
-        found: Dict[Tuple[Tuple[int, int], str], dict] = {}
+        found: Dict[Tuple[Tuple[int, int], Prefix], dict] = {}
         for update in updates:
             if update.is_withdrawal:
                 continue
@@ -103,13 +103,18 @@ class OriginHijackStreamDetector(StreamingDetector):
                         self.dfoh.train([[link[0], link[1]]])
                         continue
                     self._suspicious[link] = score
-                slot = found.setdefault((link, str(update.prefix)), {
+                slot = found.setdefault((link, update.prefix), {
                     "time": update.time, "vps": set(),
                     "origin": update.origin_as, "score": score,
                 })
                 slot["vps"].add(update.vp)
+        # Each distinct prefix is formatted once; detections come out
+        # sorted by (link, prefix text).
+        text = {prefix: str(prefix) for _, prefix in found}
         out = []
-        for (link, prefix), slot in sorted(found.items()):
+        for (link, prefix), slot in sorted(
+                ((link, text[prefix]), slot)
+                for (link, prefix), slot in found.items()):
             origin = slot["origin"]
             out.append(Detection(
                 detector=self.name, type="origin_hijack",
@@ -393,12 +398,18 @@ class FlapStormDetector(StreamingDetector):
                 else:
                     storm.add(update.vp)
         # Segment-boundary sweep: close storms whose penalties decayed,
-        # drop negligible entries so state stays bounded.
+        # drop negligible entries so state stays bounded.  One pass
+        # groups the penalties of open storms by prefix, in table order.
+        penalties: Dict[Prefix, List[Tuple[float, float]]] = {
+            prefix: [] for prefix in self._open}
+        for (_, pfx), entry in self._penalty.items():
+            group = penalties.get(pfx)
+            if group is not None:
+                group.append(entry)
         for prefix in sorted(self._open, key=str):
             vps = self._open[prefix]
             worst = max((self._decayed(p, s, end)
-                         for (vp, pfx), (p, s) in self._penalty.items()
-                         if pfx == prefix), default=0.0)
+                         for p, s in penalties[prefix]), default=0.0)
             if worst <= self.reuse:
                 del self._open[prefix]
                 out.append(self._detection(

@@ -20,6 +20,7 @@ Two integrity schemes live here:
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import os
@@ -142,6 +143,26 @@ def _canonical(record: dict) -> str:
                        if k != CRC_KEY}, sort_keys=True)
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _crc(canonical: str) -> str:
+    return f"{zlib.crc32(canonical.encode('utf-8')) & 0xFFFFFFFF:08x}"
+
+
+def _sealed_line(record: dict) -> Tuple[str, str]:
+    """``(crc, line)`` where ``line`` is ``json.dumps(seal_record(record),
+    sort_keys=True) + "\n"`` for a record with string keys, but each
+    field is encoded once: the canonical text the CRC covers is the
+    line minus its ``"crc"`` field, so that field is spliced in at its
+    sorted position afterwards."""
+    keys = sorted(key for key in record if key != CRC_KEY)
+    fields = [f"{_encode(key)}: {_encode(record[key])}" for key in keys]
+    crc = _crc("{" + ", ".join(fields) + "}")
+    fields.insert(bisect.bisect(keys, CRC_KEY), f'"{CRC_KEY}": "{crc}"')
+    return crc, "{" + ", ".join(fields) + "}\n"
+
+
 def seal_record(record: dict) -> dict:
     """A copy of ``record`` carrying its own CRC32 under ``"crc"``.
 
@@ -151,7 +172,7 @@ def seal_record(record: dict) -> dict:
     byte-comparisons rely on.
     """
     sealed = dict(record)
-    sealed[CRC_KEY] = f"{zlib.crc32(_canonical(record).encode('utf-8')) & 0xFFFFFFFF:08x}"
+    sealed[CRC_KEY] = _crc(_canonical(record))
     return sealed
 
 
@@ -165,8 +186,7 @@ def record_intact(record: dict) -> bool:
     recorded = record.get(CRC_KEY)
     if recorded is None:
         return True
-    expected = f"{zlib.crc32(_canonical(record).encode('utf-8')) & 0xFFFFFFFF:08x}"
-    return recorded == expected
+    return recorded == _crc(_canonical(record))
 
 
 def read_sealed_lines(lines: Iterable[str]
@@ -213,9 +233,11 @@ class SealedJournal:
         self.offset = 0
 
     def append(self, record: dict) -> dict:
-        """Seal ``record``, append its line, return the sealed copy."""
-        sealed = seal_record(record)
-        line = json.dumps(sealed, sort_keys=True) + "\n"
+        """Seal ``record``, append its line, return the sealed copy
+        (equal to :func:`seal_record`'s)."""
+        crc, line = _sealed_line(record)
+        sealed = dict(record)
+        sealed[CRC_KEY] = crc
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line)
             if self.fsync:

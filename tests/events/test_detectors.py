@@ -190,6 +190,69 @@ class TestFlapStorm:
         assert detector.observe(slow, 0.0, 3600.0) == []
 
 
+class _ReferenceFlapStorm(FlapStormDetector):
+    """The sweep as it was: every open storm scans every penalty."""
+
+    def observe(self, updates, start, end):
+        out = []
+        for update in updates:
+            key = (update.vp, update.prefix)
+            penalty, since = self._penalty.get(key, (0.0, update.time))
+            penalty = self._decayed(penalty, since, update.time) + 1.0
+            self._penalty[key] = (penalty, update.time)
+            if penalty >= self.suppress:
+                storm = self._open.get(update.prefix)
+                if storm is None:
+                    self._open[update.prefix] = {update.vp}
+                    out.append(self._detection(
+                        update.prefix, update.time, penalty,
+                        vps=(update.vp,)))
+                else:
+                    storm.add(update.vp)
+        for prefix in sorted(self._open, key=str):
+            vps = self._open[prefix]
+            worst = max((self._decayed(p, s, end)
+                         for (vp, pfx), (p, s) in self._penalty.items()
+                         if pfx == prefix), default=0.0)
+            if worst <= self.reuse:
+                del self._open[prefix]
+                out.append(self._detection(
+                    prefix, end, worst, vps=tuple(sorted(vps)),
+                    closes=True))
+        self._penalty = {
+            key: (penalty, since)
+            for key, (penalty, since) in self._penalty.items()
+            if self._decayed(penalty, since, end) > 0.05
+        }
+        return out
+
+
+def test_flap_storm_sweep_equals_the_per_storm_scan():
+    """Many concurrent storms, opening, closing and reopening over a
+    dozen segments: the grouped sweep detects exactly what the old
+    per-storm scan of the whole penalty table did."""
+    prefixes = [Prefix.from_index(i) for i in range(60)]
+    grouped, reference = FlapStormDetector(), _ReferenceFlapStorm()
+    opened = closed = 0
+    for segment in range(12):
+        start = segment * 300.0
+        updates = [
+            ann(f"vp{vp}", start + offset, prefix, (1, 5 + vp))
+            for index, prefix in enumerate(prefixes)
+            for vp in range(index % 5 + 1)
+            # Storms flap on and off at their own period, 3-7 segments.
+            if (segment // (index % 5 + 3) + index) % 2 == 0
+            for offset in range(vp, 300, 20 + 7 * (index % 4))]
+        updates.sort(key=lambda u: (u.time, u.vp, str(u.prefix)))
+        got = grouped.observe(updates, start, start + 300.0)
+        assert got == reference.observe(updates, start, start + 300.0)
+        opened += sum(not d.closes for d in got)
+        closed += sum(d.closes for d in got)
+        assert grouped._penalty == reference._penalty
+        assert grouped._open == reference._open
+    assert opened > 60 and closed > 30
+
+
 def test_default_detectors_cover_all_types():
     names = {d.name for d in default_detectors()}
     assert names == {"origin_hijack", "subprefix", "moas",

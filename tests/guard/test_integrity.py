@@ -4,7 +4,11 @@ import hashlib
 import json
 import zlib
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.guard.integrity import (
+    SealedJournal,
     crc32_of,
     file_digests,
     mismatch_reason,
@@ -129,3 +133,52 @@ class TestSealedRecords:
         line = json.dumps(seal_record({"scores": {"vp1": 0.5}}))
         flipped = line.replace("0.5", "0.7")
         assert not record_intact(json.loads(flipped))
+
+
+# Keys around "crc" in sort order, so the spliced field lands first,
+# in the middle and last; text and floats of every kind.
+_KEYS = st.one_of(
+    st.sampled_from(["anchors", "cr", "crc0", "crd", "drops", "event",
+                     "kept", "op", "scores", "watermark", "\u00e9t\u00e9"]),
+    st.text(max_size=6))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+    st.floats(allow_nan=True, allow_infinity=True))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=12)
+_GILL_RECORDS = st.fixed_dictionaries({
+    "watermark": st.floats(0, 1e6), "kept": st.integers(0, 10 ** 6),
+    "anchors": st.lists(st.text(max_size=6), max_size=3),
+    "scores": st.dictionaries(st.text(max_size=6), st.fixed_dictionaries({
+        "redundancy": st.floats(), "volume": st.integers(),
+        "anchor": st.booleans()}), max_size=3)})
+_EVENT_RECORDS = st.fixed_dictionaries({
+    "op": st.just("upsert"), "watermark": st.floats(0, 1e6),
+    "event": st.dictionaries(_KEYS, _VALUES, max_size=6)})
+
+
+class TestJournalAppend:
+    @settings(max_examples=200, deadline=None)
+    @given(record=st.one_of(st.dictionaries(_KEYS, _VALUES, max_size=6),
+                            _GILL_RECORDS, _EVENT_RECORDS))
+    def test_line_is_dumps_of_the_sealed_record(self, tmp_path_factory,
+                                                record):
+        """Each field is encoded once, yet the line is byte for byte
+        the sorted-keys dump of :func:`seal_record`'s copy."""
+        path = tmp_path_factory.mktemp("journal") / "j.jsonl"
+        journal = SealedJournal(str(path), fsync=False)
+        sealed = journal.append(record)
+        expected = json.dumps(seal_record(record), sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+        assert journal.offset == len(expected.encode("utf-8"))
+        assert json.dumps(sealed, sort_keys=True) + "\n" == expected
+
+    def test_a_stale_crc_field_is_replaced(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        record = {"kept": 1, "crc": "00000000"}
+        SealedJournal(str(path), fsync=False).append(record)
+        assert path.read_text(encoding="utf-8") \
+            == json.dumps(seal_record(record), sort_keys=True) + "\n"
