@@ -119,7 +119,8 @@ class RecoveryReport:
     segments: int
     #: Torn segment files that were deleted (on disk, not in manifest).
     torn_removed: Tuple[str, ...]
-    #: Buffered updates of the open interval discarded by recovery.
+    #: Buffered updates of the open interval, and of segments sealed
+    #: but never published, discarded by recovery.
     lost_pending: int
     #: Orphaned per-segment index files deleted (their segment is gone
     #: or was never manifested; the query engine rebuilds lazily).
@@ -140,6 +141,11 @@ class RollingArchiveWriter:
     disk but not in the manifest), drops a corrupt trailing segment,
     and rewinds the writer to the last durable watermark so an
     interrupted collection epoch can resume exactly there.
+
+    :meth:`seal` splits a flush in two for a caller that must make
+    something else durable in between: it seals the open interval
+    early (file, index, seal listeners) and holds the segment back
+    from :attr:`segments` and the manifest until :meth:`publish`.
     """
 
     def __init__(self, directory: str,
@@ -159,11 +165,14 @@ class RollingArchiveWriter:
         #: (:mod:`repro.query`).
         self.index_enabled = index
         #: Seal subscribers, called in registration order after a
-        #: segment (and its checkpoint, when enabled) is durable.
+        #: segment is durable — and its checkpoint too, except when
+        #: :meth:`seal` holds it back.
         self._seal_listeners: List[SealHook] = []
         #: Build time of the most recently sealed segment's index.
         self.last_index_build_s: Optional[float] = None
         self.segments: List[ArchiveSegment] = []
+        # Sealed by seal() but not yet published.
+        self._held: List[ArchiveSegment] = []
         # Segment start times, for bisection: segments are flushed in
         # time order, so ``_starts`` is strictly increasing.
         self._starts: List[float] = []
@@ -233,6 +242,55 @@ class RollingArchiveWriter:
         return segments
 
     def _flush(self) -> Optional[ArchiveSegment]:
+        sealed = self._seal_file()
+        self.publish()
+        if sealed is None:
+            return None
+        segment, build_s = sealed
+        for hook in list(self._seal_listeners):
+            hook(segment, build_s)
+        return segment
+
+    def seal(self) -> Optional[ArchiveSegment]:
+        """Seal the open interval now, before a later interval's first
+        update arrives; returns the segment (None when nothing is
+        pending).
+
+        The file, its index and the seal listeners run here; the
+        segment joins :attr:`segments` and the manifest only at
+        :meth:`publish` (or the next flush).  Later writes must be at
+        or after the segment's end.
+        """
+        sealed = self._seal_file()
+        if sealed is None:
+            return None
+        segment, build_s = sealed
+        self._last_time = max(self._last_time, segment.end)
+        for hook in list(self._seal_listeners):
+            hook(segment, build_s)
+        return segment
+
+    def publish(self) -> None:
+        """Publish the segments :meth:`seal` held back: append them to
+        :attr:`segments` and, with checkpointing, to the manifest."""
+        if not self._held:
+            return
+        for segment in self._held:
+            self.segments.append(segment)
+            self._starts.append(segment.start)
+            if self.checkpoint_enabled:
+                self._manifest_entries.append(_manifest_entry(segment))
+        self._held = []
+        if self.checkpoint_enabled:
+            # The manifest is updated only after the segment is
+            # durable, so a crash between the two leaves a torn file
+            # that recovery identifies and deletes.
+            self._write_checkpoint()
+
+    def _seal_file(self
+                   ) -> Optional[Tuple[ArchiveSegment, Optional[float]]]:
+        """Write, fingerprint and index the open interval, and hold
+        the segment for :meth:`publish`."""
         if not self._pending or self._current_slot is None:
             return None
         path = self._segment_path(self._current_slot)
@@ -253,18 +311,9 @@ class RollingArchiveWriter:
         build_s = None
         if self.index_enabled:
             build_s = self._build_index(segment, records)
-        self.segments.append(segment)
-        self._starts.append(segment.start)
+        self._held.append(segment)
         self._pending = []
-        if self.checkpoint_enabled:
-            # The manifest is updated only after the segment is
-            # durable, so a crash between the two leaves a torn file
-            # that recovery identifies and deletes.
-            self._manifest_entries.append(_manifest_entry(segment))
-            self._write_checkpoint()
-        for hook in list(self._seal_listeners):
-            hook(segment, build_s)
-        return segment
+        return segment, build_s
 
     def _build_index(self, segment: ArchiveSegment,
                      records: List[bytes]) -> float:
@@ -359,7 +408,8 @@ class RollingArchiveWriter:
             elif name not in listed:
                 os.remove(os.path.join(self.directory, name))
                 torn.append(name)
-        lost = len(self._pending)
+        lost = len(self._pending) + sum(s.count for s in self._held)
+        self._held = []
         self.segments = durable
         self._starts = [s.start for s in durable]
         self._manifest_entries = [_manifest_entry(s) for s in durable]

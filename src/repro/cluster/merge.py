@@ -133,11 +133,41 @@ def merge_archives(source: object,
         vp_universe = sorted(
             {vp for manifest in manifests for vp in manifest.vps})
         gill_stage = GillStage(gill, vps=vp_universe, registry=registry)
-        gill_stage.attach(writer)
-    if events is not None:
-        events.attach(writer)
+    try:
+        if gill_stage is not None:
+            gill_stage.attach(writer)
+            # Seal each slot's segment while the filter's worker
+            # scores the slot (docs/GILL.md, "Where the work runs").
+            gill_stage.sealer = writer
+        if events is not None:
+            events.attach(writer)
+        started = time_mod.perf_counter()
+        merged, max_lag, active = _merge_stream(
+            part_dirs, manifests, writer, gill_stage, lag_gauge)
+    finally:
+        if gill_stage is not None:
+            gill_stage.close()
+    duration = time_mod.perf_counter() - started
+    if lag_gauge is not None:
+        lag_gauge.set(0.0)
+    return MergeReport(
+        directory=out_directory,
+        partitions=len(part_dirs),
+        empty_partitions=len(part_dirs) - active,
+        updates=merged,
+        segments=tuple(writer.segments),
+        max_lag_s=max_lag,
+        duration_s=duration,
+    )
 
-    started = time_mod.perf_counter()
+
+def _merge_stream(part_dirs: Sequence[str],
+                  manifests: Sequence[PartitionManifest],
+                  writer: RollingArchiveWriter, gill_stage,
+                  lag_gauge) -> Tuple[int, float, int]:
+    """The k-way merge into ``writer`` (through ``gill_stage`` when
+    given), then close it; returns (updates merged, max head lag,
+    partitions that contributed)."""
     # K-way merge with explicit head tracking: heapq.merge would hide
     # the per-partition heads, and the head skew *is* the merge-lag
     # telemetry (a straggler partition holds the merge at its pace).
@@ -161,7 +191,6 @@ def merge_archives(source: object,
 
     merged = 0
     max_lag = 0.0
-    segments_flushed = 0
     while heads:
         # Head skew is read before each pop (the heap holds at most
         # one entry per partition, so this is O(partitions)); only the
@@ -172,11 +201,9 @@ def merge_archives(source: object,
         _key, index, update = heapq.heappop(heads)
         if gill_stage is not None:
             for ready in gill_stage.offer(update):
-                if writer.write(ready) is not None:
-                    segments_flushed += 1
+                writer.write(ready)
         else:
-            if writer.write(update) is not None:
-                segments_flushed += 1
+            writer.write(update)
         merged += 1
         following = next(iterators[index], None)
         if following is not None:
@@ -190,18 +217,6 @@ def merge_archives(source: object,
 
     if gill_stage is not None:
         for ready in gill_stage.flush():
-            if writer.write(ready) is not None:
-                segments_flushed += 1
+            writer.write(ready)
     writer.close()
-    duration = time_mod.perf_counter() - started
-    if lag_gauge is not None:
-        lag_gauge.set(0.0)
-    return MergeReport(
-        directory=out_directory,
-        partitions=len(part_dirs),
-        empty_partitions=len(part_dirs) - active,
-        updates=merged,
-        segments=tuple(writer.segments),
-        max_lag_s=max_lag,
-        duration_s=duration,
-    )
+    return merged, max_lag, active

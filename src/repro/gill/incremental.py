@@ -33,6 +33,10 @@ Why parity holds:
   the past (start = first sighting − slack) or future (end = last
   sighting + slack) relative to the sighting that creates or extends a
   cluster, so every snapshot can still be taken at its exact boundary.
+  The graphs, the snapshots and the distance sum live in a worker
+  process (:mod:`repro.gill.worker`) that evaluates the same
+  expressions in the same order; this module decides when each is
+  taken.
 """
 
 from __future__ import annotations
@@ -59,11 +63,14 @@ from ..core.events import (
     EventKind,
     ObservedEvent,
 )
-from ..core.features import FEATURE_VECTOR_DIM, RIBGraph
-from ..core.scoring import (
-    _node_pair_features,
-    normalize_features,
-    pairwise_squared_distances,
+from .worker import (
+    APPLY,
+    DISCARD,
+    FINALIZE,
+    SNAPSHOT,
+    WITHDRAW,
+    ScoringWorker,
+    WorkerCounts,
 )
 
 
@@ -145,15 +152,16 @@ class _Cluster:
 
     def __init__(self, key: Tuple, order: int, kind: EventKind,
                  pair: Tuple[int, int], prefix: Optional[Prefix],
-                 start_snapshot: np.ndarray):
+                 start_snapshot: int):
         self.key = key
         self.order = order      # opening rank: ties among end boundaries
         self.kind = kind
         self.pair = pair
         self.prefix = prefix
         self.sightings: List[Tuple[float, str]] = []
+        # Ids of the worker's snapshots of the pair at the boundaries.
         self.start_snapshot = start_snapshot
-        self.end_snapshot: Optional[np.ndarray] = None
+        self.end_snapshot: Optional[int] = None
         self.end_boundary = 0.0
 
 
@@ -174,6 +182,13 @@ class IncrementalVPScorer:
     * the running sum of per-event normalized pairwise distances, from
       which :meth:`scores` reproduces :func:`repro.core.scoring.
       redundancy_scores` without replaying the stream.
+
+    The graphs, their boundary snapshots and the distance sum live in
+    a :class:`~repro.gill.worker.ScoringWorker` process, forked at
+    construction; this object decides every apply, snapshot, finalize
+    and discard and streams them there.  :meth:`scores` is the one
+    round trip.  :meth:`close` (end of stream) and :meth:`shutdown`
+    stop the worker; :meth:`scores` then answers from the last sync.
 
     A cluster finalizes when the stream (or an explicit watermark, see
     :meth:`finalize_until`) is more than the cluster window past its
@@ -196,10 +211,12 @@ class IncrementalVPScorer:
         self.visibility_cutoff = visibility_cutoff
         self.settle_slack_s = settle_slack_s
 
-        self._graphs: Dict[str, RIBGraph] = {vp: RIBGraph()
-                                             for vp in self.vps}
         self._pending: Deque[BGPUpdate] = deque()
         self._floor = float("-inf")  # graphs reflect updates with time < floor
+        # The worker's graphs key paths by these; a graph only looks
+        # prefixes up, so any one-to-one key keeps its behaviour.
+        self._prefix_ids: Dict[Prefix, int] = {}
+        self._snapshots = 0         # ids handed out
 
         self._link_count: Dict[str, Dict[Tuple[int, int], int]] = \
             defaultdict(lambda: defaultdict(int))
@@ -213,10 +230,14 @@ class IncrementalVPScorer:
         self._awaiting_end: "List[Tuple[float, int, _Cluster]]" = []
 
         self._distance_sum = np.zeros((len(self.vps), len(self.vps)))
+        #: The worker's counters and open clusters at the last sync.
+        self.synced = WorkerCounts()
+        self.synced_clusters = 0
         self._volumes: Dict[str, int] = defaultdict(int)
         self.events: List[ObservedEvent] = []
         self.n_events = 0
         self._closed = False
+        self._worker: Optional[ScoringWorker] = ScoringWorker(len(self.vps))
 
     # -- ingest ---------------------------------------------------------------
 
@@ -269,7 +290,7 @@ class IncrementalVPScorer:
         if cluster is None:
             # The graphs stand exactly at the start boundary: feed()
             # advanced the floor to time − slack before observing.
-            start = self._snapshot(kind, pair, prefix)
+            start = self._snapshot(pair)
             self._opened += 1
             cluster = _Cluster(key, self._opened, kind, pair, prefix, start)
             self._clusters[key] = cluster
@@ -277,7 +298,9 @@ class IncrementalVPScorer:
         queued = bool(cluster.sightings) and cluster.end_snapshot is None
         cluster.sightings.append((time, vp))
         cluster.end_boundary = time + self.settle_slack_s
-        cluster.end_snapshot = None
+        if cluster.end_snapshot is not None:
+            self._worker.add((DISCARD, cluster.end_snapshot))
+            cluster.end_snapshot = None
         if not queued:
             heapq.heappush(self._awaiting_end,
                            (cluster.end_boundary, cluster.order, cluster))
@@ -289,24 +312,27 @@ class IncrementalVPScorer:
         snapshots at each boundary the cursor passes."""
         if target <= self._floor:
             return
+        add, ids = self._worker.add, self._prefix_ids
         while self._pending and self._pending[0].time < target:
             update = self._pending.popleft()
             self._snapshot_ends(update.time)
-            self._graphs[update.vp].apply_update(update)
+            prefix = ids.get(update.prefix)
+            if prefix is None:
+                prefix = ids[update.prefix] = len(ids)
+            vp = self.vp_index[update.vp]
+            if update.is_withdrawal:
+                add((WITHDRAW, vp, prefix))
+            else:
+                add((APPLY, vp, prefix, update.as_path))
         self._snapshot_ends(target)
         self._floor = target
 
-    def _snapshot(self, kind: EventKind, pair: Tuple[int, int],
-                  prefix: Optional[Prefix]) -> np.ndarray:
-        """Every VP's raw features at the cursor, one row per VP.
-
-        An array, not lists of floats: an open cluster holds two of
-        these for minutes, and the rows are only ever subtracted.
-        """
-        probe = _boundary_probe(kind, pair, prefix)
-        return np.array([_node_pair_features(self._graphs[vp], probe)
-                         for vp in self.vps], dtype=float
-                        ).reshape(len(self.vps), FEATURE_VECTOR_DIM)
+    def _snapshot(self, pair: Tuple[int, int]) -> int:
+        """Have the worker snapshot every VP's features of ``pair`` at
+        the cursor; returns the snapshot's id."""
+        self._snapshots += 1
+        self._worker.add((SNAPSHOT, self._snapshots, pair[0], pair[1]))
+        return self._snapshots
 
     def _snapshot_ends(self, time: float) -> None:
         queue = self._awaiting_end
@@ -315,8 +341,7 @@ class IncrementalVPScorer:
             if cluster.end_boundary > time:
                 heapq.heappush(queue, (cluster.end_boundary, order, cluster))
                 continue
-            cluster.end_snapshot = self._snapshot(
-                cluster.kind, cluster.pair, cluster.prefix)
+            cluster.end_snapshot = self._snapshot(cluster.pair)
 
     # -- finalization ---------------------------------------------------------
 
@@ -330,7 +355,10 @@ class IncrementalVPScorer:
         del self._clusters[cluster.key]
         observers = frozenset(vp for _, vp in cluster.sightings)
         if len(observers) / max(1, self.total_vps) >= self.visibility_cutoff:
-            return  # global event, skipped exactly like the batch detector
+            # A global event, skipped exactly like the batch detector.
+            self._worker.add((DISCARD, cluster.start_snapshot))
+            self._worker.add((DISCARD, cluster.end_snapshot))
+            return
         event = ObservedEvent(
             cluster.kind, cluster.pair[0], cluster.pair[1],
             start=cluster.sightings[0][0] - self.settle_slack_s,
@@ -338,9 +366,8 @@ class IncrementalVPScorer:
             observers=observers,
             prefix=cluster.prefix,
         )
-        self._distance_sum += pairwise_squared_distances(
-            normalize_features(cluster.start_snapshot
-                               - cluster.end_snapshot))
+        self._worker.add((FINALIZE, cluster.start_snapshot,
+                          cluster.end_snapshot))
         self.events.append(event)
         self.n_events += 1
 
@@ -359,7 +386,8 @@ class IncrementalVPScorer:
             self._finalize(cluster)
 
     def close(self) -> None:
-        """End of stream: finalize every open cluster."""
+        """End of stream: finalize every open cluster, take the final
+        sum from the worker and stop it."""
         if self._closed:
             return
         ripe = sorted(self._clusters.values(),
@@ -368,6 +396,26 @@ class IncrementalVPScorer:
             self._finalize(cluster)
         self._advance(float("inf"))
         self._closed = True
+        self._sync()
+        self.shutdown()
+
+    def shutdown(self) -> None:
+        """Stop the worker without ending the stream (idempotent)."""
+        if self._worker is not None:
+            self._worker.close()
+            self._worker = None
+
+    # -- worker ---------------------------------------------------------------
+
+    def send(self) -> None:
+        """Hand the buffered commands to the worker now, without
+        waiting: it works through them while the caller does other
+        work (the writer seals the slot's segment)."""
+        self._worker.send()
+
+    def _sync(self) -> None:
+        self._distance_sum, self.synced = self._worker.sync()
+        self.synced_clusters = len(self._clusters)
 
     # -- results --------------------------------------------------------------
 
@@ -376,8 +424,11 @@ class IncrementalVPScorer:
 
         Reproduces :func:`repro.core.scoring.redundancy_scores` from the
         running distance sum (same averaging, min-max flip, clipping,
-        and unit diagonal).
+        and unit diagonal).  Waits for the worker to run every command
+        sent so far.
         """
+        if self._worker is not None:
+            self._sync()
         n_vps = len(self.vps)
         if self.n_events == 0:
             return np.ones((n_vps, n_vps))
@@ -398,17 +449,3 @@ class IncrementalVPScorer:
     def volumes(self) -> List[int]:
         """Updates seen per VP, aligned with :attr:`vps`."""
         return [self._volumes.get(vp, 0) for vp in self.vps]
-
-
-class _boundary_probe:
-    """Duck-typed stand-in for an :class:`ObservedEvent` at snapshot
-    time — ``_node_pair_features`` only reads ``as1``/``as2``, which are
-    known when a cluster opens, long before the event finalizes."""
-
-    __slots__ = ("as1", "as2", "prefix")
-
-    def __init__(self, kind: EventKind, pair: Tuple[int, int],
-                 prefix: Optional[Prefix]):
-        self.as1 = pair[0]
-        self.as2 = pair[1]
-        self.prefix = prefix

@@ -39,6 +39,27 @@ sums, reruns §18.4 anchor selection, and journals the slot's accounting
 (:mod:`repro.gill.journal`).  Anchor VPs — plus any operator keep-list —
 bypass the filter entirely, so the archive always contains the full
 feed of the VPs that carry the platform's reconstitution power.
+
+Seal before sync
+================
+
+The scorer's graphs and snapshots run in a worker process
+(:mod:`repro.gill.worker`), and the slot boundary is the only point
+where the stage waits for it.  When a :attr:`GillStage.sealer` is
+bound, the boundary runs in this order, so the worker finishes the
+slot's scoring while the writer seals the slot's segment:
+
+1. finalize ripe clusters and send the worker every buffered command;
+2. ``sealer.seal()`` — the segment file, its index and the seal
+   listeners (the event pass), but no manifest entry yet;
+3. wait for the scores, select anchors, append the slot's journal
+   record;
+4. ``sealer.publish()`` — the segment's manifest entry.
+
+A slot's record is therefore durable before its segment is: a crash
+anywhere in between leaves a segment file recovery deletes as torn and
+a record the journal load truncates, and the resumed run re-decides
+the slot from the durable segments before it.
 """
 
 from __future__ import annotations
@@ -107,10 +128,12 @@ class GillStage:
 
     Construct with the VP universe, :meth:`attach` to the (raw,
     un-fault-wrapped) archive, then let the writer call :meth:`offer`
-    per retained update and :meth:`flush` at end of stream.  Thread
-    confinement matches the writer: all mutation happens on the writer
-    thread; :meth:`vp_scores` / :meth:`summary` are safe from serving
-    threads.
+    per retained update and :meth:`flush` at end of stream, and
+    :meth:`close` the stage once the run is over.  Construction forks
+    the scoring worker, so build the stage before starting threads.
+    Thread confinement matches the writer: all mutation happens on the
+    writer thread; :meth:`vp_scores` / :meth:`summary` are safe from
+    serving threads.
     """
 
     def __init__(self, config: GillConfig, vps: Sequence[str],
@@ -121,6 +144,11 @@ class GillStage:
         self.interval_s = float(interval_s)
         self.archive = None
         self.journal = journal if journal is not None else GillJournal()
+        #: Seals the archive at live slot boundaries: an object with
+        #: ``seal()`` and ``publish()`` (see the module docstring; the
+        #: writer stage routes both through its own archive path).
+        #: None leaves sealing to the archive's next write.
+        self.sealer = None
 
         # -- filter state (kept stream only) ----------------------------------
         self._batch: List[BGPUpdate] = []
@@ -163,9 +191,16 @@ class GillStage:
             "repro_gill_dropped_total",
             "Dropped updates by VP and strictest satisfied definition",
             labels=("vp", "definition"))
+        # Children resolved on first drop, not here: the exposition
+        # lists only the (vp, definition) pairs that dropped something.
+        self._dropped_children: Dict[Tuple[str, str], object] = {}
         self._rescore_seconds = registry.histogram(
             "repro_gill_rescore_seconds",
             "Per-slot re-scoring latency", unit="seconds")
+        self._sync_wait_seconds = registry.histogram(
+            "repro_gill_sync_wait_seconds",
+            "Time the writer blocks at each slot sync waiting for the "
+            "scoring worker", unit="seconds")
         self._rescores_total = registry.counter(
             "repro_gill_rescores_total", "Completed re-scoring passes")
         self._anchors_gauge = registry.gauge(
@@ -234,7 +269,9 @@ class GillStage:
         """End of stream: decide the final batch and journal the slot."""
         released = self._decide_batch() if self._batch else []
         if self._slot is not None:
-            self._flush_slot()
+            # The final batch is not archived yet: the archive's close()
+            # seals the last segment, after this record.
+            self._flush_slot(seal=False)
             self._slot = None
         return released
 
@@ -326,7 +363,11 @@ class GillStage:
         per_vp[key] = per_vp.get(key, 0) + 1
         if not self._replaying:
             self._dropped_counter.inc()
-            self._dropped_by.labels(vp=update.vp, definition=key).inc()
+            child = self._dropped_children.get((update.vp, key))
+            if child is None:
+                child = self._dropped_children[(update.vp, key)] = \
+                    self._dropped_by.labels(vp=update.vp, definition=key)
+            child.inc()
         with self._lock:
             self._total_dropped += 1
 
@@ -353,14 +394,25 @@ class GillStage:
 
     # -- slot flush / rescoring -----------------------------------------------
 
-    def _flush_slot(self) -> None:
+    def _flush_slot(self, seal: bool = True) -> None:
         watermark = (self._slot + 1) * self.interval_s
         started = time_mod.perf_counter()
         self._scorer.finalize_until(watermark)
         # The scorer lists each finalized event for callers that compare
         # them with the batch detector; here only the count is read.
         self._scorer.events.clear()
+        sealer = self.sealer if seal and not self._replaying else None
+        if sealer is not None:
+            # Every kept update of the slot is in the archive: seal its
+            # segment while the worker scores the slot's tail.
+            self._scorer.send()
+            sealing = time_mod.perf_counter()
+            sealer.seal()
+            # The rescore latency leaves the seal out.
+            started += time_mod.perf_counter() - sealing
+        waiting = time_mod.perf_counter()
         scores = self._scorer.scores()
+        self._sync_wait_seconds.record(time_mod.perf_counter() - waiting)
         volumes = self._scorer.volumes()
         if self.config.auto_anchors:
             selection = select_anchor_vps(
@@ -401,12 +453,19 @@ class GillStage:
         if not self._replaying and watermark > self._journaled_through:
             self.journal.append(record)
             self._journaled_through = watermark
+        if sealer is not None:
+            sealer.publish()
         self._slot_kept = 0
         self._slot_dropped = 0
         self._slot_drops = {}
         with self._lock:
             self._last_scores = rows
             self._rescores += 1
+
+    def close(self) -> None:
+        """Stop the scoring worker (idempotent); the stage keeps its
+        last scores and totals for readers."""
+        self._scorer.shutdown()
 
     # -- serving-side accessors -----------------------------------------------
 

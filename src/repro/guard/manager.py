@@ -62,6 +62,9 @@ class IntegrityGuard:
             "repro_guard_verifications_total",
             "Segment integrity verifications, by outcome.",
             labels=("outcome",))
+        # Resolved on the first verified read, not here, so a guard
+        # that never verified lists no ``outcome="ok"`` sample.
+        self._verified_ok = None
         self._quarantines = registry.counter(
             "repro_guard_quarantined_total",
             "Segments quarantined, by mismatch reason.",
@@ -80,7 +83,13 @@ class IntegrityGuard:
     # -- verification accounting ---------------------------------------------
 
     def verification_ok(self) -> None:
-        self._verifications.labels(outcome="ok").inc()
+        # Once per verified segment read on the serve path: resolve
+        # the child once (racing threads resolve the same child).
+        child = self._verified_ok
+        if child is None:
+            child = self._verified_ok = \
+                self._verifications.labels(outcome="ok")
+        child.inc()
 
     def verification_failed(self) -> None:
         self._verifications.labels(outcome="mismatch").inc()

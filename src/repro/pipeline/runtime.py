@@ -250,10 +250,15 @@ class CollectionPipeline:
             # Attach against the *raw* archive before any fault wrapper
             # exists: replay reads the durable segment manifest and the
             # journal truncates to the durable watermark, neither of
-            # which the injector wrapper intercepts.
+            # which the injector wrapper intercepts.  The stage forks
+            # its scoring worker here, before this run's threads start.
             self.gill = GillStage(cfg.gill, vps=sorted(streams),
                                   registry=self.metrics.registry)
-            self.gill.attach(self.archive)
+            try:
+                self.gill.attach(self.archive)
+            except BaseException:
+                self.gill.close()
+                raise
         if archive is not None and hasattr(archive, "add_seal_listener"):
             # Subscribe to segment seals so index builds (when the
             # archive was opened with ``index=True``) land in the live
@@ -448,6 +453,8 @@ class CollectionPipeline:
         self._writer.join(timeout)
         if self._writer.is_alive():
             raise TimeoutError("writer did not finish")
+        if self.gill is not None:
+            self.gill.close()
         # Nothing seals after the writer thread ended, whether it
         # drained or died; a timeout above leaves the run subscribed.
         self._release_archive()

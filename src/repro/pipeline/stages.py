@@ -546,6 +546,11 @@ class WriterStage(threading.Thread):
     ``max_archive_recoveries`` times: the writer recovers the archive
     from its crash-consistent checkpoint (torn segment truncated,
     in-memory pending discarded and counted) and retries the write.
+    With a gill filter the writer is also the filter's ``sealer``:
+    the filter seals each slot's segment through :meth:`seal` before
+    it waits for the slot's scores, and publishes it through
+    :meth:`publish` after journaling the slot — the same archive path
+    (fault wrapper, recovery) as every write.
     Anything else — or an exhausted recovery budget — is fatal: the
     error is surfaced and ``on_fatal`` lets the runtime poison the
     queues so upstream stages never deadlock against a dead writer.
@@ -565,6 +570,8 @@ class WriterStage(threading.Thread):
         self.metrics = metrics
         self.archive = archive
         self.gill = gill
+        if gill is not None and archive is not None:
+            gill.sealer = self
         self.mirror = mirror
         self.max_archive_recoveries = max_archive_recoveries
         self.on_fatal = on_fatal
@@ -579,6 +586,7 @@ class WriterStage(threading.Thread):
         self._runs: Dict[str, Deque[Disposition]] = defaultdict(deque)
         self._last_emitted = -END_OF_STREAM
         self._recoveries = 0
+        self._sealed = False        # a segment sealed since last reset
         self.error: Optional[BaseException] = None
 
     def _safe_watermark(self) -> float:
@@ -586,9 +594,25 @@ class WriterStage(threading.Thread):
             return END_OF_STREAM
         return min(self._watermarks.values())
 
-    def _write_archived(self, update: BGPUpdate):
+    def _write_archived(self, update: BGPUpdate) -> None:
+        if self._archived(self.archive.write, update) is not None:
+            self.metrics.segments.inc()
+            self._sealed = True
+
+    def seal(self) -> None:
+        """Seal the archive's open segment (the gill filter's slot is
+        complete), holding its manifest entry for :meth:`publish`."""
+        if self._archived(self.archive.seal) is not None:
+            self.metrics.segments.inc()
+            self._sealed = True
+
+    def publish(self) -> None:
+        """Publish the segment :meth:`seal` held back."""
+        self._archived(self.archive.publish)
+
+    def _archived(self, operation: Callable, *args):
         try:
-            return self.archive.write(update)
+            return operation(*args)
         except OSError:
             self.metrics.writer_io_errors.inc()
             if self._recoveries >= self.max_archive_recoveries:
@@ -604,8 +628,9 @@ class WriterStage(threading.Thread):
                 self.metrics.archive_lost.inc(lost)
             # The checkpoint rewound the archive to its last durable
             # segment; the current update is at or past the watermark,
-            # so the retry is order-safe.
-            return self.archive.write(update)
+            # so the retry is order-safe (a retried seal or publish
+            # finds nothing left to do).
+            return operation(*args)
 
     def _emit_ready(self) -> None:
         """Flush every *complete* equal-time group below the watermark.
@@ -645,7 +670,7 @@ class WriterStage(threading.Thread):
                 continue
             self._last_emitted = disposition.update.time
             emitted = True
-            sealed = False
+            self._sealed = False
             if self.mirror is not None:
                 self.mirror(disposition.update, disposition.retained)
             if disposition.retained and self.archive is not None:
@@ -655,19 +680,14 @@ class WriterStage(threading.Thread):
                     # a canonical order, so the filtered archive is
                     # deterministic regardless of arrival order.
                     for ready in self.gill.offer(disposition.update):
-                        if self._write_archived(ready) is not None:
-                            metrics.segments.inc()
-                            sealed = True
+                        self._write_archived(ready)
                 else:
-                    segment = self._write_archived(disposition.update)
-                    if segment is not None:
-                        metrics.segments.inc()
-                        sealed = True
+                    self._write_archived(disposition.update)
             metrics.write.latency.record(
                 time.perf_counter() - disposition.enqueued_at)
             if disposition.trace is not None:
                 disposition.trace.mark("write")
-                if sealed:
+                if self._sealed:
                     # This write also rolled a segment: give the seal
                     # its own stage.
                     disposition.trace.mark("seal")
@@ -710,8 +730,7 @@ class WriterStage(threading.Thread):
                 # Decide the final equal-time batch and journal the
                 # last slot before the archive seals it.
                 for ready in self.gill.flush():
-                    if self._write_archived(ready) is not None:
-                        self.metrics.segments.inc()
+                    self._write_archived(ready)
             if self.archive is not None:
                 if self.archive.close() is not None:
                     self.metrics.segments.inc()
@@ -719,3 +738,6 @@ class WriterStage(threading.Thread):
             self.error = exc
             if self.on_fatal is not None:
                 self.on_fatal(exc)
+        finally:
+            if self.gill is not None:
+                self.gill.sealer = None

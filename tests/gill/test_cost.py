@@ -13,7 +13,6 @@ import os
 import pytest
 
 from repro.bgp.archive import RollingArchiveWriter
-from repro.core.features import RIBGraph
 from repro.gill import GillConfig, GillStage, IncrementalCorrelationGroups
 from repro.gill.incremental import IncrementalGroupCount
 from repro.workload import SyntheticStreamGenerator, overshoot_config
@@ -92,45 +91,42 @@ def windowed_sizes(stage):
 
 @pytest.fixture(scope="module")
 def ninety_minutes():
-    """One D=5400 run through the stage: ``distances_from`` calls,
-    local-feature recomputations, kept updates, and — up to minute 30 and from there to minute 90 — the
-    largest each windowed structure got, as a share of the updates
-    offered in the ``RECENT_S`` before it was sampled."""
+    """One D=5400 run through the stage: ``distances_from`` calls and
+    local-feature recomputations as the scoring worker counted them,
+    kept updates, the most snapshots the worker held per open cluster
+    at a slot sync, and — up to minute 30 and from there to minute 90
+    — the largest each windowed structure got, as a share of the
+    updates offered in the ``RECENT_S`` before it was sampled."""
     vps, stream = overshoot_stream(5400.0)
     times = [update.time for update in stream]
     stage = GillStage(GillConfig(), vps, interval_s=INTERVAL_S)
-    calls = {"distances_from": 0, "_local_features": 0}
-
-    def counting(name):
-        original = getattr(RIBGraph, name)
-
-        def counted(graph, node):
-            calls[name] += 1
-            return original(graph, node)
-        return counted
-
+    scorer = stage._scorer
     shares = {"first": {}, "rest": {}}
     offered = {"first": 0, "rest": 0}
     kept = 0
-    with pytest.MonkeyPatch.context() as patch:
-        for name in calls:
-            patch.setattr(RIBGraph, name, counting(name))
-        for index, update in enumerate(stream):
-            kept += len(stage.offer(update))
-            elapsed = update.time - times[0]
-            phase = "first" if elapsed < 1800.0 else "rest"
-            offered[phase] += 1
-            if index % 25 or elapsed < RECENT_S:
-                continue
-            recent = index + 1 - bisect.bisect_left(
-                times, update.time - RECENT_S)
-            worst = shares[phase]
-            for name, size in windowed_sizes(stage).items():
-                worst[name] = max(worst.get(name, 0.0), size / recent)
-        kept += len(stage.flush())
-    return {"calls": calls["distances_from"],
-            "local": calls["_local_features"], "kept": kept, "offered": offered,
-            "shares": shares, "stage": stage}
+    synced, snapshots_per_cluster = scorer.synced, []
+    for index, update in enumerate(stream):
+        kept += len(stage.offer(update))
+        if scorer.synced is not synced:     # one sync per offer at most
+            synced = scorer.synced
+            snapshots_per_cluster.append(
+                synced.snapshots / max(1, scorer.synced_clusters))
+        elapsed = update.time - times[0]
+        phase = "first" if elapsed < 1800.0 else "rest"
+        offered[phase] += 1
+        if index % 25 or elapsed < RECENT_S:
+            continue
+        recent = index + 1 - bisect.bisect_left(
+            times, update.time - RECENT_S)
+        worst = shares[phase]
+        for name, size in windowed_sizes(stage).items():
+            worst[name] = max(worst.get(name, 0.0), size / recent)
+    kept += len(stage.flush())
+    stage.close()
+    return {"calls": scorer.synced.distances_from,
+            "local": scorer.synced.local_features, "kept": kept,
+            "offered": offered, "shares": shares, "stage": stage,
+            "snapshots_per_cluster": snapshots_per_cluster}
 
 
 def test_dijkstras_per_kept_update(ninety_minutes):
@@ -173,6 +169,12 @@ def test_state_follows_the_recent_stream_not_its_length(ninety_minutes):
     assert stage._scorer.events == []
     # One queue entry per cluster without an end snapshot, never more.
     assert len(stage._scorer._awaiting_end) <= len(stage._scorer._clusters)
+    # The worker holds a start snapshot per open cluster and at most
+    # one end snapshot: a replaced end snapshot is discarded, and a
+    # finalized or global event's pair is dropped.
+    per_cluster = ninety_minutes["snapshots_per_cluster"]
+    assert len(per_cluster) == stage.summary()["rescores"] - 1
+    assert 1.0 <= max(per_cluster) <= 2.0, per_cluster
 
 
 @pytest.mark.parametrize("duration_s", [900.0, 1800.0])

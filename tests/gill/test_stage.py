@@ -149,3 +149,26 @@ def test_metrics_families_update():
     assert [(s["labels"]["vp"], s["labels"]["definition"], s["value"])
             for s in dropped] == [("vp2", "3", 1)]
     assert by_name["repro_gill_rescores_total"]["samples"][0]["value"] == 1
+
+
+def test_drop_counter_children_resolve_once(monkeypatch):
+    """``_record_drop`` runs per drop on the writer thread: each
+    (vp, definition) child is resolved on its first drop only."""
+    stage = GillStage(GillConfig(definition=1, auto_anchors=False),
+                      VPS, interval_s=300.0)
+    family = stage._dropped_by
+    resolved = []
+    labels = family.labels
+    monkeypatch.setattr(
+        family, "labels",
+        lambda **names: resolved.append(names) or labels(**names))
+    _run(stage, [_upd("vp1", 10.0), _upd("vp2", 20.0), _upd("vp2", 30.0),
+                 _upd("vp3", 40.0, comms=[(1, 1)]), _upd("vp2", 50.0)])
+    stage.close()
+    assert resolved == [{"vp": "vp2", "definition": "3"},
+                        {"vp": "vp3", "definition": "2"}]
+    doc = stage.registry.to_json()
+    dropped = [f for f in doc["families"]
+               if f["name"] == "repro_gill_dropped_total"][0]["samples"]
+    assert [(s["labels"]["vp"], s["labels"]["definition"], s["value"])
+            for s in dropped] == [("vp2", "3", 3), ("vp3", "2", 1)]

@@ -182,3 +182,36 @@ class TestJournalAppend:
         SealedJournal(str(path), fsync=False).append(record)
         assert path.read_text(encoding="utf-8") \
             == json.dumps(seal_record(record), sort_keys=True) + "\n"
+
+
+class TestVerificationCounter:
+    """``verification_ok`` runs once per verified segment read, so it
+    resolves its labelled child once — on first use, so a guard that
+    never verified exposes no ``outcome="ok"`` sample."""
+
+    def test_child_resolved_once_on_first_use(self, tmp_path,
+                                              monkeypatch):
+        from repro.guard import IntegrityGuard
+        from repro.telemetry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        guard = IntegrityGuard(str(tmp_path), registry=registry)
+        family = guard._verifications
+        resolved = []
+        labels = family.labels
+        monkeypatch.setattr(
+            family, "labels",
+            lambda **names: resolved.append(names) or labels(**names))
+
+        def samples():
+            doc = registry.to_json()
+            return [(s["labels"], s["value"]) for f in doc["families"]
+                    if f["name"] == "repro_guard_verifications_total"
+                    for s in f["samples"]]
+        assert samples() == []
+        for _ in range(3):
+            guard.verification_ok()
+        guard.verification_failed()
+        assert resolved == [{"outcome": "ok"}, {"outcome": "mismatch"}]
+        assert samples() == [({"outcome": "mismatch"}, 1),
+                             ({"outcome": "ok"}, 3)]
