@@ -8,9 +8,11 @@ hitting the same prefix while an incident is open — merge into one
 event that accumulates detectors, implicated ASNs and VPs, and walks
 the NEW → ONGOING → RESOLVED lifecycle (BEAR-style, see PAPERS.md).
 
-Everything here is JSON-round-trippable: events are journaled to the
-:class:`~repro.events.store.EventStore` and served verbatim by the
-``/events`` API, so the wire format *is* the storage format.
+Everything here is JSON-round-trippable: events are served verbatim
+by the ``/events`` API, and the :class:`~repro.events.store.EventStore`
+journals each incident as a chain of deltas — :func:`journal_delta`
+encodes one, :func:`replay_delta` applies one — in the same field
+format.
 """
 
 from __future__ import annotations
@@ -127,6 +129,17 @@ class Detection:
 MAX_EVIDENCE = 32
 
 
+def _append_capped(evidence: List[Detection], detection: Detection) -> int:
+    """Append under the :data:`MAX_EVIDENCE` cap; returns how many
+    items it dropped (0 or 1)."""
+    evidence.append(detection)
+    if len(evidence) > MAX_EVIDENCE:
+        # Pin the endpoints, drop the oldest interior evidence.
+        del evidence[1]
+        return 1
+    return 0
+
+
 @dataclass
 class Event:
     """One correlated incident, as stored and served.
@@ -171,11 +184,12 @@ class Event:
             if vp not in self.vps:
                 self.vps.append(vp)
         self.score = max(self.score, detection.score)
-        self.evidence.append(detection)
-        if len(self.evidence) > MAX_EVIDENCE:
-            # Pin the endpoints, drop the oldest interior evidence.
-            del self.evidence[1]
-            self.evidence_dropped += 1
+        self.evidence_dropped += _append_capped(self.evidence, detection)
+
+    @property
+    def evidence_count(self) -> int:
+        """Detections ever absorbed, the capped-away ones included."""
+        return len(self.evidence) + self.evidence_dropped
 
     @property
     def is_open(self) -> bool:
@@ -204,7 +218,7 @@ class Event:
             "vps": list(self.vps),
             "score": round(self.score, 6),
             "segments": self.segments,
-            "evidence_count": len(self.evidence) + self.evidence_dropped,
+            "evidence_count": self.evidence_count,
         }
         if full:
             doc["evidence"] = [d.to_json() for d in self.evidence]
@@ -212,27 +226,77 @@ class Event:
             doc["open_keys"] = list(self.open_keys)
         return doc
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "Event":
-        return cls(
-            id=doc["id"],
-            type=doc["type"],
-            state=doc["state"],
-            first_seen=doc["first_seen"],
-            last_seen=doc["last_seen"],
-            prefix=doc.get("prefix"),
-            resolved_at=doc.get("resolved_at"),
-            detectors=list(doc.get("detectors", ())),
-            types=list(doc.get("types", ())),
-            asns=list(doc.get("asns", ())),
-            vps=list(doc.get("vps", ())),
-            score=doc.get("score", 0.0),
-            segments=doc.get("segments", 0),
-            evidence=[Detection.from_json(d)
-                      for d in doc.get("evidence", ())],
-            evidence_dropped=doc.get("evidence_dropped", 0),
-            open_keys=list(doc.get("open_keys", ())),
-        )
+    def journal_fields(self) -> Dict[str, Any]:
+        """The fields a journal line replaces when present: every
+        ``to_json(full=True)`` value but ``id`` (which names the
+        incident), the derived ``evidence_count`` and the evidence."""
+        doc = self.to_json(full=False)
+        del doc["id"], doc["evidence_count"]
+        doc["evidence_dropped"] = self.evidence_dropped
+        doc["open_keys"] = list(self.open_keys)
+        return doc
+
+
+def _same(a: Any, b: Any) -> bool:
+    # 1 == 1.0 == True, but they journal (and serve) as different text.
+    return type(a) is type(b) and a == b
+
+
+def journal_delta(previous: Optional[Event], event: Event) -> dict:
+    """The journal body that turns ``previous`` — the store's copy of
+    the incident, None before its first line — into ``event``.
+
+    ``event`` must have grown from ``previous`` by :meth:`Event.absorb`
+    (the correlator's contract), so its new evidence is the tail the
+    difference in :attr:`~Event.evidence_count` names; only the
+    survivors of the cap are journaled, as ``evidence_added``.  A
+    first line carries every field; later ones only the fields that
+    :func:`replay_delta` would not already reproduce.
+    """
+    fields = event.journal_fields()
+    if previous is None:
+        doc, added = fields, event.evidence
+    else:
+        new = event.evidence_count - previous.evidence_count
+        # The pinned first item is only new to an incident without one.
+        start = max(len(event.evidence) - new, 1 if previous.evidence else 0)
+        added = event.evidence[start:]
+        before = previous.journal_fields()
+        before["evidence_dropped"] += max(
+            0, len(previous.evidence) + len(added) - MAX_EVIDENCE)
+        doc = {name: value for name, value in fields.items()
+               if not _same(before[name], value)}
+    doc["id"] = event.id
+    if added:
+        doc["evidence_added"] = [d.to_json() for d in added]
+    return doc
+
+
+def replay_delta(previous: Optional[Event], doc: dict) -> Event:
+    """Apply one journal body to ``previous`` (None before the
+    incident's first line), returning a new :class:`Event` and leaving
+    ``previous`` as it was — readers may still hold it.
+
+    Each ``evidence_added`` item is appended, oldest first, under the
+    cap rule :meth:`Event.absorb` applies; then every field present
+    replaces the stored one.  Fields replace after the appends, so a
+    journaled ``evidence_dropped`` stays exact when the cap discarded
+    detections the journal never saw, and a full ``evidence`` list (a
+    line written before journals held deltas) is one more field.
+    """
+    if previous is None:
+        previous = Event(id=doc["id"], type=doc["type"], state=doc["state"],
+                         first_seen=doc["first_seen"],
+                         last_seen=doc["last_seen"])
+    evidence = list(previous.evidence)
+    fields = previous.journal_fields()
+    for item in doc.get("evidence_added", ()):
+        fields["evidence_dropped"] += _append_capped(
+            evidence, Detection.from_json(item))
+    if "evidence" in doc:
+        evidence = [Detection.from_json(item) for item in doc["evidence"]]
+    fields.update({name: doc[name] for name in fields if name in doc})
+    return Event(id=previous.id, evidence=evidence, **fields)
 
 
 def sort_detections(detections: Sequence[Detection]) -> List[Detection]:

@@ -1,14 +1,24 @@
 """The persistent event store: JSONL journal + in-memory indexes.
 
 Events materialize here as the pipeline correlates detections.  The
-on-disk form is an append-only JSONL journal of full-event upserts,
-each stamped with the archive watermark of the sealed segment that
-produced it::
+on-disk form is an append-only JSONL journal with one line per
+incident per segment it changed in, stamped with the archive watermark
+of the sealed segment that produced it.  A line is a *delta*: the
+incident's id, the fields that changed since its previous line, and
+only the detections absorbed since then::
 
-    {"op": "upsert", "watermark": 600.0, "event": {...}}
+    {"op": "upsert", "watermark": 600.0, "crc": "…",
+     "event": {"id": "ev-000007", "last_seen": 598.0, "segments": 2,
+               "state": "ongoing", "evidence_added": [{…}]}}
 
-Replaying the journal (last-writer-wins per event id) rebuilds the
-store exactly, which gives three properties for free:
+An incident's first line carries every field.  Replaying the lines in
+order (:func:`~repro.events.model.replay_delta`) rebuilds the store
+exactly, and :meth:`EventStore.apply` is replay too: it journals the
+delta against the store's own copy of the incident and applies that
+record to the copy, so a live store and a reloaded one are equal by
+construction.  A line written before journals held deltas carries the
+full ``evidence`` list, which replay treats as one more field, so old
+journals load unchanged.  This gives three properties for free:
 
 * **restartable serving** — ``repro-bgp serve`` and ``repro-bgp
   events`` load the journal without re-scanning the archive, and
@@ -18,24 +28,29 @@ store exactly, which gives three properties for free:
   away; :meth:`load` truncates them (atomically rewriting the
   journal) and the pipeline regenerates them by replaying the
   re-sealed segments — detectors are deterministic, so the store
-  converges to exactly the uninterrupted run's content;
+  converges to exactly the uninterrupted run's content.  Each
+  incident's lines rise in watermark, so a truncated journal replays
+  to the store as it stood at that watermark;
 * **torn-tail tolerance** — a crash mid-append leaves at most one
   unparseable trailing line, which the loader drops — from the file
   too, so the next append starts on a line boundary.
 
 In-memory, events are indexed by id, prefix, ASN, type and state;
 :meth:`query` intersects the most selective indexes before filtering,
-mirroring the query engine's pushdown style.
+mirroring the query engine's pushdown style.  The store never shares
+an :class:`~repro.events.model.Event` with the correlator, and never
+mutates one it has handed out: each upsert replaces the incident.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..guard.integrity import SealedJournal
-from .model import Event, EventState, EVENT_TYPES
+from .model import (EVENT_TYPES, Event, EventState, journal_delta,
+                    replay_delta)
 
 #: Default journal file name inside an archive directory.
 JOURNAL_NAME = "events.jsonl"
@@ -62,20 +77,18 @@ class EventStore:
             if path is not None else None
         self._lock = threading.RLock()
         self._events: Dict[str, Event] = {}
-        self._by_prefix: Dict[str, Set[str]] = {}
-        self._by_asn: Dict[int, Set[str]] = {}
-        self._by_type: Dict[str, Set[str]] = {}
-        self._by_state: Dict[str, Set[str]] = {}
+        #: Index name → key → ids of the events filed under it (no
+        #: empty buckets).
+        self._indexes: Dict[str, Dict[Any, Set[str]]] = {
+            name: {} for name in ("type", "prefix", "asn", "state")}
         #: Highest journal watermark applied (None = empty store).
         self.watermark: Optional[float] = None
         self.load()
 
     def _clear(self) -> None:
         self._events.clear()
-        self._by_prefix.clear()
-        self._by_asn.clear()
-        self._by_type.clear()
-        self._by_state.clear()
+        for index in self._indexes.values():
+            index.clear()
         self.watermark = None
 
     def reset(self) -> None:
@@ -129,53 +142,66 @@ class EventStore:
     def _apply_record(self, record: dict) -> Optional[str]:
         if record.get("op") != "upsert":
             return None
-        event = Event.from_json(record["event"])
+        doc = record["event"]
+        previous = self._events.get(doc["id"])
+        event = replay_delta(previous, doc)
+        self._events[event.id] = event
+        self._reindex(previous, event)
         watermark = record.get("watermark")
         if watermark is not None:
             self.watermark = max(self.watermark or watermark, watermark)
-        self._index(event)
         return event.id
 
     # -- mutation (pipeline side) -------------------------------------------
 
     def apply(self, event: Event, watermark: float) -> None:
-        """Upsert one event as of segment watermark ``watermark``."""
+        """Upsert one event as of segment watermark ``watermark``.
+
+        ``event`` must have grown from the one last applied under its
+        id by :meth:`~repro.events.model.Event.absorb`; the store keeps
+        its own copy, so later changes to ``event`` are invisible until
+        the next call.
+        """
         with self._lock:
-            self._index(event)
-            self.watermark = max(self.watermark or watermark, watermark)
+            record = {
+                "op": "upsert",
+                "watermark": watermark,
+                "event": journal_delta(self._events.get(event.id), event),
+            }
             if self._journal is not None:
                 # Sealed with its own CRC so a flipped byte on disk is
                 # caught at load time (sealing is deterministic, so
                 # journals stay byte-identical across replays).
-                self._journal.append({
-                    "op": "upsert",
-                    "watermark": watermark,
-                    "event": event.to_json(full=True),
-                })
+                self._journal.append(record)
+            self._apply_record(record)
 
-    def _index(self, event: Event) -> None:
-        previous = self._events.get(event.id)
-        if previous is not None:
-            self._unindex(previous)
-        self._events[event.id] = event
+    @staticmethod
+    def _postings(event: Event) -> Iterator[Tuple[str, Any]]:
+        """Every ``(index name, key)`` ``event`` is filed under."""
         if event.prefix is not None:
-            self._by_prefix.setdefault(event.prefix, set()).add(event.id)
+            yield "prefix", event.prefix
         for detection in event.evidence:
             if detection.prefix is not None:
-                self._by_prefix.setdefault(detection.prefix,
-                                           set()).add(event.id)
+                yield "prefix", detection.prefix
         for asn in event.asns:
-            self._by_asn.setdefault(asn, set()).add(event.id)
+            yield "asn", asn
         for etype in (event.types or [event.type]):
-            self._by_type.setdefault(etype, set()).add(event.id)
-        self._by_state.setdefault(event.state, set()).add(event.id)
+            yield "type", etype
+        yield "state", event.state
 
-    def _unindex(self, event: Event) -> None:
-        for index in (self._by_prefix, self._by_type, self._by_state):
-            for ids in index.values():
-                ids.discard(event.id)
-        for ids in self._by_asn.values():
+    def _reindex(self, previous: Optional[Event], event: Event) -> None:
+        """Move ``event`` from the buckets ``previous`` was filed under
+        to its own, touching no other bucket."""
+        old = set(self._postings(previous)) if previous is not None \
+            else set()
+        new = set(self._postings(event))
+        for name, key in old - new:
+            ids = self._indexes[name][key]
             ids.discard(event.id)
+            if not ids:
+                del self._indexes[name][key]
+        for name, key in new - old:
+            self._indexes[name].setdefault(key, set()).add(event.id)
 
     # -- reads (API / CLI side) ---------------------------------------------
 
@@ -215,13 +241,11 @@ class EventStore:
                              f"(expected one of {list(EventState.ALL)})")
         with self._lock:
             candidates: Optional[Set[str]] = None
-            for index, key in ((self._by_type, type),
-                               (self._by_prefix, prefix),
-                               (self._by_asn, origin),
-                               (self._by_state, state)):
+            for name, key in (("type", type), ("prefix", prefix),
+                              ("asn", origin), ("state", state)):
                 if key is None:
                     continue
-                ids = index.get(key, set())
+                ids = self._indexes[name].get(key, set())
                 candidates = set(ids) if candidates is None \
                     else candidates & ids
                 if not candidates:
@@ -250,7 +274,7 @@ class EventStore:
 
     def state_counts(self) -> Dict[str, int]:
         with self._lock:
-            return {state: len(self._by_state.get(state, ()))
+            return {state: len(self._indexes["state"].get(state, ()))
                     for state in EventState.ALL}
 
     # -- comparison (chaos tests) -------------------------------------------

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.bgp.archive import RollingArchiveWriter
+from repro.events import EventPipeline, EventStore, journal_path_for
 from repro.gill import GillConfig, GillStage, IncrementalCorrelationGroups
 from repro.gill.incremental import IncrementalGroupCount
 from repro.workload import SyntheticStreamGenerator, overshoot_config
@@ -41,6 +42,14 @@ GOLDEN_1800 = {
 }
 
 
+#: ``events.jsonl`` of the same run with the event pipeline on the seal
+#: hook (``--gill --events``), journaled as per-incident deltas.  The
+#: full-upsert journal before them was 1 543 236 B.
+GOLDEN_1800_EVENTS = (
+    733898,
+    "2617408969f270399beb491e43f580ddbb3a9865177ee5b3a93b221c36e1ddb5")
+
+
 def overshoot_stream(duration_s):
     generator = SyntheticStreamGenerator(
         overshoot_config(1, n_vps=N_VPS, duration_s=duration_s))
@@ -49,13 +58,17 @@ def overshoot_stream(duration_s):
     return sorted(generator.vps), stream
 
 
-def test_golden_digests(tmp_path):
-    """``gill.jsonl`` and every segment, byte for byte."""
+def gate_digests(directory, events=False):
+    """SHA-256 of every file the D=1800 run leaves in ``directory``,
+    with the event pipeline on the seal hook too if ``events``."""
     vps, stream = overshoot_stream(1800.0)
-    archive = RollingArchiveWriter(str(tmp_path), interval_s=INTERVAL_S,
+    archive = RollingArchiveWriter(str(directory), interval_s=INTERVAL_S,
                                    compress=False)
     stage = GillStage(GillConfig(), vps)
     stage.attach(archive)
+    if events:
+        EventPipeline(store=EventStore(journal_path_for(str(directory)))
+                      ).attach(archive)
     for update in stream:
         for kept in stage.offer(update):
             archive.write(kept)
@@ -63,9 +76,24 @@ def test_golden_digests(tmp_path):
         archive.write(kept)
     archive.close()
     digests = {}
-    for name in sorted(os.listdir(tmp_path)):
-        with open(tmp_path / name, "rb") as handle:
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
             digests[name] = hashlib.sha256(handle.read()).hexdigest()
+    return digests
+
+
+def test_golden_digests(tmp_path):
+    """``gill.jsonl`` and every segment, byte for byte."""
+    assert gate_digests(tmp_path) == GOLDEN_1800
+
+
+def test_golden_event_journal(tmp_path):
+    """The same run with ``--events`` too: its journal, size and bytes,
+    and every other file still ``GOLDEN_1800``."""
+    digests = gate_digests(tmp_path, events=True)
+    journal = digests.pop("events.jsonl")
+    assert (os.path.getsize(journal_path_for(str(tmp_path))), journal) \
+        == GOLDEN_1800_EVENTS
     assert digests == GOLDEN_1800
 
 
