@@ -889,8 +889,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-events", dest="events", action="store_false",
                    help="never attach the event store")
     p.add_argument("--max-concurrent", type=int, default=8,
-                   help="requests executing at once; more queue "
-                        "briefly, then shed with a fast 503")
+                   help="requests admitted at once (of which one "
+                        "executes at a time); more queue briefly, "
+                        "then shed with a fast 503")
     p.add_argument("--queue-limit", type=int, default=16,
                    help="admission queue depth (0 sheds instantly)")
     p.add_argument("--request-timeout", type=float, default=30.0,

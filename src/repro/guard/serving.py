@@ -1,6 +1,6 @@
 """Overload protection for the query API: admission, deadlines, breakers.
 
-The serving stack stays a thread-per-request stdlib server, so the
+The serving stack stays a thread-per-connection stdlib server, so the
 protection has to live in front of the work, not in the I/O layer:
 
 * :class:`AdmissionController` bounds how many requests may execute
@@ -12,6 +12,9 @@ protection has to live in front of the work, not in the I/O layer:
 * :class:`Deadline` is a monotonic budget created per request and
   propagated into the engine's decode loops, so one slow scan cannot
   occupy a worker slot forever.
+* :class:`ExecutionLock` runs the admitted requests one at a time, in
+  arrival order, and lets a long one hand its turn to the requests
+  waiting behind it.
 * :class:`CircuitBreaker` opens an endpoint after repeated server-side
   failures (e.g. decode errors), sheds while open, and lets a single
   probe through after a cool-down.
@@ -21,10 +24,12 @@ Everything is stdlib + the metrics registry handed in by the caller.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Iterator, List, Optional
 
 
 class Overloaded(Exception):
@@ -41,12 +46,19 @@ class DeadlineExceeded(Exception):
 
 
 class Deadline:
-    """A monotonic per-request time budget."""
+    """A monotonic per-request time budget.
 
-    __slots__ = ("expires_at",)
+    ``yield_turn``, when given, is called by the query engine between
+    segment reads, where it holds none of its own locks: the API
+    server lets waiting requests run there (:class:`ExecutionLock`).
+    """
 
-    def __init__(self, timeout_s: float):
+    __slots__ = ("expires_at", "yield_turn")
+
+    def __init__(self, timeout_s: float,
+                 yield_turn: Optional[Callable[[], None]] = None):
         self.expires_at = time.monotonic() + timeout_s
+        self.yield_turn = yield_turn
 
     def remaining(self) -> float:
         return self.expires_at - time.monotonic()
@@ -57,6 +69,53 @@ class Deadline:
     def check(self, context: str = "") -> None:
         if self.expired():
             raise DeadlineExceeded(context or "request deadline exceeded")
+
+
+class ExecutionLock:
+    """The API server's execution lock: admitted requests run under it
+    one at a time, and take it in the order they asked for it.
+
+    A waiter blocks on a lock of its own, and :meth:`release` hands
+    the execution lock straight to the oldest waiter; a plain
+    ``threading.Lock`` would let the releasing thread take it again
+    before a woken waiter runs, so a long request could not pass its
+    turn on (:meth:`waiting` tells it whether anyone would take it).
+    """
+
+    def __init__(self) -> None:
+        self._mutex = threading.Lock()
+        self._held = False
+        self._queue: Deque[threading.Lock] = deque()
+
+    def acquire(self, timeout: float = math.inf) -> bool:
+        """Take the lock, waiting at most ``timeout`` seconds."""
+        with self._mutex:
+            if not self._held:
+                self._held = True
+                return True
+            turn = threading.Lock()
+            turn.acquire()
+            self._queue.append(turn)
+        if turn.acquire(timeout=timeout if timeout < threading.TIMEOUT_MAX
+                        else -1):
+            return True
+        with self._mutex:
+            if turn in self._queue:
+                self._queue.remove(turn)
+                return False
+        # Handed over just as the wait ran out.
+        return True
+
+    def release(self) -> None:
+        with self._mutex:
+            if self._queue:
+                self._queue.popleft().release()
+            else:
+                self._held = False
+
+    def waiting(self) -> bool:
+        """Whether some request waits for the lock."""
+        return bool(self._queue)
 
 
 class AdmissionController:

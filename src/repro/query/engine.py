@@ -5,10 +5,12 @@ lookups against either a live :class:`~repro.bgp.archive.
 RollingArchiveWriter` (the pipeline's archive, still being appended
 to) or a bare archive directory (a published dataset).  Execution:
 
-1. **prune** — the planner drops segments outside the time range,
-   then consults each surviving segment's index (built lazily and
-   persisted for pre-index archives): a predicate key absent from the
-   segment's key sets rules it out without reading it;
+1. **prune** — the planner bisects the segments to the time range
+   and intersects it with the archive-level postings of each
+   predicate key (:class:`~repro.query.planner.ArchivePostings`, kept
+   from the segments' indexes, which are built lazily and persisted
+   for pre-index archives): a segment whose key sets lack some
+   predicate's key is never read, and no plan probes every index;
 2. **read + verify** — every surviving segment is read and checked
    against the manifest's size/CRC32, on every request;
 3. **select** — the :class:`SegmentView` of the bytes just verified
@@ -53,7 +55,7 @@ from ..guard.manager import IntegrityGuard
 from ..guard.serving import Deadline
 from .cache import WatermarkLRUCache
 from .index import SegmentIndex, ensure_index
-from .planner import QueryPlan, QuerySpec, plan_query
+from .planner import ArchivePostings, QueryPlan, QuerySpec
 from .stats import QueryStats, QueryStatsSnapshot
 
 #: View builds poll the request deadline every this many records, so
@@ -386,7 +388,12 @@ class QueryEngine:
         #: file bytes they were built from (see _read_view).
         self._views = WatermarkLRUCache(_PAYLOAD_CACHE_BYTES,
                                         weigh=lambda view: view.weight)
-        self._index_lock = threading.Lock()
+        #: The planner's postings over the segment list they were last
+        #: extended to (see _postings_for); like the indexes, guarded
+        #: by _index_lock, which is re-entrant because planning resolves
+        #: probed segments through _index_for.
+        self._postings = ArchivePostings(_pinned)
+        self._index_lock = threading.RLock()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -428,7 +435,7 @@ class QueryEngine:
         so planning needs no ``stat`` per segment), else the size on
         disk.
         """
-        if segment.size is not None and segment.crc32 is not None:
+        if _pinned(segment):
             key = (segment.path, segment.size, segment.crc32)
         else:
             try:
@@ -463,6 +470,7 @@ class QueryEngine:
         with self._index_lock:
             for key in [k for k in self._indexes if k[0] == segment.path]:
                 del self._indexes[key]
+            self._postings = ArchivePostings(_pinned)
         self._views.discard(segment.path)
         self.stats.payload_cache_bytes.set(self._views.weight)
         if self.guard is not None:
@@ -528,9 +536,48 @@ class QueryEngine:
 
     # -- execution -----------------------------------------------------------
 
+    def _postings_for(self, segments: List[ArchiveSegment]
+                      ) -> ArchivePostings:
+        """The postings over ``segments`` (call under _index_lock).
+
+        Unchanged, they are the last plan's; when ``segments`` only
+        appends to that list, they are extended by the new segments;
+        any other change rebuilds them.  Either way a segment is
+        posted only from an index already in memory: the others are
+        probed until a plan whose window reaches them resolves them
+        (:meth:`_index_for`), so no plan builds or loads an index
+        outside its time range.  A resolved index is posted when the
+        manifest pins the segment's bytes (size and CRC32, its key in
+        :meth:`_index_for`); one without that fingerprint is probed on
+        every plan, because only a ``stat`` can tell whether its file
+        was rewritten.
+        """
+        postings = self._postings
+        known = postings.segments
+        if segments == known:
+            return postings
+        done = len(known)
+        if segments[:done] == known:
+            # Adopt the catalog's objects: a manifest re-parse makes
+            # equal new ones, and the next comparison is by identity.
+            known[:] = segments[:done]
+        else:
+            postings = self._postings = ArchivePostings(_pinned)
+            done = 0
+        for segment in segments[done:]:
+            postings.append(segment, self._indexes.get(
+                (segment.path, segment.size, segment.crc32))
+                if _pinned(segment) else None)
+        return postings
+
+    def _plan(self, segments: List[ArchiveSegment],
+              spec: QuerySpec) -> QueryPlan:
+        with self._index_lock:
+            return self._postings_for(segments).plan(spec, self._index_for)
+
     def plan(self, spec: QuerySpec) -> QueryPlan:
         """The pruning decision for ``spec`` (exposed for inspection)."""
-        return plan_query(self.catalog.segments(), spec, self._index_for)
+        return self._plan(self.catalog.segments(), spec)
 
     def _select(self, plan: QueryPlan, render: bool,
                 deadline: Optional[Deadline],
@@ -540,6 +587,8 @@ class QueryEngine:
         selected: List[_Selection] = []
         for segment in plan.scan:
             if deadline is not None:
+                if deadline.yield_turn is not None:
+                    deadline.yield_turn()
                 deadline.check("before segment read")
             opened = self._read_view(segment, render, deadline,
                                      verify_sink)
@@ -582,7 +631,9 @@ class QueryEngine:
 
         A ``deadline`` is polled before each segment and inside view
         builds: when it expires, :class:`~repro.guard.serving.
-        DeadlineExceeded` is raised and the view is not kept.  A
+        DeadlineExceeded` is raised and the view is not kept.  Its
+        ``yield_turn`` hook, if any, is called before each segment
+        read.  A
         ``trace`` (a :class:`~repro.telemetry.trace.Span`, e.g. the
         server's per-request span) gets stage marks for the index
         prune and the segment reads + selection, plus guard
@@ -631,7 +682,7 @@ class QueryEngine:
             return list(cached)
         if self.cache.invalidations > stale_before:
             stats.cache_invalidations.inc()
-        plan = plan_query(segments, spec, self._index_for)
+        plan = self._plan(segments, spec)
         results: List[BGPUpdate] = []
         for view, raw, positions in self._select(plan, False, deadline,
                                                  None):
@@ -705,12 +756,17 @@ class QueryEngine:
         return self.stats.registry
 
 
+def _pinned(segment: ArchiveSegment) -> bool:
+    """Whether the manifest pins the segment's bytes (size and
+    CRC32), which every read verifies."""
+    return segment.size is not None and segment.crc32 is not None
+
+
 def _read_file(path: str, size: Optional[int]) -> bytes:
     """A segment file's bytes.  Given the manifest's ``size``, one
     ``read`` of ``size + 1`` bytes returns the whole file or shows
-    that it grew, in three system calls — each a GIL hand-off when
-    many requests share the process — instead of ``open().read()``'s
-    buffered sequence."""
+    that it grew, in three system calls (``open``, ``read``,
+    ``close``) instead of ``open().read()``'s buffered sequence."""
     if size is None:
         with open(path, "rb") as handle:
             return handle.read()

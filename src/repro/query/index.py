@@ -6,10 +6,12 @@ segment file (``<segment>.idx``), exactly what its two readers use:
 
 * the segment's distinct **prefixes** (as text) and **origin ASNs**,
   and its **VPs** with their record counts: the planner prunes a
-  segment when some predicate's key is absent from these sets
-  (:class:`IndexProbe`), and ``/vps`` sums the counts without reading
-  the segment.  Where records sit inside the segment is the
-  :class:`~repro.query.engine.SegmentView`'s business, not the index's;
+  segment when some predicate's key is absent from these sets (it
+  reads them as archive-level postings,
+  :class:`~repro.query.planner.ArchivePostings`), and ``/vps`` sums
+  the counts without reading the segment.  Where records sit inside
+  the segment is the :class:`~repro.query.engine.SegmentView`'s
+  business, not the index's;
 * the record **count** and the segment file's **size**, which is the
   staleness check: an index whose recorded size disagrees with the
   file on disk is ignored and rebuilt (the lazy path for archives
@@ -43,8 +45,9 @@ def index_path(segment_path: str) -> str:
 
 
 class IndexProbe:
-    """One query's predicates as index keys, formatted once for every
-    segment's index: a segment is then one set lookup per predicate."""
+    """One query's predicates as index keys, formatted once: the keys
+    the planner looks up in its postings, and a per-segment check of
+    one index (:meth:`may_match`)."""
 
     __slots__ = ("prefix", "vp", "origin")
 

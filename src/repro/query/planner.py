@@ -5,14 +5,17 @@ work: optional exact-match predicates on prefix, VP and origin AS,
 plus a half-open time range and a result limit.  The planner turns a
 spec into a :class:`QueryPlan`: which sealed segments must be read,
 and which can be pruned — by the time range without touching any file,
-or by the index without reading the segment.
+or by the index without reading the segment.  :class:`ArchivePostings`
+keeps an archive's per-segment key sets as archive-level postings, so
+a plan costs a bisection plus the segments its keys name.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bgp.archive import ArchiveSegment
 from ..bgp.message import BGPUpdate
@@ -128,29 +131,154 @@ class QueryPlan:
         return len(self.scan) + self.pruned_time + self.pruned_index
 
 
+class ArchivePostings:
+    """An archive's segment list as postings, maintained across plans.
+
+    For every key of the segments' format-2 indexes — prefix text, VP,
+    origin ASN — the ascending positions of the segments whose key
+    sets hold it, so a plan reads the postings of the spec's keys
+    instead of probing every segment's index.  Time prunes by
+    bisection: ``reach[i]`` is the latest end among segments ``0..i``
+    and ``floor[i]`` the earliest start among segments ``i..``, so the
+    segments that can overlap ``[start, end)`` form one window of
+    positions whatever the archive's order.
+
+    A segment appended without an index is *probed*: a plan whose
+    time window holds it asks ``index_for`` for it, as
+    it would without postings, and keeps it in the scan when that
+    gives no index.  When ``pinned`` says the segment's bytes cannot
+    change while it is in the list, the index so resolved is posted
+    and later plans read it from the postings; any other segment is
+    probed on every plan.  Segments are only ever appended; a caller
+    whose segment list changes in any other way starts a new instance.
+    """
+
+    def __init__(self, pinned: Callable[[ArchiveSegment], bool]
+                 = lambda segment: False) -> None:
+        self._pinned = pinned
+        self.segments: List[ArchiveSegment] = []
+        self._reach: List[float] = []
+        self._floor: List[float] = []
+        #: Starts and ends both non-decreasing in list order: then the
+        #: time window holds only segments that overlap the range.
+        self._ordered = True
+        self._indexes: List[Optional[SegmentIndex]] = []
+        self._probed: List[int] = []
+        #: Positions by prefix text, by VP and by origin ASN.
+        self._postings: Tuple[Dict[object, List[int]], ...] = ({}, {}, {})
+
+    def append(self, segment: ArchiveSegment,
+               index: Optional[SegmentIndex] = None) -> None:
+        position = len(self.segments)
+        if self.segments:
+            last = self.segments[-1]
+            self._ordered = self._ordered and last.start <= segment.start \
+                and last.end <= segment.end
+            self._reach.append(max(self._reach[-1], segment.end))
+        else:
+            self._reach.append(segment.end)
+        self.segments.append(segment)
+        floor = self._floor
+        floor.append(segment.start)
+        lower = position - 1
+        while lower >= 0 and floor[lower] > segment.start:
+            floor[lower] = segment.start
+            lower -= 1
+        self._indexes.append(None)
+        self._probed.append(position)
+        if index is not None:
+            self._post(position, index)
+
+    def _post(self, position: int, index: SegmentIndex) -> None:
+        """Move a probed segment's keys into the postings."""
+        self._indexes[position] = index
+        del self._probed[bisect_left(self._probed, position)]
+        for postings, keys in zip(self._postings, (index.prefixes, index.vps,
+                                                   index.origins)):
+            for key in keys:
+                insort(postings.setdefault(key, []), position)
+
+    def _resolve(self, position: int,
+                 index_for: Optional[
+                     Callable[[ArchiveSegment], Optional[SegmentIndex]]]
+                 ) -> Optional[SegmentIndex]:
+        """A probed segment's index through ``index_for``, posted when
+        the segment is pinned."""
+        if index_for is None:
+            return None
+        segment = self.segments[position]
+        index = index_for(segment)
+        if index is not None and self._pinned(segment):
+            self._post(position, index)
+        return index
+
+    def plan(self, spec: QuerySpec,
+             index_for: Optional[
+                 Callable[[ArchiveSegment], Optional[SegmentIndex]]
+             ] = None) -> QueryPlan:
+        """Prune the segments against ``spec``: the time window,
+        intersected with the postings of each present predicate, plus
+        the probed segments the window holds."""
+        segments = self.segments
+        low = bisect_right(self._reach, spec.start)
+        high = bisect_left(self._floor, spec.end, low)
+
+        def overlaps(position: int) -> bool:
+            segment = segments[position]
+            return segment.end > spec.start and segment.start < spec.end
+
+        window: Sequence[int] = range(low, high)
+        if not self._ordered:
+            window = list(filter(overlaps, window))
+        probe = IndexProbe(spec.prefix, spec.vp, spec.origin)
+        present = [postings.get(key, ()) for postings, key in zip(
+            self._postings, (probe.prefix, probe.vp, probe.origin))
+            if key is not None]
+        hits: Sequence[int] = ()
+        if present:
+            rarest = min(present, key=len)
+            hits = rarest[bisect_left(rarest, low):bisect_left(rarest, high)]
+            if not self._ordered:
+                hits = list(filter(overlaps, hits))
+        probed = self._probed[bisect_left(self._probed, low):
+                              bisect_left(self._probed, high)]
+        if not self._ordered:
+            probed = list(filter(overlaps, probed))
+        # Every probed segment in the window is resolved, predicates or
+        # not, as without postings: that heals a missing or torn
+        # sidecar on the first plan that reaches its segment.
+        resolved = {position: self._resolve(position, index_for)
+                    for position in probed}
+        if not present:
+            scan = [segments[p] for p in window]
+        else:
+            scan = []
+            for position in sorted((*hits, *probed)) if probed else hits:
+                index = resolved.get(position, self._indexes[position])
+                if index is None or probe.may_match(index):
+                    scan.append(segments[position])
+        pruned_time = len(segments) - len(window)
+        return QueryPlan(spec, tuple(scan), pruned_time,
+                         len(window) - len(scan))
+
+
 def plan_query(segments: Sequence[ArchiveSegment], spec: QuerySpec,
                index_for: Optional[
                    Callable[[ArchiveSegment], Optional[SegmentIndex]]
                ] = None) -> QueryPlan:
     """Prune segments against a spec.
 
-    ``index_for`` resolves a segment to its (possibly lazily built)
-    index; returning None for a segment keeps it in the scan —
+    ``index_for`` resolves a segment inside the spec's time range to
+    its (possibly lazily built) index; returning None for a segment
+    keeps it in the scan —
     correct, just slower — so the planner works unchanged over
-    pre-index archives.  The spec's index keys are formatted once for
-    all segments (:class:`~repro.query.index.IndexProbe`); a segment
-    is pruned exactly when one of them is absent from its index.
+    pre-index archives.  A segment is pruned exactly when its time
+    range misses the spec's, or one of the spec's keys is absent from
+    its index.  This builds :class:`ArchivePostings` for one plan; a
+    :class:`~repro.query.engine.QueryEngine` keeps its postings across
+    plans.
     """
-    probe = IndexProbe(spec.prefix, spec.vp, spec.origin)
-    scan: List[ArchiveSegment] = []
-    pruned_time = pruned_index = 0
+    postings = ArchivePostings()
     for segment in segments:
-        if segment.end <= spec.start or segment.start >= spec.end:
-            pruned_time += 1
-            continue
-        index = index_for(segment) if index_for is not None else None
-        if index is not None and not probe.may_match(index):
-            pruned_index += 1
-            continue
-        scan.append(segment)
-    return QueryPlan(spec, tuple(scan), pruned_time, pruned_index)
+        postings.append(segment)
+    return postings.plan(spec, index_for)

@@ -3,7 +3,8 @@
 bgproutes.io's pitch (§8) is that collected data is *easy to get at* —
 per-prefix, per-VP lookups rather than "download the MRT files and
 grep".  This module serves that API from the Python standard library
-(``ThreadingHTTPServer``; one OS thread per request):
+(``ThreadingHTTPServer``: one OS thread per connection, see "Execution"
+below):
 
 * ``GET /updates``   — archived updates; params ``prefix``, ``vp``,
   ``origin``, ``start``, ``end``, ``limit``; the body is joined from
@@ -47,6 +48,25 @@ the engine's decode loops, repeated endpoint failures open a circuit
 breaker, and SIGTERM drains gracefully.  ``/healthz`` (liveness) and
 ``/readyz`` (readiness; degraded under quarantine, 503 while
 draining) bypass admission so probes work under overload.
+
+Execution: each connection has its handler thread, but admitted
+requests run one at a time under the server's execution lock —
+parameters, watermark, render, body and send.  CPython runs one thread
+at a time anyway, so concurrent handlers gain no parallelism here; they
+only hand the GIL to each other at each of a request's blocking system
+calls, which on a 2-core VM cost two keep-alive clients 1.2–1.8x the
+server CPU per point request of one.  Requests that are shed, probes,
+and 400s raised before admission never wait for the lock; the wait
+counts against the request's deadline; ``/rib`` streams outside it.
+The lock goes to waiters in arrival order, and between two segment
+reads a request that has held it for a GIL switch interval lets the
+waiting ones go first (:class:`~repro.guard.serving.ExecutionLock`),
+so a short request arriving behind a long scan of cold segments is not
+held up by all of it.  A response leaves in one ``sendmsg`` of the
+header block and the body.  Under the lock the send does not block:
+when the client's socket buffer is full, the lock is released first
+and the rest of the response then waits for the client, so a client
+that stops reading stalls only itself.
 """
 
 from __future__ import annotations
@@ -54,7 +74,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import socket
+import sys
 import threading
+import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterator, Optional, Tuple
@@ -65,7 +88,7 @@ from ..events.store import EventStore
 from ..guard.manager import IntegrityGuard
 from ..guard.scrub import Scrubber
 from ..guard.serving import AdmissionController, CircuitBreaker, \
-    Deadline, DeadlineExceeded, Overloaded
+    Deadline, DeadlineExceeded, ExecutionLock, Overloaded
 from ..telemetry import Tracer, set_build_info
 from ..telemetry.blackbox import recorder, set_process_role
 from .engine import QueryEngine
@@ -91,6 +114,9 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
     quiet: bool = True
     #: Overload protection, bound by QueryAPIServer.
     admission: AdmissionController
+    #: The server's execution lock: admitted requests run under it one
+    #: at a time (module docstring, "Execution").
+    execution: ExecutionLock
     breaker: Optional[CircuitBreaker] = None
     guard: Optional[IntegrityGuard] = None
     #: Always-on request tracing, bound by QueryAPIServer; backs the
@@ -99,10 +125,13 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
     request_timeout_s: Optional[float] = None
     aborts = None                # repro_query_client_aborts_total child
     protocol_version = "HTTP/1.1"
-    # Headers and body leave in separate writes; without TCP_NODELAY,
-    # Nagle + the client's delayed ACK turn every keep-alive response
-    # into a ~40ms stall — which would also make the "fast 503" slow.
+    # A response usually leaves in one sendmsg, but a partial send
+    # finishes in more, and /rib streams chunks; without TCP_NODELAY,
+    # Nagle + the client's delayed ACK turn such a keep-alive response
+    # into a ~40ms stall.
     disable_nagle_algorithm = True
+    #: Whether this request holds ``execution`` right now.
+    _executing = False
 
     # -- plumbing ------------------------------------------------------------
 
@@ -129,8 +158,55 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         self._send_trace_headers(status)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() without its write: the header block leaves
+        # with the body.
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self._write(head, body)
+
+    def _write(self, head: bytes, body: bytes) -> None:
+        """Send the header block and the body in one ``sendmsg``.
+        Under the execution lock that call never waits for the client:
+        when the socket takes less than offered, the lock is released
+        first and the rest is sent blocking."""
+        flags = socket.MSG_DONTWAIT if self._executing else 0
+        try:
+            sent = self.connection.sendmsg([head, body], (), flags)
+        except BlockingIOError:
+            sent = 0
+        if sent == len(head) + len(body):
+            return
+        self._release_execution()
+        if sent < len(head):
+            self.connection.sendall(memoryview(head)[sent:])
+            sent = len(head)
+        self.connection.sendall(memoryview(body)[sent - len(head):])
+
+    def _acquire_execution(self) -> None:
+        """Take the execution lock, waiting at most what remains of
+        the request's deadline (raises DeadlineExceeded — the 503
+        ``deadline`` shed — when that runs out first)."""
+        if not self.execution.acquire(max(0.0, self._deadline.remaining())):
+            raise DeadlineExceeded("waiting for the execution lock")
+        self._executing = True
+        self._turn_started = time.monotonic()
+
+    def _yield_turn(self) -> None:
+        """Between the engine's segment reads: a request that has run
+        for a GIL switch interval lets the requests waiting for the
+        lock go first, then queues for it behind them."""
+        if self._executing and self.execution.waiting() \
+                and time.monotonic() - self._turn_started \
+                >= sys.getswitchinterval():
+            self._release_execution()
+            self._acquire_execution()
+
+    def _release_execution(self) -> None:
+        if self._executing:
+            self._executing = False
+            self.execution.release()
 
     def _send_json(self, payload: dict, status: int = 200,
                    headers: Optional[Dict[str, str]] = None) -> None:
@@ -255,15 +331,17 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
                     self._shed("circuit_open",
                                self.breaker.retry_after(endpoint))
                     return
-                if self.request_timeout_s is not None:
-                    self._deadline = Deadline(self.request_timeout_s)
+                self._deadline = Deadline(
+                    math.inf if self.request_timeout_s is None
+                    else self.request_timeout_s, self._yield_turn)
                 with self.admission.admit():
-                    trace.mark("admission")
-                    if route is None:
-                        self._get_event(url.path[len("/events/"):],
-                                        params)
-                    else:
+                    if url.path == "/rib":
+                        # A streamed snapshot waits on its client
+                        # between chunks: it never takes the lock.
+                        trace.mark("admission")
                         route(params)
+                    else:
+                        self._execute(url, route, params)
                 if self.breaker is not None:
                     self.breaker.record_success(endpoint)
             except Overloaded as exc:
@@ -279,6 +357,19 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
             if self.breaker is not None:
                 self.breaker.record_failure(endpoint)
             self._internal_error(endpoint, request_id)
+
+    def _execute(self, url, route, params: Dict[str, str]) -> None:
+        """Run one admitted route under the execution lock; the wait
+        for it is part of the request's admission stage."""
+        self._acquire_execution()
+        try:
+            self._trace.mark("admission")
+            if route is None:
+                self._get_event(url.path[len("/events/"):], params)
+            else:
+                route(params)
+        finally:
+            self._release_execution()
 
     # -- endpoints -----------------------------------------------------------
 
@@ -579,12 +670,14 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
 class QueryAPIServer:
     """Owns the HTTP server, its serving thread and its protections.
 
-    Overload knobs: at most ``max_concurrent`` requests execute at
-    once, up to ``queue_limit`` more wait ``queue_timeout_s`` for a
+    Overload knobs: at most ``max_concurrent`` requests are admitted
+    at once (of which one executes at a time, under the execution
+    lock), up to ``queue_limit`` more wait ``queue_timeout_s`` for a
     slot, everything else is shed with a fast 503 + ``Retry-After``.
     Each admitted request gets a ``request_timeout_s`` deadline that
-    the engine's decode loops poll.  ``breaker_threshold`` straight
-    500s open an endpoint's circuit for ``breaker_reset_s``.  With a
+    bounds its wait for the lock and that the engine's decode loops
+    poll.  ``breaker_threshold`` straight 500s open an endpoint's
+    circuit for ``breaker_reset_s``.  With a
     ``guard`` attached, ``/readyz`` and ``/status`` report quarantine
     state, and ``scrub_interval_s`` starts a background scrubber next
     to the serving thread.
@@ -614,6 +707,7 @@ class QueryAPIServer:
         self.admission = AdmissionController(
             max_concurrent=max_concurrent, max_queue=queue_limit,
             queue_timeout_s=queue_timeout_s, registry=registry)
+        self.execution = ExecutionLock()
         self.breaker = CircuitBreaker(
             failure_threshold=breaker_threshold,
             reset_after_s=breaker_reset_s, registry=registry,
@@ -626,6 +720,7 @@ class QueryAPIServer:
                        {"engine": engine, "quiet": quiet,
                         "events": events, "gill": gill,
                         "admission": self.admission,
+                        "execution": self.execution,
                         "breaker": self.breaker,
                         "guard": guard,
                         "tracer": self.tracer,

@@ -10,6 +10,7 @@ from repro.guard.serving import (
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
+    ExecutionLock,
     Overloaded,
 )
 from repro.telemetry import MetricsRegistry
@@ -234,3 +235,64 @@ class TestDeadline:
         assert deadline.expired()
         with pytest.raises(DeadlineExceeded, match="mid decode"):
             deadline.check("mid decode")
+
+
+def wait_until(condition, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+class TestExecutionLock:
+    def test_waiters_take_the_lock_in_arrival_order(self):
+        lock = ExecutionLock()
+        assert lock.acquire()
+        order = []
+
+        def waiter(name):
+            assert lock.acquire()
+            order.append(name)
+            lock.release()
+
+        threads = []
+        for name in range(4):
+            thread = threading.Thread(target=waiter, args=(name,))
+            thread.start()
+            threads.append(thread)
+            wait_until(lambda: len(lock._queue) == name + 1)
+        assert lock.waiting()
+        lock.release()
+        for thread in threads:
+            thread.join(5.0)
+        assert order == [0, 1, 2, 3]
+        assert not lock.waiting()
+
+    def test_a_release_hands_over_before_the_releaser_can_retake(self):
+        """The turn a long request passes goes to the waiter, not back
+        to the releasing thread."""
+        lock = ExecutionLock()
+        assert lock.acquire()
+        got = []
+        thread = threading.Thread(
+            target=lambda: got.append(lock.acquire()) or lock.release())
+        thread.start()
+        wait_until(lock.waiting)
+        lock.release()
+        assert lock.acquire()      # queued behind the waiter
+        assert got == [True]
+        lock.release()
+        thread.join(5.0)
+
+    def test_a_timed_out_waiter_leaves_the_queue(self):
+        lock = ExecutionLock()
+        assert lock.acquire()
+        started = time.monotonic()
+        assert not lock.acquire(timeout=0.05)
+        assert time.monotonic() - started >= 0.04
+        assert not lock.waiting()
+        assert not lock.acquire(timeout=0.0)
+        lock.release()
+        # Free again: taken at once.
+        assert lock.acquire(timeout=0.0)
+        lock.release()
