@@ -115,20 +115,10 @@ class OriginHijackStreamDetector(StreamingDetector):
         for (link, prefix), slot in sorted(
                 ((link, text[prefix]), slot)
                 for (link, prefix), slot in found.items()):
-            origin = slot["origin"]
-            out.append(Detection(
-                detector=self.name, type="origin_hijack",
-                key=(list(link), prefix),
-                time=slot["time"], prefix=prefix,
-                vps=tuple(sorted(slot["vps"])),
-                asns=tuple(sorted({*link} | ({origin} if origin else set()))),
-                score=slot["score"],
-                lifecycle=False,
-                summary=(f"implausible new link AS{link[0]}-AS{link[1]} "
-                         f"announcing {prefix} "
-                         f"(suspicion {slot['score']:.2f})"),
-                extra={"link": list(link), "origin": origin},
-            ))
+            out.append(Detection.derived(
+                self.name, slot["time"], prefix=prefix,
+                vps=sorted(slot["vps"]), score=slot["score"],
+                extra={"link": list(link), "origin": slot["origin"]}))
         return out
 
 
@@ -202,21 +192,12 @@ class SubPrefixStreamDetector(StreamingDetector):
     def _detection(self, sub_prefix: Prefix, slot: dict, time: float,
                    vps: Tuple[str, ...], closes: bool = False
                    ) -> Detection:
-        verb = "withdrawn everywhere" if closes else "announced"
-        return Detection(
-            detector=self.name, type="subprefix_hijack",
-            key=(str(sub_prefix), slot["attacker"]),
-            time=time, prefix=str(sub_prefix),
-            vps=vps,
-            asns=(slot["attacker"], slot["victim"]),
-            score=1.0, closes=closes,
-            summary=(f"more-specific {sub_prefix} of "
-                     f"{slot['covering']} (AS{slot['victim']}) "
-                     f"{verb} by AS{slot['attacker']}"),
+        return Detection.derived(
+            self.name, time, prefix=str(sub_prefix), vps=vps,
+            closes=closes,
             extra={"covering": str(slot["covering"]),
                    "victim": slot["victim"],
-                   "attacker": slot["attacker"]},
-        )
+                   "attacker": slot["attacker"]})
 
 
 class MOASStreamDetector(StreamingDetector):
@@ -275,19 +256,9 @@ class MOASStreamDetector(StreamingDetector):
     def _detection(self, prefix: Prefix, origins: List[int],
                    vps: Set[str], time: float,
                    closes: bool = False) -> Detection:
-        state = "resolved to " + (f"AS{origins[0]}" if origins
-                                  else "none") if closes \
-            else "between " + ", ".join(f"AS{o}" for o in origins)
-        return Detection(
-            detector=self.name, type="moas",
-            key=(str(prefix),),
-            time=time, prefix=str(prefix),
-            vps=tuple(sorted(vps)),
-            asns=tuple(origins),
-            closes=closes,
-            summary=f"MOAS conflict on {prefix} {state}",
-            extra={"origins": list(origins)},
-        )
+        return Detection.derived(
+            self.name, time, prefix=str(prefix), vps=sorted(vps),
+            closes=closes, extra={"origins": list(origins)})
 
 
 class MassWithdrawalDetector(StreamingDetector):
@@ -320,32 +291,20 @@ class MassWithdrawalDetector(StreamingDetector):
         if bursting:
             prefixes = {str(u.prefix) for u in withdrawals}
             vps = {u.vp for u in withdrawals}
-            out.append(Detection(
-                detector=self.name, type="mass_withdrawal",
-                key=("withdrawal-burst",),
-                time=withdrawals[0].time,
-                vps=tuple(sorted(vps)),
+            out.append(Detection.derived(
+                self.name, withdrawals[0].time, vps=sorted(vps),
                 score=min(1.0, count / (10.0 * self.min_count)),
-                summary=(f"{count} withdrawals over {len(prefixes)} "
-                         f"prefixes from {len(vps)} VPs in segment "
-                         f"[{start:.0f}, {end:.0f}) "
-                         f"(baseline {baseline:.1f}/segment)"),
                 extra={"withdrawals": count,
                        "prefixes": len(prefixes),
                        "baseline": round(baseline, 2)},
-            ))
+                segment=(start, end), baseline=baseline))
             self._open = True
         else:
             if self._open:
                 self._open = False
-                out.append(Detection(
-                    detector=self.name, type="mass_withdrawal",
-                    key=("withdrawal-burst",),
-                    time=start, closes=True,
-                    summary=(f"withdrawal rate back to {count}/segment "
-                             f"at {start:.0f}"),
-                    extra={"withdrawals": count},
-                ))
+                out.append(Detection.derived(
+                    self.name, start, closes=True,
+                    extra={"withdrawals": count}))
             self._baseline = count if self._baseline is None else (
                 (1.0 - self.ewma_alpha) * self._baseline
                 + self.ewma_alpha * count)
@@ -425,18 +384,11 @@ class FlapStormDetector(StreamingDetector):
     def _detection(self, prefix: Prefix, time: float, penalty: float,
                    vps: Tuple[str, ...], closes: bool = False
                    ) -> Detection:
-        verb = ("penalty decayed to" if closes
-                else "penalty crossed suppress at")
-        return Detection(
-            detector=self.name, type="flap_storm",
-            key=(str(prefix),),
-            time=time, prefix=str(prefix),
-            vps=tuple(sorted(vps)),
+        return Detection.derived(
+            self.name, time, prefix=str(prefix), vps=sorted(vps),
             score=min(1.0, penalty / (2.0 * self.suppress)),
-            closes=closes,
-            summary=f"flap storm on {prefix}: {verb} {penalty:.2f}",
-            extra={"penalty": round(penalty, 3)},
-        )
+            closes=closes, extra={"penalty": round(penalty, 3)},
+            penalty=penalty)
 
 
 def default_detectors(suspicion_threshold: float = 0.6,

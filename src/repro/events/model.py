@@ -12,14 +12,19 @@ Everything here is JSON-round-trippable: events are served verbatim
 by the ``/events`` API, and the :class:`~repro.events.store.EventStore`
 journals each incident as a chain of deltas — :func:`journal_delta`
 encodes one, :func:`replay_delta` applies one — in the same field
-format.
+format.  A journal holds only what replay cannot recompute: each
+detector's :data:`DERIVATIONS` function gives a detection's ``type``,
+``lifecycle``, ``key``, ``asns`` and ``summary`` from its stored
+facts, the detectors build their detections through it, and the
+writer leaves out whatever :meth:`Detection.from_json` gives back.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Every event type a detector can emit, in exposition order.  The
 #: telemetry gauge family publishes one child per type, so the set is
@@ -84,7 +89,22 @@ class Detection:
         if self.type not in EVENT_TYPES:
             raise ValueError(f"unknown event type {self.type!r}")
 
-    @property
+    @classmethod
+    def derived(cls, detector: str, time: float, *, extra: Dict[str, Any],
+                prefix: Optional[str] = None, vps: Sequence[str] = (),
+                score: float = 1.0, closes: bool = False,
+                **inputs: Any) -> "Detection":
+        """A detection whose derived fields come from ``detector``'s
+        :data:`DERIVATIONS` function, the one replay runs.  ``inputs``
+        are what only the detector knows (an unrounded penalty, the
+        segment bounds); replay derives without them."""
+        return cls(detector=detector, time=time, prefix=prefix,
+                   vps=tuple(vps), score=score, closes=closes, extra=extra,
+                   **DERIVATIONS[detector](
+                       time=time, prefix=prefix, vps=vps, score=score,
+                       closes=closes, extra=extra, **inputs))
+
+    @cached_property
     def key_id(self) -> str:
         """The (detector, key) identity as a stable string."""
         return f"{self.detector}:{json.dumps(self.key, sort_keys=True)}"
@@ -106,21 +126,153 @@ class Detection:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "Detection":
-        return cls(
-            detector=doc["detector"],
-            type=doc["type"],
-            key=tuple(doc["key"]),
-            time=doc["time"],
-            prefix=doc.get("prefix"),
-            vps=tuple(doc.get("vps", ())),
-            asns=tuple(doc.get("asns", ())),
-            score=doc.get("score", 1.0),
-            closes=doc.get("closes", False),
-            lifecycle=doc.get("lifecycle", True),
-            summary=doc.get("summary", ""),
-            extra=dict(doc.get("extra", {})),
-        )
+    def from_json(cls, doc: dict, context: Optional["Event"] = None
+                  ) -> "Detection":
+        """The detection a journal item describes.  ``context`` is the
+        incident the item belongs to; an absent field comes from it or
+        from the item's other fields:
+
+        * ``detector`` — the one that emits the incident's type;
+        * ``prefix`` — the incident's prefix;
+        * ``vps``, ``score``, ``closes``, ``extra`` — the defaults;
+        * ``type``, ``lifecycle``, ``key``, ``asns``, ``summary`` —
+          what the detector's :data:`DERIVATIONS` function gives from
+          the facts above (the defaults for a detector without one).
+        """
+        facts = _absent_facts(context)
+        facts.update((name, doc[name]) for name in _FACTS if name in doc)
+        detector = facts.pop("detector")
+        if detector is None:
+            raise ValueError("journal item names no detector")
+        facts.update(time=doc["time"], vps=tuple(facts["vps"]),
+                     extra=dict(facts["extra"]))
+        derived = {name: doc[name] for name in DERIVED_FIELDS
+                   if name in doc}
+        if len(derived) < len(DERIVED_FIELDS):
+            derive = DERIVATIONS.get(detector)
+            derived = {"lifecycle": True, "asns": (), "summary": "",
+                       **(derive(**facts) if derive is not None else {}),
+                       **derived}
+        return cls(detector=detector, type=derived["type"],
+                   key=tuple(derived["key"]), asns=tuple(derived["asns"]),
+                   lifecycle=derived["lifecycle"],
+                   summary=derived["summary"], **facts)
+
+
+#: The item fields a detection's derivation function computes.
+DERIVED_FIELDS: Tuple[str, ...] = ("type", "lifecycle", "key", "asns",
+                                   "summary")
+
+#: The item fields it computes them from, besides ``time`` (which is
+#: always journaled).
+_FACTS: Tuple[str, ...] = ("detector", "prefix", "vps", "score", "closes",
+                           "extra")
+
+#: The detector whose detections open incidents of each type.
+DETECTOR_OF_TYPE: Dict[str, str] = {
+    "origin_hijack": "origin_hijack",
+    "subprefix_hijack": "subprefix",
+    "moas": "moas",
+    "mass_withdrawal": "mass_withdrawal",
+    "flap_storm": "flap_storm",
+    "integrity": "guard",
+}
+
+
+def _absent_facts(context: Optional["Event"]) -> Dict[str, Any]:
+    """The JSON value :meth:`Detection.from_json` takes for each fact
+    an item leaves out."""
+    return {"detector": (DETECTOR_OF_TYPE.get(context.type)
+                         if context is not None else None),
+            "prefix": context.prefix if context is not None else None,
+            "vps": [], "score": 1.0, "closes": False, "extra": {}}
+
+
+# -- derivation functions: one per detector ---------------------------------
+#
+# Each takes a detection's facts (``time``, ``prefix``, ``vps``,
+# ``score``, ``closes``, ``extra``) as keywords and returns its derived
+# fields.  It may take inputs only the detector has; replay calls it
+# without them, and a field it then cannot give is journaled.
+
+def derive_origin_hijack(prefix: str, score: float, extra: dict,
+                         **_: Any) -> dict:
+    link, origin = extra["link"], extra["origin"]
+    return {"type": "origin_hijack", "lifecycle": False,
+            "key": (list(link), prefix),
+            "asns": tuple(sorted({*link} | ({origin} if origin else set()))),
+            "summary": (f"implausible new link AS{link[0]}-AS{link[1]} "
+                        f"announcing {prefix} (suspicion {score:.2f})")}
+
+
+def derive_subprefix(prefix: str, closes: bool, extra: dict,
+                     **_: Any) -> dict:
+    attacker, victim = extra["attacker"], extra["victim"]
+    verb = "withdrawn everywhere" if closes else "announced"
+    return {"type": "subprefix_hijack", "lifecycle": True,
+            "key": (prefix, attacker), "asns": (attacker, victim),
+            "summary": (f"more-specific {prefix} of {extra['covering']} "
+                        f"(AS{victim}) {verb} by AS{attacker}")}
+
+
+def derive_moas(prefix: str, closes: bool, extra: dict, **_: Any) -> dict:
+    origins = extra["origins"]
+    state = "resolved to " + (f"AS{origins[0]}" if origins
+                              else "none") if closes \
+        else "between " + ", ".join(f"AS{o}" for o in origins)
+    return {"type": "moas", "lifecycle": True, "key": (prefix,),
+            "asns": tuple(origins),
+            "summary": f"MOAS conflict on {prefix} {state}"}
+
+
+def derive_mass_withdrawal(time: float, vps: Sequence[str], closes: bool,
+                           extra: dict,
+                           segment: Optional[Tuple[float, float]] = None,
+                           baseline: Optional[float] = None,
+                           **_: Any) -> dict:
+    count = extra["withdrawals"]
+    derived = {"type": "mass_withdrawal", "lifecycle": True,
+               "key": ("withdrawal-burst",), "asns": ()}
+    if closes:
+        derived["summary"] = (f"withdrawal rate back to {count}/segment "
+                              f"at {time:.0f}")
+    elif segment is not None:
+        # A burst's segment bounds and unrounded baseline are not among
+        # its facts: replay cannot give its summary.
+        start, end = segment
+        derived["summary"] = (
+            f"{count} withdrawals over {extra['prefixes']} prefixes from "
+            f"{len(vps)} VPs in segment [{start:.0f}, {end:.0f}) "
+            f"(baseline {baseline:.1f}/segment)")
+    return derived
+
+
+def derive_flap_storm(prefix: str, closes: bool, extra: dict,
+                      penalty: Optional[float] = None, **_: Any) -> dict:
+    if penalty is None:
+        penalty = extra["penalty"]
+    verb = ("penalty decayed to" if closes
+            else "penalty crossed suppress at")
+    return {"type": "flap_storm", "lifecycle": True, "key": (prefix,),
+            "asns": (),
+            "summary": f"flap storm on {prefix}: {verb} {penalty:.2f}"}
+
+
+def derive_guard(extra: dict, **_: Any) -> dict:
+    name, reason = extra["segment"], extra["reason"]
+    return {"type": "integrity", "lifecycle": False, "key": (name, reason),
+            "asns": (), "summary": f"segment {name} quarantined ({reason})"}
+
+
+#: Detector name → its derivation function.
+DERIVATIONS: Dict[str, Callable[..., dict]] = {
+    "origin_hijack": derive_origin_hijack,
+    "subprefix": derive_subprefix,
+    "moas": derive_moas,
+    "mass_withdrawal": derive_mass_withdrawal,
+    "flap_storm": derive_flap_storm,
+    "guard": derive_guard,
+}
 
 
 #: Keep at most this many evidence detections per event; beyond it the
@@ -238,38 +390,106 @@ class Event:
 
 
 def _same(a: Any, b: Any) -> bool:
-    # 1 == 1.0 == True, but they journal (and serve) as different text.
-    return type(a) is type(b) and a == b
+    """Equal as JSON text: 1, 1.0 and True compare equal in Python but
+    journal (and serve) differently, inside lists and dicts too."""
+    if type(a) is not type(b) or a != b:
+        return False
+    if type(a) is list:
+        types = list(map(type, a))
+        return types == list(map(type, b)) and (
+            (list not in types and dict not in types)
+            or all(map(_same, a, b)))
+    if type(a) is dict:
+        return all(_same(value, b[name]) for name, value in a.items())
+    return True
 
 
-def journal_delta(previous: Optional[Event], event: Event) -> dict:
+def journal_item(detection: Detection, context: Event
+                 ) -> Tuple[dict, Detection]:
+    """The journal item for ``detection`` on incident ``context``, and
+    the detection replay will read back from it.
+
+    A field is left out only when :meth:`Detection.from_json` gives
+    back its ``to_json()`` value.  Facts are settled first (their
+    absent values depend on the incident alone), so the derived fields
+    are judged from exact facts; a detection not shaped like its
+    detector's own (a derivation that fails on it) keeps them all.
+    """
+    full = detection.to_json()
+    absent = _absent_facts(context)
+    item = {name: full[name] for name in _FACTS
+            if not _same(absent[name], full[name])}
+    item["time"] = full["time"]
+    try:
+        replayed = Detection.from_json(item, context)
+    except (KeyError, IndexError, TypeError, ValueError):
+        replayed = None
+    rendered = replayed.to_json() if replayed is not None else {}
+    kept = {name: full[name] for name in DERIVED_FIELDS
+            if not (name in rendered and _same(rendered[name], full[name]))}
+    if kept or replayed is None:
+        item.update(kept)
+        replayed = Detection.from_json(item, context)
+    return item, replayed
+
+
+#: Event fields a first line always carries: replay opens the incident
+#: from them.
+_OPENING: Tuple[str, ...] = ("type", "state", "first_seen")
+
+
+def _opening(doc: dict) -> Event:
+    """An incident as its first line opens it, before any evidence."""
+    return Event(id=doc["id"], type=doc["type"], state=doc["state"],
+                 first_seen=doc["first_seen"], last_seen=doc["first_seen"])
+
+
+def _copy(event: Event) -> Event:
+    return Event(id=event.id, evidence=list(event.evidence),
+                 **event.journal_fields())
+
+
+def journal_delta(previous: Optional[Event], event: Event
+                  ) -> Tuple[dict, Event]:
     """The journal body that turns ``previous`` — the store's copy of
-    the incident, None before its first line — into ``event``.
+    the incident, None before its first line — into ``event``, and the
+    new copy :func:`replay_delta` makes of ``previous`` and that body.
 
     ``event`` must have grown from ``previous`` by :meth:`Event.absorb`
     (the correlator's contract), so its new evidence is the tail the
     difference in :attr:`~Event.evidence_count` names; only the
-    survivors of the cap are journaled, as ``evidence_added``.  A
-    first line carries every field; later ones only the fields that
-    :func:`replay_delta` would not already reproduce.
+    survivors of the cap are journaled, as ``evidence_added``, each
+    through :func:`journal_item`.  The writer folds those items into
+    its copy exactly as :func:`replay_delta` will, and writes a field
+    only when its value or type differs from the fold's: ``last_seen``,
+    ``asns``, ``vps``, ``detectors``, ``types`` and ``score`` appear
+    only when a detection the cap hid moved them.  The fold with the
+    written fields replaced is what replay returns, so it is returned
+    as the new copy instead of being replayed a second time.
     """
     fields = event.journal_fields()
     if previous is None:
-        doc, added = fields, event.evidence
+        replayed, added = _opening(dict(fields, id=event.id)), event.evidence
     else:
         new = event.evidence_count - previous.evidence_count
         # The pinned first item is only new to an incident without one.
         start = max(len(event.evidence) - new, 1 if previous.evidence else 0)
-        added = event.evidence[start:]
-        before = previous.journal_fields()
-        before["evidence_dropped"] += max(
-            0, len(previous.evidence) + len(added) - MAX_EVIDENCE)
-        doc = {name: value for name, value in fields.items()
-               if not _same(before[name], value)}
+        replayed, added = _copy(previous), event.evidence[start:]
+    items = []
+    for detection in added:
+        item, read_back = journal_item(detection, event)
+        items.append(item)
+        replayed.absorb(read_back)
+    before = replayed.journal_fields()
+    doc = {name: value for name, value in fields.items()
+           if not _same(before[name], value)}
+    if previous is None:
+        doc.update((name, fields[name]) for name in _OPENING)
     doc["id"] = event.id
-    if added:
-        doc["evidence_added"] = [d.to_json() for d in added]
-    return doc
+    if items:
+        doc["evidence_added"] = items
+    _replace_fields(replayed, doc)
+    return doc, replayed
 
 
 def replay_delta(previous: Optional[Event], doc: dict) -> Event:
@@ -277,26 +497,33 @@ def replay_delta(previous: Optional[Event], doc: dict) -> Event:
     incident's first line), returning a new :class:`Event` and leaving
     ``previous`` as it was — readers may still hold it.
 
-    Each ``evidence_added`` item is appended, oldest first, under the
-    cap rule :meth:`Event.absorb` applies; then every field present
-    replaces the stored one.  Fields replace after the appends, so a
-    journaled ``evidence_dropped`` stays exact when the cap discarded
-    detections the journal never saw, and a full ``evidence`` list (a
-    line written before journals held deltas) is one more field.
+    Each ``evidence_added`` item is read in the context of the
+    incident's type and prefix as this line leaves them, and folded in,
+    oldest first, by :meth:`Event.absorb` (the cap rule included); then
+    every field present replaces the stored one.  Fields replace after
+    the fold, so a journaled ``evidence_dropped`` stays exact when the
+    cap discarded detections the journal never saw, and lines that
+    carry every field — a full ``evidence`` list before journals held
+    deltas, whole evidence items before they left derived fields out —
+    load through the same path.
     """
-    if previous is None:
-        previous = Event(id=doc["id"], type=doc["type"], state=doc["state"],
-                         first_seen=doc["first_seen"],
-                         last_seen=doc["last_seen"])
-    evidence = list(previous.evidence)
-    fields = previous.journal_fields()
+    event = _opening(doc) if previous is None else _copy(previous)
+    for name in ("type", "prefix"):
+        if name in doc:
+            setattr(event, name, doc[name])
     for item in doc.get("evidence_added", ()):
-        fields["evidence_dropped"] += _append_capped(
-            evidence, Detection.from_json(item))
+        event.absorb(Detection.from_json(item, event))
     if "evidence" in doc:
-        evidence = [Detection.from_json(item) for item in doc["evidence"]]
-    fields.update({name: doc[name] for name in fields if name in doc})
-    return Event(id=previous.id, evidence=evidence, **fields)
+        event.evidence = [Detection.from_json(item)
+                          for item in doc["evidence"]]
+    _replace_fields(event, doc)
+    return event
+
+
+def _replace_fields(event: Event, doc: dict) -> None:
+    for name in event.journal_fields():
+        if name in doc:
+            setattr(event, name, doc[name])
 
 
 def sort_detections(detections: Sequence[Detection]) -> List[Detection]:

@@ -5,20 +5,29 @@ on-disk form is an append-only JSONL journal with one line per
 incident per segment it changed in, stamped with the archive watermark
 of the sealed segment that produced it.  A line is a *delta*: the
 incident's id, the fields that changed since its previous line, and
-only the detections absorbed since then::
+only the detections absorbed since then — each without the fields
+replay derives from the rest and from the incident::
 
     {"op": "upsert", "watermark": 600.0, "crc": "…",
-     "event": {"id": "ev-000007", "last_seen": 598.0, "segments": 2,
-               "state": "ongoing", "evidence_added": [{…}]}}
+     "event": {"id": "ev-000007", "segments": 2, "state": "ongoing",
+               "evidence_added": [{"time": 598.0, "vps": ["vp3"],
+                                   "score": 0.8125,
+                                   "extra": {"link": [64500, 64511],
+                                             "origin": 64511}}]}}
 
-An incident's first line carries every field.  Replaying the lines in
-order (:func:`~repro.events.model.replay_delta`) rebuilds the store
-exactly, and :meth:`EventStore.apply` is replay too: it journals the
-delta against the store's own copy of the incident and applies that
-record to the copy, so a live store and a reloaded one are equal by
-construction.  A line written before journals held deltas carries the
-full ``evidence`` list, which replay treats as one more field, so old
-journals load unchanged.  This gives three properties for free:
+Here the item's detector, prefix, type, key, ASNs and summary, and the
+incident's new ``last_seen``, ``vps`` and ``asns``, all follow from
+what the line holds (:func:`~repro.events.model.journal_delta` writes
+exactly what replay would not reproduce).  An incident's first line
+carries its ``type``, ``state`` and ``first_seen``, and every other
+field that differs from an empty incident given that evidence.  Replaying
+the lines in order (:func:`~repro.events.model.replay_delta`) rebuilds
+the store exactly, and :meth:`EventStore.apply` keeps the copy that
+same replay makes of the record it journals, so a live store and a
+reloaded one are equal.  Lines written in earlier encodings — a full
+``evidence`` list, or whole evidence items — carry every field, so
+old journals load through the same path.  This gives three properties
+for free:
 
 * **restartable serving** — ``repro-bgp serve`` and ``repro-bgp
   events`` load the journal without re-scanning the archive, and
@@ -144,13 +153,16 @@ class EventStore:
             return None
         doc = record["event"]
         previous = self._events.get(doc["id"])
-        event = replay_delta(previous, doc)
+        self._install(previous, replay_delta(previous, doc),
+                      record.get("watermark"))
+        return doc["id"]
+
+    def _install(self, previous: Optional[Event], event: Event,
+                 watermark: Optional[float]) -> None:
         self._events[event.id] = event
         self._reindex(previous, event)
-        watermark = record.get("watermark")
         if watermark is not None:
             self.watermark = max(self.watermark or watermark, watermark)
-        return event.id
 
     # -- mutation (pipeline side) -------------------------------------------
 
@@ -159,21 +171,20 @@ class EventStore:
 
         ``event`` must have grown from the one last applied under its
         id by :meth:`~repro.events.model.Event.absorb`; the store keeps
-        its own copy, so later changes to ``event`` are invisible until
-        the next call.
+        its own copy (the one replaying the journaled record gives), so
+        later changes to ``event`` are invisible until the next call.
         """
         with self._lock:
-            record = {
-                "op": "upsert",
-                "watermark": watermark,
-                "event": journal_delta(self._events.get(event.id), event),
-            }
+            previous = self._events.get(event.id)
+            doc, replayed = journal_delta(previous, event)
             if self._journal is not None:
                 # Sealed with its own CRC so a flipped byte on disk is
                 # caught at load time (sealing is deterministic, so
                 # journals stay byte-identical across replays).
-                self._journal.append(record)
-            self._apply_record(record)
+                self._journal.append({"op": "upsert",
+                                      "watermark": watermark,
+                                      "event": doc})
+            self._install(previous, replayed, watermark)
 
     @staticmethod
     def _postings(event: Event) -> Iterator[Tuple[str, Any]]:

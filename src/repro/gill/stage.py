@@ -306,14 +306,21 @@ class GillStage:
         while window and update.time - window[0].update.time \
                 >= self.config.slack_s:
             window.popleft()
-        witnesses = [other for other in window
-                     if is_redundant_with(annotated, other,
-                                          self.config.definition,
-                                          self.config.slack_s)]
-        protected = update.vp in self._keep or update.vp in self._anchors
-        if witnesses and not protected:
-            self._record_drop(annotated, witnesses)
-            return False
+        if update.vp not in self._keep and update.vp not in self._anchors:
+            # Updates arrive in nondecreasing time, so every entry of
+            # the pruned window has this prefix and is less than
+            # ``slack_s`` older: all Condition 1 asks, and under
+            # Definition 1 the window is the witness list.
+            if self.config.definition is RedundancyDefinition.PREFIX:
+                witnesses = list(window)
+            else:
+                witnesses = [other for other in window
+                             if is_redundant_with(annotated, other,
+                                                  self.config.definition,
+                                                  self.config.slack_s)]
+            if witnesses:
+                self._record_drop(annotated, witnesses)
+                return False
         self._ingest_kept(update, annotated)
         return True
 

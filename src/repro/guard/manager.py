@@ -169,16 +169,7 @@ class IntegrityGuard:
         extra = {"segment": name, "reason": reason}
         if dump is not None:
             extra["flightrecorder"] = dump
-        detection = Detection(
-            detector="guard",
-            type="integrity",
-            key=(name, reason),
-            time=when,
-            score=1.0,
-            lifecycle=False,
-            summary=f"segment {name} quarantined ({reason})",
-            extra=extra,
-        )
+        detection = Detection.derived("guard", when, extra=extra)
         event = Event(
             id=f"guard-{name}",
             type="integrity",

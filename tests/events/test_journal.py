@@ -1,13 +1,16 @@
-"""The event journal's delta records, checked against the full-upsert
-encoding they replace.
+"""The event journal's delta records, checked against the encodings
+they replace.
 
 Each ``events.jsonl`` line carries an incident's changed fields and only
-the evidence absorbed since its previous line.  These tests drive the
-real correlator with generated detection sequences and hold the store
-to three identities: a journal truncated at any watermark replays to
-the live store as it stood then, a tailing reader equals a fresh load,
-and every incident renders exactly as the full-upsert store (one whole
-``to_json(full=True)`` per line) rendered it.
+the evidence absorbed since its previous line, each item without the
+fields replay derives.  These tests drive the real correlator with
+generated detection sequences and hold the store to three identities:
+a journal truncated at any watermark replays to the live store as it
+stood then, a tailing reader equals a fresh load, and every incident
+renders exactly as the full-upsert store (one whole
+``to_json(full=True)`` per line) rendered it.  Journals in the two
+earlier encodings — full upserts, and deltas with whole evidence items
+— load to the same store and serve the same bodies.
 """
 
 import json
@@ -88,9 +91,36 @@ def text(value):
 
 def parent_line(event, watermark):
     """One line as the full-upsert journal wrote it."""
+    return sealed_line(event.to_json(full=True), watermark)
+
+
+def sealed_line(doc, watermark):
     return json.dumps(seal_record({
-        "op": "upsert", "watermark": watermark,
-        "event": event.to_json(full=True)}), sort_keys=True) + "\n"
+        "op": "upsert", "watermark": watermark, "event": doc}),
+        sort_keys=True) + "\n"
+
+
+def whole_item_delta(previous, event):
+    """One line's body as the delta journal wrote it before evidence
+    items left derived fields out: every field whose value changed,
+    with ``evidence_dropped`` counted by the cap, and whole items."""
+    fields = event.journal_fields()
+    if previous is None:
+        doc, added = fields, event.evidence
+    else:
+        new = event.evidence_count - previous.evidence_count
+        start = max(len(event.evidence) - new, 1 if previous.evidence else 0)
+        added = event.evidence[start:]
+        before = previous.journal_fields()
+        before["evidence_dropped"] += max(
+            0, len(previous.evidence) + len(added) - MAX_EVIDENCE)
+        doc = {name: value for name, value in fields.items()
+               if type(before[name]) is not type(value)
+               or before[name] != value}
+    doc["id"] = event.id
+    if added:
+        doc["evidence_added"] = [d.to_json() for d in added]
+    return doc
 
 
 def indexes_rebuilt(store):
@@ -187,8 +217,9 @@ class TestReplayIsExact:
         with open(path, encoding="utf-8") as handle:
             first, second = (json.loads(line)["event"] for line in handle)
         assert "type" in first and "evidence" not in first
-        assert sorted(second) == ["evidence_added", "id", "last_seen",
-                                  "segments", "state"]
+        # ``last_seen`` moved, but folding the added item reproduces it.
+        assert sorted(second) == ["evidence_added", "id", "segments",
+                                  "state"]
 
 
 class TestIndexes:
@@ -266,39 +297,45 @@ class TestConcurrentReaders:
 @pytest.fixture(scope="module")
 def showcase_journals(tmp_path_factory):
     """The seeded showcase collected live, its journal also written in
-    the full-upsert encoding beside it."""
+    the full-upsert and the whole-item delta encodings beside it."""
     directory = str(tmp_path_factory.mktemp("showcase"))
     scenario, _ = monitoring_showcase()
     archive = RollingArchiveWriter(directory, interval_s=SEGMENT_S,
                                    compress=False)
     store = EventStore(journal_path_for(directory))
-    lines = []
+    lines = {"full-upserts.jsonl": [], "whole-items.jsonl": []}
 
-    class FullUpserts(EventStore):
+    class ParentEncodings(EventStore):
         def apply(self, event, watermark):
-            lines.append(parent_line(event, watermark))
+            lines["full-upserts.jsonl"].append(parent_line(event, watermark))
+            lines["whole-items.jsonl"].append(sealed_line(
+                whole_item_delta(store.get(event.id), event), watermark))
             store.apply(event, watermark)
 
-    EventPipeline(store=FullUpserts()).attach(archive)
+    EventPipeline(store=ParentEncodings()).attach(archive)
     for update in scenario.stream:
         archive.write(update)
     archive.close()
-    parent = str(tmp_path_factory.mktemp("parent") / "events.jsonl")
-    with open(parent, "w", encoding="utf-8") as handle:
-        handle.writelines(lines)
-    return directory, journal_path_for(directory), parent
+    parents = str(tmp_path_factory.mktemp("parents"))
+    for name, written in lines.items():
+        with open(os.path.join(parents, name), "w",
+                  encoding="utf-8") as handle:
+            handle.writelines(written)
+    return directory, journal_path_for(directory), [
+        os.path.join(parents, name) for name in lines]
 
 
 class TestParentJournal:
     def test_loads_to_the_same_store(self, showcase_journals):
-        _, delta, parent = showcase_journals
-        assert os.path.getsize(delta) < os.path.getsize(parent)
-        assert EventStore(parent).snapshot_comparable() \
-            == EventStore(delta).snapshot_comparable()
+        _, delta, parents = showcase_journals
+        for parent in parents:
+            assert os.path.getsize(delta) < os.path.getsize(parent)
+            assert EventStore(parent).snapshot_comparable() \
+                == EventStore(delta).snapshot_comparable()
 
     def test_serves_the_same_bodies(self, showcase_journals):
-        directory, delta, parent = showcase_journals
-        stores = [EventStore(delta), EventStore(parent)]
+        directory, delta, parents = showcase_journals
+        stores = [EventStore(delta)] + [EventStore(p) for p in parents]
         paths = ["/events", "/events?type=moas", "/events?state=resolved",
                  "/moas", "/hijacks", "/hijacks?threshold=0.3"]
         paths += [f"/events/{event.id}" for event in stores[0].events()]
@@ -311,4 +348,4 @@ class TestParentJournal:
                     for path in paths])
         engine.close()
         assert len(paths) > 8
-        assert bodies[0] == bodies[1]
+        assert bodies[0] == bodies[1] == bodies[2]

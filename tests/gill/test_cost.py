@@ -43,11 +43,12 @@ GOLDEN_1800 = {
 
 
 #: ``events.jsonl`` of the same run with the event pipeline on the seal
-#: hook (``--gill --events``), journaled as per-incident deltas.  The
-#: full-upsert journal before them was 1 543 236 B.
+#: hook (``--gill --events``), journaled as per-incident deltas whose
+#: evidence items leave out what replay derives.  The full-upsert
+#: journal was 1 543 236 B, the deltas with whole items 733 898 B.
 GOLDEN_1800_EVENTS = (
-    733898,
-    "2617408969f270399beb491e43f580ddbb3a9865177ee5b3a93b221c36e1ddb5")
+    245600,
+    "ca8cb1ab5c11caf39c46627d2edf846dfee342e72a883546b245df28804dafcf")
 
 
 def overshoot_stream(duration_s):
