@@ -17,9 +17,11 @@ import time as time_mod
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
-    Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, \
+    Optional, Sequence, Tuple
 
+from ..guard.integrity import SealedJournal, file_digests, fsync_path, \
+    verify_file
 from .message import BGPUpdate
 from .mrt import MRTError, RIBRecord, encode_rib_entry, encode_update, \
     iter_archive, read_archive, write_records
@@ -42,16 +44,6 @@ INDEX_SUFFIX = ".idx"
 SealHook = Callable[["ArchiveSegment", Optional[float]], None]
 
 
-def _fsync_path(path: str) -> None:
-    """fsync a file or directory by path (directory fsync makes the
-    rename of the checkpoint durable, not just the file contents)."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 @dataclass(frozen=True)
 class ArchiveSegment:
     """One published update file.
@@ -71,41 +63,61 @@ class ArchiveSegment:
     sha256: Optional[str] = None
 
 
-def read_manifest(directory: str
-                  ) -> Optional[Tuple[List[ArchiveSegment], bool]]:
-    """Parse a directory's ``CHECKPOINT.json``.
+class Manifest(NamedTuple):
+    """A directory's ``CHECKPOINT.json`` as :func:`read_manifest`
+    read it; ``journal.tail()`` follows the writer's later lines."""
 
-    Returns ``(segments, compress)``, or None when the directory has
-    no manifest.  An unreadable manifest raises ``OSError`` or
-    ``ValueError``; what that means is the caller's policy.
+    segments: List[ArchiveSegment]
+    compress: bool
+    journal: SealedJournal
+
+
+def _segment_line(segment: ArchiveSegment) -> dict:
+    return {"start": segment.start, "count": segment.count,
+            "file": os.path.basename(segment.path), "size": segment.size,
+            "crc32": segment.crc32, "sha256": segment.sha256,
+            "watermark": segment.end}
+
+
+def segment_of(directory: str, line: dict) -> ArchiveSegment:
+    """The segment a manifest line of ``directory`` publishes."""
+    return ArchiveSegment(line["start"], line["watermark"],
+                          os.path.join(directory, line["file"]),
+                          line["count"], size=line.get("size"),
+                          crc32=line.get("crc32"), sha256=line.get("sha256"))
+
+
+def read_manifest(directory: str) -> Optional[Manifest]:
+    """Read a directory's ``CHECKPOINT.json``, never writing to it.
+
+    It is a :class:`~repro.guard.integrity.SealedJournal`: a header
+    line (``interval_s``, ``compress``), then one :func:`_segment_line`
+    per published segment, whose ``watermark`` is the segment's end.
+    Archives from before the journal hold one JSON document (an
+    ``end`` per entry); it reads the same until
+    :meth:`RollingArchiveWriter.recover` converts it.  Returns None
+    when the directory has no manifest; an unreadable one raises
+    ``OSError`` or ``ValueError``, and what that means is the caller's
+    policy.
     """
     path = os.path.join(directory, CHECKPOINT_NAME)
     if not os.path.exists(path):
         return None
-    with open(path) as handle:
-        state = json.load(handle)
-    segments = [
-        ArchiveSegment(entry["start"], entry["end"],
-                       os.path.join(directory, entry["file"]),
-                       entry["count"],
-                       size=entry.get("size"),
-                       crc32=entry.get("crc32"),
-                       sha256=entry.get("sha256"))
-        for entry in state.get("segments", [])
-    ]
-    return segments, bool(state.get("compress", True))
-
-
-def _manifest_entry(segment: ArchiveSegment) -> str:
-    """One segment's entry of ``CHECKPOINT.json``, rendered as
-    ``json.dump(state, indent=1)`` renders it inside the ``segments``
-    list (two levels deep)."""
-    entry = {"start": segment.start, "end": segment.end,
-             "count": segment.count,
-             "file": os.path.basename(segment.path),
-             "size": segment.size, "crc32": segment.crc32,
-             "sha256": segment.sha256}
-    return "  " + json.dumps(entry, indent=1).replace("\n", "\n  ")
+    journal = SealedJournal(path, fsync=True)
+    header, *lines = journal.load()[0] or [None]
+    if header is None:
+        # The single document older writers rewrote at every seal.
+        with open(path, encoding="utf-8") as handle:
+            header = json.load(handle)
+            journal.offset = os.fstat(handle.fileno()).st_size
+        if not isinstance(header, dict) or "segments" not in header:
+            raise ValueError(f"{path}: not a manifest")
+        lines = [dict(entry, watermark=entry["end"])
+                 for entry in header["segments"]]
+    if "interval_s" not in header:
+        raise ValueError(f"{path}: no manifest header")
+    return Manifest([segment_of(directory, line) for line in lines],
+                    bool(header.get("compress", True)), journal)
 
 
 @dataclass(frozen=True)
@@ -134,13 +146,15 @@ class RollingArchiveWriter:
     natural ordering).  An interval's file is written when the first
     update of a *later* interval arrives, or on :meth:`close`.
 
-    With ``checkpoint=True`` every flushed segment is fsync'd and the
-    directory's ``CHECKPOINT.json`` manifest is atomically rewritten
-    (tmp file + fsync + rename), making the archive crash-consistent:
-    after any crash, :meth:`recover` deletes torn segment files (on
-    disk but not in the manifest), drops a corrupt trailing segment,
-    and rewinds the writer to the last durable watermark so an
-    interrupted collection epoch can resume exactly there.
+    With ``checkpoint=True`` every flushed segment is fsync'd and then
+    published by one fsync'd line appended to the directory's
+    ``CHECKPOINT.json`` manifest (:func:`read_manifest`; the writer's
+    first publish creates the file whole, replacing any earlier one),
+    making the archive crash-consistent: after any crash,
+    :meth:`recover` deletes torn segment files (on disk but not in the
+    manifest), drops a corrupt trailing segment, and rewinds the writer
+    to the last durable watermark so an interrupted collection epoch
+    can resume exactly there.
 
     :meth:`seal` splits a flush in two for a caller that must make
     something else durable in between: it seals the open interval
@@ -176,9 +190,9 @@ class RollingArchiveWriter:
         # Segment start times, for bisection: segments are flushed in
         # time order, so ``_starts`` is strictly increasing.
         self._starts: List[float] = []
-        # With checkpointing, each segment's manifest entry, rendered
-        # once at seal (aligned with ``segments``).
-        self._manifest_entries: List[str] = []
+        # The manifest; its inode stays None until this writer creates
+        # or recovers the file.
+        self._manifest = SealedJournal(self.checkpoint_path, fsync=True)
         self._pending: List[BGPUpdate] = []
         self._current_slot: Optional[int] = None
         self._last_time: Optional[float] = None
@@ -275,17 +289,17 @@ class RollingArchiveWriter:
         :attr:`segments` and, with checkpointing, to the manifest."""
         if not self._held:
             return
-        for segment in self._held:
-            self.segments.append(segment)
-            self._starts.append(segment.start)
-            if self.checkpoint_enabled:
-                self._manifest_entries.append(_manifest_entry(segment))
-        self._held = []
-        if self.checkpoint_enabled:
-            # The manifest is updated only after the segment is
-            # durable, so a crash between the two leaves a torn file
-            # that recovery identifies and deletes.
-            self._write_checkpoint()
+        held, self._held = self._held, []
+        self.segments.extend(held)
+        self._starts.extend(segment.start for segment in held)
+        # A segment's line follows its durable file, so a crash between
+        # the two leaves a torn file that recovery identifies and
+        # deletes.
+        if self.checkpoint_enabled and self._manifest.inode is None:
+            self._write_manifest()
+        elif self.checkpoint_enabled:
+            for segment in held:
+                self._manifest.append(_segment_line(segment))
 
     def _seal_file(self
                    ) -> Optional[Tuple[ArchiveSegment, Optional[float]]]:
@@ -297,10 +311,10 @@ class RollingArchiveWriter:
         records = [encode_update(update) for update in self._pending]
         write_records(records, path, self.compress)
         if self.checkpoint_enabled:
-            _fsync_path(path)
+            fsync_path(path)
+            fsync_path(self.directory)      # its name, before its line
         # Fingerprint the sealed bytes so every future read can prove
         # the file is still what we wrote (repro.guard).
-        from ..guard.integrity import file_digests
         digests = file_digests(path)
         segment = ArchiveSegment(
             self._current_slot * self.interval_s,
@@ -339,32 +353,11 @@ class RollingArchiveWriter:
 
     # -- crash consistency --------------------------------------------------
 
-    def _write_checkpoint(self) -> None:
-        """Atomically persist the segment manifest + durable watermark.
-
-        The text is ``json.dump(state, indent=1)`` of ``{"interval_s",
-        "compress", "watermark", "segments": [...]}``, assembled from
-        the entries rendered at seal, so a seal costs one join rather
-        than re-encoding every earlier segment.
-        """
-        entries = self._manifest_entries
-        segments = "[\n" + ",\n".join(entries) + "\n ]" if entries \
-            else "[]"
-        text = (f'{{\n "interval_s": {json.dumps(self.interval_s)},\n'
-                f' "compress": {json.dumps(self.compress)},\n'
-                f' "watermark": {json.dumps(self.durable_watermark)},\n'
-                f' "segments": {segments}\n}}')
-        tmp = self.checkpoint_path + ".tmp"
-        with open(tmp, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.checkpoint_path)
-        _fsync_path(self.directory)
-
-    def _load_checkpoint(self) -> List[ArchiveSegment]:
-        manifest = read_manifest(self.directory)
-        return manifest[0] if manifest is not None else []
+    def _write_manifest(self) -> None:
+        """Create the manifest whole, listing :attr:`segments`."""
+        self._manifest.replace(
+            [{"interval_s": self.interval_s, "compress": self.compress}]
+            + [_segment_line(segment) for segment in self.segments])
 
     def recover(self) -> RecoveryReport:
         """Restore the crash-consistent on-disk state and rewind.
@@ -382,12 +375,12 @@ class RollingArchiveWriter:
                 "recover() requires a checkpointed archive "
                 "(checkpoint=True); refusing to delete segments of an "
                 "unmanaged directory")
-        manifest = self._load_checkpoint()
+        manifest = read_manifest(self.directory)
         # Truncate at the first missing or corrupt segment.  Only the
         # last entry can legitimately be damaged (earlier ones were
         # durable before it was manifested), but verify pessimistically.
         durable: List[ArchiveSegment] = []
-        for segment in manifest:
+        for segment in manifest.segments if manifest is not None else ():
             if not os.path.exists(segment.path) \
                     or not self._verifies(segment):
                 break
@@ -412,11 +405,16 @@ class RollingArchiveWriter:
         self._held = []
         self.segments = durable
         self._starts = [s.start for s in durable]
-        self._manifest_entries = [_manifest_entry(s) for s in durable]
         self._pending = []
         self._current_slot = None
         self._last_time = self.durable_watermark
-        self._write_checkpoint()
+        if manifest is not None and not manifest.journal.torn \
+                and len(durable) == len(manifest.segments):
+            self._manifest = manifest.journal       # appended to as is
+        else:
+            # Lines past the durable prefix, a torn line, an old
+            # single-document manifest or none: write it whole, once.
+            self._write_manifest()
         return RecoveryReport(self.durable_watermark, len(durable),
                               tuple(torn), lost, tuple(orphans))
 
@@ -429,7 +427,6 @@ class RollingArchiveWriter:
         to the parse check.
         """
         if segment.crc32 is not None or segment.size is not None:
-            from ..guard.integrity import verify_file
             return verify_file(segment.path, size=segment.size,
                                crc32=segment.crc32) is None
         return self._parses(segment.path)

@@ -41,8 +41,8 @@ for free:
   incident's lines rise in watermark, so a truncated journal replays
   to the store as it stood at that watermark;
 * **torn-tail tolerance** — a crash mid-append leaves at most one
-  unparseable trailing line, which the loader drops — from the file
-  too, so the next append starts on a line boundary.
+  unparseable trailing line, which loading skips (it may be an append
+  in progress) and the next append cuts off the file first.
 
 In-memory, events are indexed by id, prefix, ASN, type and state;
 :meth:`query` intersects the most selective indexes before filtering,
@@ -140,7 +140,7 @@ class EventStore:
                 return []
             records = self._journal.tail()
             if records is None:
-                # Journal was rewritten (recovery truncation): reload.
+                # Journal was replaced (recovery truncation): reload.
                 before = set(self._events)
                 self.load()
                 return sorted(before | set(self._events))

@@ -189,6 +189,17 @@ def record_intact(record: dict) -> bool:
     return recorded == _crc(_canonical(record))
 
 
+def fsync_path(path: str) -> None:
+    """fsync a file or directory by path (a directory's fsync makes the
+    creation or replacement of its entries durable, not just the files'
+    contents)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def read_sealed_lines(lines: Iterable[str]
                       ) -> Tuple[List[Tuple[str, dict]], bool]:
     """Read a journal's sealed lines up to the first one not to trust.
@@ -198,7 +209,7 @@ def read_sealed_lines(lines: Iterable[str]
     or fails its own seal, and whether reading stopped at such a line.
     Nothing after it is trusted, and an appender must not write behind
     it — the next record would be glued onto the partial line — so a
-    journal's owner rewrites the file from ``entries`` when ``torn``.
+    journal's owner cuts the file back to ``entries`` when ``torn``.
     """
     entries: List[Tuple[str, dict]] = []
     for line in lines:
@@ -215,22 +226,39 @@ def read_sealed_lines(lines: Iterable[str]
 
 
 class SealedJournal:
-    """The one on-disk implementation behind ``gill.jsonl`` and
-    ``events.jsonl``: an append-only file of :func:`seal_record` lines
-    (sorted keys, so equal records are equal bytes).  Not thread-safe;
-    the owning journal calls it under its own lock.
+    """The one on-disk implementation behind the archive's three
+    durable logs (``CHECKPOINT.json``, ``gill.jsonl`` and
+    ``events.jsonl``): an append-only file of :func:`seal_record`
+    lines (sorted keys, so equal records are equal bytes).  Not
+    thread-safe; the owning journal calls it under its own lock.
 
-    ``fsync`` is the owner's flush policy: gill makes each slot record
-    durable before the archive seals that slot; the event journal is
-    regenerated from the archive on attach and sits on the seal path,
-    so it does not pay for one.
+    Reading never writes: :meth:`load` and :meth:`tail` only read, so
+    a reader that catches its owner's append half-written leaves it
+    alone.  Only the file's owner rewrites it — :meth:`load` with
+    ``truncate_beyond`` at recovery, :meth:`replace` and :meth:`reset`
+    — and an owner's first :meth:`append` after a load that ended in a
+    torn line cuts that line off first, so a record is never glued
+    onto it.
+
+    ``fsync`` is the owner's flush policy: the manifest and gill make
+    each line durable before the archive relies on it (and then also
+    the directory entry of a file they create or replace); the event
+    journal is regenerated from the archive on attach and sits on the
+    seal path, so it does not pay for one.
     """
 
     def __init__(self, path: str, fsync: bool):
         self.path = path
         self.fsync = fsync
-        #: Bytes of the file consumed so far: where :meth:`tail` resumes.
+        #: Bytes of the file consumed so far (the end of its last whole
+        #: line read or written): where :meth:`tail` resumes.
         self.offset = 0
+        #: Inode of the file read so far (None before one was read):
+        #: when the path names another file, the owner replaced it.
+        self.inode: Optional[int] = None
+        #: The last read stopped before the end of the file, at a line
+        #: not to trust (a crash mid-append): bytes past ``offset``.
+        self.torn = False
 
     def append(self, record: dict) -> dict:
         """Seal ``record``, append its line, return the sealed copy
@@ -238,11 +266,16 @@ class SealedJournal:
         crc, line = _sealed_line(record)
         sealed = dict(record)
         sealed[CRC_KEY] = crc
+        if self.torn:
+            self._cut()
         with open(self.path, "a", encoding="utf-8") as handle:
+            created = handle.tell() == 0
             handle.write(line)
             if self.fsync:
                 handle.flush()
                 os.fsync(handle.fileno())
+        if created and self.fsync:
+            fsync_path(os.path.dirname(self.path) or ".")
         self.offset += len(line.encode("utf-8"))
         return sealed
 
@@ -250,51 +283,91 @@ class SealedJournal:
         """Truncate the file: its owner is about to regenerate it."""
         open(self.path, "w", encoding="utf-8").close()
         self.offset = 0
+        self.torn = False
+
+    def replace(self, records: Iterable[dict]) -> None:
+        """Atomically make the file hold exactly ``records``, sealed:
+        how an owner creates the file whole or replaces it."""
+        self._replace(_sealed_line(record)[1] for record in records)
 
     def load(self, truncate_beyond: Optional[float] = None
              ) -> Tuple[List[dict], int]:
-        """Re-read from the start: ``(records kept, records dropped)``.
+        """Re-read from the start: ``(records kept, records dropped)``,
+        the records being those of the whole lines before the first
+        one not to trust (:func:`read_sealed_lines`).
 
-        Records whose ``watermark`` exceeds ``truncate_beyond`` describe
-        archive segments that crash recovery deleted.  When any are
-        dropped, or the file ends in a torn line — the next append would
-        be glued onto it — the file is atomically rewritten from the
-        kept lines; a clean journal is never rewritten.
+        A plain load only reads.  ``truncate_beyond`` is the owner's
+        recovery: records whose ``watermark`` exceeds it describe
+        archive segments that crash recovery deleted, and are dropped
+        by an atomic rewrite (a reader following the file sees it
+        replaced and loads again); a torn tail alone is cut off in
+        place (no reader consumed it).  A clean journal is never
+        written.
         """
-        entries: List[Tuple[str, dict]] = []
-        torn = False
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as handle:
-                entries, torn = read_sealed_lines(handle)
+        entries = self._read()
         kept = [(line, record) for line, record in entries
                 if truncate_beyond is None
                 or record.get("watermark") is None
                 or record["watermark"] <= truncate_beyond]
-        if torn or len(kept) < len(entries):
-            tmp = self.path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.writelines(line for line, _ in kept)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        self.offset = sum(len(line.encode("utf-8")) for line, _ in kept)
+        if len(kept) < len(entries):
+            self._replace(line for line, _ in kept)
+        elif self.torn and truncate_beyond is not None:
+            self._cut()
         return [record for _, record in kept], len(entries) - len(kept)
 
     def tail(self) -> Optional[List[dict]]:
         """Records appended since the last load / append / tail, or
-        None when the file shrank (recovery rewrote it) and the owner
-        must :meth:`load` again.  Never rewrites: a partial last line
-        is simply not consumed yet."""
+        None when the path no longer names the file read so far —
+        replaced (an owner's rewrite), shorter, or gone — and the
+        reader must :meth:`load` again.  Never writes: a partial last
+        line is simply not consumed yet."""
         try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return []
-        if size < self.offset:
+            stat = os.stat(self.path)
+        except FileNotFoundError:
+            return [] if self.inode is None else None
+        if stat.st_size < self.offset or (
+                self.inode is not None and stat.st_ino != self.inode):
             return None
-        if size == self.offset:
+        if stat.st_size == self.offset:
             return []
         with open(self.path, "r", encoding="utf-8") as handle:
+            if os.fstat(handle.fileno()).st_ino != stat.st_ino:
+                return None         # replaced since the stat
             handle.seek(self.offset)
             entries, _ = read_sealed_lines(handle)
+        self.inode = stat.st_ino
         self.offset += sum(len(line.encode("utf-8")) for line, _ in entries)
         return [record for _, record in entries]
+
+    def _read(self) -> List[Tuple[str, dict]]:
+        self.offset, self.inode, self.torn = 0, None, False
+        try:
+            handle = open(self.path, "r", encoding="utf-8")
+        except FileNotFoundError:
+            return []
+        with handle:
+            self.inode = os.fstat(handle.fileno()).st_ino
+            entries, self.torn = read_sealed_lines(handle)
+        self.offset = sum(len(line.encode("utf-8")) for line, _ in entries)
+        return entries
+
+    def _replace(self, lines: Iterable[str]) -> None:
+        tmp = self.path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+            handle.flush()
+            os.fsync(handle.fileno())
+            stat = os.fstat(handle.fileno())
+        os.replace(tmp, self.path)
+        if self.fsync:
+            fsync_path(os.path.dirname(self.path) or ".")
+        self.offset, self.inode, self.torn = stat.st_size, stat.st_ino, \
+            False
+
+    def _cut(self) -> None:
+        """Cut the torn bytes past :attr:`offset` off in place."""
+        with open(self.path, "r+b") as handle:
+            handle.truncate(self.offset)
+            if self.fsync:
+                os.fsync(handle.fileno())
+        self.torn = False

@@ -45,8 +45,8 @@ from itertools import accumulate, pairwise
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, \
     Union
 
-from ..bgp.archive import CHECKPOINT_NAME, ArchiveSegment, \
-    RollingArchiveWriter, read_manifest
+from ..bgp.archive import ArchiveSegment, Manifest, RollingArchiveWriter, \
+    read_manifest, segment_of
 from ..bgp.message import BGPUpdate
 from ..bgp.mrt import MRTError, RIBRecord, decode_at, iter_archive, \
     iter_decoded
@@ -271,10 +271,10 @@ class DirectoryCatalog:
     directory listing is parsed.  Compression is inferred from the
     segment file names unless given.
 
-    The parsed manifest is kept until the file changes: the writer
-    publishes every seal with ``os.replace``, which gives the path a
-    new inode and mtime, so one ``stat`` per call says whether the
-    last parse still stands.
+    The manifest is read once, then followed: the writer publishes a
+    segment by appending a line, so a call reads only the lines since
+    the last one and extends the same list; the file is read whole
+    again only when ``tail()`` says it was replaced (recovery).
     """
 
     def __init__(self, directory: str,
@@ -283,10 +283,11 @@ class DirectoryCatalog:
             raise FileNotFoundError(f"no archive directory: {directory}")
         self.directory = directory
         self._compressed = compressed
-        #: (stat stamp, parsed manifest) of the last successful parse.
-        self._parsed: Optional[Tuple[Tuple[int, int, int],
-                                     Tuple[List[ArchiveSegment], bool]]] \
-            = None
+        #: The manifest as last read and followed; None when absent or
+        #: unreadable (the next call reads it again).
+        self._manifest: Optional[Manifest] = None
+        # Handler threads and the scrubber share a catalog.
+        self._lock = threading.Lock()
 
     @property
     def compressed(self) -> bool:
@@ -297,34 +298,23 @@ class DirectoryCatalog:
             self._compressed = segments[0].path.endswith(".bz2")
         return self._compressed
 
-    def _manifest(self) -> Optional[Tuple[List[ArchiveSegment], bool]]:
-        """The checkpoint manifest, re-parsed only when the file's
-        ``(inode, size, mtime)`` moved; None when absent or unreadable
-        (the caller falls back to the listing)."""
-        try:
-            stat = os.stat(os.path.join(self.directory, CHECKPOINT_NAME))
-        except OSError:
-            return None
-        stamp = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
-        parsed = self._parsed   # one read: handler threads share us
-        if parsed is not None and parsed[0] == stamp:
-            return parsed[1]
-        try:
-            manifest = read_manifest(self.directory)
-        except (OSError, ValueError):
-            return None
-        # A file replaced between the stat and the read is stored
-        # under the older stamp, so the next call parses it again.
-        if manifest is not None:
-            self._parsed = (stamp, manifest)
-        return manifest
-
     def segments(self) -> List[ArchiveSegment]:
-        manifest = self._manifest()
-        if manifest is not None:
-            if self._compressed is None:
-                self._compressed = manifest[1]
-            return list(manifest[0])
+        with self._lock:
+            manifest = self._manifest
+            lines = manifest.journal.tail() if manifest is not None else None
+            if lines is not None:
+                manifest.segments.extend(segment_of(self.directory, line)
+                                         for line in lines)
+            else:
+                try:
+                    manifest = read_manifest(self.directory)
+                except (OSError, ValueError):
+                    manifest = None     # fall back to the listing
+                self._manifest = manifest
+            if manifest is not None:
+                if self._compressed is None:
+                    self._compressed = manifest.compress
+                return list(manifest.segments)
         found: List[ArchiveSegment] = []
         for name in sorted(os.listdir(self.directory)):
             match = _SEGMENT_RE.match(name)
@@ -557,11 +547,7 @@ class QueryEngine:
         if segments == known:
             return postings
         done = len(known)
-        if segments[:done] == known:
-            # Adopt the catalog's objects: a manifest re-parse makes
-            # equal new ones, and the next comparison is by identity.
-            known[:] = segments[:done]
-        else:
+        if segments[:done] != known:
             postings = self._postings = ArchivePostings(_pinned)
             done = 0
         for segment in segments[done:]:

@@ -409,11 +409,12 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
                                           trace=self._trace)
         # Byte for byte json.dumps({"watermark", "count", "updates"}):
         # the elements were rendered when their segment's view was
-        # built, so the response only joins slices of them.
+        # built; the head and tail are glued to the first and last.
         head = json.dumps({"watermark": watermark, "count": count})
-        self._send_body(b"".join((head[:-1].encode("utf-8"),
-                                  b', "updates": [', b", ".join(parts),
-                                  b"]}")))
+        parts = parts or [b""]
+        parts[0] = head[:-1].encode("utf-8") + b', "updates": [' + parts[0]
+        parts[-1] = b"".join((parts[-1], b"]}"))
+        self._send_body(b", ".join(parts))
 
     def _get_vps(self, params: Dict[str, str]) -> None:
         check_params(params, {"limit", "sort"})

@@ -188,13 +188,12 @@ class TestCheckpointRecovery:
                                     compress=False, checkpoint=True)
 
     def test_checkpoint_written_on_flush(self, tmp_path):
-        import json
+        from repro.bgp.archive import read_manifest
         writer = self.checkpointed(tmp_path)
         writer.write(upd(10.0))
         writer.write(upd(150.0))             # flushes slot 0
-        state = json.load(open(writer.checkpoint_path))
-        assert state["watermark"] == 100.0
-        assert len(state["segments"]) == 1
+        segments = read_manifest(str(tmp_path)).segments
+        assert [s.end for s in segments] == [100.0]
         assert writer.durable_watermark == 100.0
 
     def test_recover_deletes_torn_segment(self, tmp_path):
@@ -290,16 +289,17 @@ class TestManifestDigests:
         return writer
 
     def test_digests_recorded_and_match_the_files(self, tmp_path):
-        import json
+        from repro.bgp.archive import read_manifest
         from repro.guard.integrity import file_digests
 
         writer = self.three_durable_segments(tmp_path)
-        state = json.load(open(writer.checkpoint_path))
-        for entry, segment in zip(state["segments"], writer.segments):
+        manifest = read_manifest(str(tmp_path))
+        assert len(manifest.segments) == 3
+        for entry, segment in zip(manifest.segments, writer.segments):
             digests = file_digests(segment.path)
-            assert entry["size"] == digests.size == segment.size
-            assert entry["crc32"] == digests.crc32 == segment.crc32
-            assert entry["sha256"] == digests.sha256 == segment.sha256
+            assert entry.size == digests.size == segment.size
+            assert entry.crc32 == digests.crc32 == segment.crc32
+            assert entry.sha256 == digests.sha256 == segment.sha256
 
     def test_recover_catches_bitflip_in_middle_segment(self, tmp_path):
         """Silent rot in the MIDDLE of the manifest: the file length

@@ -1,11 +1,13 @@
 """What a seal writes and what it costs: pinned bytes, the manifest
 text, and a work count.
 
-A seal indexes the updates the writer has just encoded and renders
-each segment's ``CHECKPOINT.json`` entry once.  None of these tests is
-a timer.  The golden digests were captured from the commit before
-either (077b15a), when a seal re-read, decompressed and decoded the
-segment to index it and re-encoded the whole manifest.
+A seal indexes the updates the writer has just encoded and publishes
+the segment by appending one sealed line to ``CHECKPOINT.json``.  None
+of these tests is a timer.  The segment and index digests were
+captured from the commit before either (077b15a), when a seal re-read,
+decompressed and decoded the segment to index it and re-encoded the
+whole manifest; the manifest's digest is that of the journal, which
+replaced the single JSON document the writer used to rewrite.
 """
 
 import hashlib
@@ -20,17 +22,24 @@ import repro.bgp.mrt as mrt
 from repro.bgp.archive import RollingArchiveWriter
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
+from repro.guard.integrity import seal_record
 from repro.pipeline.faults import corrupt_bitflip
 from repro.query.index import build_index
 from repro.workload import SyntheticStreamGenerator, overshoot_config
 
 INTERVAL_S = 300.0
 
+#: SHA-256 of the single-document ``CHECKPOINT.json`` writers before
+#: the journal left for the same archive (commit 077b15a).
+GOLDEN_3600_DOCUMENT = \
+    "f326bcb11ba3db591c8245447e147ead827e27226c34af6af776bbede7e025f4"
+
 #: SHA-256 of every file a D=3600 sealed write leaves (bz2, index,
-#: checkpoint), parent commit 077b15a.
+#: checkpoint): segments and indexes as at commit 077b15a, the
+#: manifest as a journal.
 GOLDEN_3600 = {
     "CHECKPOINT.json":
-        "f326bcb11ba3db591c8245447e147ead827e27226c34af6af776bbede7e025f4",
+        "6292ae1ebfcca0c8f0677905e89db871db60f94ae2d1daa0b2e7b2ce40630e5d",
     "updates.000000000900-000000001200.mrt.bz2":
         "1e9b80d04d9af92b8c64d36af757c74927bcc321fa1d8a3d2f5f50c49ffd1b54",
     "updates.000000000900-000000001200.mrt.bz2.idx":
@@ -112,6 +121,10 @@ def test_golden_digests(tmp_path, hour_stream):
         with open(tmp_path / name, "rb") as handle:
             digests[name] = hashlib.sha256(handle.read()).hexdigest()
     assert digests == GOLDEN_3600
+    # The journal lists what the old document listed, and the
+    # old-format fixture renders that document byte for byte.
+    assert hashlib.sha256(expected_manifest(writer).encode()).hexdigest() \
+        == GOLDEN_3600_DOCUMENT
 
 
 def test_sealing_reads_nothing_back(tmp_path, hour_stream, monkeypatch):
@@ -144,9 +157,9 @@ def test_sealing_reads_nothing_back(tmp_path, hour_stream, monkeypatch):
 # -- the manifest text ---------------------------------------------------------
 
 def expected_manifest(writer):
-    """``CHECKPOINT.json`` as it was written before entries were
-    rendered at seal: ``json.dump(state, indent=1)`` of the whole
-    state."""
+    """``CHECKPOINT.json`` as writers before the journal left it:
+    ``json.dump(state, indent=1)`` of the whole state.  Old archives
+    still carry this document, so it is the old-format fixture."""
     return json.dumps({
         "interval_s": writer.interval_s,
         "compress": writer.compress,
@@ -160,9 +173,29 @@ def expected_manifest(writer):
     }, indent=1)
 
 
-def assert_manifest(writer):
+def sealed_line(record):
+    return json.dumps(seal_record(record), sort_keys=True) + "\n"
+
+
+def expected_journal(writer):
+    """``CHECKPOINT.json`` as a journal: a header line, then one sealed
+    line per published segment whose ``watermark`` is its end."""
+    return sealed_line({"interval_s": writer.interval_s,
+                        "compress": writer.compress}) + "".join(
+        sealed_line({"start": s.start, "count": s.count,
+                     "file": os.path.basename(s.path), "size": s.size,
+                     "crc32": s.crc32, "sha256": s.sha256,
+                     "watermark": s.end})
+        for s in writer.segments)
+
+
+def manifest_text(writer):
     with open(writer.checkpoint_path) as handle:
-        assert handle.read() == expected_manifest(writer)
+        return handle.read()
+
+
+def assert_manifest(writer):
+    assert manifest_text(writer) == expected_journal(writer)
 
 
 PREFIXES = (Prefix.parse("10.0.0.0/24"), Prefix.parse("2001:db8::/32"))
@@ -178,43 +211,59 @@ class TestManifestText:
     @pytest.mark.parametrize("interval_s", [100, 37.5])
     @pytest.mark.parametrize("compress", [True, False], ids=["bz2", "raw"])
     def test_after_every_seal(self, tmp_path, interval_s, compress):
+        """Each publish appends exactly its segment's line to the one
+        file the first publish created."""
         writer = sealed_writer(tmp_path, interval_s=interval_s,
                                compress=compress, index=False)
-        seals = 0
+        seals, text, inode = 0, "", None
         for update in stream(range(0, 600, 13)):
             if writer.write(update) is not None:
                 seals += 1
                 assert_manifest(writer)
+                now = manifest_text(writer)
+                if inode is None:
+                    inode = os.stat(writer.checkpoint_path).st_ino
+                else:
+                    assert now.startswith(text)
+                    assert now[len(text):].count("\n") == 1
+                assert os.stat(writer.checkpoint_path).st_ino == inode
+                text = now
         assert writer.close() is not None
         assert_manifest(writer)
+        assert os.stat(writer.checkpoint_path).st_ino == inode
         assert seals >= 5
 
     def test_empty_recover(self, tmp_path):
         writer = sealed_writer(tmp_path)
         writer.recover()
         assert_manifest(writer)
-        with open(writer.checkpoint_path) as handle:
-            assert '"segments": []' in handle.read()
+        assert manifest_text(writer).count("\n") == 1    # the header
 
     def test_recover_past_a_torn_last_segment(self, tmp_path):
         writer = sealed_writer(tmp_path, interval_s=100.0)
         writer.write_stream(stream(range(0, 350, 10)))   # 3 sealed
         torn = tmp_path / "updates.000000000300-000000000400.mrt.bz2"
         torn.write_bytes(b"torn")
+        inode = os.stat(writer.checkpoint_path).st_ino
         fresh = sealed_writer(tmp_path, interval_s=100.0)
         report = fresh.recover()
         assert report.torn_removed == (torn.name,)
         assert report.segments == 3
         assert_manifest(fresh)
+        # Every line still stands: the manifest is not rewritten.
+        assert os.stat(fresh.checkpoint_path).st_ino == inode
 
     def test_recover_past_a_corrupted_last_segment(self, tmp_path):
         writer = sealed_writer(tmp_path, interval_s=100.0)
         writer.write_stream(stream(range(0, 350, 10)))
         corrupt_bitflip(writer.segments[-1].path)
+        inode = os.stat(writer.checkpoint_path).st_ino
         fresh = sealed_writer(tmp_path, interval_s=100.0)
         report = fresh.recover()
         assert report.segments == 2 and report.watermark == 200.0
         assert_manifest(fresh)
+        # A dropped line is an atomic rewrite: a new file.
+        assert os.stat(fresh.checkpoint_path).st_ino != inode
 
     @pytest.mark.parametrize("damage", ["torn", "bitflip"])
     def test_resumed_epoch(self, tmp_path, damage):
@@ -251,12 +300,12 @@ class TestManifestText:
                 assert a.read() == b.read(), name
 
     def test_pre_checksum_manifest_is_rewritten_as_before(self, tmp_path):
-        """Entries recovered from a manifest without digests render
-        their ``null``s exactly as ``json.dump`` did."""
+        """An old single-document manifest whose entries carry no
+        digests converts to the journal with ``null`` digests, which
+        recover as they were."""
         writer = sealed_writer(tmp_path, interval_s=100.0, index=False)
         writer.write_stream(stream(range(0, 250, 10)))
-        with open(writer.checkpoint_path) as handle:
-            state = json.load(handle)
+        state = json.loads(expected_manifest(writer))
         for entry in state["segments"]:
             for key in ("size", "crc32", "sha256"):
                 del entry[key]

@@ -8,12 +8,11 @@ stream (and therefore its heartbeats) runs late, and partitions that
 own no VPs at all.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.bgp.archive import RollingArchiveWriter
+from repro.bgp.archive import RollingArchiveWriter, read_manifest
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
 from repro.cluster import (
@@ -125,10 +124,9 @@ class TestMergeDifferential:
             == archive_digest(tmp_path / "merged")
         # The checkpoint manifests carry the guard digests; equality
         # of the files implies equal sha256/crc32 fingerprints.
-        with open(tmp_path / "single" / "CHECKPOINT.json") as handle:
-            single_manifest = json.load(handle)
-        assert all(entry["sha256"] for entry in
-                   single_manifest["segments"])
+        single_manifest = read_manifest(str(tmp_path / "single"))
+        assert single_manifest.segments
+        assert all(segment.sha256 for segment in single_manifest.segments)
         exposition = registry.prometheus()
         assert "repro_cluster_merge_partitions" in exposition
 

@@ -72,9 +72,10 @@ class TestTornTail:
         assert len(reloaded) == 2
 
     def test_append_after_torn_tail_survives_reload(self, tmp_path):
-        """Loading drops the partial line from the file too, so the
-        next append is not glued onto it and lost with everything
-        after it at the following load."""
+        """Loading leaves the partial line in the file (it may be an
+        append in progress), and the next append cuts it off first, so
+        the record is not glued onto it and lost with everything after
+        it at the following load."""
         path = str(tmp_path / "events.jsonl")
         store = EventStore(path)
         store.apply(event("ev-000001"), watermark=300.0)
@@ -85,8 +86,10 @@ class TestTornTail:
             handle.write('{"op": "upsert", "waterm')   # torn mid-append
         reopened = EventStore(path)
         with open(path, "rb") as handle:
-            assert handle.read() == clean
+            assert handle.read() == clean + b'{"op": "upsert", "waterm'
         reopened.apply(event("ev-000003"), watermark=900.0)
+        with open(path, "rb") as handle:
+            assert handle.read().startswith(clean + b'{"crc"')
         assert len(EventStore(path)) == 3
         EventStore(path).apply(event("ev-000004"), watermark=1200.0)
         assert len(EventStore(path)) == 4

@@ -14,9 +14,10 @@ import os
 
 import pytest
 
-from repro.bgp.archive import RollingArchiveWriter
+from repro.bgp.archive import RollingArchiveWriter, read_manifest
 from repro.events import EventPipeline, EventStore, journal_path_for
 from repro.gill import GillConfig
+from repro.guard.integrity import seal_record
 from repro.pipeline import CollectionPipeline, InjectedCrash, \
     PipelineConfig
 from repro.workload import StreamConfig, SyntheticStreamGenerator, \
@@ -35,8 +36,9 @@ def stream():
 
 
 class CrashingArchive(RollingArchiveWriter):
-    """Raises right before (``journaled``) or right after
-    (``published``) publishing the ``at``-th early seal."""
+    """Raises right before (``journaled``), half-way through
+    (``torn-line``: half of the segment's manifest line is on disk) or
+    right after (``published``) publishing the ``at``-th early seal."""
 
     def __init__(self, directory, point=None, at=None):
         super().__init__(str(directory), interval_s=INTERVAL_S,
@@ -54,6 +56,17 @@ class CrashingArchive(RollingArchiveWriter):
         due = bool(self._held) and self.seals == self.at
         if due and self.point == "journaled":
             raise InjectedCrash(f"crash before publishing seal {self.at}")
+        if due and self.point == "torn-line":
+            segment = self._held[0]
+            line = json.dumps(seal_record({
+                "start": segment.start, "count": segment.count,
+                "file": os.path.basename(segment.path),
+                "size": segment.size, "crc32": segment.crc32,
+                "sha256": segment.sha256, "watermark": segment.end}),
+                sort_keys=True)
+            with open(self.checkpoint_path, "a") as handle:
+                handle.write(line[:len(line) // 2])
+            raise InjectedCrash(f"crash while publishing seal {self.at}")
         super().publish()
         if due and self.point == "published":
             raise InjectedCrash(f"crash after publishing seal {self.at}")
@@ -121,7 +134,7 @@ def resume(stream, directory):
 
 @pytest.mark.parametrize("at", [2, 5])
 @pytest.mark.parametrize("point", ["segment-file", "event-pass",
-                                   "journaled", "published"])
+                                   "journaled", "torn-line", "published"])
 def test_crash_resumes_byte_identical(stream, uninterrupted, tmp_path,
                                       point, at):
     """Crash with segment *k* sealed early, at:
@@ -132,11 +145,13 @@ def test_crash_resumes_byte_identical(stream, uninterrupted, tmp_path,
       synced with the worker;
     * ``journaled`` — the slot-*k* record is in ``gill.jsonl``, the
       manifest does not list segment *k*;
+    * ``torn-line`` — as ``journaled``, with half of segment *k*'s
+      manifest line written, which publishes nothing;
     * ``published`` — the manifest lists it (the record must already
       be durable: a segment whose record is lost would be re-journaled
       on resume with none of the slot's drops).
     """
-    if point in ("journaled", "published"):
+    if point in ("journaled", "torn-line", "published"):
         archive = CrashingArchive(tmp_path, point, at)
         listeners = {}
     else:
@@ -145,23 +160,24 @@ def test_crash_resumes_byte_identical(stream, uninterrupted, tmp_path,
         listeners = {key: crash_on_seal(at)}
     with pytest.raises(InjectedCrash):
         collect(stream, archive, **listeners)
-    manifest = json.loads(files(tmp_path)["CHECKPOINT.json"])
-    listed = {entry["file"] for entry in manifest["segments"]}
+    manifest = read_manifest(str(tmp_path))
+    listed = {os.path.basename(s.path) for s in manifest.segments}
+    watermark = manifest.segments[-1].end
     torn = [name for name in os.listdir(tmp_path)
             if name.endswith(".mrt") and name not in listed]
     records = [json.loads(line) for line in open(tmp_path / "gill.jsonl")]
     if point == "published":
         assert not torn and len(listed) == at
-        assert records[-1]["watermark"] == manifest["watermark"]
+        assert records[-1]["watermark"] == watermark
     else:
         # Segment k is on disk with its index, out of the manifest ...
         assert len(torn) == 1
         assert os.path.exists(tmp_path / (torn[0] + ".idx"))
         assert len(listed) == at - 1
         # ... and its record is journaled once the worker synced.
-        synced = point == "journaled"
-        assert records[-1]["watermark"] \
-            == manifest["watermark"] + synced * INTERVAL_S
+        synced = point in ("journaled", "torn-line")
+        assert records[-1]["watermark"] == watermark + synced * INTERVAL_S
+        assert manifest.journal.torn == (point == "torn-line")
     report = resume(stream, tmp_path)
     assert report.torn_removed == tuple(torn)
     assert files(tmp_path) == uninterrupted

@@ -1,11 +1,11 @@
 """Safety tests for the serve path's two memos.
 
 The engine keeps the view of a sealed segment (decoded, sorted and
-rendered once) and the parsed checkpoint manifest between requests.
-Neither may ever change an answer: every read still opens and
-verifies the segment file, a view is reused only for file bytes of
-the same size and CRC32, and the manifest is re-parsed whenever the
-file on disk moves.
+rendered once) and the checkpoint manifest it has read between
+requests.  Neither may ever change an answer: every read still opens
+and verifies the segment file, a view is reused only for file bytes of
+the same size and CRC32, and the manifest is followed line by line as
+the writer appends and read again whenever the file is replaced.
 """
 
 import bz2
@@ -25,6 +25,7 @@ from repro.bgp.archive import CHECKPOINT_NAME, RollingArchiveWriter
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
 from repro.guard import IntegrityGuard
+from repro.guard.integrity import seal_record
 from repro.pipeline.faults import corrupt_bitflip, corrupt_truncate
 from repro.query import DirectoryCatalog, QueryEngine, QuerySpec, \
     WatermarkLRUCache, update_to_json
@@ -334,9 +335,9 @@ class TestManifestMemo:
             writer.close()
             assert engine.query(EVERYTHING) == updates
             assert engine.watermark() == N_SEGMENTS * INTERVAL_S
-            # Every seal in between republished the manifest; the
-            # engine looked once, after the last of them.
-            assert len(parses) == 2
+            # Every seal in between appended its line; the engine read
+            # those lines and nothing else.
+            assert len(parses) == 1
 
     def test_deleted_manifest_falls_back_to_the_listing(self, tmp_path):
         updates = make_updates()
@@ -357,8 +358,14 @@ class TestManifestMemo:
         recorded = catalog.segments()
         path = tmp_path / CHECKPOINT_NAME
         good = path.read_text()
-        path.write_text(good[:len(good) // 2])       # torn JSON
+        path.write_text(good[:20])                  # torn header
         assert all(s.crc32 is None for s in catalog.segments())
+        path.write_text(good)
+        assert catalog.segments() == recorded
+        # A torn last line publishes nothing; the lines before it do.
+        lines = good.splitlines(keepends=True)
+        path.write_text("".join(lines[:3]) + lines[3][:40])
+        assert catalog.segments() == recorded[:2]
         path.write_text(good)
         assert catalog.segments() == recorded
 
@@ -367,12 +374,14 @@ class TestManifestMemo:
         catalog = DirectoryCatalog(str(tmp_path))
         before = catalog.segments()
         path = tmp_path / CHECKPOINT_NAME
-        state = json.loads(path.read_text())
-        assert state["segments"][0]["count"] == 12
-        state["segments"][0]["count"] = 21
+        lines = path.read_text().splitlines(keepends=True)
+        first = json.loads(lines[1])
+        assert first["count"] == 12
+        first["count"] = 21
+        lines[1] = json.dumps(seal_record(first), sort_keys=True) + "\n"
         replacement = tmp_path / "CHECKPOINT.json.tmp"
         with open(replacement, "w") as handle:
-            json.dump(state, handle, indent=1)
+            handle.writelines(lines)
         assert os.path.getsize(replacement) == os.path.getsize(path)
         os.replace(replacement, path)
         after = catalog.segments()

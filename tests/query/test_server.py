@@ -892,7 +892,14 @@ class TestRenderedBodies:
             (f"/updates?vp={sample.vp}&start=300&end=420",
              QuerySpec(vp=sample.vp, start=300.0, end=420.0)),
             ("/updates?start=5000", QuerySpec(start=5000.0)),
+            # No slice, one slice, and one per segment: the head and
+            # tail are glued to the first and last of them.
+            ("/updates?start=1e12", QuerySpec(start=1e12)),
+            ("/updates?limit=1", QuerySpec(limit=1)),
+            (f"/updates?prefix={sample.prefix}",
+             QuerySpec(prefix=sample.prefix)),
         ]
+        sizes = set()
         # One keep-alive connection: every request after the first
         # relies on the previous Content-Length being exact.
         conn = http.client.HTTPConnection(server.host, server.port,
@@ -902,6 +909,7 @@ class TestRenderedBodies:
                 want = [u for u in everything if spec.matches(u)]
                 if spec.limit is not None:
                     want = want[:spec.limit]
+                sizes.add(min(len(want), 2))
                 conn.request("GET", path)
                 reply = conn.getresponse()
                 body = reply.read()
@@ -914,6 +922,7 @@ class TestRenderedBodies:
                 }).encode(), path
         finally:
             conn.close()
+        assert sizes == {0, 1, 2}
 
     def test_scans_retain_no_decoded_updates(self, stream, tmp_path):
         """Answers are not kept as update objects: after 200 distinct
