@@ -540,7 +540,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                             gill=gill_journal,
                             guard=guard,
                             max_concurrent=args.max_concurrent,
-                            queue_limit=args.queue_limit,
                             request_timeout_s=args.request_timeout,
                             scrub_interval_s=scrub_interval)
     watermark = engine.watermark()
@@ -888,12 +887,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "the journal exists)")
     p.add_argument("--no-events", dest="events", action="store_false",
                    help="never attach the event store")
-    p.add_argument("--max-concurrent", type=int, default=8,
-                   help="requests admitted at once (of which one "
-                        "executes at a time); more queue briefly, "
-                        "then shed with a fast 503")
-    p.add_argument("--queue-limit", type=int, default=16,
-                   help="admission queue depth (0 sheds instantly)")
+    p.add_argument("--max-concurrent", type=int, default=24,
+                   help="requests in flight at once (one executes, "
+                        "the rest wait their turn); more are shed "
+                        "with a fast 503")
     p.add_argument("--request-timeout", type=float, default=30.0,
                    help="per-request deadline in seconds, polled "
                         "before each segment read and inside view "

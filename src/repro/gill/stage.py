@@ -106,19 +106,13 @@ class GillConfig:
 
     definition: RedundancyDefinition = RedundancyDefinition.PREFIX
     keep: Tuple[str, ...] = ()
-    slack_s: float = TIME_SLACK_S
     auto_anchors: bool = True
-    gamma: float = DEFAULT_GAMMA
     max_anchors: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.definition, RedundancyDefinition):
             self.definition = RedundancyDefinition(int(self.definition))
         self.keep = tuple(self.keep)
-        if self.slack_s <= 0:
-            raise ValueError("slack_s must be positive")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
         if self.max_anchors is not None and self.max_anchors < 1:
             raise ValueError("max_anchors must be at least 1")
 
@@ -300,16 +294,22 @@ class GillStage:
             self._flush_slot()
             self._slot = slot
 
-    def _admit(self, update: BGPUpdate) -> bool:
-        annotated = self._annotate(update)
+    def _window(self, update: BGPUpdate) -> Deque[AnnotatedUpdate]:
+        """``update``'s prefix's witness window, pruned to the kept
+        updates less than ``TIME_SLACK_S`` older than it."""
         window = self._windows[update.prefix]
         while window and update.time - window[0].update.time \
-                >= self.config.slack_s:
+                >= TIME_SLACK_S:
             window.popleft()
+        return window
+
+    def _admit(self, update: BGPUpdate) -> bool:
+        annotated = self._annotate(update)
+        window = self._window(update)
         if update.vp not in self._keep and update.vp not in self._anchors:
             # Updates arrive in nondecreasing time, so every entry of
             # the pruned window has this prefix and is less than
-            # ``slack_s`` older: all Condition 1 asks, and under
+            # ``TIME_SLACK_S`` older: all Condition 1 asks, and under
             # Definition 1 the window is the witness list.
             if self.config.definition is RedundancyDefinition.PREFIX:
                 witnesses = list(window)
@@ -317,7 +317,7 @@ class GillStage:
                 witnesses = [other for other in window
                              if is_redundant_with(annotated, other,
                                                   self.config.definition,
-                                                  self.config.slack_s)]
+                                                  TIME_SLACK_S)]
             if witnesses:
                 self._record_drop(annotated, witnesses)
                 return False
@@ -347,11 +347,7 @@ class GillStage:
         if rib is None:
             rib = self._ribs[update.vp] = RIB(update.vp)
         rib.apply(update)
-        window = self._windows[update.prefix]
-        while window and update.time - window[0].update.time \
-                >= self.config.slack_s:
-            window.popleft()
-        window.append(annotated)
+        self._window(update).append(annotated)
         self._correlation.add(update)
         self._scorer.feed(annotated)
         self._slot_kept += 1
@@ -423,7 +419,7 @@ class GillStage:
         volumes = self._scorer.volumes()
         if self.config.auto_anchors:
             selection = select_anchor_vps(
-                self.vps, scores, volumes, gamma=self.config.gamma,
+                self.vps, scores, volumes, gamma=DEFAULT_GAMMA,
                 max_anchors=self.config.max_anchors)
             self._anchors = set(selection.anchors)
         n = len(self.vps)

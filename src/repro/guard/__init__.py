@@ -15,8 +15,9 @@ is that trust layer:
 * **scrubbing** (:mod:`repro.guard.scrub`) — a rate-limited
   background sweep re-digesting cold segments, plus the
   ``repro-bgp scrub`` CLI;
-* **overload protection** (:mod:`repro.guard.serving`) — bounded
-  request concurrency with fast-503 shedding, per-request deadlines
+* **overload protection** (:mod:`repro.guard.serving`) — one gate
+  that bounds the requests in flight, sheds the rest with a fast 503
+  and runs the admitted ones one at a time, per-request deadlines
   propagated into decode loops, per-endpoint circuit breakers, and
   graceful drain.
 
@@ -38,19 +39,19 @@ from .integrity import (
 from .manager import IntegrityGuard, QUARANTINE_DIR, quarantine_dir_for
 from .scrub import ScrubReport, Scrubber, scrub_directory
 from .serving import (
-    AdmissionController,
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
+    ExecutionLock,
     Overloaded,
 )
 
 __all__ = [
-    "AdmissionController",
     "CRC_KEY",
     "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
+    "ExecutionLock",
     "FileDigests",
     "IntegrityError",
     "IntegrityGuard",

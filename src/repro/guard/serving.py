@@ -1,20 +1,19 @@
-"""Overload protection for the query API: admission, deadlines, breakers.
+"""Overload protection for the query API: one gate, deadlines, breakers.
 
 The serving stack stays a thread-per-connection stdlib server, so the
 protection has to live in front of the work, not in the I/O layer:
 
-* :class:`AdmissionController` bounds how many requests may execute
-  concurrently and how many may wait, and sheds the rest with a fast
-  503 (the caller translates :class:`Overloaded` into
-  ``Retry-After``).  It doubles as the graceful-drain latch: after
-  :meth:`drain` no new request is admitted and :meth:`wait_idle`
-  blocks until in-flight work finishes.
+* :class:`ExecutionLock` is the one gate in front of the engine: it
+  bounds how many requests may be in flight, sheds the rest with a
+  fast 503 (the caller translates :class:`Overloaded` into
+  ``Retry-After``), runs the admitted ones one at a time in arrival
+  order, and lets a long one hand its turn to those waiting behind it.
+  It doubles as the graceful-drain latch: after :meth:`~ExecutionLock.
+  drain` no new request is admitted and :meth:`~ExecutionLock.
+  wait_idle` blocks until in-flight work finishes.
 * :class:`Deadline` is a monotonic budget created per request and
   propagated into the engine's decode loops, so one slow scan cannot
-  occupy a worker slot forever.
-* :class:`ExecutionLock` runs the admitted requests one at a time, in
-  arrival order, and lets a long one hand its turn to the requests
-  waiting behind it.
+  hold the engine forever.
 * :class:`CircuitBreaker` opens an endpoint after repeated server-side
   failures (e.g. decode errors), sheds while open, and lets a single
   probe through after a cool-down.
@@ -72,20 +71,73 @@ class Deadline:
 
 
 class ExecutionLock:
-    """The API server's execution lock: admitted requests run under it
-    one at a time, and take it in the order they asked for it.
+    """The API server's one gate in front of the engine.
 
-    A waiter blocks on a lock of its own, and :meth:`release` hands
-    the execution lock straight to the oldest waiter; a plain
-    ``threading.Lock`` would let the releasing thread take it again
-    before a woken waiter runs, so a long request could not pass its
-    turn on (:meth:`waiting` tells it whether anyone would take it).
+    :meth:`admit` bounds the requests in flight at ``max_concurrent``:
+    the one holding the lock, those waiting for it, and ``/rib``
+    streams, which count but never take it.  It refuses the rest at
+    once and counts every shed in ``repro_guard_shed_total``.  The lock
+    goes to waiters in arrival order: each blocks on a lock of its own,
+    which :meth:`release` hands over directly, so a request passing its
+    turn (:meth:`waiting` says whether anyone would take it) cannot take
+    it straight back.  It queues again without the bound or drain
+    check, since it is still in flight.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_concurrent: int = 24, registry=None,
+                 breaker: Optional["CircuitBreaker"] = None):
+        if max_concurrent < 1:
+            raise ValueError("max_concurrent must be >= 1")
+        self.max_concurrent = max_concurrent
+        self.breaker = breaker
         self._mutex = threading.Lock()
+        self._idle = threading.Condition(self._mutex)
+        self._in_flight = 0
         self._held = False
         self._queue: Deque[threading.Lock] = deque()
+        self.draining = False
+        self._shed = None
+        if registry is not None:
+            self._shed = registry.counter(
+                "repro_guard_shed_total",
+                "Requests shed by overload protection, by reason.",
+                labels=("reason",))
+
+    def _refuse(self, counted: str, reason: Optional[str] = None,
+                retry_after_s: float = 1.0) -> Overloaded:
+        if self._shed is not None:
+            self._shed.labels(reason=counted).inc()
+        return Overloaded(reason or counted, retry_after_s)
+
+    @contextmanager
+    def admit(self, endpoint: str = "") -> Iterator[None]:
+        """Hold one of the ``max_concurrent`` places for the block.
+
+        Raises :class:`Overloaded` when draining, when ``breaker``
+        keeps ``endpoint``'s circuit open (``circuit_open``, counted
+        as ``breaker``) and at the bound (``queue_full``).  A
+        :class:`DeadlineExceeded` leaving the block becomes the
+        ``deadline`` shed.
+        """
+        with self._mutex:
+            if self.draining:
+                raise self._refuse("draining")
+            if self.breaker is not None \
+                    and not self.breaker.allow(endpoint):
+                raise self._refuse("breaker", "circuit_open",
+                                   self.breaker.retry_after(endpoint))
+            if self._in_flight >= self.max_concurrent:
+                raise self._refuse("queue_full")
+            self._in_flight += 1
+        try:
+            yield
+        except DeadlineExceeded:
+            raise self._refuse("deadline") from None
+        finally:
+            with self._mutex:
+                self._in_flight -= 1
+                if not self._in_flight:
+                    self._idle.notify_all()
 
     def acquire(self, timeout: float = math.inf) -> bool:
         """Take the lock, waiting at most ``timeout`` seconds."""
@@ -117,111 +169,17 @@ class ExecutionLock:
         """Whether some request waits for the lock."""
         return bool(self._queue)
 
-
-class AdmissionController:
-    """Bounded concurrency with a bounded, impatient admission queue.
-
-    At most ``max_concurrent`` requests execute at once.  When all
-    slots are busy, up to ``max_queue`` further requests wait — but
-    only for ``queue_timeout_s`` — and everything beyond that is shed
-    immediately.  ``max_queue=0`` disables queueing entirely: a
-    request either gets a slot now or is shed now, which keeps shed
-    latency at its floor.
-    """
-
-    def __init__(self,
-                 max_concurrent: int = 8,
-                 max_queue: int = 16,
-                 queue_timeout_s: float = 0.02,
-                 registry=None):
-        if max_concurrent < 1:
-            raise ValueError("max_concurrent must be >= 1")
-        if max_queue < 0:
-            raise ValueError("max_queue must be >= 0")
-        self.max_concurrent = max_concurrent
-        self.max_queue = max_queue
-        self.queue_timeout_s = queue_timeout_s
-        self._cond = threading.Condition()
-        self._active = 0
-        self._queued = 0
-        self._draining = False
-        self._shed = None
-        if registry is not None:
-            self._shed = registry.counter(
-                "repro_guard_shed_total",
-                "Requests shed by overload protection, by reason.",
-                labels=("reason",))
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
-    def active(self) -> int:
-        return self._active
-
-    def shed(self, reason: str) -> None:
-        """Count one shed request (also used by the server for breaker
-        and draining rejections that never reach ``admit``)."""
-        if self._shed is not None:
-            self._shed.labels(reason=reason).inc()
-
-    def _refuse(self, reason: str, retry_after_s: float = 1.0) -> "Overloaded":
-        self.shed(reason)
-        return Overloaded(reason, retry_after_s)
-
-    @contextmanager
-    def admit(self) -> Iterator[None]:
-        self._enter()
-        try:
-            yield
-        finally:
-            self._leave()
-
-    def _enter(self) -> None:
-        with self._cond:
-            if self._draining:
-                raise self._refuse("draining")
-            if self._active < self.max_concurrent:
-                self._active += 1
-                return
-            if self._queued >= self.max_queue:
-                raise self._refuse("queue_full")
-            self._queued += 1
-            deadline = time.monotonic() + self.queue_timeout_s
-            try:
-                while self._active >= self.max_concurrent:
-                    if self._draining:
-                        raise self._refuse("draining")
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise self._refuse("queue_timeout")
-                    self._cond.wait(remaining)
-            finally:
-                self._queued -= 1
-            self._active += 1
-
-    def _leave(self) -> None:
-        with self._cond:
-            self._active -= 1
-            self._cond.notify_all()
-
     def drain(self) -> None:
-        """Refuse all future admissions; wake queued waiters so they shed."""
-        with self._cond:
-            self._draining = True
-            self._cond.notify_all()
+        """Refuse every request not yet admitted."""
+        with self._mutex:
+            self.draining = True
 
     def wait_idle(self, timeout_s: float = 5.0) -> bool:
-        """Block until in-flight requests finish (True) or timeout (False)."""
-        end = time.monotonic() + timeout_s
-        with self._cond:
-            while self._active > 0:
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-            return True
+        """Block until no request is in flight (True) or the timeout
+        passes (False)."""
+        with self._idle:
+            return self._idle.wait_for(lambda: not self._in_flight,
+                                       timeout_s)
 
 
 class _BreakerState:
@@ -230,13 +188,15 @@ class _BreakerState:
     def __init__(self) -> None:
         self.failures = 0
         self.opened_at: Optional[float] = None
-        self.probing = False
+        #: The thread running the half-open probe, if one is out.
+        self.probing: Optional[int] = None
 
 
 class CircuitBreaker:
     """Per-endpoint breaker: closed → open after N straight failures,
     half-open (one probe) after ``reset_after_s``, closed again on a
-    probe success."""
+    probe success.  A probe that ends neither way (a client error, a
+    shed, a client abort) is handed back with :meth:`hand_back`."""
 
     def __init__(self,
                  failure_threshold: int = 5,
@@ -275,8 +235,9 @@ class CircuitBreaker:
             if state.opened_at is None:
                 return True
             if self._clock() - state.opened_at >= self.reset_after_s \
-                    and not state.probing:
-                state.probing = True      # half-open: let one probe through
+                    and state.probing is None:
+                # Half-open: let one probe through.
+                state.probing = threading.get_ident()
                 return True
             return False
 
@@ -286,22 +247,31 @@ class CircuitBreaker:
             state.failures = 0
             if state.opened_at is not None:
                 state.opened_at = None
-                state.probing = False
+                state.probing = None
                 self._note(key, open_=False)
 
     def record_failure(self, key: str) -> None:
         with self._lock:
             state = self._state(key)
             state.failures += 1
-            if state.probing:
+            if state.probing is not None:
                 # The half-open probe failed: re-open the cool-down.
                 state.opened_at = self._clock()
-                state.probing = False
+                state.probing = None
                 self._note(key, open_=True)
             elif state.opened_at is None \
                     and state.failures >= self.failure_threshold:
                 state.opened_at = self._clock()
                 self._note(key, open_=True)
+
+    def hand_back(self, key: str) -> None:
+        """End the calling thread's request: a half-open probe it still
+        holds, settled neither way, goes to the next request."""
+        with self._lock:
+            state = self._states.get(key)
+            if state is not None \
+                    and state.probing == threading.get_ident():
+                state.probing = None
 
     def retry_after(self, key: str) -> float:
         with self._lock:

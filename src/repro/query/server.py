@@ -41,32 +41,33 @@ Responses are JSON; errors map to ``{"error": ...}`` with 400
 the body carries an opaque request id, never the exception) or 503
 (overloaded / draining / circuit open, with ``Retry-After``).
 
-The server is overload-safe (:mod:`repro.guard.serving`): request
-concurrency is bounded by an admission gate with a short impatient
-queue, every admitted request carries a deadline that propagates into
-the engine's decode loops, repeated endpoint failures open a circuit
-breaker, and SIGTERM drains gracefully.  ``/healthz`` (liveness) and
+The server is overload-safe (:mod:`repro.guard.serving`): one gate
+bounds the requests in flight and sheds the rest at once, every
+admitted request carries a deadline that propagates into the engine's
+decode loops, repeated endpoint failures open a circuit breaker, and
+SIGTERM drains gracefully.  ``/healthz`` (liveness) and
 ``/readyz`` (readiness; degraded under quarantine, 503 while
 draining) bypass admission so probes work under overload.
 
 Execution: each connection has its handler thread, but admitted
-requests run one at a time under the server's execution lock —
-parameters, watermark, render, body and send.  CPython runs one thread
-at a time anyway, so concurrent handlers gain no parallelism here; they
-only hand the GIL to each other at each of a request's blocking system
-calls, which on a 2-core VM cost two keep-alive clients 1.2–1.8x the
-server CPU per point request of one.  Requests that are shed, probes,
-and 400s raised before admission never wait for the lock; the wait
-counts against the request's deadline; ``/rib`` streams outside it.
-The lock goes to waiters in arrival order, and between two segment
-reads a request that has held it for a GIL switch interval lets the
-waiting ones go first (:class:`~repro.guard.serving.ExecutionLock`),
-so a short request arriving behind a long scan of cold segments is not
-held up by all of it.  A response leaves in one ``sendmsg`` of the
-header block and the body.  Under the lock the send does not block:
-when the client's socket buffer is full, the lock is released first
-and the rest of the response then waits for the client, so a client
-that stops reading stalls only itself.
+requests run one at a time under the server's execution lock, the same
+gate — parameters, watermark, render, body and send.  CPython runs one
+thread at a time anyway, so concurrent handlers gain no parallelism
+here; they only hand the GIL to each other at each of a request's
+blocking system calls, which on a 2-core VM cost two keep-alive
+clients 1.2–1.8x the server CPU per point request of one.  Requests
+that are shed, probes, and 400s raised before admission never wait for
+the lock; the wait counts against the request's deadline; ``/rib``
+streams outside it.  The lock goes to waiters in arrival order, and
+between two segment reads a request that has held it for a GIL switch
+interval lets the waiting ones go first
+(:class:`~repro.guard.serving.ExecutionLock`), so a short request
+arriving behind a long scan of cold segments is not held up by all of
+it.  A response leaves in one ``sendmsg`` of the header block and the
+body.  Under the lock the send does not block: when the client's
+socket buffer is full, the lock is released first and the rest of the
+response then waits for the client, so a client that stops reading
+stalls only itself.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ from .. import __version__
 from ..events.store import EventStore
 from ..guard.manager import IntegrityGuard
 from ..guard.scrub import Scrubber
-from ..guard.serving import AdmissionController, CircuitBreaker, \
-    Deadline, DeadlineExceeded, ExecutionLock, Overloaded
+from ..guard.serving import CircuitBreaker, Deadline, DeadlineExceeded, \
+    ExecutionLock, Overloaded
 from ..telemetry import Tracer, set_build_info
 from ..telemetry.blackbox import recorder, set_process_role
 from .engine import QueryEngine
@@ -112,12 +113,11 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
     #: :class:`repro.gill.GillJournal`.
     gill: Optional[object] = None
     quiet: bool = True
-    #: Overload protection, bound by QueryAPIServer.
-    admission: AdmissionController
-    #: The server's execution lock: admitted requests run under it one
-    #: at a time (module docstring, "Execution").
+    #: The server's gate, bound by QueryAPIServer: admission, and the
+    #: lock admitted requests run under one at a time (module
+    #: docstring, "Execution").
     execution: ExecutionLock
-    breaker: Optional[CircuitBreaker] = None
+    breaker: CircuitBreaker
     guard: Optional[IntegrityGuard] = None
     #: Always-on request tracing, bound by QueryAPIServer; backs the
     #: X-Trace-Id / X-Request-Id response headers and /debug/traces.
@@ -321,20 +321,10 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
                 if route is None and not url.path.startswith("/events/"):
                     self._error(404, f"unknown endpoint {url.path}")
                     return
-                if self.admission.draining:
-                    self.admission.shed("draining")
-                    self._shed("draining")
-                    return
-                if self.breaker is not None \
-                        and not self.breaker.allow(endpoint):
-                    self.admission.shed("breaker")
-                    self._shed("circuit_open",
-                               self.breaker.retry_after(endpoint))
-                    return
                 self._deadline = Deadline(
                     math.inf if self.request_timeout_s is None
                     else self.request_timeout_s, self._yield_turn)
-                with self.admission.admit():
+                with self.execution.admit(endpoint):
                     if url.path == "/rib":
                         # A streamed snapshot waits on its client
                         # between chunks: it never takes the lock.
@@ -342,21 +332,20 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
                         route(params)
                     else:
                         self._execute(url, route, params)
-                if self.breaker is not None:
-                    self.breaker.record_success(endpoint)
+                self.breaker.record_success(endpoint)
             except Overloaded as exc:
                 self._shed(exc.reason, exc.retry_after_s)
-            except DeadlineExceeded:
-                self.admission.shed("deadline")
-                self._shed("deadline")
             except ValueError as exc:
                 self._error(400, str(exc))
         except (BrokenPipeError, ConnectionResetError):
             self._client_aborted()
         except Exception:  # noqa: BLE001 - sanitized 500
-            if self.breaker is not None:
-                self.breaker.record_failure(endpoint)
+            self.breaker.record_failure(endpoint)
             self._internal_error(endpoint, request_id)
+        finally:
+            # A client error, a shed or an abort is no verdict on the
+            # endpoint: a half-open probe ending so goes to the next.
+            self.breaker.hand_back(endpoint)
 
     def _execute(self, url, route, params: Dict[str, str]) -> None:
         """Run one admitted route under the execution lock; the wait
@@ -381,11 +370,10 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         """Readiness: 503 while draining; ``degraded`` (still 200 —
         intact segments are being served) under quarantine or an open
         circuit breaker."""
-        draining = self.admission.draining
+        draining = self.execution.draining
         quarantined = list(self.guard.quarantined) \
             if self.guard is not None else []
-        breakers_open = self.breaker.open_endpoints() \
-            if self.breaker is not None else []
+        breakers_open = self.breaker.open_endpoints()
         if draining:
             status = "draining"
         elif quarantined or breakers_open:
@@ -671,17 +659,16 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
 class QueryAPIServer:
     """Owns the HTTP server, its serving thread and its protections.
 
-    Overload knobs: at most ``max_concurrent`` requests are admitted
-    at once (of which one executes at a time, under the execution
-    lock), up to ``queue_limit`` more wait ``queue_timeout_s`` for a
-    slot, everything else is shed with a fast 503 + ``Retry-After``.
-    Each admitted request gets a ``request_timeout_s`` deadline that
-    bounds its wait for the lock and that the engine's decode loops
-    poll.  ``breaker_threshold`` straight 500s open an endpoint's
-    circuit for ``breaker_reset_s``.  With a
-    ``guard`` attached, ``/readyz`` and ``/status`` report quarantine
-    state, and ``scrub_interval_s`` starts a background scrubber next
-    to the serving thread.
+    Overload knobs: at most ``max_concurrent`` requests are in flight
+    (one executing under the execution lock, the rest waiting for it
+    in arrival order), everything else is shed with a fast 503 +
+    ``Retry-After``.  Each admitted request gets a
+    ``request_timeout_s`` deadline that bounds its wait for the lock
+    and that the engine's decode loops poll.  ``breaker_threshold``
+    straight 500s open an endpoint's circuit for ``breaker_reset_s``.
+    With a ``guard`` attached, ``/readyz`` and ``/status`` report
+    quarantine state, and ``scrub_interval_s`` starts a background
+    scrubber next to the serving thread.
     """
 
     def __init__(self, engine: QueryEngine, host: str = "127.0.0.1",
@@ -689,9 +676,7 @@ class QueryAPIServer:
                  events: Optional[EventStore] = None,
                  gill: Optional[object] = None,
                  guard: Optional[IntegrityGuard] = None,
-                 max_concurrent: int = 8,
-                 queue_limit: int = 16,
-                 queue_timeout_s: float = 0.02,
+                 max_concurrent: int = 24,
                  request_timeout_s: Optional[float] = 30.0,
                  breaker_threshold: int = 5,
                  breaker_reset_s: float = 5.0,
@@ -705,14 +690,12 @@ class QueryAPIServer:
         if box.proc.startswith("pid"):
             box = set_process_role("serve")
         box.bind_registry(registry)
-        self.admission = AdmissionController(
-            max_concurrent=max_concurrent, max_queue=queue_limit,
-            queue_timeout_s=queue_timeout_s, registry=registry)
-        self.execution = ExecutionLock()
         self.breaker = CircuitBreaker(
             failure_threshold=breaker_threshold,
             reset_after_s=breaker_reset_s, registry=registry,
             on_open=self._breaker_opened)
+        self.execution = ExecutionLock(max_concurrent, registry,
+                                       self.breaker)
         self.tracer = Tracer(1.0, registry=registry)
         aborts = registry.counter(
             "repro_query_client_aborts_total",
@@ -720,7 +703,6 @@ class QueryAPIServer:
         handler = type("BoundQueryAPIHandler", (_QueryAPIHandler,),
                        {"engine": engine, "quiet": quiet,
                         "events": events, "gill": gill,
-                        "admission": self.admission,
                         "execution": self.execution,
                         "breaker": self.breaker,
                         "guard": guard,
@@ -788,7 +770,7 @@ class QueryAPIServer:
 
     def drain(self) -> None:
         """Refuse new requests (503 draining); in-flight ones finish."""
-        self.admission.drain()
+        self.execution.drain()
 
     def request_shutdown(self) -> None:
         """Initiate graceful drain + shutdown from any thread and
@@ -814,7 +796,7 @@ class QueryAPIServer:
         self.drain()
         self.httpd.shutdown()
         self.httpd.server_close()
-        self.admission.wait_idle(timeout_s)
+        self.execution.wait_idle(timeout_s)
         if self._scrubber is not None:
             self._scrubber.stop()
         if self._thread is not None:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.bgp.message import BGPUpdate
 from repro.bgp.prefix import Prefix
-from repro.core.redundancy import RedundancyDefinition
+from repro.core.redundancy import TIME_SLACK_S, RedundancyDefinition
 from repro.gill import GillConfig, GillJournal, GillStage
 
 P1 = Prefix.from_index(1)
@@ -37,10 +37,10 @@ def test_duplicate_within_slack_is_dropped():
 
 
 def test_witness_expires_after_slack():
-    stage = GillStage(GillConfig(definition=1, slack_s=100.0,
-                                 auto_anchors=False),
+    stage = GillStage(GillConfig(definition=1, auto_anchors=False),
                       VPS, interval_s=300.0)
-    kept = _run(stage, [_upd("vp1", 10.0), _upd("vp2", 115.0)])
+    kept = _run(stage, [_upd("vp1", 10.0),
+                        _upd("vp2", 10.0 + TIME_SLACK_S + 5.0)])
     assert [u.vp for u in kept] == ["vp1", "vp2"]
 
 
@@ -128,10 +128,6 @@ def test_journal_load_truncates_beyond_watermark(tmp_path):
 def test_config_validation():
     assert GillConfig(definition=3).definition \
         is RedundancyDefinition.PREFIX_ASPATH_COMMUNITY
-    with pytest.raises(ValueError):
-        GillConfig(slack_s=0.0)
-    with pytest.raises(ValueError):
-        GillConfig(gamma=0.0)
     with pytest.raises(ValueError):
         GillConfig(max_anchors=0)
 

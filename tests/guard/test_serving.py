@@ -1,12 +1,12 @@
 """Unit tests for the overload-protection primitives (repro.guard.serving)."""
 
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.guard.serving import (
-    AdmissionController,
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
@@ -24,126 +24,6 @@ def shed_counts(registry):
                 for sample in family["samples"]
             }
     return {}
-
-
-class TestAdmissionController:
-    def test_admits_up_to_max_concurrent(self):
-        gate = AdmissionController(max_concurrent=2, max_queue=0)
-        with gate.admit():
-            with gate.admit():
-                assert gate.active == 2
-                with pytest.raises(Overloaded) as excinfo:
-                    with gate.admit():
-                        pass
-                assert excinfo.value.reason == "queue_full"
-        assert gate.active == 0
-
-    def test_slot_reusable_after_release(self):
-        gate = AdmissionController(max_concurrent=1, max_queue=0)
-        with gate.admit():
-            pass
-        with gate.admit():
-            assert gate.active == 1
-
-    def test_queued_request_gets_the_freed_slot(self):
-        gate = AdmissionController(max_concurrent=1, max_queue=1,
-                                   queue_timeout_s=2.0)
-        holding = threading.Event()
-        release = threading.Event()
-        outcome = []
-
-        def holder():
-            with gate.admit():
-                holding.set()
-                release.wait(5.0)
-
-        def waiter():
-            holding.wait(5.0)
-            try:
-                with gate.admit():
-                    outcome.append("admitted")
-            except Overloaded as exc:
-                outcome.append(exc.reason)
-
-        threads = [threading.Thread(target=holder),
-                   threading.Thread(target=waiter)]
-        for thread in threads:
-            thread.start()
-        holding.wait(5.0)
-        time.sleep(0.05)         # let the waiter enter the queue
-        release.set()
-        for thread in threads:
-            thread.join(5.0)
-        assert outcome == ["admitted"]
-
-    def test_impatient_queue_times_out(self):
-        gate = AdmissionController(max_concurrent=1, max_queue=1,
-                                   queue_timeout_s=0.05)
-        release = threading.Event()
-        started = threading.Event()
-
-        def holder():
-            with gate.admit():
-                started.set()
-                release.wait(5.0)
-
-        thread = threading.Thread(target=holder)
-        thread.start()
-        started.wait(5.0)
-        before = time.monotonic()
-        with pytest.raises(Overloaded) as excinfo:
-            with gate.admit():
-                pass
-        waited = time.monotonic() - before
-        release.set()
-        thread.join(5.0)
-        assert excinfo.value.reason == "queue_timeout"
-        assert waited < 1.0      # shed fast, not a full request timeout
-
-    def test_drain_refuses_and_wakes_waiters(self):
-        gate = AdmissionController(max_concurrent=1, max_queue=0)
-        gate.drain()
-        assert gate.draining
-        with pytest.raises(Overloaded) as excinfo:
-            with gate.admit():
-                pass
-        assert excinfo.value.reason == "draining"
-
-    def test_wait_idle(self):
-        gate = AdmissionController(max_concurrent=2, max_queue=0)
-        assert gate.wait_idle(timeout_s=0.1)
-        release = threading.Event()
-
-        def holder():
-            with gate.admit():
-                release.wait(5.0)
-
-        thread = threading.Thread(target=holder)
-        thread.start()
-        time.sleep(0.02)
-        assert not gate.wait_idle(timeout_s=0.05)
-        release.set()
-        assert gate.wait_idle(timeout_s=5.0)
-        thread.join(5.0)
-
-    def test_shed_reasons_counted(self):
-        registry = MetricsRegistry()
-        gate = AdmissionController(max_concurrent=1, max_queue=0,
-                                   registry=registry)
-        with gate.admit():
-            with pytest.raises(Overloaded):
-                with gate.admit():
-                    pass
-        gate.shed("breaker")
-        counts = shed_counts(registry)
-        assert counts["queue_full"] == 1
-        assert counts["breaker"] == 1
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionController(max_concurrent=0)
-        with pytest.raises(ValueError):
-            AdmissionController(max_queue=-1)
 
 
 class FakeClock:
@@ -215,6 +95,33 @@ class TestCircuitBreaker:
         clock.advance(5.0)
         assert breaker.allow("/updates")       # a fresh probe
 
+    def test_an_unsettled_probe_is_handed_back(self):
+        """A probe that ends neither in a success nor in a failure
+        (a 400, a shed, a client abort) lets the next request probe."""
+        breaker, clock = self.breaker(threshold=1, reset=5.0)
+        breaker.record_failure("/updates")
+        clock.advance(5.0)
+        assert breaker.allow("/updates")
+        breaker.hand_back("/updates")
+        assert breaker.open_endpoints() == ["/updates"]
+        assert breaker.allow("/updates")       # the next probe
+        breaker.record_success("/updates")
+        assert breaker.open_endpoints() == []
+
+    def test_only_the_probing_thread_hands_the_probe_back(self):
+        breaker, clock = self.breaker(threshold=1, reset=5.0)
+        breaker.record_failure("/updates")
+        clock.advance(5.0)
+        assert breaker.allow("/updates")
+        other = threading.Thread(target=breaker.hand_back,
+                                 args=("/updates",))
+        other.start()
+        other.join(5.0)
+        assert not breaker.allow("/updates")   # still out
+        breaker.hand_back("/updates")
+        breaker.hand_back("/vps")              # never seen: a no-op
+        assert breaker.allow("/updates")
+
     def test_retry_after_counts_down(self):
         breaker, clock = self.breaker(threshold=1, reset=5.0)
         assert breaker.retry_after("/updates") == 0.0
@@ -245,6 +152,77 @@ def wait_until(condition, timeout_s=5.0):
 
 
 class TestExecutionLock:
+    def test_admits_up_to_max_concurrent(self):
+        gate = ExecutionLock(max_concurrent=2)
+        with gate.admit():
+            with gate.admit():
+                started = time.monotonic()
+                with pytest.raises(Overloaded) as excinfo:
+                    with gate.admit():
+                        pass
+                # Refused at once: nothing waits for a place.
+                assert time.monotonic() - started < 0.5
+                assert excinfo.value.reason == "queue_full"
+        with gate.admit():
+            with gate.admit():
+                pass
+
+    def test_slot_reusable_after_release(self):
+        gate = ExecutionLock(max_concurrent=1)
+        with gate.admit():
+            pass
+        with gate.admit():
+            assert gate.acquire(timeout=0.0)
+            gate.release()
+
+    def test_waiters_count_toward_the_bound(self):
+        """The running request and the ones waiting for their turn
+        share the bound: one more than it is shed."""
+        gate = ExecutionLock(max_concurrent=2)
+
+        def waiter():
+            with gate.admit():
+                assert gate.acquire(timeout=5.0)
+                gate.release()
+
+        with gate.admit():
+            assert gate.acquire()
+            thread = threading.Thread(target=waiter, daemon=True)
+            thread.start()
+            wait_until(gate.waiting)
+            with pytest.raises(Overloaded) as excinfo:
+                with gate.admit():
+                    pass
+            assert excinfo.value.reason == "queue_full"
+            gate.release()
+            thread.join(5.0)
+
+    def test_streams_count_toward_the_bound_and_wait_idle(self):
+        """A ``/rib`` stream is admitted but never takes the lock: it
+        holds a place, and ``wait_idle`` waits for it."""
+        gate = ExecutionLock(max_concurrent=1)
+        streaming = threading.Event()
+        release = threading.Event()
+
+        def stream():
+            with gate.admit():
+                streaming.set()
+                release.wait(5.0)
+
+        thread = threading.Thread(target=stream, daemon=True)
+        thread.start()
+        assert streaming.wait(5.0)
+        assert gate.acquire(timeout=0.0)      # the lock is free ...
+        gate.release()
+        with pytest.raises(Overloaded) as excinfo:
+            with gate.admit():                # ... the place is not
+                pass
+        assert excinfo.value.reason == "queue_full"
+        assert not gate.wait_idle(timeout_s=0.05)
+        release.set()
+        assert gate.wait_idle(timeout_s=5.0)
+        thread.join(5.0)
+
     def test_waiters_take_the_lock_in_arrival_order(self):
         lock = ExecutionLock()
         assert lock.acquire()
@@ -296,3 +274,176 @@ class TestExecutionLock:
         # Free again: taken at once.
         assert lock.acquire(timeout=0.0)
         lock.release()
+
+    def test_a_deadline_ends_the_wait_and_frees_the_place(self):
+        """A waiter whose deadline runs out leaves the queue; the
+        DeadlineExceeded it raises inside ``admit`` is the counted
+        ``deadline`` shed, and its place is free again."""
+        registry = MetricsRegistry()
+        gate = ExecutionLock(max_concurrent=2, registry=registry)
+        assert gate.acquire()
+        deadline = Deadline(0.05)
+        with pytest.raises(Overloaded) as excinfo:
+            with gate.admit():
+                if not gate.acquire(max(0.0, deadline.remaining())):
+                    raise DeadlineExceeded("waiting for the lock")
+        assert excinfo.value.reason == "deadline"
+        assert not gate.waiting()
+        assert shed_counts(registry) == {"deadline": 1}
+        with gate.admit():
+            with gate.admit():
+                pass
+        gate.release()
+
+    def test_drain_refuses_new_but_lets_waiters_run(self):
+        gate = ExecutionLock(max_concurrent=4)
+        order = []
+
+        def waiter():
+            with gate.admit():
+                assert gate.acquire(timeout=5.0)
+                order.append("waiter")
+                gate.release()
+
+        with gate.admit():
+            assert gate.acquire()
+            thread = threading.Thread(target=waiter, daemon=True)
+            thread.start()
+            wait_until(gate.waiting)
+            gate.drain()
+            assert gate.draining
+            with pytest.raises(Overloaded) as excinfo:
+                with gate.admit():
+                    pass
+            assert excinfo.value.reason == "draining"
+            gate.release()
+            thread.join(5.0)
+        assert order == ["waiter"]
+        assert gate.wait_idle(timeout_s=0.1)
+
+    def test_a_passed_turn_queues_again_when_full_or_draining(self):
+        """Passing a turn is no new admission: with the gate full and
+        draining, the request still gets its turn back."""
+        gate = ExecutionLock(max_concurrent=2)
+        order = []
+
+        def waiter():
+            with gate.admit():
+                assert gate.acquire(timeout=5.0)
+                order.append("waiter")
+                gate.release()
+
+        with gate.admit():
+            assert gate.acquire()
+            thread = threading.Thread(target=waiter, daemon=True)
+            thread.start()
+            wait_until(gate.waiting)
+            gate.drain()
+            gate.release()                     # pass the turn ...
+            assert gate.acquire(timeout=5.0)   # ... and queue again
+            order.append("long")
+            gate.release()
+        thread.join(5.0)
+        assert order == ["waiter", "long"]
+
+    def test_wait_idle(self):
+        gate = ExecutionLock(max_concurrent=2)
+        assert gate.wait_idle(timeout_s=0.1)
+        release = threading.Event()
+
+        def holder():
+            with gate.admit():
+                release.wait(5.0)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        time.sleep(0.02)
+        assert not gate.wait_idle(timeout_s=0.05)
+        release.set()
+        assert gate.wait_idle(timeout_s=5.0)
+        thread.join(5.0)
+
+    def test_shed_reasons_counted(self):
+        registry = MetricsRegistry()
+        breaker = CircuitBreaker(failure_threshold=1)
+        gate = ExecutionLock(max_concurrent=1, registry=registry,
+                             breaker=breaker)
+        with gate.admit("/updates"):
+            with pytest.raises(Overloaded):
+                with gate.admit("/updates"):
+                    pass
+        breaker.record_failure("/updates")
+        with pytest.raises(Overloaded) as excinfo:
+            with gate.admit("/updates"):
+                pass
+        assert excinfo.value.reason == "circuit_open"
+        assert excinfo.value.retry_after_s > 0
+        gate.drain()
+        with pytest.raises(Overloaded):
+            with gate.admit("/vps"):
+                pass
+        assert shed_counts(registry) \
+            == {"queue_full": 1, "breaker": 1, "draining": 1}
+
+    def test_stress_the_bound_and_the_lock_hold(self):
+        """More threads than cores admit, take turns and pass them,
+        under a short switch interval: never more than the bound in
+        flight, never two holding the lock, every attempt either run
+        or counted as shed, and nothing left in flight."""
+        registry = MetricsRegistry()
+        gate = ExecutionLock(max_concurrent=3, registry=registry)
+        state = {"in_flight": 0, "holding": 0, "ran": 0}
+        guard = threading.Lock()
+        violations = []
+
+        def enter(key, limit):
+            with guard:
+                state[key] += 1
+                if state[key] > limit:
+                    violations.append((key, state[key]))
+
+        def leave(key):
+            with guard:
+                state[key] -= 1
+
+        def worker():
+            for _ in range(200):
+                try:
+                    with gate.admit():
+                        enter("in_flight", 3)
+                        assert gate.acquire(timeout=5.0)
+                        enter("holding", 1)
+                        time.sleep(0.0001)    # let the others pile up
+                        leave("holding")
+                        gate.release()        # pass the turn ...
+                        assert gate.acquire(timeout=5.0)
+                        enter("holding", 1)
+                        with guard:
+                            state["ran"] += 1
+                        leave("holding")
+                        gate.release()
+                        leave("in_flight")
+                except Overloaded:
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, daemon=True)
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not violations
+        assert state["ran"] + shed_counts(registry).get("queue_full", 0) \
+            == 8 * 200
+        assert gate.wait_idle(timeout_s=0.1)
+        assert not gate.waiting()
+
+    def test_invalid_parameters_rejected(self):
+        with pytest.raises(ValueError):
+            ExecutionLock(max_concurrent=0)

@@ -176,6 +176,40 @@ class TestOneAtATime:
             # Released at the end of the first read, not the last.
             assert waited < 0.2 * (segments - 1)
 
+    @pytest.mark.parametrize("edge", ["full", "draining"])
+    def test_a_passed_turn_is_no_new_admission(self, archive, edge):
+        """A long scan that passes its turn while the gate is full, or
+        after drain(), queues again and answers 200: passing a turn
+        checks neither the bound nor the drain latch."""
+        with QueryEngine(archive) as engine, \
+                QueryAPIServer(engine, max_concurrent=2) as api:
+            slow_reads(engine, 0.2)
+            finished = []
+
+            def request(path):
+                finished.append((path, *get(api, path)))
+
+            scan = threading.Thread(target=request, args=("/updates",))
+            scan.start()
+            time.sleep(0.05)           # inside the scan's first read
+            short = threading.Thread(target=request,
+                                     args=("/updates?start=1e9",))
+            short.start()
+            deadline = time.monotonic() + 5.0
+            while not api.execution.waiting():
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            if edge == "full":
+                status, body = get(api, "/status")
+                assert (status, body["reason"]) == (503, "queue_full")
+            else:
+                api.drain()
+            short.join(10.0)
+            scan.join(10.0)
+            assert [(path, status) for path, status, _ in finished] \
+                == [("/updates?start=1e9", 200), ("/updates", 200)]
+            assert finished[1][2]["count"] == len(STREAM)
+
     def test_deadline_expires_waiting_for_the_lock(self, archive):
         """A request that cannot get the lock within its deadline is
         the 503 ``deadline`` shed, counted as one."""

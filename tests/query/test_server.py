@@ -447,6 +447,68 @@ class TestSanitizedInternalErrors:
                 handler.engine = engine
         engine.close()
 
+    def open_then_cool_down(self, api, engine):
+        """Two 500s open /updates' breaker; wait out its cool-down."""
+        handler = api.httpd.RequestHandlerClass
+        handler.engine = self.BoomEngine(engine.registry)
+        try:
+            for _ in range(2):
+                assert get_json(api.url + "/updates")[0] == 500
+            status, body = get_json(api.url + "/updates")
+            assert (status, body["reason"]) == (503, "circuit_open")
+        finally:
+            handler.engine = engine
+        time.sleep(0.35)
+
+    @staticmethod
+    def wait_closed(api):
+        """The probe's success is recorded just after its response
+        leaves."""
+        deadline = time.monotonic() + 5.0
+        while api.breaker.open_endpoints():
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+
+    def test_a_probe_answered_400_does_not_wedge_the_breaker(
+            self, epoch_archive):
+        """The half-open probe is a malformed request: its 400 is no
+        verdict on the endpoint, so the next request probes again
+        instead of getting 503 circuit_open for good."""
+        archive, _, _ = epoch_archive
+        engine = QueryEngine(archive)
+        with QueryAPIServer(engine, breaker_threshold=2,
+                            breaker_reset_s=0.3) as api:
+            self.open_then_cool_down(api, engine)
+            status, _ = get_json(api.url + "/updates?start=abc")
+            assert status == 400
+            status, body = get_json(api.url + "/updates?limit=1")
+            assert status == 200, body
+            self.wait_closed(api)
+        engine.close()
+
+    def test_a_probe_shed_by_its_deadline_does_not_wedge_the_breaker(
+            self, epoch_archive):
+        archive, _, _ = epoch_archive
+        engine = QueryEngine(archive)
+        real_render = engine.render
+
+        def glacial_render(spec, deadline=None, trace=None):
+            time.sleep(0.6)
+            return real_render(spec, deadline=deadline, trace=trace)
+
+        with QueryAPIServer(engine, breaker_threshold=2,
+                            breaker_reset_s=0.3,
+                            request_timeout_s=0.5) as api:
+            self.open_then_cool_down(api, engine)
+            engine.render = glacial_render
+            status, body = get_json(api.url + "/updates")
+            assert (status, body["reason"]) == (503, "deadline")
+            engine.render = real_render
+            status, body = get_json(api.url + "/updates?limit=1")
+            assert status == 200, body
+            self.wait_closed(api)
+        engine.close()
+
 
 class TestClientAborts:
     def test_mid_response_hangup_is_counted_not_500ed(
@@ -507,8 +569,7 @@ class TestOverloadShedding:
             return real_render(spec, deadline=deadline)
 
         engine.render = slow_render
-        with QueryAPIServer(engine, max_concurrent=1,
-                            queue_limit=0) as api:
+        with QueryAPIServer(engine, max_concurrent=1) as api:
             outcome = []
 
             def occupant():
@@ -517,8 +578,8 @@ class TestOverloadShedding:
             thread = threading.Thread(target=occupant)
             thread.start()
             assert entered.wait(10.0)
-            # The only slot is taken and the queue is disabled: this
-            # request must be refused immediately, not queued.
+            # The only place is taken: this request must be refused
+            # immediately, not queued.
             request = urllib.request.Request(api.url + "/updates")
             try:
                 urllib.request.urlopen(request, timeout=10)
@@ -561,8 +622,7 @@ class TestOverloadShedding:
 
         engine.render = held_render
         n_clients, n_requests = 8, 5
-        with QueryAPIServer(engine, max_concurrent=1,
-                            queue_limit=0) as api:
+        with QueryAPIServer(engine, max_concurrent=1) as api:
             outcome = []
             occupant = threading.Thread(target=lambda: outcome.append(
                 get_json(api.url + "/updates?limit=1")))
