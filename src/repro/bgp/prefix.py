@@ -94,11 +94,12 @@ class Prefix:
             yield Prefix(self.family, self.network + i * step, new_length)
 
     def __str__(self) -> str:
+        network = self.network
         if self.family == 4:
-            addr = ipaddress.IPv4Address(self.network)
-        else:
-            addr = ipaddress.IPv6Address(self.network)
-        return f"{addr}/{self.length}"
+            # ipaddress.IPv4Address's dotted quad, without building one.
+            return (f"{network >> 24}.{network >> 16 & 255}."
+                    f"{network >> 8 & 255}.{network & 255}/{self.length}")
+        return f"{ipaddress.IPv6Address(network)}/{self.length}"
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"

@@ -54,8 +54,11 @@ class IntegrityGuard:
                  events=None):
         self.directory = directory
         self.events = events
+        #: Serialises quarantining (first caller wins).
         self._lock = threading.Lock()
-        self._quarantined: set = set()
+        #: Names of the condemned files.  Replaced, never mutated, so a
+        #: reader needs no lock.
+        self._quarantined: frozenset = frozenset()
         registry = registry if registry is not None else MetricsRegistry()
         self.registry = registry
         self._verifications = registry.counter(
@@ -75,21 +78,22 @@ class IntegrityGuard:
         # Remember what a previous process already condemned.
         qdir = quarantine_dir_for(directory)
         if os.path.isdir(qdir):
-            for name in os.listdir(qdir):
-                if not name.endswith(_INDEX_SUFFIX):
-                    self._quarantined.add(name)
+            self._quarantined = frozenset(
+                name for name in os.listdir(qdir)
+                if not name.endswith(_INDEX_SUFFIX))
         self._quarantined_gauge.set(float(len(self._quarantined)))
 
     # -- verification accounting ---------------------------------------------
 
-    def verification_ok(self) -> None:
-        # Once per verified segment read on the serve path: resolve
-        # the child once (racing threads resolve the same child).
+    def verification_ok(self, count: int = 1) -> None:
+        """Count ``count`` verified segment reads (the serve path
+        counts a request's reads at once)."""
+        # Resolve the child once (racing threads resolve the same one).
         child = self._verified_ok
         if child is None:
             child = self._verified_ok = \
                 self._verifications.labels(outcome="ok")
-        child.inc()
+        child.inc(count)
 
     def verification_failed(self) -> None:
         self._verifications.labels(outcome="mismatch").inc()
@@ -97,18 +101,18 @@ class IntegrityGuard:
     # -- quarantine ----------------------------------------------------------
 
     def is_quarantined(self, path: str) -> bool:
-        with self._lock:
-            return os.path.basename(path) in self._quarantined
+        # Asked before every segment read: no lock, and no basename
+        # while nothing is quarantined.
+        names = self._quarantined
+        return bool(names) and os.path.basename(path) in names
 
     @property
     def quarantined(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._quarantined))
+        return tuple(sorted(self._quarantined))
 
     @property
     def degraded(self) -> bool:
-        with self._lock:
-            return bool(self._quarantined)
+        return bool(self._quarantined)
 
     def quarantine(self, path: str, reason: str,
                    watermark: Optional[float] = None) -> bool:
@@ -119,7 +123,7 @@ class IntegrityGuard:
         with self._lock:
             if name in self._quarantined:
                 return False
-            self._quarantined.add(name)
+            self._quarantined = self._quarantined | {name}
             self.verification_failed()
             self._quarantines.labels(reason=reason).inc()
             self._quarantined_gauge.set(float(len(self._quarantined)))
@@ -191,8 +195,5 @@ class IntegrityGuard:
     # -- status --------------------------------------------------------------
 
     def status(self) -> dict:
-        with self._lock:
-            return {
-                "degraded": bool(self._quarantined),
-                "quarantined": sorted(self._quarantined),
-            }
+        names = self._quarantined
+        return {"degraded": bool(names), "quarantined": sorted(names)}

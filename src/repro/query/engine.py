@@ -247,6 +247,16 @@ class SegmentView:
                  prefixes[self.prefix.codes[p]]) for p in positions]
 
 
+class _Reads:
+    """One request's segment reads: view reuses, view builds, and
+    reads verified against the manifest under a guard."""
+
+    __slots__ = ("hits", "misses", "verified")
+
+    def __init__(self) -> None:
+        self.hits = self.misses = self.verified = 0
+
+
 class WriterCatalog:
     """Catalog over a live (or closed) RollingArchiveWriter."""
 
@@ -468,12 +478,14 @@ class QueryEngine:
                                   watermark=segment.end)
 
     def _read_view(self, segment: ArchiveSegment, render: bool,
-                   deadline: Optional[Deadline] = None,
+                   reads: "_Reads", deadline: Optional[Deadline] = None,
                    verify_sink: Optional[List[float]] = None
                    ) -> Optional[Tuple[SegmentView, bytes]]:
         """The segment's view (``rendered`` when ``render``) and the
         file bytes it was verified against, or None when the file is
-        gone (quarantined/deleted) or fails verification.
+        gone (quarantined/deleted) or fails verification.  The read is
+        tallied in ``reads``, which the caller counts into the metrics
+        once (:meth:`_count_reads`).
 
         Verification hashes the raw bytes that were just read anyway,
         so its cost is one CRC32 pass, and it runs on every read.  Only
@@ -497,29 +509,41 @@ class QueryEngine:
             return None
         crc32 = segment.crc32               # just checked equal, if any
         if crc32 is not None and self.guard is not None:
-            self.guard.verification_ok()
+            reads.verified += 1
         identity = (len(raw), crc32 or crc32_of(raw))
         view = self._views.get(segment.path, identity)
         if view is not None and render and view.rendered is None:
             view = None         # built for query(); render it this once
-        (self.stats.payload_cache_hits if view is not None
-         else self.stats.payload_cache_misses).inc()
-        if view is None:
-            try:
-                payload = self._payload(raw)
-            except (OSError, EOFError, ValueError):
-                self._quarantine(segment, "decompress")
-                return None
-            try:
-                view = SegmentView(payload, deadline, render)
-            except MRTError:
-                # Structurally corrupt despite matching digests (or a
-                # pre-checksum archive): condemn it, serve the rest.
-                self._quarantine(segment, "decode")
-                return None
-            self._views.put(segment.path, identity, view)
-            self.stats.payload_cache_bytes.set(self._views.weight)
+        if view is not None:
+            reads.hits += 1
+            return view, raw
+        reads.misses += 1
+        try:
+            payload = self._payload(raw)
+        except (OSError, EOFError, ValueError):
+            self._quarantine(segment, "decompress")
+            return None
+        try:
+            view = SegmentView(payload, deadline, render)
+        except MRTError:
+            # Structurally corrupt despite matching digests (or a
+            # pre-checksum archive): condemn it, serve the rest.
+            self._quarantine(segment, "decode")
+            return None
+        self._views.put(segment.path, identity, view)
+        self.stats.payload_cache_bytes.set(self._views.weight)
         return view, raw
+
+    def _count_reads(self, reads: "_Reads") -> None:
+        """Add one request's tallied reads to the payload-cache and
+        guard verification counters."""
+        stats = self.stats
+        if reads.hits:
+            stats.payload_cache_hits.inc(reads.hits)
+        if reads.misses:
+            stats.payload_cache_misses.inc(reads.misses)
+        if reads.verified:
+            self.guard.verification_ok(reads.verified)
 
     def _payload(self, raw: bytes) -> bytes:
         return bz2.decompress(raw) if self.catalog.compressed else raw
@@ -571,19 +595,23 @@ class QueryEngine:
         """Every planned segment's matches, merged and limited."""
         spec = plan.spec
         selected: List[_Selection] = []
-        for segment in plan.scan:
-            if deadline is not None:
-                if deadline.yield_turn is not None:
-                    deadline.yield_turn()
-                deadline.check("before segment read")
-            opened = self._read_view(segment, render, deadline,
-                                     verify_sink)
-            if opened is None:
-                continue
-            view, raw = opened
-            positions = view.select(spec)
-            if positions:
-                selected.append((view, raw, positions))
+        reads = _Reads()
+        try:
+            for segment in plan.scan:
+                if deadline is not None:
+                    if deadline.yield_turn is not None:
+                        deadline.yield_turn()
+                    deadline.check("before segment read")
+                opened = self._read_view(segment, render, reads, deadline,
+                                         verify_sink)
+                if opened is None:
+                    continue
+                view, raw = opened
+                positions = view.select(spec)
+                if positions:
+                    selected.append((view, raw, positions))
+        finally:
+            self._count_reads(reads)
         stats = self.stats
         for child, count in ((stats.segments_considered, plan.considered),
                              (stats.segments_pruned_time, plan.pruned_time),
@@ -608,12 +636,15 @@ class QueryEngine:
 
     def render(self, spec: QuerySpec,
                deadline: Optional[Deadline] = None,
-               trace=None) -> Tuple[int, List[memoryview]]:
-        """Answer one spec as ``(count, parts)``: the ``/updates``
-        elements of the matches, in ``(time, vp, prefix)`` order, as
-        slices to be joined by ``", "`` — byte for byte
+               trace=None
+               ) -> Tuple[Optional[float], int, List[memoryview]]:
+        """Answer one spec as ``(watermark, count, parts)``: the
+        ``/updates`` elements of the matches, in ``(time, vp, prefix)``
+        order, as slices to be joined by ``", "`` — byte for byte
         ``json.dumps([update_to_json(u) for u in self.query(spec)])``
-        inside the brackets.
+        inside the brackets — and the watermark of the one catalog
+        snapshot they were planned from, so under a live writer the
+        watermark never covers a segment the plan did not consider.
 
         A ``deadline`` is polled before each segment and inside view
         builds: when it expires, :class:`~repro.guard.serving.
@@ -625,7 +656,8 @@ class QueryEngine:
         prune and the segment reads + selection, plus guard
         verification as an aggregated overlay.
         """
-        plan = self.plan(spec)
+        segments = self.catalog.segments()
+        plan = self._plan(segments, spec)
         if trace is not None:
             trace.mark("index-prune")
         verify_sink: Optional[List[float]] = [] if trace is not None else None
@@ -642,7 +674,7 @@ class QueryEngine:
         self.stats.cache_misses.inc()
         if count:
             self.stats.records_returned.inc(count)
-        return count, parts
+        return self._token(segments)[0], count, parts
 
     def query(self, spec: QuerySpec,
               deadline: Optional[Deadline] = None) -> List[BGPUpdate]:
@@ -689,6 +721,7 @@ class QueryEngine:
         """Per-VP stored-update counts, aggregated from the indexes
         (no segment is read when its index is available)."""
         counts: Dict[str, int] = {}
+        reads = _Reads()
         for segment in self.catalog.segments():
             if self.guard is not None \
                     and self.guard.is_quarantined(segment.path):
@@ -700,12 +733,13 @@ class QueryEngine:
                 continue
             # Unindexable segment: count from its view (a corrupt one
             # is condemned there and contributes nothing).
-            opened = self._read_view(segment, False)
+            opened = self._read_view(segment, False, reads)
             if opened is None:
                 continue
             column = opened[0].vp
             for vp, code in column.table.items():
                 counts[vp] = counts.get(vp, 0) + column.count(code)
+        self._count_reads(reads)
         return counts
 
     # -- RIB dumps (the /rib endpoint) ---------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bgp.archive import ArchiveSegment
@@ -47,6 +48,13 @@ def float_param(params: "dict[str, str]", name: str,
         raise ValueError(f"{name} must be a "
                          f"{'finite ' if finite else ''}number")
     return value
+
+
+#: ``prefix`` parameters as parsed, by text.  Requests name the same
+#: prefixes again and again, and a parse goes through ``ipaddress``;
+#: the memo is bounded, and text that fails to parse is never kept, so
+#: it raises :class:`~repro.bgp.prefix.PrefixError` every time.
+prefix_param = lru_cache(maxsize=4096)(Prefix.parse)
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ class QuerySpec:
         check_params(params, {"prefix", "vp", "origin", "start", "end",
                               "limit"})
         return cls(
-            prefix=Prefix.parse(params["prefix"])
+            prefix=prefix_param(params["prefix"])
             if "prefix" in params else None,
             vp=params.get("vp"),
             origin=int(params["origin"]) if "origin" in params else None,

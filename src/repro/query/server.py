@@ -51,7 +51,8 @@ draining) bypass admission so probes work under overload.
 
 Execution: each connection has its handler thread, but admitted
 requests run one at a time under the server's execution lock, the same
-gate — parameters, watermark, render, body and send.  CPython runs one
+gate — parameters, render (whose catalog snapshot gives the
+watermark), body and send.  CPython runs one
 thread at a time anyway, so concurrent handlers gain no parallelism
 here; they only hand the GIL to each other at each of a request's
 blocking system calls, which on a 2-core VM cost two keep-alive
@@ -63,25 +64,31 @@ between two segment reads a request that has held it for a GIL switch
 interval lets the waiting ones go first
 (:class:`~repro.guard.serving.ExecutionLock`), so a short request
 arriving behind a long scan of cold segments is not held up by all of
-it.  A response leaves in one ``sendmsg`` of the header block and the
-body.  Under the lock the send does not block: when the client's
-socket buffer is full, the lock is released first and the rest of the
-response then waits for the client, so a client that stops reading
-stalls only itself.
+it.  The request head is parsed in one pass (:meth:`_QueryAPIHandler.
+parse_request`, with ``http.server``'s decisions) and a response's
+header block is formatted directly (``_head``); a response leaves in
+one ``sendmsg`` of the header block and the body.  Under the lock the
+send does not block: when the client's socket buffer is full, the lock
+is released first and the rest of the response then waits for the
+client, so a client that stops reading stalls only itself.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import math
+import re
 import socket
 import sys
 import threading
 import time
 import traceback
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from .. import __version__
@@ -100,6 +107,71 @@ _log = logging.getLogger("repro.query.server")
 
 def _parse_params(query: str) -> Dict[str, str]:
     return dict(parse_qsl(query, keep_blank_values=True))
+
+
+#: The lines of a decoded head as the ``email`` parser splits them:
+#: at ``\r\n``, a lone ``\r`` or a lone ``\n``, ends kept.
+_HEAD_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+#: A line the ``email`` parser takes as part of a header block: a
+#: field (a name of printable ASCII other than ``:``, then ``:``), a
+#: continuation, or an mbox ``From `` line.
+_FIELD_LINE = re.compile(r"From |[\041-\071\073-\176]*:|[\t ]")
+
+
+class HeadFields(dict):
+    """A request's header fields, keyed by lower-cased name, each the
+    value of its first occurrence; ``get`` folds the name's case, as
+    ``HTTPMessage.get`` does."""
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+def head_fields(lines: List[bytes]) -> HeadFields:
+    """The header fields of the lines ``http.client._read_headers``
+    read, as ``http.client.parse_headers`` would give them.
+
+    The ``email`` parser's rules, kept in one pass: the block ends at
+    the first line that is neither a field, a continuation nor a
+    ``From `` line (a blank line, or a name holding a space); a
+    continuation extends the field before it (line ends kept
+    inside, trailing ones stripped) and is dropped when no field is
+    open; ``From `` lines and lines with an empty name are skipped
+    and close the open field.
+    """
+    found: List[Tuple[str, List[str]]] = []
+    value: Optional[List[str]] = None       # the open field's lines
+    for line in _HEAD_LINE.findall(b"".join(lines).decode("iso-8859-1")):
+        if not _FIELD_LINE.match(line):
+            break
+        if line[0] in " \t":
+            if value is not None:
+                value.append(line)
+            continue
+        colon = line.find(":")
+        if colon <= 0 or line.startswith("From "):
+            value = None
+            continue
+        value = [line[colon + 1:].lstrip(" \t")]
+        found.append((line[:colon].lower(), value))
+    fields = HeadFields()
+    for name, parts in found:
+        fields.setdefault(name, "".join(parts).rstrip("\r\n"))
+    return fields
+
+
+#: The second ``_date`` was formatted for, and its ``Date`` value.
+_date: Tuple[int, str] = (-1, "")
+
+
+def _http_date() -> str:
+    """``Date`` as ``send_response`` formats it, formatted once a
+    second."""
+    global _date
+    second = int(time.time())
+    if second != _date[0]:
+        _date = (second, formatdate(second, usegmt=True))
+    return _date[1]
 
 
 class _QueryAPIHandler(BaseHTTPRequestHandler):
@@ -132,6 +204,9 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     #: Whether this request holds ``execution`` right now.
     _executing = False
+    #: The endpoint whose circuit breaker the response settles, while
+    #: an admitted route runs (see _settle).
+    _settles: Optional[str] = None
 
     # -- plumbing ------------------------------------------------------------
 
@@ -139,31 +214,136 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         if not self.quiet:
             super().log_message(fmt, *args)
 
-    def _send_trace_headers(self, status: int) -> None:
-        """X-Trace-Id / X-Request-Id on every response (satellite: a
-        client can always correlate an answer — or a shed — with the
-        server's logs and /debug/traces)."""
-        trace = getattr(self, "_trace", None)
-        if trace is not None:
-            self.send_header("X-Trace-Id", trace.trace_id)
-            self.send_header("X-Request-Id", trace.request_id)
-            self._last_status = status
+    # -- the request head ---------------------------------------------------
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and the header lines after it.
+
+        Every decision is ``BaseHTTPRequestHandler.parse_request``'s
+        for a server speaking HTTP/1.1 (``protocol_version``):
+        400 for a bad version or bad syntax, 505 from HTTP/2.0 on, 431
+        for a header line over ``http.client._MAXLINE`` or more than
+        ``_MAXHEADERS`` lines, HTTP/0.9, ``Connection``, ``Expect:
+        100-continue`` and ``//`` path folding.  The header lines are
+        read by ``http.client._read_headers`` and become a
+        :class:`HeadFields` in one pass (:func:`head_fields`), where
+        the stdlib parses them with ``email.feedparser`` into an
+        ``HTTPMessage``.
+        """
+        self.command = None
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                numbers = version[5:].split(".")
+                if len(numbers) != 2 or not all(
+                        n.isdigit() and len(n) <= 10 for n in numbers):
+                    raise ValueError
+                number = int(numbers[0]), int(numbers[1])
+            except ValueError:
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                "Bad request version (%r)" % version)
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                "Invalid HTTP version (%s)" % version[5:])
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            "Bad request syntax (%r)" % requestline)
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                "Bad HTTP/0.9 request type (%r)" % command)
+                return False
+        if path.startswith("//"):
+            # No open redirect through a scheme-less "//host" path.
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        try:
+            lines = http.client._read_headers(self.rfile)
+        except http.client.LineTooLong as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Line too long", str(err))
+            return False
+        except http.client.HTTPException as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Too many headers", str(err))
+            return False
+        self.headers = fields = head_fields(lines)
+        connection = fields.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        # A string comparison, as in http.server: "HTTP/1.10" passes,
+        # "HTTP/01.1" does not.
+        if fields.get("expect", "").lower() == "100-continue" \
+                and self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
+    # -- the response --------------------------------------------------------
+
+    def _head(self, status: int, fields: List[Tuple[str, object]]) -> bytes:
+        """A response's status line and header block, blank line
+        included: the bytes ``send_response``, ``send_header`` and
+        ``end_headers`` would have buffered — ``Server`` and ``Date``
+        first, then ``fields`` — and nothing for HTTP/0.9.  Sets
+        ``_last_status`` for the request's span."""
+        self._last_status = status
+        if not self.quiet:
+            self.log_request(status)
+        if self.request_version == "HTTP/0.9":
+            return b""
+        lines = "".join(f"{name}: {value}\r\n" for name, value in fields)
+        return (f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {_http_date()}\r\n{lines}\r\n").encode("latin-1")
+
+    def _trace_fields(self) -> List[Tuple[str, str]]:
+        """X-Trace-Id / X-Request-Id on every response: a client can
+        always correlate an answer — or a shed — with the server's
+        logs and /debug/traces."""
+        trace = self._trace
+        return [("X-Trace-Id", trace.trace_id),
+                ("X-Request-Id", trace.request_id)]
+
+    def _settle(self, status: int) -> None:
+        """As an admitted route's response is about to leave: a
+        non-5xx answer is the endpoint's success, recorded now so the
+        client's next request finds the circuit already settled."""
+        endpoint = self._settles
+        if endpoint is not None:
+            self._settles = None
+            if status < 500:
+                self.breaker.record_success(endpoint)
 
     def _send_body(self, body: bytes, status: int = 200,
                    headers: Optional[Dict[str, str]] = None,
                    content_type: str = "application/json") -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self._send_trace_headers(status)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        # end_headers() without its write: the header block leaves
-        # with the body.
-        if self.request_version != "HTTP/0.9":
-            self._headers_buffer.append(b"\r\n")
-        head = b"".join(getattr(self, "_headers_buffer", ()))
-        self._headers_buffer = []
+        fields: List[Tuple[str, object]] = [("Content-Type", content_type),
+                                            ("Content-Length", len(body))]
+        fields += self._trace_fields()
+        if headers:
+            fields += headers.items()
+        head = self._head(status, fields)
+        self._settle(status)
         self._write(head, body)
 
     def _write(self, head: bytes, body: bytes) -> None:
@@ -224,11 +404,12 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         Used by ``/rib`` so a snapshot is never materialized in
         memory: each chunk is encoded as it leaves the decoder.
         """
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Transfer-Encoding", "chunked")
-        self._send_trace_headers(200)
-        self.end_headers()
+        head = self._head(200, [("Content-Type", "application/json"),
+                                ("Transfer-Encoding", "chunked"),
+                                *self._trace_fields()])
+        self._settle(200)
+        if head:
+            self.wfile.write(head)
         for chunk in chunks:
             if chunk:
                 self.wfile.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
@@ -240,8 +421,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
     def _shed(self, reason: str, retry_after_s: float = 1.0) -> None:
         """Fast 503: the request was refused, not failed."""
         retry = max(1, int(math.ceil(retry_after_s)))
-        trace = getattr(self, "_trace", None)
-        request_id = trace.request_id if trace is not None else "-"
+        request_id = self._trace.request_id
         # Sheds are the responses an operator investigates most, so
         # the request id goes to the log as well as the body/headers.
         _log.log(logging.DEBUG if self.quiet else logging.WARNING,
@@ -283,6 +463,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         self._last_status = 0
         request_id = trace.request_id
         self._deadline: Optional[Deadline] = None
+        self._settles: Optional[str] = None
         try:
             self._route(url, endpoint, request_id)
         finally:
@@ -325,14 +506,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
                     math.inf if self.request_timeout_s is None
                     else self.request_timeout_s, self._yield_turn)
                 with self.execution.admit(endpoint):
-                    if url.path == "/rib":
-                        # A streamed snapshot waits on its client
-                        # between chunks: it never takes the lock.
-                        trace.mark("admission")
-                        route(params)
-                    else:
-                        self._execute(url, route, params)
-                self.breaker.record_success(endpoint)
+                    self._execute(url, route, params, endpoint)
             except Overloaded as exc:
                 self._shed(exc.reason, exc.retry_after_s)
             except ValueError as exc:
@@ -347,10 +521,17 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
             # endpoint: a half-open probe ending so goes to the next.
             self.breaker.hand_back(endpoint)
 
-    def _execute(self, url, route, params: Dict[str, str]) -> None:
+    def _execute(self, url, route, params: Dict[str, str],
+                 endpoint: str) -> None:
         """Run one admitted route under the execution lock; the wait
-        for it is part of the request's admission stage."""
-        self._acquire_execution()
+        for it is part of the request's admission stage.  ``/rib``
+        never takes the lock: its stream waits on the client between
+        chunks.  The route's response settles the endpoint's circuit
+        breaker (:meth:`_settle`); a route that raises settles nothing
+        here."""
+        if url.path != "/rib":
+            self._acquire_execution()
+        self._settles = endpoint
         try:
             self._trace.mark("admission")
             if route is None:
@@ -358,6 +539,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
             else:
                 route(params)
         finally:
+            self._settles = None
             self._release_execution()
 
     # -- endpoints -----------------------------------------------------------
@@ -390,11 +572,11 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
 
     def _get_updates(self, params: Dict[str, str]) -> None:
         spec = QuerySpec.from_params(params)
-        # Read before the query: under a live writer a watermark read
-        # afterwards could cover a segment the answer does not carry.
-        watermark = self.engine.watermark()
-        count, parts = self.engine.render(spec, deadline=self._deadline,
-                                          trace=self._trace)
+        # The watermark of the catalog snapshot the answer was planned
+        # from: under a live writer it never covers a segment the
+        # answer does not carry.
+        watermark, count, parts = self.engine.render(
+            spec, deadline=self._deadline, trace=self._trace)
         # Byte for byte json.dumps({"watermark", "count", "updates"}):
         # the elements were rendered when their segment's view was
         # built; the head and tail are glued to the first and last.

@@ -7,11 +7,15 @@ leaves in one ``sendmsg`` of the header block and the body.
 """
 
 import http.client
+import io
 import json
 import math
+import re
 import socket
 import threading
 import time
+from email.utils import formatdate
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
@@ -111,12 +115,12 @@ def slow_reads(engine, seconds):
 class TestOneAtATime:
     def test_admitted_routes_never_overlap(self, archive):
         """Four keep-alive clients, all admitted at once: no two of
-        the engine calls a request makes under the lock — watermark,
-        plan, segment reads — ever run together, and every answer is
-        right."""
+        the engine calls a request makes under the lock — the plan
+        (over the request's catalog snapshot), segment reads — ever run
+        together, and every answer is right."""
         with QueryEngine(archive) as engine, \
                 QueryAPIServer(engine, max_concurrent=8) as api:
-            calls = Exclusive(engine, ["watermark", "plan", "_read_view"],
+            calls = Exclusive(engine, ["_plan", "_read_view"],
                               pause_s=0.001)
             failures = []
 
@@ -142,8 +146,8 @@ class TestOneAtATime:
             for thread in threads:
                 thread.join(30.0)
             assert not failures
-            # Per request: the watermark, the plan and >= 1 read.
-            assert calls.calls >= 60 * 3
+            # Per request: the plan and one read per segment (5).
+            assert calls.calls >= 60 * 6
             assert calls.most_inside == 1
 
     def test_a_long_request_lets_a_short_one_through(self, archive):
@@ -269,7 +273,7 @@ class TestOneAtATime:
 
             def render(spec, deadline=None, trace=None):
                 if spec.vp == "stall":
-                    return 1, [memoryview(huge)]
+                    return None, 1, [memoryview(huge)]
                 return real_render(spec, deadline=deadline, trace=trace)
 
             engine.render = render
@@ -316,14 +320,15 @@ class CountingSocket(socket.socket):
         return sent
 
 
-def exchange(api, path):
+def exchange(api, path, method="GET", fields=""):
     """One request on a fresh connection: (the raw bytes received —
     status line, headers and body — and the server's send calls).
     The request asks the server to close the connection after the
-    response, so reading to EOF waits for its last send."""
+    response, so reading to EOF waits for its last send.  ``fields``
+    are more header lines, each ending in CRLF."""
     with socket.create_connection((api.host, api.port), timeout=10) as sock:
-        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: test\r\n"
-                     f"Connection: close\r\n\r\n".encode())
+        sock.sendall(f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+                     f"{fields}Connection: close\r\n\r\n".encode())
         received = b""
         while True:
             chunk = sock.recv(65536)
@@ -389,6 +394,68 @@ class TestOneWrite:
             assert "error" in body
         else:
             assert response.startswith(b"HTTP/1.1 200 ")
+
+    #: A clock reading well inside its second, and an inbound trace id.
+    CLOCK = 1_700_000_000.25
+    TRACE_ID = "00000000000000ab"
+
+    @staticmethod
+    def stdlib_head(status, fields):
+        """The header block ``send_response`` + ``send_header`` +
+        ``end_headers`` buffer for one response, as the server built
+        it before it formatted heads itself."""
+        handler = BaseHTTPRequestHandler.__new__(BaseHTTPRequestHandler)
+        handler.protocol_version = "HTTP/1.1"
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = ""
+        handler.log_message = lambda *args: None
+        handler.send_response(status)
+        for name, value in fields:
+            handler.send_header(name, value)
+        return b"".join(handler._headers_buffer) + b"\r\n"
+
+    @pytest.mark.parametrize("path, status", [
+        ("/updates?limit=2", 200), ("/updates?bogus=1", 400),
+        ("/nowhere", 404), ("/updates", 503)])
+    def test_head_bytes_are_the_stdlib_ones(self, api, monkeypatch, path,
+                                            status):
+        """With the clock and the trace id fixed, the head the server
+        formats is byte for byte the stdlib's, and its ``Date`` is
+        ``formatdate`` of that second."""
+        monkeypatch.setattr(time, "time", lambda: self.CLOCK)
+        if status == 503:
+            api.drain()
+        response, sends = exchange(api, path,
+                                   fields=f"X-Trace-Id: {self.TRACE_ID}\r\n")
+        assert sends == [response]
+        head, body = response.split(b"\r\n\r\n", 1)
+        received = dict(line.split(": ", 1) for line
+                        in head.decode("latin-1").split("\r\n")[1:])
+        request_id = received["X-Request-Id"]
+        assert re.fullmatch("[0-9a-f]{8}", request_id)
+        fields = [("Content-Type", "application/json"),
+                  ("Content-Length", str(len(body))),
+                  ("X-Trace-Id", self.TRACE_ID),
+                  ("X-Request-Id", request_id)]
+        if status == 503:
+            fields.append(("Retry-After", "1"))
+        assert head + b"\r\n\r\n" == self.stdlib_head(status, fields)
+        assert received["Date"] == formatdate(usegmt=True) \
+            == formatdate(int(self.CLOCK), usegmt=True)
+
+    def test_unsupported_method_is_the_stdlib_501(self, api, monkeypatch):
+        monkeypatch.setattr(time, "time", lambda: self.CLOCK)
+        response, _ = exchange(api, "/updates", method="BREW")
+        handler = BaseHTTPRequestHandler.__new__(BaseHTTPRequestHandler)
+        handler.protocol_version = "HTTP/1.1"
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = "BREW /updates HTTP/1.1"
+        handler.command = "BREW"
+        handler.log_message = lambda *args: None
+        handler.wfile = io.BytesIO()
+        handler.send_error(501, "Unsupported method ('BREW')")
+        assert response == handler.wfile.getvalue()
+        assert response.startswith(b"HTTP/1.1 501 ")
 
     def test_shed_leaves_in_one_call(self, api):
         api.drain()

@@ -1,4 +1,4 @@
-"""Safety tests for the serve path's two memos.
+"""Safety tests for the serve path's memos and per-request bookkeeping.
 
 The engine keeps the view of a sealed segment (decoded, sorted and
 rendered once) and the checkpoint manifest it has read between
@@ -6,9 +6,16 @@ requests.  Neither may ever change an answer: every read still opens
 and verifies the segment file, a view is reused only for file bytes of
 the same size and CRC32, and the manifest is followed line by line as
 the writer appends and read again whenever the file is replaced.
+
+A ``/updates`` request reads the manifest once and plans from that
+snapshot, whose watermark it answers with; ``prefix`` parameters are
+parsed through a bounded memo that never keeps a failure; and the
+segment reads are counted into the metrics once per request, to the
+same totals.
 """
 
 import bz2
+import http.client
 import json
 import math
 import os
@@ -23,12 +30,14 @@ from hypothesis import strategies as st
 import repro.query.engine as engine_module
 from repro.bgp.archive import CHECKPOINT_NAME, RollingArchiveWriter
 from repro.bgp.message import BGPUpdate
-from repro.bgp.prefix import Prefix
+from repro.bgp.prefix import Prefix, PrefixError
 from repro.guard import IntegrityGuard
-from repro.guard.integrity import seal_record
+from repro.guard.integrity import SealedJournal, seal_record
 from repro.pipeline.faults import corrupt_bitflip, corrupt_truncate
-from repro.query import DirectoryCatalog, QueryEngine, QuerySpec, \
-    WatermarkLRUCache, update_to_json
+from repro.query import DirectoryCatalog, QueryAPIServer, QueryEngine, \
+    QuerySpec, WatermarkLRUCache, update_to_json
+from repro.query.planner import prefix_param
+from repro.query.stats import QueryStats
 
 PREFIXES = [Prefix.parse(f"10.{i}.0.0/24") for i in range(5)]
 VPS = [f"vp{i}" for i in range(4)]
@@ -74,7 +83,7 @@ def slot_spec(index):
 
 def rendered(engine, spec):
     """What /updates carries for ``spec``: (count, joined elements)."""
-    count, parts = engine.render(spec)
+    _, count, parts = engine.render(spec)
     return count, b", ".join(parts)
 
 
@@ -442,3 +451,148 @@ class TestManifestMemo:
                             == fresh.catalog.segments()
                 assert engine.query(EVERYTHING) \
                     == writer.read_range(0.0, math.inf)
+
+
+def get_json(api, path):
+    """GET over a fresh connection: (status, decoded JSON body)."""
+    conn = http.client.HTTPConnection(api.host, api.port, timeout=10)
+    try:
+        conn.request("GET", path)
+        reply = conn.getresponse()
+        return reply.status, json.loads(reply.read())
+    finally:
+        conn.close()
+
+
+class TestOneSnapshotPerRequest:
+    """``/updates`` plans from one catalog snapshot and answers with
+    that snapshot's watermark."""
+
+    def test_one_manifest_tail_per_request(self, tmp_path, monkeypatch):
+        build_archive(tmp_path, make_updates())
+        tails = []
+        real = SealedJournal.tail
+
+        def counting(journal):
+            tails.append(journal.path)
+            return real(journal)
+
+        monkeypatch.setattr(SealedJournal, "tail", counting)
+        paths = ["/updates", f"/updates?prefix={PREFIXES[1]}",
+                 "/updates?start=150&end=420&limit=3",
+                 f"/updates?vp={VPS[2]}&origin={ORIGINS[0]}"]
+        with QueryEngine(str(tmp_path)) as engine, \
+                QueryAPIServer(engine) as api:
+            assert get_json(api, "/updates?limit=1")[0] == 200
+            tails.clear()
+            for turn in range(3):
+                for path in paths:
+                    status, body = get_json(api, path)
+                    assert status == 200, body
+                    assert body["watermark"] == N_SEGMENTS * INTERVAL_S
+            assert len(tails) == 3 * len(paths)
+
+    @pytest.mark.parametrize("spec", [EVERYTHING,
+                                      QuerySpec(prefix=PREFIXES[0]),
+                                      QuerySpec(start=150.0, end=380.0)])
+    def test_watermark_is_the_planned_snapshots(self, tmp_path, spec):
+        """A live writer seals a segment between the snapshot and the
+        segment reads: the answer carries neither that segment nor its
+        watermark."""
+        updates = make_updates()
+        writer = RollingArchiveWriter(str(tmp_path), interval_s=INTERVAL_S,
+                                      checkpoint=True, index=True)
+        engine = QueryEngine(writer)
+        planned = []
+        real_plan = engine._plan
+        slot = 0
+
+        def plan_then_seal(segments, plan_spec):
+            planned.append(segments)
+            plan = real_plan(segments, plan_spec)
+            writer.write_stream([u for u in updates
+                                 if slot_spec(slot).matches(u)])
+            writer.close()
+            return plan
+
+        writer.write_stream([u for u in updates
+                             if slot_spec(0).matches(u)])
+        writer.close()
+        engine._plan = plan_then_seal
+        for slot in range(1, N_SEGMENTS):
+            watermark, count, parts = engine.render(spec)
+            snapshot = planned[-1]
+            assert watermark == snapshot[-1].end == slot * INTERVAL_S
+            assert len(writer.segments) == len(snapshot) + 1
+            carried = [u for u in updates if u.time < watermark
+                       and spec.matches(u)]
+            assert (count, b", ".join(parts)) == expected(carried)
+        engine.close()
+
+
+class TestPrefixMemo:
+    def test_bounded(self):
+        maxsize = prefix_param.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16
+        for i in range(maxsize + 10):
+            prefix_param(f"10.{i >> 8 & 255}.{i & 255}.0/24")
+        assert prefix_param.cache_info().currsize == maxsize
+
+    def test_a_memoised_prefix_is_the_parsed_one(self):
+        for text in ("10.0.3.0/24", "2001:db8::/32", "0.0.0.0/0"):
+            assert prefix_param(text) == Prefix.parse(text)
+            assert prefix_param(text) is prefix_param(text)
+
+    @pytest.mark.parametrize("text", ["10.0.0.1/24", "10.0.0.0/33",
+                                      "not-a-prefix", ""])
+    def test_bad_prefix_is_400_on_every_repeat(self, tmp_path, text):
+        build_archive(tmp_path, make_updates())
+        with QueryEngine(str(tmp_path)) as engine, \
+                QueryAPIServer(engine) as api:
+            for _ in range(3):
+                with pytest.raises(PrefixError):
+                    prefix_param(text)
+                status, body = get_json(api, f"/updates?prefix={text}")
+                assert status == 400 and "error" in body
+
+
+class TestReadCounters:
+    """The serve path counts a request's segment reads once, by their
+    numbers: the totals stay those of one increment per read."""
+
+    def test_metrics_totals_over_a_fixed_sequence(self, tmp_path):
+        updates = make_updates()
+        build_archive(tmp_path, updates)
+        specs = [(f"/updates?prefix={PREFIXES[0]}",
+                  QuerySpec(prefix=PREFIXES[0])),
+                 ("/updates?start=150&end=420",
+                  QuerySpec(start=150.0, end=420.0)),
+                 ("/updates", EVERYTHING),
+                 (f"/updates?vp={VPS[3]}", QuerySpec(vp=VPS[3])),
+                 ("/updates?start=650", QuerySpec(start=650.0))] * 3
+        stats = QueryStats()
+        guard = IntegrityGuard(str(tmp_path), registry=stats.registry)
+        with QueryEngine(str(tmp_path), guard=guard, stats=stats) as engine, \
+                QueryAPIServer(engine, guard=guard) as api:
+            reads, seen = 0, set()
+            for path, spec in specs:
+                scan = [segment.path for segment in engine.plan(spec).scan]
+                reads += len(scan)
+                seen.update(scan)
+                status, body = get_json(api, path)
+                assert status == 200
+                want = [u for u in updates if spec.matches(u)]
+                assert body["count"] == len(want)
+            status, metrics = get_json(api, "/metrics?format=json")
+            assert status == 200
+        totals = {(family["name"],) + tuple(sample["labels"].values()):
+                  sample["value"]
+                  for family in metrics["families"]
+                  if family["name"] in ("repro_query_payload_cache_total",
+                                        "repro_guard_verifications_total")
+                  for sample in family["samples"]}
+        assert totals[("repro_query_payload_cache_total", "miss")] \
+            == len(seen) == N_SEGMENTS
+        assert totals[("repro_query_payload_cache_total", "hit")] \
+            == reads - len(seen)
+        assert totals[("repro_guard_verifications_total", "ok")] == reads

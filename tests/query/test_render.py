@@ -39,7 +39,8 @@ def naive(writer, spec):
 
 def assert_answers(engine, writer, spec):
     want = naive(writer, spec)
-    count, parts = engine.render(spec)
+    watermark, count, parts = engine.render(spec)
+    assert watermark == engine.watermark(), spec
     assert count == len(want), spec
     assert ("[" + b", ".join(parts).decode() + "]") \
         == json.dumps([update_to_json(u) for u in want]), spec
@@ -115,7 +116,7 @@ class TestRenderEqualsNaive:
         want = sorted(a + b, key=lambda u: (u.time, u.vp, u.prefix))
         with QueryEngine(str(tmp_path)) as engine:
             assert engine.query(QuerySpec()) == want
-            count, parts = engine.render(QuerySpec(limit=4))
+            _, count, parts = engine.render(QuerySpec(limit=4))
             assert count == 4
             assert b"[" + b", ".join(parts) + b"]" == json.dumps(
                 [update_to_json(u) for u in want[:4]]).encode()
@@ -147,7 +148,7 @@ class TestDeadline:
                 engine.render(QuerySpec(), deadline=deadline)
             assert deadline.polls[0] == "before segment read"
             assert engine.stats_snapshot().payload_cache_bytes == 0
-            count, _ = engine.render(QuerySpec())
+            _, count, _ = engine.render(QuerySpec())
             assert count == len(stream)
 
 

@@ -460,15 +460,6 @@ class TestSanitizedInternalErrors:
             handler.engine = engine
         time.sleep(0.35)
 
-    @staticmethod
-    def wait_closed(api):
-        """The probe's success is recorded just after its response
-        leaves."""
-        deadline = time.monotonic() + 5.0
-        while api.breaker.open_endpoints():
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-
     def test_a_probe_answered_400_does_not_wedge_the_breaker(
             self, epoch_archive):
         """The half-open probe is a malformed request: its 400 is no
@@ -483,7 +474,39 @@ class TestSanitizedInternalErrors:
             assert status == 400
             status, body = get_json(api.url + "/updates?limit=1")
             assert status == 200, body
-            self.wait_closed(api)
+            # The probe's success was recorded before its 200 left.
+            assert api.breaker.open_endpoints() == []
+        engine.close()
+
+    def test_the_request_right_after_the_probe_is_answered(
+            self, epoch_archive):
+        """The probe's 200 has left, but its handler is still finishing
+        up (here: held 0.3 s in releasing the execution lock).  The
+        breaker settled before the response was sent, so a request
+        sent as soon as that 200 is read gets through too."""
+        archive, _, _ = epoch_archive
+        engine = QueryEngine(archive)
+        with QueryAPIServer(engine, breaker_threshold=2,
+                            breaker_reset_s=0.3) as api:
+            self.open_then_cool_down(api, engine)
+            handler = api.httpd.RequestHandlerClass
+            real_release = handler._release_execution
+
+            def slow_release(self):
+                if self._executing:
+                    time.sleep(0.3)
+                real_release(self)
+
+            handler._release_execution = slow_release
+            try:
+                status, body = get_json(api.url + "/updates?limit=1")
+                assert status == 200, body
+                assert api.breaker.open_endpoints() == []
+                status, body = get_json(api.url + "/updates?limit=2")
+                assert status == 200, body
+                assert body["count"] == 2
+            finally:
+                handler._release_execution = real_release
         engine.close()
 
     def test_a_probe_shed_by_its_deadline_does_not_wedge_the_breaker(
@@ -506,7 +529,8 @@ class TestSanitizedInternalErrors:
             engine.render = real_render
             status, body = get_json(api.url + "/updates?limit=1")
             assert status == 200, body
-            self.wait_closed(api)
+            # The probe's success was recorded before its 200 left.
+            assert api.breaker.open_endpoints() == []
         engine.close()
 
 
