@@ -35,7 +35,7 @@ def path_links(as_path: Sequence[int]) -> Set[ASLink]:
     return links
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BGPUpdate:
     """One BGP update observed by a vantage point.
 
@@ -91,7 +91,7 @@ class BGPUpdate:
                 self.communities, self.is_withdrawal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedUpdate:
     """A :class:`BGPUpdate` enriched with its routing context.
 

@@ -17,7 +17,7 @@ from .message import AnnotatedUpdate, BGPUpdate, Community, path_links
 from .prefix import Prefix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
     """A route installed in a RIB: path + communities + install time."""
 

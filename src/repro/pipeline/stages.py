@@ -78,9 +78,11 @@ WRITER_BATCH = 256
 
 # -- queue payloads ----------------------------------------------------------
 # Made once per update, so not frozen: a frozen dataclass's __init__
-# costs five times a plain one's.  Nothing mutates them.
+# costs five times a plain one's.  Nothing mutates them.  Slotted, like
+# BGPUpdate: the writer's reorder runs hold about half a flood's
+# dispositions at once, and a per-instance __dict__ is 120 B each.
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One update in flight, stamped for latency accounting."""
 
@@ -93,7 +95,7 @@ class Envelope:
     trace: Optional[object] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Heartbeat:
     """A session's progress marker, sent through the session's shard
     and forwarded unchanged to the writer."""
@@ -102,7 +104,7 @@ class Heartbeat:
     time: float            # stream time; END_OF_STREAM when finished
 
 
-@dataclass
+@dataclass(slots=True)
 class Disposition:
     """A worker's verdict on one update, bound for the writer."""
 

@@ -228,12 +228,23 @@ def render_top(current: dict, previous: Optional[dict] = None,
         rs_count, rs_sum = cur.histogram("repro_gill_rescore_seconds")
         rescore = "—" if not rs_count \
             else format_latency(rs_sum / rs_count)
+        # The writer's wait at slot syncs for the scoring worker; its
+        # share of the interval's wall time says how much the worker
+        # bounds the collection.
+        sw_count, sw_sum = cur.histogram("repro_gill_sync_wait_seconds")
+        sync = "—" if not sw_count \
+            else format_latency(sw_sum / sw_count)
+        if sw_count and prev is not None and dt_s:
+            waited = sw_sum - prev.histogram(
+                "repro_gill_sync_wait_seconds")[1]
+            sync += f" ({waited / dt_s:.0%} of wall)"
         lines.append(
             f"gill: dropped {gill_dropped:.0f}/{gill_total:.0f} "
             f"({gill_dropped / gill_total:.1%}) "
             f"{rate_of(gill_dropped, 'repro_gill_decisions_total', decision='dropped'):>s}  "
             f"anchors {anchors:.0f}  groups {groups:.0f}  "
-            f"events {gill_events:.0f}  rescore mean {rescore}")
+            f"events {gill_events:.0f}  rescore mean {rescore}  "
+            f"sync wait mean {sync}")
 
     # Partition merge (only while one populated the merge gauges).
     merge_partitions = cur.value("repro_cluster_merge_partitions")

@@ -147,6 +147,10 @@ class Tracer:
             "repro_trace_stage_seconds",
             "Per-stage latency of sampled updates.",
             labels=("stage",), unit="seconds")
+        #: Each stage's bound histogram child, so a finished span pays
+        #: one dict lookup per stage instead of a family ``labels()``
+        #: call (a tuple, the family lock, a dict lookup).
+        self._stage_children: Dict[str, object] = {}
         self._sampled = self.registry.counter(
             "repro_trace_spans_total",
             "Spans sampled and finished.")
@@ -183,8 +187,12 @@ class Tracer:
         span.finished_at = time.time()
         self._sampled.inc()
         self._span_hist.record(total)
+        children = self._stage_children
         for stage, dt in span.stages:
-            self._stage_hist.labels(stage).record(dt)
+            child = children.get(stage)
+            if child is None:
+                child = children[stage] = self._stage_hist.labels(stage)
+            child.record(dt)
         recorder().ring.append(span)
 
     # -- inspection ----------------------------------------------------------

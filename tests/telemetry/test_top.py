@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 from repro.pipeline.metrics import SESSION_METRICS, PipelineMetrics
 from repro.telemetry import (
+    MetricsRegistry,
     TopDashboard,
     bind,
     normalize_metrics_url,
@@ -174,6 +175,27 @@ class TestGillPanel:
         assert "gill: dropped 1/2 (50.0%)" in frame
         assert "anchors 0" in frame
         assert "rescore mean" in frame
+        assert "sync wait mean" in frame
+
+    def test_gill_line_reads_sync_wait(self):
+        """The writer's mean slot-sync wait, and the share of the
+        interval's wall time it spent waiting."""
+        registry = MetricsRegistry()
+        decisions = registry.counter("repro_gill_decisions_total",
+                                     labels=("decision",))
+        decisions.labels("kept").inc(3)
+        sync_wait = registry.histogram("repro_gill_sync_wait_seconds",
+                                       unit="seconds")
+        sync_wait.record(0.2)
+        sync_wait.record(0.3)
+        before = registry.to_json()
+        assert "sync wait mean 250.0ms" in render_top(before)
+        assert "of wall" not in render_top(before)
+        sync_wait.record(0.5)
+        frame = render_top(registry.to_json(), before, dt_s=2.0)
+        gill = next(line for line in frame.splitlines()
+                    if line.startswith("gill:"))
+        assert "sync wait mean 333.3ms (25% of wall)" in gill
 
     def test_gill_line_absent_without_activity(self):
         metrics = busy_metrics()

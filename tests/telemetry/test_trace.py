@@ -71,6 +71,37 @@ class TestSpans:
         assert span_hist.count == 1
         assert span_hist.sum == pytest.approx(record.total_s)
 
+    def test_stage_children_bound_once(self, monkeypatch):
+        """A finished span resolves each stage's histogram child once
+        per tracer, and records exactly what a per-call lookup would."""
+        tracer = Tracer(1.0, registry=MetricsRegistry())
+        family = tracer._stage_hist
+        looked_up = []
+        lookup = family.labels
+
+        def counting_labels(*values):
+            looked_up.append(values)
+            return lookup(*values)
+
+        monkeypatch.setattr(family, "labels", counting_labels)
+        names = ("admission", "index-prune", "segment-select",
+                 "guard-verify", "respond")
+        oracle = MetricsRegistry().histogram(
+            "repro_trace_stage_seconds", labels=("stage",),
+            unit="seconds")
+        for i in range(200):
+            span = tracer.start_request("/updates")
+            # Spans differ in which stages they carry and how long.
+            for j, stage in enumerate(names[:1 + i % len(names)]):
+                dt = ((i * 7 + j * 13) % 50 + 1) * 1e-4
+                span.add_stage(stage, dt)
+                oracle.labels(stage).record(dt)
+            span.finish(200)
+        assert sorted(looked_up) == sorted((stage,) for stage in names)
+        for stage in names:
+            assert lookup(stage).snapshot() \
+                == oracle.labels(stage).snapshot()
+
     def test_abort_counts_but_records_nothing(self):
         tracer = Tracer(1.0, registry=MetricsRegistry())
         span = tracer.start("vp-1")
