@@ -582,8 +582,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     # SIGTERM (the orchestrator's stop signal) drains gracefully:
-    # new requests get a fast 503 while in-flight ones finish, then
-    # the serve loop exits and we fall through to cleanup.
+    # new requests get a fast 503 while the ones in flight finish and
+    # their responses leave (within --request-timeout), then the
+    # serve loop exits and we fall through to cleanup.
     signal.signal(signal.SIGTERM,
                   lambda signum, frame: server.request_shutdown())
     try:

@@ -28,7 +28,8 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Hashable, Iterator, List, \
+    Optional
 
 
 class Overloaded(Exception):
@@ -110,20 +111,22 @@ class ExecutionLock:
         return Overloaded(reason or counted, retry_after_s)
 
     @contextmanager
-    def admit(self, endpoint: str = "") -> Iterator[None]:
+    def admit(self, endpoint: str = "",
+              request: Optional[Hashable] = None) -> Iterator[None]:
         """Hold one of the ``max_concurrent`` places for the block.
 
         Raises :class:`Overloaded` when draining, when ``breaker``
-        keeps ``endpoint``'s circuit open (``circuit_open``, counted
-        as ``breaker``) and at the bound (``queue_full``).  A
-        :class:`DeadlineExceeded` leaving the block becomes the
-        ``deadline`` shed.
+        keeps ``endpoint``'s circuit open for ``request`` (its id, the
+        holder of a half-open probe it is let through as; a new token
+        when None) — ``circuit_open``, counted as ``breaker`` — and at
+        the bound (``queue_full``).  A :class:`DeadlineExceeded`
+        leaving the block becomes the ``deadline`` shed.
         """
         with self._mutex:
             if self.draining:
                 raise self._refuse("draining")
-            if self.breaker is not None \
-                    and not self.breaker.allow(endpoint):
+            if self.breaker is not None and not self.breaker.allow(
+                    endpoint, object() if request is None else request):
                 raise self._refuse("breaker", "circuit_open",
                                    self.breaker.retry_after(endpoint))
             if self._in_flight >= self.max_concurrent:
@@ -174,9 +177,9 @@ class ExecutionLock:
         with self._mutex:
             self.draining = True
 
-    def wait_idle(self, timeout_s: float = 5.0) -> bool:
+    def wait_idle(self, timeout_s: Optional[float] = 5.0) -> bool:
         """Block until no request is in flight (True) or the timeout
-        passes (False)."""
+        passes (False); ``None`` waits as long as it takes."""
         with self._idle:
             return self._idle.wait_for(lambda: not self._in_flight,
                                        timeout_s)
@@ -188,8 +191,8 @@ class _BreakerState:
     def __init__(self) -> None:
         self.failures = 0
         self.opened_at: Optional[float] = None
-        #: The thread running the half-open probe, if one is out.
-        self.probing: Optional[int] = None
+        #: The request running the half-open probe, if one is out.
+        self.probing: Optional[Hashable] = None
 
 
 class CircuitBreaker:
@@ -229,7 +232,9 @@ class CircuitBreaker:
             state = self._states[key] = _BreakerState()
         return state
 
-    def allow(self, key: str) -> bool:
+    def allow(self, key: str, request: Hashable) -> bool:
+        """Whether ``request`` may run on ``key``'s endpoint; while
+        half-open, the one request let through holds the probe."""
         with self._lock:
             state = self._state(key)
             if state.opened_at is None:
@@ -237,7 +242,7 @@ class CircuitBreaker:
             if self._clock() - state.opened_at >= self.reset_after_s \
                     and state.probing is None:
                 # Half-open: let one probe through.
-                state.probing = threading.get_ident()
+                state.probing = request
                 return True
             return False
 
@@ -264,13 +269,12 @@ class CircuitBreaker:
                 state.opened_at = self._clock()
                 self._note(key, open_=True)
 
-    def hand_back(self, key: str) -> None:
-        """End the calling thread's request: a half-open probe it still
-        holds, settled neither way, goes to the next request."""
+    def hand_back(self, key: str, request: Hashable) -> None:
+        """End ``request``: a half-open probe it still holds, settled
+        neither way, goes to the next request."""
         with self._lock:
             state = self._states.get(key)
-            if state is not None \
-                    and state.probing == threading.get_ident():
+            if state is not None and state.probing == request:
                 state.probing = None
 
     def retry_after(self, key: str) -> float:

@@ -505,7 +505,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
                 self._deadline = Deadline(
                     math.inf if self.request_timeout_s is None
                     else self.request_timeout_s, self._yield_turn)
-                with self.execution.admit(endpoint):
+                with self.execution.admit(endpoint, request_id):
                     self._execute(url, route, params, endpoint)
             except Overloaded as exc:
                 self._shed(exc.reason, exc.retry_after_s)
@@ -519,7 +519,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
         finally:
             # A client error, a shed or an abort is no verdict on the
             # endpoint: a half-open probe ending so goes to the next.
-            self.breaker.hand_back(endpoint)
+            self.breaker.hand_back(endpoint, request_id)
 
     def _execute(self, url, route, params: Dict[str, str],
                  endpoint: str) -> None:
@@ -892,6 +892,7 @@ class QueryAPIServer:
                         "request_timeout_s": request_timeout_s,
                         "aborts": aborts})
         self.engine = engine
+        self.request_timeout_s = request_timeout_s
         self.events = events
         self.gill = gill
         self.guard = guard
@@ -958,14 +959,22 @@ class QueryAPIServer:
         """Initiate graceful drain + shutdown from any thread and
         return immediately — safe to call from a SIGTERM handler.
 
-        ``httpd.shutdown()`` blocks until the serve loop exits, so
-        calling it directly from a signal handler running *on* the
-        serving thread would deadlock; it runs on a helper thread.
+        New requests get the 503 ``draining`` while every request in
+        flight finishes (for at most the request timeout); only then
+        does the serve loop stop, so :meth:`serve_forever` returns
+        after their responses have been sent.  ``httpd.shutdown()``
+        blocks until the serve loop exits, so calling it from a signal
+        handler running *on* the serving thread would deadlock: the
+        wait and the shutdown run on a helper thread.
         """
         self.drain()
-        threading.Thread(target=self.httpd.shutdown,
-                         name="query-api-shutdown",
-                         daemon=True).start()
+
+        def shut_down_when_idle() -> None:
+            self.execution.wait_idle(self.request_timeout_s)
+            self.httpd.shutdown()
+
+        threading.Thread(target=shut_down_when_idle,
+                         name="query-api-shutdown", daemon=True).start()
 
     def stop(self, timeout_s: float = 5.0) -> None:
         """Graceful stop: drain, close the listening socket, then join.

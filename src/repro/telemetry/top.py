@@ -198,7 +198,10 @@ def render_top(current: dict, previous: Optional[dict] = None,
     # Event intelligence (the BEAR-style detector pipeline).
     open_by_type = cur.by_label("repro_events_open", "type")
     ev_segments = cur.value("repro_events_segments_total")
-    if open_by_type or ev_segments:
+    # Raw detector output, next to the incidents it was correlated into.
+    detections = sum(float(s.get("value", 0.0)) for s in
+                     cur.samples("repro_events_detections_total"))
+    if open_by_type or ev_segments or detections:
         open_total = sum(s.get("value", 0.0)
                          for s in open_by_type.values())
         opened = sum(s.get("value", 0.0) for s in
@@ -214,6 +217,7 @@ def render_top(current: dict, previous: Optional[dict] = None,
         lines.append(
             f"events: {open_total:.0f} open ({detail})  "
             f"{opened:.0f} opened / {resolved:.0f} resolved "
+            f"from {detections:.0f} detections "
             f"over {ev_segments:.0f} segments")
 
     # Gill redundancy filter (only when the stage is in the loop).
@@ -259,6 +263,9 @@ def render_top(current: dict, previous: Optional[dict] = None,
     verified_ok = verifications.get("ok", {}).get("value", 0.0)
     mismatches = verifications.get("mismatch", {}).get("value", 0.0)
     quarantined_now = cur.value("repro_guard_quarantined_segments")
+    quarantines = cur.by_label("repro_guard_quarantined_total", "reason")
+    quarantined_total = sum(s.get("value", 0.0)
+                            for s in quarantines.values())
     shed = cur.by_label("repro_guard_shed_total", "reason")
     shed_total = sum(s.get("value", 0.0) for s in shed.values())
     breakers = [endpoint for endpoint, sample in
@@ -266,17 +273,24 @@ def render_top(current: dict, previous: Optional[dict] = None,
                              "endpoint").items()
                 if sample.get("value", 0.0)]
     aborts = cur.value("repro_query_client_aborts_total")
-    if verified_ok or mismatches or quarantined_now or shed_total \
-            or breakers or aborts:
+    if verified_ok or mismatches or quarantined_now or quarantined_total \
+            or shed_total or breakers or aborts:
         shed_detail = ", ".join(
             f"{reason} {sample.get('value', 0.0):.0f}"
             for reason, sample in sorted(shed.items())
             if sample.get("value", 0.0)) or "none"
         breaker_detail = " breakers OPEN: " + ",".join(sorted(breakers)) \
             if breakers else ""
+        # Segments quarantined so far, by what condemned them.
+        why = ", ".join(
+            f"{reason} {sample.get('value', 0.0):.0f}"
+            for reason, sample in sorted(quarantines.items())
+            if sample.get("value", 0.0))
+        if why:
+            why = f" ({why})"
         lines.append(
             f"guard: verified {verified_ok:.0f} ok / "
-            f"{mismatches:.0f} bad  quarantined {quarantined_now:.0f}  "
+            f"{mismatches:.0f} bad  quarantined {quarantined_now:.0f}{why}  "
             f"shed {shed_total:.0f} ({shed_detail})  "
             f"aborts {aborts:.0f}{breaker_detail}")
 

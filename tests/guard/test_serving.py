@@ -45,11 +45,11 @@ class TestCircuitBreaker:
 
     def test_closed_until_threshold(self):
         breaker, _ = self.breaker(threshold=3)
-        for _ in range(2):
+        for request in range(2):
             breaker.record_failure("/updates")
-            assert breaker.allow("/updates")
+            assert breaker.allow("/updates", request)
         breaker.record_failure("/updates")
-        assert not breaker.allow("/updates")
+        assert not breaker.allow("/updates", 2)
         assert breaker.open_endpoints() == ["/updates"]
 
     def test_success_resets_the_failure_streak(self):
@@ -59,41 +59,41 @@ class TestCircuitBreaker:
         breaker.record_success("/updates")
         breaker.record_failure("/updates")
         breaker.record_failure("/updates")
-        assert breaker.allow("/updates")   # streak broken, still closed
+        assert breaker.allow("/updates", 1)  # streak broken, still closed
 
     def test_breakers_are_per_endpoint(self):
         breaker, _ = self.breaker(threshold=1)
         breaker.record_failure("/updates")
-        assert not breaker.allow("/updates")
-        assert breaker.allow("/vps")
+        assert not breaker.allow("/updates", 1)
+        assert breaker.allow("/vps", 2)
 
     def test_half_open_single_probe(self):
         breaker, clock = self.breaker(threshold=1, reset=5.0)
         breaker.record_failure("/updates")
-        assert not breaker.allow("/updates")
+        assert not breaker.allow("/updates", 1)
         clock.advance(5.0)
-        assert breaker.allow("/updates")       # one probe gets through
-        assert not breaker.allow("/updates")   # concurrent calls don't
+        assert breaker.allow("/updates", 2)       # one probe gets through
+        assert not breaker.allow("/updates", 3)   # concurrent ones don't
 
     def test_probe_success_closes(self):
         breaker, clock = self.breaker(threshold=1, reset=5.0)
         breaker.record_failure("/updates")
         clock.advance(5.0)
-        assert breaker.allow("/updates")
+        assert breaker.allow("/updates", 1)
         breaker.record_success("/updates")
-        assert breaker.allow("/updates")
+        assert breaker.allow("/updates", 2)
         assert breaker.open_endpoints() == []
 
     def test_probe_failure_restarts_the_cooldown(self):
         breaker, clock = self.breaker(threshold=1, reset=5.0)
         breaker.record_failure("/updates")
         clock.advance(5.0)
-        assert breaker.allow("/updates")
+        assert breaker.allow("/updates", 1)
         breaker.record_failure("/updates")
-        assert not breaker.allow("/updates")
+        assert not breaker.allow("/updates", 2)
         assert breaker.retry_after("/updates") == pytest.approx(5.0)
         clock.advance(5.0)
-        assert breaker.allow("/updates")       # a fresh probe
+        assert breaker.allow("/updates", 3)       # a fresh probe
 
     def test_an_unsettled_probe_is_handed_back(self):
         """A probe that ends neither in a success nor in a failure
@@ -101,26 +101,38 @@ class TestCircuitBreaker:
         breaker, clock = self.breaker(threshold=1, reset=5.0)
         breaker.record_failure("/updates")
         clock.advance(5.0)
-        assert breaker.allow("/updates")
-        breaker.hand_back("/updates")
+        assert breaker.allow("/updates", 1)
+        breaker.hand_back("/updates", 1)
         assert breaker.open_endpoints() == ["/updates"]
-        assert breaker.allow("/updates")       # the next probe
+        assert breaker.allow("/updates", 2)       # the next probe
         breaker.record_success("/updates")
         assert breaker.open_endpoints() == []
 
-    def test_only_the_probing_thread_hands_the_probe_back(self):
+    def test_only_the_probing_request_hands_the_probe_back(self):
         breaker, clock = self.breaker(threshold=1, reset=5.0)
         breaker.record_failure("/updates")
         clock.advance(5.0)
-        assert breaker.allow("/updates")
-        other = threading.Thread(target=breaker.hand_back,
-                                 args=("/updates",))
-        other.start()
-        other.join(5.0)
-        assert not breaker.allow("/updates")   # still out
-        breaker.hand_back("/updates")
-        breaker.hand_back("/vps")              # never seen: a no-op
-        assert breaker.allow("/updates")
+        assert breaker.allow("/updates", "probe")
+        breaker.hand_back("/updates", "other")
+        assert not breaker.allow("/updates", "third")   # still out
+        breaker.hand_back("/updates", "probe")
+        breaker.hand_back("/vps", "probe")        # never seen: a no-op
+        assert breaker.allow("/updates", "third")
+
+    def test_a_request_refused_while_the_probe_is_out_keeps_it_out(self):
+        """The probe is a request's, not a thread's: a request refused
+        while another holds it — on the same thread here — ends as a
+        shed and leaves the probe with its holder, so no second probe
+        goes out."""
+        breaker, clock = self.breaker(threshold=1, reset=5.0)
+        breaker.record_failure("/updates")
+        clock.advance(5.0)
+        assert breaker.allow("/updates", "suspended scan")
+        assert not breaker.allow("/updates", "shed")
+        breaker.hand_back("/updates", "shed")
+        assert not breaker.allow("/updates", "third")
+        breaker.record_success("/updates")        # the scan answers
+        assert breaker.allow("/updates", "third")
 
     def test_retry_after_counts_down(self):
         breaker, clock = self.breaker(threshold=1, reset=5.0)

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -531,6 +532,82 @@ class TestSanitizedInternalErrors:
             assert status == 200, body
             # The probe's success was recorded before its 200 left.
             assert api.breaker.open_endpoints() == []
+        engine.close()
+
+    def test_a_probe_in_flight_is_the_only_one(self, epoch_archive):
+        """While the half-open probe — a scan — is still reading
+        segments, another /updates gets 503 circuit_open and hands
+        nothing back (the probe is its request's, not its thread's): a
+        third does not probe either, and the scan's answer closes the
+        circuit."""
+        archive, _, _ = epoch_archive
+        engine = QueryEngine(archive)
+        with QueryAPIServer(engine, breaker_threshold=2,
+                            breaker_reset_s=0.3) as api:
+            self.open_then_cool_down(api, engine)
+            real_read = engine._read_view
+
+            def slow_read(*args, **kwargs):
+                time.sleep(0.2)
+                return real_read(*args, **kwargs)
+
+            engine._read_view = slow_read
+            answers = []
+            scan = threading.Thread(target=lambda: answers.append(
+                get_json(api.url + "/updates")))
+            scan.start()
+            time.sleep(0.1)            # inside the scan's first read
+            for path in ("/updates?limit=1", "/updates?limit=2"):
+                status, body = get_json(api.url + path)
+                assert (status, body["reason"]) == (503, "circuit_open")
+            assert scan.is_alive()
+            scan.join(10.0)
+            engine._read_view = real_read
+            assert answers[0][0] == 200
+            assert api.breaker.open_endpoints() == []
+            assert get_json(api.url + "/updates?limit=1")[0] == 200
+        engine.close()
+
+
+class TestGracefulDrain:
+    def test_a_request_in_flight_finishes_before_serving_ends(
+            self, epoch_archive):
+        """``request_shutdown`` (what SIGTERM calls) drains: the
+        response in flight arrives complete, a request sent after it
+        gets 503 draining, and only then does ``serve_forever``
+        return."""
+        archive, _, _ = epoch_archive
+        engine = QueryEngine(archive)
+        entered = threading.Event()
+        release = threading.Event()
+        real_render = engine.render
+
+        def held_render(spec, deadline=None, trace=None):
+            entered.set()
+            release.wait(10.0)
+            return real_render(spec, deadline=deadline, trace=trace)
+
+        engine.render = held_render
+        api = QueryAPIServer(engine)
+        loop = threading.Thread(target=api.serve_forever)
+        loop.start()
+        answers = []
+        in_flight = threading.Thread(target=lambda: answers.append(
+            get_json(api.url + "/updates")))
+        in_flight.start()
+        assert entered.wait(10.0)
+        api.request_shutdown()
+        status, body = get_json(api.url + "/updates?limit=1")
+        assert (status, body["reason"]) == (503, "draining")
+        assert loop.is_alive()
+        release.set()
+        in_flight.join(10.0)
+        loop.join(10.0)
+        assert not loop.is_alive()
+        status, body = answers[0]
+        assert status == 200
+        assert body["count"] == len(archive.read_range(0.0, math.inf))
+        api.stop()
         engine.close()
 
 

@@ -201,3 +201,41 @@ class TestGillPanel:
         metrics = busy_metrics()
         frame = render_top(metrics.registry.to_json())
         assert "gill:" not in frame
+
+
+class TestEventsAndGuardLines:
+    def test_events_line_reads_raw_detections(self):
+        """The events line puts the detectors' raw output next to the
+        incidents it was correlated into."""
+        registry = MetricsRegistry()
+        detections = registry.counter("repro_events_detections_total",
+                                      labels=("detector", "type"))
+        detections.labels("moas", "moas").inc(30)
+        detections.labels("dfoh", "origin_hijack").inc(12)
+        registry.counter("repro_events_opened_total",
+                         labels=("type",)).labels("moas").inc(4)
+        registry.counter("repro_events_segments_total").inc(10)
+        frame = render_top(registry.to_json())
+        events = next(line for line in frame.splitlines()
+                      if line.startswith("events:"))
+        assert "4 opened / 0 resolved from 42 detections over 10 " \
+            "segments" in events
+
+    def test_guard_line_reads_quarantines_by_reason(self):
+        registry = MetricsRegistry()
+        quarantines = registry.counter("repro_guard_quarantined_total",
+                                       labels=("reason",))
+        quarantines.labels("crc32").inc(2)
+        quarantines.labels("missing").inc()
+        registry.gauge("repro_guard_quarantined_segments").set(2)
+        frame = render_top(registry.to_json())
+        guard = next(line for line in frame.splitlines()
+                     if line.startswith("guard:"))
+        assert "quarantined 2 (crc32 2, missing 1)" in guard
+        # Nothing quarantined yet: no breakdown.
+        registry = MetricsRegistry()
+        registry.counter("repro_guard_verifications_total",
+                         labels=("outcome",)).labels("ok").inc(5)
+        guard = next(line for line in render_top(
+            registry.to_json()).splitlines() if line.startswith("guard:"))
+        assert "quarantined 0  shed" in guard
