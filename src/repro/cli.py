@@ -230,13 +230,11 @@ def _write_metrics(registry, path: str) -> None:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     from .bgp.archive import RollingArchiveWriter
-    from .bgp.daemon import CPU_CAPACITY
     from .bgp.validation import RouteValidator
     from .pipeline import (
         CollectionPipeline,
         FaultPlan,
         PipelineConfig,
-        ServiceCostModel,
         SupervisorConfig,
         render_metrics,
     )
@@ -273,13 +271,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if gill_config is not None and archive is None:
         print("--gill requires --archive-dir", file=sys.stderr)
         return 2
-    if args.metrics_jsonl and args.metrics_interval is None:
-        print("--metrics-jsonl requires --metrics-interval",
-              file=sys.stderr)
-        return 2
-    cost_model = None
-    if args.model_cpu:
-        cost_model = ServiceCostModel(args.capacity or CPU_CAPACITY)
 
     streams = split_by_vp(updates)
     fault_plan = None
@@ -298,12 +289,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             ingest_queue_capacity=args.queue_capacity,
             overflow_policy=args.policy,
             time_scale=args.time_scale,
-            cost_model=cost_model,
             fault_plan=fault_plan,
             supervision=SupervisorConfig(seed=args.seed),
             trace_sample_rate=args.trace_sample,
-            metrics_interval_s=args.metrics_interval,
-            metrics_jsonl=args.metrics_jsonl,
             gill=gill_config,
         ),
         filters=filters,
@@ -350,11 +338,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print(render_slow_traces(
             pipeline.metrics.tracer.to_json(args.slow_traces)["traces"]),
             end="")
-    if args.metrics_jsonl:
-        points = len(pipeline.sampler.points()) if pipeline.sampler \
-            else 0
-        print(f"wrote {points} time-series points to "
-              f"{args.metrics_jsonl}")
     if args.metrics_out:
         _write_metrics(pipeline.metrics.registry, args.metrics_out)
     if not result.accounted:
@@ -786,10 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("drop", "block"), default="block")
     p.add_argument("--time-scale", type=float, default=None,
                    help="stream seconds per wall second (default: flood)")
-    p.add_argument("--model-cpu", action="store_true",
-                   help="charge Table-1 work units against a CPU budget")
-    p.add_argument("--capacity", type=float, default=None,
-                   help="modelled CPU capacity in work units/s")
     p.add_argument("--train-filters", action="store_true",
                    help="train GILL filters on the archive first")
     p.add_argument("--validate", action="store_true",
@@ -827,12 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", dest="metrics_out",
                    help="dump the Prometheus exposition to a file "
                         "('-' for stdout) after the run")
-    p.add_argument("--metrics-interval", type=float, default=None,
-                   help="sample the registry every N seconds while "
-                        "running (enables the time-series layer)")
-    p.add_argument("--metrics-jsonl",
-                   help="append each time-series sample to this JSONL "
-                        "file (requires --metrics-interval)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-compress", action="store_true")
     p.set_defaults(func=cmd_pipeline)

@@ -185,7 +185,7 @@ class EventPipeline:
         self._open_gauge = self.registry.gauge(
             "repro_events_open",
             "Currently unresolved events by primary type",
-            labels=["type"], track_high_water=True)
+            labels=["type"])
         self._segments_total = self.registry.counter(
             "repro_events_segments_total",
             "Sealed segments the event pipeline has consumed")

@@ -31,7 +31,6 @@ from .queues import BoundedQueue, QueueClosed, QueueEmpty, QueueFull
 from .runtime import CollectionPipeline, PipelineConfig, PipelineResult
 from .stages import (
     PeerSession,
-    ServiceCostModel,
     ShardWorker,
     WriterStage,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "QueueClosed",
     "QueueEmpty",
     "QueueFull",
-    "ServiceCostModel",
     "SessionFault",
     "SessionSnapshot",
     "ShardWorker",

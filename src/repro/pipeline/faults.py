@@ -247,9 +247,11 @@ class SupervisorConfig:
     times trips the flap circuit breaker and is quarantined (its
     remaining stream is abandoned, counted, and reported).  The shard
     watchdog abandons and replaces a worker whose in-flight update has
-    made no progress for ``stall_timeout_s``.  A session blocked in a
-    ``block``-policy put for longer than ``degrade_after_s`` degrades
-    to ``drop`` until space frees up.
+    made no progress for ``stall_timeout_s``.  With ``degrade_after_s``
+    set, a session blocked in a ``block``-policy put for longer than
+    that degrades to ``drop`` until space frees up.  The default (None)
+    never degrades: a ``block`` run waits out a slow writer and loses
+    nothing, so two runs of the same input archive the same updates.
     """
 
     backoff_initial_s: float = 0.05
@@ -259,7 +261,7 @@ class SupervisorConfig:
     quarantine_after: int = 5
     watchdog_interval_s: float = 0.05
     stall_timeout_s: float = 0.75
-    degrade_after_s: Optional[float] = 0.5
+    degrade_after_s: Optional[float] = None
     max_archive_recoveries: int = 3
     seed: int = 0
 

@@ -48,12 +48,11 @@ from ..bgp.validation import RouteValidator
 from ..core.forwarding import ForwardingService
 from .. import __version__
 from ..gill import GillConfig, GillStage
-from ..telemetry import TimeSeriesSampler, Tracer, set_build_info, \
-    set_process_role
+from ..telemetry import Tracer, set_build_info, set_process_role
 from .faults import FaultInjector, FaultPlan, SupervisorConfig
 from .metrics import PipelineMetrics, PipelineMetricsSnapshot
 from .queues import BoundedQueue, QueueClosed
-from .stages import PeerSession, ServiceCostModel, ShardWorker, WriterStage
+from .stages import PeerSession, ShardWorker, WriterStage
 
 
 #: Capacity of the one queue between the shard workers and the writer.
@@ -78,8 +77,6 @@ class PipelineConfig:
     #: Stream seconds replayed per wall-clock second (None = flood,
     #: i.e. as fast as the hardware allows).
     time_scale: Optional[float] = None
-    #: Optional CPU capacity model; makes saturation empirical.
-    cost_model: Optional[ServiceCostModel] = None
     #: Deterministic chaos schedule; None runs fault-free.
     fault_plan: Optional[FaultPlan] = None
     #: Restart/backoff/watchdog policy (always in force — real
@@ -88,10 +85,6 @@ class PipelineConfig:
     #: Fraction of updates carrying a telemetry trace span (0 = off;
     #: deterministic stride sampling, see repro.telemetry.trace).
     trace_sample_rate: float = 0.0
-    #: Period of the metrics time-series sampler (None = no sampler).
-    metrics_interval_s: Optional[float] = None
-    #: JSONL file the sampler appends each time point to.
-    metrics_jsonl: Optional[str] = None
     #: Online redundancy filtering in front of the archive writer
     #: (None = write everything; requires an archive when set).
     gill: Optional[GillConfig] = None
@@ -105,9 +98,6 @@ class PipelineConfig:
             raise ValueError("time_scale must be positive")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError("trace_sample_rate must be in [0, 1]")
-        if self.metrics_interval_s is not None \
-                and self.metrics_interval_s <= 0:
-            raise ValueError("metrics_interval_s must be positive")
         if self.gill is not None and not isinstance(self.gill, GillConfig):
             raise ValueError("gill must be a GillConfig (or None)")
 
@@ -163,12 +153,6 @@ class CollectionPipeline:
         #: coordinator role; finished spans land in its ring.
         self.flight = set_process_role("coordinator")
         self.flight.bind_registry(self.metrics.registry)
-        self.sampler: Optional[TimeSeriesSampler] = None
-        if self.config.metrics_interval_s is not None:
-            self.sampler = TimeSeriesSampler(
-                self.metrics.registry,
-                interval_s=self.config.metrics_interval_s,
-                jsonl_path=self.config.metrics_jsonl)
         self.injector: Optional[FaultInjector] = None
         #: The online redundancy filter (built in ``start`` when the
         #: config carries a :class:`~repro.gill.GillConfig`).
@@ -223,7 +207,6 @@ class CollectionPipeline:
             validator_lock=self._validator_lock,
             forwarding=self.forwarding,
             forwarding_lock=self._forwarding_lock,
-            cost_model=self.config.cost_model,
             flagged_sink=self._keep_flagged,
             injector=self.injector,
             handoff=handoff,
@@ -310,8 +293,6 @@ class CollectionPipeline:
         ]
 
         self.metrics.mark_started()
-        if self.sampler is not None:
-            self.sampler.start()
         self._writer.start()
         for worker in self._workers:
             worker.start()
@@ -459,8 +440,6 @@ class CollectionPipeline:
         # drained or died; a timeout above leaves the run subscribed.
         self._release_archive()
         self.metrics.mark_stopped()
-        if self.sampler is not None:
-            self.sampler.stop()
         if self._writer.error is not None:
             raise self._writer.error
         return self.result()

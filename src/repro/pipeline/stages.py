@@ -9,9 +9,9 @@ bounded queues:
   updates that do not fit (daemon-style loss, Table 1) or *blocks*
   (lossless backpressure), per the configured policy.
 * :class:`ShardWorker` owns one ingest queue and runs the per-update
-  stages — parse-cost accounting, route validation, operator
-  forwarding, filter evaluation — on each list it drains, then hands
-  the dispositions to the writer queue as one list.
+  stages — route validation, operator forwarding, filter
+  evaluation — on each list it drains, then hands the dispositions to
+  the writer queue as one list.
 * :class:`WriterStage` restores global time order across shards from
   per-session runs and a watermark, and feeds retained updates to a
   :class:`~repro.bgp.archive.RollingArchiveWriter` in amortized
@@ -59,7 +59,6 @@ from types import SimpleNamespace
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
 from ..bgp.archive import RollingArchiveWriter
-from ..bgp.daemon import FILTER_COST, PARSE_COST, WRITE_COST
 from ..bgp.filtering import FilterTable
 from ..bgp.message import BGPUpdate, canonical_key
 from ..bgp.validation import RouteValidator
@@ -122,50 +121,6 @@ class ShardDone:
 
 #: Sentinel closing a shard's ingest queue.
 _STOP = object()
-
-
-# -- CPU capacity model ------------------------------------------------------
-
-class ServiceCostModel:
-    """Charges daemon work units against a real-time budget.
-
-    Reuses the calibrated Table-1 costs from :mod:`repro.bgp.daemon`:
-    each update costs parse + filter units, plus the dominant write
-    cost when retained.  ``units_per_s`` is the modelled CPU capacity;
-    consuming faster than it accrues puts the worker to sleep, so the
-    pipeline *empirically* saturates exactly where the analytic
-    ``steady_state_loss`` predicts.  Sleeps are amortized: the worker
-    only yields once it falls a few milliseconds behind, keeping the
-    aggregate rate accurate despite coarse timer granularity.
-    """
-
-    def __init__(self, units_per_s: float, min_sleep_s: float = 0.002):
-        if units_per_s <= 0:
-            raise ValueError("capacity must be positive")
-        self.units_per_s = units_per_s
-        self.min_sleep_s = min_sleep_s
-        self._lock = threading.Lock()
-        self._credit_s = 0.0
-        self._last = time.perf_counter()
-
-    @staticmethod
-    def cost(retained: bool) -> float:
-        base = PARSE_COST + FILTER_COST
-        return base + WRITE_COST if retained else base
-
-    def charge(self, retained: bool) -> None:
-        """Consume one update's work; sleep off any accumulated debt."""
-        with self._lock:
-            now = time.perf_counter()
-            self._credit_s += now - self._last
-            self._last = now
-            # Cap banked idle time so bursts cannot borrow the future.
-            if self._credit_s > 0.05:
-                self._credit_s = 0.05
-            self._credit_s -= self.cost(retained) / self.units_per_s
-            debt = -self._credit_s
-        if debt > self.min_sleep_s:
-            time.sleep(debt)
 
 
 # -- stage threads -----------------------------------------------------------
@@ -255,10 +210,11 @@ class PeerSession(threading.Thread):
     def _hand_over(self, marker: Optional[Heartbeat] = None) -> None:
         """Move what was read since the last hand-over, then
         ``marker``, to the shard as one list.  ``block`` waits for room
-        but degrades to ``drop`` after ``degrade_after_s`` without any
-        (until a hand-over fits again); ``drop`` enqueues the prefix
-        that fits and counts the rest as lost, like Table 1's overloaded
-        CPU.  The marker always blocks: losing one stalls the watermark.
+        (with ``degrade_after_s`` set, it degrades to ``drop`` after
+        that long without any, until a hand-over fits again); ``drop``
+        enqueues the prefix that fits and counts the rest as lost, like
+        Table 1's overloaded CPU.  The marker always blocks: losing one
+        stalls the watermark.
         """
         batch, self._buffer = self._buffer, []
         n = len(batch)
@@ -379,7 +335,6 @@ class ShardWorker(threading.Thread):
                  validator_lock: Optional[threading.Lock] = None,
                  forwarding: Optional[ForwardingService] = None,
                  forwarding_lock: Optional[threading.Lock] = None,
-                 cost_model: Optional[ServiceCostModel] = None,
                  flagged_sink: Optional[Callable[[BGPUpdate], None]] = None,
                  injector: Optional[FaultInjector] = None,
                  handoff: Optional[List[object]] = None,
@@ -394,7 +349,6 @@ class ShardWorker(threading.Thread):
         self.validator_lock = validator_lock or threading.Lock()
         self.forwarding = forwarding
         self.forwarding_lock = forwarding_lock or threading.Lock()
-        self.cost_model = cost_model
         self.flagged_sink = flagged_sink
         self.injector = injector
         self.handoff = handoff
@@ -476,8 +430,6 @@ class ShardWorker(threading.Thread):
             if reached:
                 metrics.forwarded.inc(reached)
         retained = self.filters.accept(update)
-        if self.cost_model is not None:
-            self.cost_model.charge(retained)
         metrics.process.latency.record(
             time.perf_counter() - envelope.enqueued_at)
         if trace is not None:

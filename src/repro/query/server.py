@@ -784,7 +784,7 @@ class _QueryAPIHandler(BaseHTTPRequestHandler):
             open_gauge = registry.gauge(
                 "repro_events_open",
                 "Currently unresolved events by primary type",
-                labels=["type"], track_high_water=True)
+                labels=["type"])
             for etype, count in self.events.open_counts().items():
                 open_gauge.labels(etype).set(count)
         if fmt == "json":

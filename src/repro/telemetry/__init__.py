@@ -10,10 +10,8 @@ archive writer, query engine — and exposes them uniformly:
 * **trace spans** — one span type, for sampled updates through
   ingest → shard → writer and for every serve-path request (with the
   trace id an ``X-Trace-Id`` header carries) (:mod:`repro.telemetry.trace`);
-* **time series** — periodic registry snapshots with per-interval
-  rates, ring-buffered and optionally appended to a JSONL file
-  (:mod:`repro.telemetry.timeseries`);
-* **dashboard** — the ``repro-bgp top`` terminal view
+* **dashboard** — the ``repro-bgp top`` terminal view, which also
+  turns two scrapes of ``/metrics`` into per-interval rates
   (:mod:`repro.telemetry.top`);
 * **flight recorder** — the per-process black-box ring that finished
   spans land in, dumped as ``flightrecorder-<proc>.json`` on writer
@@ -41,7 +39,6 @@ from .registry import (
     read,
     set_build_info,
 )
-from .timeseries import TimePoint, TimeSeriesSampler
 from .top import TopDashboard, fetch_exposition, normalize_metrics_url, \
     render_top
 from .trace import (
@@ -66,8 +63,6 @@ __all__ = [
     "MetricsRegistry",
     "Sample",
     "Span",
-    "TimePoint",
-    "TimeSeriesSampler",
     "TopDashboard",
     "Tracer",
     "bind",

@@ -174,6 +174,9 @@ class TestEventPipeline:
             s["labels"]["type"]: s["value"]
             for s in families["repro_events_open"]["samples"]}
         assert open_gauge.get("moas") == 1
+        # One latency observation per sealed segment.
+        assert "repro_events_segment_seconds_count 2" \
+            in registry.prometheus()
 
     def test_attach_live_seal_hook(self, tmp_path):
         store = EventStore()

@@ -6,7 +6,7 @@ import zlib
 
 import pytest
 
-from repro.bgp.archive import RollingArchiveWriter
+from repro.bgp.archive import RollingArchiveWriter, read_manifest
 from repro.bgp.message import BGPUpdate, canonical_key
 from repro.bgp.prefix import Prefix
 from repro.bgp.session import SessionManager
@@ -24,11 +24,14 @@ from repro.pipeline import (
     SupervisorConfig,
     WriterStage,
 )
+from repro.pipeline import runtime
 from repro.pipeline.faults import REORDER_SKEW_S, FaultyStream
 from repro.pipeline.stages import END_OF_STREAM, Disposition, Heartbeat, \
     ShardDone
 from repro.workload import StreamConfig, SyntheticStreamGenerator, \
     split_by_vp
+
+from .conftest import assert_accounted
 
 TIMEOUT = 30.0
 
@@ -49,15 +52,6 @@ def fast_supervision(**overrides):
                     watchdog_interval_s=0.02, stall_timeout_s=0.1)
     defaults.update(overrides)
     return SupervisorConfig(**defaults)
-
-
-def assert_accounted(result):
-    m = result.metrics
-    assert result.accounted, (
-        f"lost updates: received={m.received} dropped={m.ingest_dropped} "
-        f"flagged={m.flagged} retained={m.retained} "
-        f"discarded={m.discarded}"
-    )
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +321,35 @@ class TestSessionSupervision:
         assert sup.degraded_episodes >= 1
         assert result.metrics.ingest_dropped > 0   # drop-mode losses
 
+    def test_default_block_run_waits_out_a_slow_seal(self, tmp_path,
+                                                     monkeypatch):
+        """Under the default supervision a ``block`` collection never
+        degrades: a seal that holds the writer for a second stalls the
+        session instead of costing it updates."""
+        monkeypatch.setattr(runtime, "WRITER_QUEUE_CAPACITY", 16)
+        archive = RollingArchiveWriter(str(tmp_path), interval_s=300.0,
+                                       compress=False)
+        held = []
+
+        def slow_seal(segment, build_s):
+            if not held:
+                started = time.monotonic()
+                time.sleep(1.0)
+                held.append(time.monotonic() - started)
+
+        archive.add_seal_listener(slow_seal)
+        updates = [upd(float(t)) for t in range(2000)]
+        pipeline = CollectionPipeline(
+            PipelineConfig(n_shards=1, overflow_policy="block",
+                           ingest_queue_capacity=8),
+            archive=archive)
+        result = pipeline.run({"vp1": updates}, timeout=TIMEOUT)
+        assert held and held[0] >= 1.0
+        assert_accounted(result)
+        assert result.metrics.supervision.degraded_episodes == 0
+        assert result.metrics.ingest_dropped == 0
+        assert sum(s.count for s in result.segments) == len(updates)
+
 
 class TestShardWatchdog:
     def test_stuck_shard_released_by_watchdog(self, synthetic_stream):
@@ -505,13 +528,14 @@ class TestCrashResumeRoundTrip:
         # Resume on a fresh orchestrator from the checkpoint.
         sessions = self.sessions_for(streams)
         resumed = Orchestrator(self.config())
+        durable = read_manifest(str(crash_dir)).segments
         result = resumed.run_pipeline_epoch(
             streams,
             PipelineConfig(n_shards=2, overflow_policy="block",
                            supervision=fast_supervision()),
             archive=recovered_archive, timeout=TIMEOUT,
             sessions=sessions, resume=True)
-        assert_accounted(result)
+        assert_accounted(result, prior=durable)
         assert resumed.stats.epoch_resumes == 1
         # §8: every resumed session re-dumped its RIB.
         assert resumed.stats.rib_redumps == len(streams)
@@ -719,8 +743,9 @@ class TestGillFilteringChaos:
         recovered = RollingArchiveWriter(str(crash_dir),
                                          interval_s=120.0,
                                          compress=False, checkpoint=True)
+        durable = read_manifest(str(crash_dir)).segments
         result = self.run_epoch(streams, recovered, resume=True)
-        assert_accounted(result)
+        assert_accounted(result, prior=durable)
         assert self.archive_bytes(crash_dir) == want
 
     def test_two_runs_are_byte_identical(self, synthetic_stream,

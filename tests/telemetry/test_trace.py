@@ -103,13 +103,15 @@ class TestSpans:
                 == oracle.labels(stage).snapshot()
 
     def test_abort_counts_but_records_nothing(self):
-        tracer = Tracer(1.0, registry=MetricsRegistry())
+        registry = MetricsRegistry()
+        tracer = Tracer(1.0, registry=registry)
         span = tracer.start("vp-1")
         span.mark("ingest")
         span.abort()
         assert tracer._aborted.value == 1
         assert tracer._sampled.value == 0
         assert tracer.recent() == []
+        assert "repro_trace_aborted_total 1" in registry.prometheus()
 
     def test_ring_is_bounded_and_slowest_first(self):
         tracer = Tracer(1.0, registry=MetricsRegistry())
