@@ -68,6 +68,7 @@ class Manifest(NamedTuple):
     read it; ``journal.tail()`` follows the writer's later lines."""
 
     segments: List[ArchiveSegment]
+    interval_s: float
     compress: bool
     journal: SealedJournal
 
@@ -117,7 +118,8 @@ def read_manifest(directory: str) -> Optional[Manifest]:
     if "interval_s" not in header:
         raise ValueError(f"{path}: no manifest header")
     return Manifest([segment_of(directory, line) for line in lines],
-                    bool(header.get("compress", True)), journal)
+                    header["interval_s"], bool(header.get("compress", True)),
+                    journal)
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,9 @@ class RollingArchiveWriter:
     :meth:`recover` deletes torn segment files (on disk but not in the
     manifest), drops a corrupt trailing segment, and rewinds the writer
     to the last durable watermark so an interrupted collection epoch
-    can resume exactly there.
+    can resume exactly there.  A recovered archive keeps the segment
+    interval and encoding its manifest records: ``interval_s`` and
+    ``compress`` apply only to a new archive.
 
     :meth:`seal` splits a flush in two for a caller that must make
     something else durable in between: it seals the open interval
@@ -368,7 +372,9 @@ class RollingArchiveWriter:
         the manifest there.  Buffered updates of the open interval are
         discarded (they were never durable) and counted in the report.
         The writer itself is rewound to the durable watermark, so the
-        next ``write`` may carry any time at or after it.
+        next ``write`` may carry any time at or after it, and takes the
+        manifest's segment interval and encoding, so the segments it
+        writes next continue the archive as it was written.
         """
         if not self.checkpoint_enabled:
             raise RuntimeError(
@@ -376,6 +382,9 @@ class RollingArchiveWriter:
                 "(checkpoint=True); refusing to delete segments of an "
                 "unmanaged directory")
         manifest = read_manifest(self.directory)
+        if manifest is not None:
+            self.interval_s = manifest.interval_s
+            self.compress = manifest.compress
         # Truncate at the first missing or corrupt segment.  Only the
         # last entry can legitimately be damaged (earlier ones were
         # durable before it was manifested), but verify pessimistically.
@@ -433,7 +442,7 @@ class RollingArchiveWriter:
 
     def _parses(self, path: str) -> bool:
         try:
-            read_archive(path, self.compress)
+            read_archive(path)
             return True
         except (OSError, EOFError, ValueError, MRTError):
             return False
@@ -472,7 +481,7 @@ class RollingArchiveWriter:
         snapshot: decompression and decoding are incremental, so a
         multi-gigabyte dump costs one record of memory at a time.
         """
-        for record in iter_archive(path, self.compress):
+        for record in iter_archive(path):
             if isinstance(record, RIBRecord):
                 yield record
 
@@ -503,7 +512,7 @@ class RollingArchiveWriter:
                 break
             if segment.end <= start:
                 continue
-            for record in iter_archive(segment.path, self.compress):
+            for record in iter_archive(segment.path):
                 if isinstance(record, BGPUpdate) \
                         and start <= record.time < end \
                         and (prefix is None or record.prefix == prefix) \

@@ -11,7 +11,8 @@ subtype, length) followed by a body.  Two record types are supported:
 
 The goal is byte-exact round-tripping of everything GILL's algorithms
 consume, plus optional bz2 compression, so archives written by the
-orchestrator can be replayed by users.
+orchestrator can be replayed by users.  A file says which it is: readers
+recognise a bz2 stream by its first bytes (:func:`is_bz2`).
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def decode_at(data, offset: int = 0) -> Tuple[Record, int]:
 def iter_decoded(data) -> Iterator[Tuple[int, Record]]:
     """Decode records, yielding each with its starting byte offset.
 
-    The offsets are positions into the (decompressed) payload, suitable
+    The offsets are positions into the (unpacked) payload, suitable
     for :func:`decode_record_at` — the contract the per-segment query
     indexes rely on to decode only matching records.
     """
@@ -210,8 +211,8 @@ def read_record(buf: BinaryIO) -> Optional[Record]:
 
 def write_records(records: Iterable[bytes], path: str,
                   compress: bool = True) -> None:
-    """Write encoded records, back to back, to an (optionally
-    bz2-compressed) MRT file."""
+    """Write encoded records, back to back, to an MRT file, bz2 when
+    ``compress``."""
     payload = b"".join(records)
     if compress:
         payload = bz2.compress(payload)
@@ -221,7 +222,7 @@ def write_records(records: Iterable[bytes], path: str,
 
 def write_archive(updates: Iterable[BGPUpdate], path: str,
                   compress: bool = True) -> int:
-    """Write updates to an (optionally bz2-compressed) MRT archive file.
+    """Write updates to an MRT archive file, bz2 when ``compress``.
 
     Returns the number of records written.
     """
@@ -230,23 +231,49 @@ def write_archive(updates: Iterable[BGPUpdate], path: str,
     return len(records)
 
 
-def read_archive(path: str, compressed: bool = True) -> List[Record]:
-    """Read back an archive written by :func:`write_archive`."""
+#: A bz2 stream opens with ``BZh`` and its block-size digit, then the
+#: magic of its first block (pi) or, when it holds nothing, of its end
+#: (sqrt pi).  No record starts that way: bytes 8-9 of a record header
+#: are its MRT type, never the last two bytes of either magic.
+_BZ2_MAGICS = (bytes.fromhex("314159265359"),
+               bytes.fromhex("177245385090"))
+
+
+def is_bz2(head) -> bool:
+    """Whether bytes that open an archive file open a bz2 stream (the
+    first ten decide).  Every reader decides a file's encoding here,
+    from the file itself."""
+    head = bytes(head[:10])
+    return len(head) == 10 and head[:3] == b"BZh" \
+        and 0x31 <= head[3] <= 0x39 and head[4:] in _BZ2_MAGICS
+
+
+def payload_of(data):
+    """The record payload of an archive file's bytes: unpacked when
+    they are a bz2 stream, else the bytes themselves."""
+    return bz2.decompress(data) if is_bz2(data) else data
+
+
+def read_payload(path: str) -> bytes:
+    """The record payload of an archive file, bz2 or plain."""
     with open(path, "rb") as handle:
-        payload = handle.read()
-    if compressed:
-        payload = bz2.decompress(payload)
-    return list(decode_records(payload))
+        return payload_of(handle.read())
 
 
-def iter_archive(path: str, compressed: bool = True) -> Iterator[Record]:
+def read_archive(path: str) -> List[Record]:
+    """Read back an archive written by :func:`write_archive`."""
+    return list(decode_records(read_payload(path)))
+
+
+def iter_archive(path: str) -> Iterator[Record]:
     """Stream records from an archive without loading it whole.
 
-    Decompression (when enabled) happens incrementally through
-    :func:`bz2.open`, so peak memory stays bounded by one record —
-    the contract :meth:`RollingArchiveWriter.iter_rib_dump` relies on
-    for multi-gigabyte RIB snapshots.
+    A bz2 file is unpacked incrementally through :func:`bz2.open`, so
+    peak memory stays bounded by one record — the contract
+    :meth:`RollingArchiveWriter.iter_rib_dump` relies on for
+    multi-gigabyte RIB snapshots.
     """
-    opener = bz2.open if compressed else open
-    with opener(path, "rb") as handle:
-        yield from iter(lambda: read_record(handle), None)
+    with open(path, "rb") as handle:
+        opener = bz2.open if is_bz2(handle.read(10)) else open
+    with opener(path, "rb") as stream:
+        yield from iter(lambda: read_record(stream), None)

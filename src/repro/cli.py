@@ -46,8 +46,8 @@ from .workload.generator import StreamConfig, SyntheticStreamGenerator
 from .workload.growth import growth_series
 
 
-def _read_updates(path: str, compressed: bool) -> List[BGPUpdate]:
-    records = read_archive(path, compressed)
+def _read_updates(path: str) -> List[BGPUpdate]:
+    records = read_archive(path)
     return [r for r in records if isinstance(r, BGPUpdate)]
 
 
@@ -100,7 +100,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    updates = _read_updates(args.archive, not args.no_compress)
+    updates = _read_updates(args.archive)
     if not updates:
         print("archive holds no updates")
         return 0
@@ -125,7 +125,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    updates = _read_updates(args.archive, not args.no_compress)
+    updates = _read_updates(args.archive)
     sampler = GillSampler(
         target_power=args.target_power,
         events_per_cell=args.events_per_cell,
@@ -139,8 +139,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     print(f"retained {len(retained)}/{len(updates)} updates "
           f"({len(retained) / max(1, len(updates)):.1%})")
     if args.output:
-        write_archive(retained, args.output,
-                      compress=not args.no_compress)
+        write_archive(retained, args.output)
         print(f"wrote retained updates to {args.output}")
     if args.filters_doc:
         with open(args.filters_doc, "w") as handle:
@@ -157,7 +156,7 @@ def cmd_orchestrate(args: argparse.Namespace) -> int:
     from .bgp.validation import RouteValidator
     from .platform.status import collect_status, render_status
 
-    updates = _read_updates(args.archive, not args.no_compress)
+    updates = _read_updates(args.archive)
     updates.sort(key=lambda u: u.time)
     orchestrator = Orchestrator(
         OrchestratorConfig(
@@ -180,8 +179,7 @@ def cmd_orchestrate(args: argparse.Namespace) -> int:
         print(render_status(
             collect_status(orchestrator, updates, retained)), end="")
     if args.output:
-        write_archive(retained, args.output,
-                      compress=not args.no_compress)
+        write_archive(retained, args.output)
         print(f"wrote retained updates to {args.output}")
     return 0
 
@@ -240,7 +238,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     )
     from .workload.streams import split_by_vp
 
-    updates = _read_updates(args.archive, not args.no_compress)
+    updates = _read_updates(args.archive)
     if not updates:
         print("archive holds no updates")
         return 0
@@ -388,10 +386,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 def cmd_recover(args: argparse.Namespace) -> int:
     from .bgp.archive import RollingArchiveWriter
 
-    archive = RollingArchiveWriter(args.directory,
-                                   interval_s=args.interval,
-                                   compress=not args.no_compress,
-                                   checkpoint=True)
+    archive = RollingArchiveWriter(args.directory, checkpoint=True)
     report = archive.recover()
     for name in report.torn_removed:
         print(f"deleted torn segment {name}")
@@ -415,9 +410,7 @@ def cmd_scrub(args: argparse.Namespace) -> int:
         events_store = EventStore(journal)
     guard = IntegrityGuard(args.directory, events=events_store)
     report = scrub_directory(
-        args.directory,
-        compressed=False if args.no_compress else None,
-        guard=guard,
+        args.directory, guard=guard,
         rebuild_indexes=not args.no_rebuild_indexes)
     for name, reason in report.quarantined:
         print(f"quarantined {name} ({reason})")
@@ -491,12 +484,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     guard = IntegrityGuard(args.directory,
                            registry=metrics.registry,
                            events=events_store)
-    engine = QueryEngine(
-        args.directory,
-        compressed=False if args.no_compress else None,
-        stats=metrics.query,
-        guard=guard,
-    )
+    engine = QueryEngine(args.directory, stats=metrics.query, guard=guard)
     segments = engine.catalog.segments()
     if not segments:
         print(f"no archive segments under {args.directory}",
@@ -733,7 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("archive")
     p.add_argument("--redundancy", action="store_true",
                    help="also measure Def. 1-3 redundancy")
-    p.add_argument("--no-compress", action="store_true")
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("sample", help="run GILL's sampling")
@@ -744,7 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-power", type=float, default=0.94)
     p.add_argument("--events-per-cell", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-compress", action="store_true")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("orchestrate",
@@ -758,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the per-peer status page afterwards")
     p.add_argument("--validate", action="store_true",
                    help="screen the stream with the route validator")
-    p.add_argument("--no-compress", action="store_true")
     p.set_defaults(func=cmd_orchestrate)
 
     p = sub.add_parser("pipeline",
@@ -807,7 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump the Prometheus exposition to a file "
                         "('-' for stdout) after the run")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-compress", action="store_true")
+    p.add_argument("--no-compress", action="store_true",
+                   help="write the archive segments as plain MRT, not bz2")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("merge",
@@ -829,9 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover",
                        help="recover a checkpointed archive directory")
     p.add_argument("directory")
-    p.add_argument("--interval", type=float, default=300.0,
-                   help="archive segment interval in seconds")
-    p.add_argument("--no-compress", action="store_true")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("scrub",
@@ -842,8 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify only; do not heal sidecar indexes")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when any segment was quarantined")
-    p.add_argument("--no-compress", action="store_true",
-                   help="archive segments are uncompressed MRT")
     p.set_defaults(func=cmd_scrub)
 
     p = sub.add_parser("serve",
@@ -878,8 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hit every endpoint once and exit (CI mode)")
     p.add_argument("--verbose", action="store_true",
                    help="log every request")
-    p.add_argument("--no-compress", action="store_true",
-                   help="archive segments are uncompressed MRT")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("events",

@@ -57,12 +57,11 @@ class MergeReport:
     duration_s: float
 
 
-def _partition_updates(directory: str, manifest: PartitionManifest
-                       ) -> Iterator[BGPUpdate]:
+def _partition_updates(directory: str) -> Iterator[BGPUpdate]:
     """Stream one partial archive's updates in its written order."""
     checkpoint = read_manifest(directory)
     for segment in checkpoint[0] if checkpoint is not None else ():
-        for record in iter_archive(segment.path, manifest.compress):
+        for record in iter_archive(segment.path):
             if isinstance(record, BGPUpdate):
                 yield record
 
@@ -79,14 +78,14 @@ def merge_archives(source: object,
     :func:`~repro.cluster.partition.collect_partitioned` (its
     ``part-<i>`` children are discovered) or an explicit sequence of
     partial archive directories.  Each must carry a ``PARTITION.json``
-    manifest; interval and compression must agree across partitions.
+    manifest; their intervals must agree.
 
     ``gill`` (a :class:`~repro.gill.GillConfig`) runs the online
     redundancy filter over the merged stream; ``events`` (an
     :class:`~repro.events.EventPipeline`) is attached to the merged
     writer before the first byte so every sealed segment feeds event
     analysis.  ``compress`` overrides the output compression (default:
-    same as the partials).  ``registry`` receives
+    the first partial's).  ``registry`` receives
     ``repro_cluster_merge_*`` telemetry when given.
     """
     if isinstance(source, str):
@@ -100,16 +99,13 @@ def merge_archives(source: object,
 
     manifests = [PartitionManifest.load(path) for path in part_dirs]
     interval_s = manifests[0].interval_s
-    in_compress = manifests[0].compress
     for manifest, path in zip(manifests, part_dirs):
         if manifest.interval_s != interval_s:
             raise PartitionError(
                 f"{path} has interval {manifest.interval_s}, expected "
                 f"{interval_s}: partitions of one epoch must agree")
-        if manifest.compress != in_compress:
-            raise PartitionError(
-                f"{path} compression disagrees with the first partition")
-    out_compress = in_compress if compress is None else compress
+    if compress is None:
+        compress = manifests[0].compress
 
     lag_gauge = None
     if registry is not None:
@@ -124,7 +120,7 @@ def merge_archives(source: object,
 
     writer = RollingArchiveWriter(out_directory,
                                   interval_s=interval_s,
-                                  compress=out_compress,
+                                  compress=compress,
                                   checkpoint=True)
     gill_stage = None
     if gill is not None:
@@ -143,7 +139,7 @@ def merge_archives(source: object,
             events.attach(writer)
         started = time_mod.perf_counter()
         merged, max_lag, active = _merge_stream(
-            part_dirs, manifests, writer, gill_stage, lag_gauge)
+            part_dirs, writer, gill_stage, lag_gauge)
     finally:
         if gill_stage is not None:
             gill_stage.close()
@@ -162,7 +158,6 @@ def merge_archives(source: object,
 
 
 def _merge_stream(part_dirs: Sequence[str],
-                  manifests: Sequence[PartitionManifest],
                   writer: RollingArchiveWriter, gill_stage,
                   lag_gauge) -> Tuple[int, float, int]:
     """The k-way merge into ``writer`` (through ``gill_stage`` when
@@ -171,8 +166,7 @@ def _merge_stream(part_dirs: Sequence[str],
     # K-way merge with explicit head tracking: heapq.merge would hide
     # the per-partition heads, and the head skew *is* the merge-lag
     # telemetry (a straggler partition holds the merge at its pace).
-    iterators = [_partition_updates(path, manifest)
-                 for path, manifest in zip(part_dirs, manifests)]
+    iterators = [_partition_updates(path) for path in part_dirs]
     heads: List[Tuple[Tuple, int, BGPUpdate]] = []
     active = 0
     for index, iterator in enumerate(iterators):

@@ -249,12 +249,7 @@ class EventPipeline:
                            crc32=segment.crc32) is not None:
                 return []
             try:
-                # The writer names a segment for its compression, the
-                # same evidence a directory catalog reads.
-                updates = [record
-                           for record in iter_archive(
-                               segment.path,
-                               segment.path.endswith(".bz2"))
+                updates = [record for record in iter_archive(segment.path)
                            if isinstance(record, BGPUpdate)]
             except Exception:
                 # Structurally corrupt despite (or without) digests:

@@ -235,7 +235,7 @@ class GillStage:
         self._replaying = True
         try:
             for segment in segments:
-                for record in iter_archive(segment.path, archive.compress):
+                for record in iter_archive(segment.path):
                     if isinstance(record, BGPUpdate):
                         self._step_slot(record.time)
                         self._ingest_kept(record)

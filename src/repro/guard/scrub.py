@@ -44,15 +44,14 @@ class ScrubReport:
         return not self.quarantined
 
 
-def _catalog_segments(directory: str, compressed: Optional[bool]):
+def _catalog_segments(directory: str):
     # Imported lazily: repro.query imports repro.guard for Deadline,
     # so the reverse import has to happen at call time.
     from ..query.engine import DirectoryCatalog
-    catalog = DirectoryCatalog(directory, compressed=compressed)
-    return catalog, catalog.segments()
+    return DirectoryCatalog(directory).segments()
 
 
-def _verify_segment(segment, compressed: bool) -> Optional[str]:
+def _verify_segment(segment) -> Optional[str]:
     """Mismatch reason for one segment, or None when intact.
 
     Segments with manifest digests are verified against them
@@ -65,7 +64,7 @@ def _verify_segment(segment, compressed: bool) -> Optional[str]:
                                      sha256=segment.sha256)
     try:
         from ..bgp.archive import read_archive
-        read_archive(segment.path, compressed)
+        read_archive(segment.path)
     except OSError:
         return "missing"
     except Exception:
@@ -74,7 +73,6 @@ def _verify_segment(segment, compressed: bool) -> Optional[str]:
 
 
 def scrub_directory(directory: str,
-                    compressed: Optional[bool] = None,
                     guard: Optional[IntegrityGuard] = None,
                     rebuild_indexes: bool = True,
                     registry=None,
@@ -89,14 +87,14 @@ def scrub_directory(directory: str,
     started = time.monotonic()
     if guard is None:
         guard = IntegrityGuard(directory, registry=registry, events=events)
-    catalog, segments = _catalog_segments(directory, compressed)
+    segments = _catalog_segments(directory)
     report = ScrubReport()
     for segment in segments:
         if guard.is_quarantined(segment.path):
             report.skipped += 1
             continue
         report.checked += 1
-        reason = _verify_segment(segment, catalog.compressed)
+        reason = _verify_segment(segment)
         if reason is not None:
             guard.quarantine(segment.path, reason, watermark=segment.end)
             report.quarantined.append((os.path.basename(segment.path),
@@ -104,19 +102,19 @@ def scrub_directory(directory: str,
             continue
         guard.verification_ok()
         report.intact += 1
-        if rebuild_indexes and _heal_index(segment, catalog.compressed):
+        if rebuild_indexes and _heal_index(segment):
             report.indexes_rebuilt += 1
     report.duration_s = time.monotonic() - started
     return report
 
 
-def _heal_index(segment, compressed: bool) -> bool:
+def _heal_index(segment) -> bool:
     """Rebuild a missing/stale/torn sidecar for an intact segment."""
     from ..query.index import build_index, load_index
     if load_index(segment.path) is not None:
         return False
     try:
-        build_index(segment.path, compressed, persist=True)
+        build_index(segment.path, persist=True)
     except Exception:
         return False
     return True
@@ -134,12 +132,10 @@ class Scrubber:
     def __init__(self, directory: str,
                  guard: IntegrityGuard,
                  interval_s: float = 300.0,
-                 compressed: Optional[bool] = None,
                  registry=None):
         self.directory = directory
         self.guard = guard
         self.interval_s = max(0.05, interval_s)
-        self.compressed = compressed
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._cursor = 0
@@ -167,8 +163,7 @@ class Scrubber:
         by tests).  Returns the checked segment's basename, or None
         when the archive has no verifiable segment."""
         try:
-            catalog, segments = _catalog_segments(self.directory,
-                                                  self.compressed)
+            segments = _catalog_segments(self.directory)
         except Exception:
             return None
         live = [s for s in segments
@@ -180,7 +175,7 @@ class Scrubber:
         segment = live[self._cursor]
         self._cursor += 1
         self._scrubbed.inc()
-        reason = _verify_segment(segment, catalog.compressed)
+        reason = _verify_segment(segment)
         if reason is not None:
             self.guard.quarantine(segment.path, reason,
                                   watermark=segment.end)

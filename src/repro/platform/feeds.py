@@ -96,13 +96,12 @@ class ListFeed:
 class ArchiveFeed:
     """A feed replaying an MRT archive written by the platform."""
 
-    def __init__(self, name: str, path: str, compressed: bool = True):
+    def __init__(self, name: str, path: str):
         self.name = name
         self.path = path
-        self.compressed = compressed
 
     def __iter__(self) -> Iterator[BGPUpdate]:
-        records = read_archive(self.path, self.compressed)
+        records = read_archive(self.path)
         updates = [r for r in records if isinstance(r, BGPUpdate)]
         updates.sort(key=lambda u: u.time)
         return iter(updates)

@@ -33,7 +33,6 @@ data.
 
 from __future__ import annotations
 
-import bz2
 import json
 import os
 import re
@@ -49,7 +48,7 @@ from ..bgp.archive import ArchiveSegment, Manifest, RollingArchiveWriter, \
     read_manifest, segment_of
 from ..bgp.message import BGPUpdate
 from ..bgp.mrt import MRTError, RIBRecord, decode_at, iter_archive, \
-    iter_decoded
+    iter_decoded, payload_of
 from ..guard.integrity import crc32_of, mismatch_reason
 from ..guard.manager import IntegrityGuard
 from ..guard.serving import Deadline
@@ -263,7 +262,6 @@ class WriterCatalog:
     def __init__(self, writer: RollingArchiveWriter):
         self._writer = writer
         self.directory = writer.directory
-        self.compressed = writer.compress
 
     def segments(self) -> List[ArchiveSegment]:
         # list() snapshots under the GIL; the writer only appends.
@@ -278,8 +276,7 @@ class DirectoryCatalog:
 
     The checkpoint manifest is preferred when present (it is the
     source of truth for a crash-consistent archive); otherwise the
-    directory listing is parsed.  Compression is inferred from the
-    segment file names unless given.
+    directory listing is parsed.
 
     The manifest is read once, then followed: the writer publishes a
     segment by appending a line, so a call reads only the lines since
@@ -287,26 +284,15 @@ class DirectoryCatalog:
     again only when ``tail()`` says it was replaced (recovery).
     """
 
-    def __init__(self, directory: str,
-                 compressed: Optional[bool] = None):
+    def __init__(self, directory: str):
         if not os.path.isdir(directory):
             raise FileNotFoundError(f"no archive directory: {directory}")
         self.directory = directory
-        self._compressed = compressed
         #: The manifest as last read and followed; None when absent or
         #: unreadable (the next call reads it again).
         self._manifest: Optional[Manifest] = None
         # Handler threads and the scrubber share a catalog.
         self._lock = threading.Lock()
-
-    @property
-    def compressed(self) -> bool:
-        if self._compressed is None:
-            segments = self.segments()
-            if not segments:
-                return True     # nothing to infer from yet; don't cache
-            self._compressed = segments[0].path.endswith(".bz2")
-        return self._compressed
 
     def segments(self) -> List[ArchiveSegment]:
         with self._lock:
@@ -322,8 +308,6 @@ class DirectoryCatalog:
                     manifest = None     # fall back to the listing
                 self._manifest = manifest
             if manifest is not None:
-                if self._compressed is None:
-                    self._compressed = manifest.compress
                 return list(manifest.segments)
         found: List[ArchiveSegment] = []
         for name in sorted(os.listdir(self.directory)):
@@ -354,15 +338,15 @@ def _scan_rib_dumps(directory: str) -> List[Tuple[float, str]]:
 Catalog = Union[WriterCatalog, DirectoryCatalog]
 
 
-def open_catalog(source: Union[str, RollingArchiveWriter, Catalog],
-                 compressed: Optional[bool] = None) -> Catalog:
+def open_catalog(source: Union[str, RollingArchiveWriter, Catalog]
+                 ) -> Catalog:
     """Resolve an engine source: directory path, writer, or catalog."""
     if isinstance(source, (WriterCatalog, DirectoryCatalog)):
         return source
     if isinstance(source, RollingArchiveWriter):
         return WriterCatalog(source)
     if isinstance(source, str):
-        return DirectoryCatalog(source, compressed)
+        return DirectoryCatalog(source)
     raise TypeError(f"cannot open a catalog over {type(source)!r}")
 
 
@@ -370,11 +354,10 @@ class QueryEngine:
     """Indexed, memoised lookups over an update archive."""
 
     def __init__(self, source: Union[str, RollingArchiveWriter, Catalog],
-                 compressed: Optional[bool] = None,
                  cache_size: int = 128,
                  stats: Optional[QueryStats] = None,
                  guard: Optional[IntegrityGuard] = None):
-        self.catalog = open_catalog(source, compressed)
+        self.catalog = open_catalog(source)
         self.stats = stats if stats is not None else QueryStats()
         #: Answers of :meth:`query` (``render`` never reads it).
         self.cache = WatermarkLRUCache(cache_size)
@@ -448,8 +431,7 @@ class QueryEngine:
                 return index
             try:
                 started = time_mod.perf_counter()
-                index, built = ensure_index(segment.path,
-                                            self.catalog.compressed)
+                index, built = ensure_index(segment.path)
             except MRTError:
                 return None
             if built:
@@ -519,7 +501,7 @@ class QueryEngine:
             return view, raw
         reads.misses += 1
         try:
-            payload = self._payload(raw)
+            payload = payload_of(raw)
         except (OSError, EOFError, ValueError):
             self._quarantine(segment, "decompress")
             return None
@@ -544,9 +526,6 @@ class QueryEngine:
             stats.payload_cache_misses.inc(reads.misses)
         if reads.verified:
             self.guard.verification_ok(reads.verified)
-
-    def _payload(self, raw: bytes) -> bytes:
-        return bz2.decompress(raw) if self.catalog.compressed else raw
 
     # -- execution -----------------------------------------------------------
 
@@ -682,8 +661,8 @@ class QueryEngine:
         whole archive, in ``(time, vp, prefix)`` order.
 
         The selection is :meth:`render`'s; only the selected records
-        are decoded (a compressed segment is decompressed again for
-        them — views keep no payload).  Answers are cached under the
+        are decoded (a bz2 segment is unpacked again for them — views
+        keep no payload).  Answers are cached under the
         archive's watermark token; nothing is cached when the
         ``deadline`` expires mid-scan.
         """
@@ -704,7 +683,7 @@ class QueryEngine:
         results: List[BGPUpdate] = []
         for view, raw, positions in self._select(plan, False, deadline,
                                                  None):
-            payload = self._payload(raw)
+            payload = payload_of(raw)
             offsets = view.offsets
             results.extend(decode_at(payload, offsets[p])[0]
                            for p in positions)
@@ -755,7 +734,7 @@ class QueryEngine:
 
     def iter_rib_dump(self, path: str) -> Iterator[RIBRecord]:
         """Stream one RIB dump's entries without materializing it."""
-        for record in iter_archive(path, self.catalog.compressed):
+        for record in iter_archive(path):
             if isinstance(record, RIBRecord):
                 yield record
 

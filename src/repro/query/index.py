@@ -29,11 +29,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
-import bz2
-
 from ..bgp.archive import INDEX_SUFFIX
 from ..bgp.message import BGPUpdate
-from ..bgp.mrt import MRTError, Record, RIBRecord, iter_decoded
+from ..bgp.mrt import MRTError, Record, RIBRecord, iter_decoded, \
+    read_payload
 from ..bgp.prefix import Prefix
 
 INDEX_VERSION = 2
@@ -118,13 +117,6 @@ class SegmentIndex:
         return path
 
 
-def read_payload(segment_path: str, compressed: bool = True) -> bytes:
-    """The decompressed record payload of a segment file."""
-    with open(segment_path, "rb") as handle:
-        payload = handle.read()
-    return bz2.decompress(payload) if compressed else payload
-
-
 def index_records(records: Iterable[Tuple[int, Record]], size: int
                   ) -> SegmentIndex:
     """Index one segment's ``(payload offset, record)`` pairs.
@@ -158,13 +150,18 @@ def index_records(records: Iterable[Tuple[int, Record]], size: int
                         origins=origins, vps=vps)
 
 
-def build_index(segment_path: str, compressed: bool = True,
+def build_index(segment_path: str, compressed: object = None,
                 persist: bool = False) -> SegmentIndex:
     """Index one sealed segment from its file (optionally persisting
     the sidecar): the lazy path for segments sealed without an index
-    or with a stale one."""
+    or with a stale one.
+
+    ``compressed`` decides nothing (the file's first bytes say whether
+    it is bz2, :func:`~repro.bgp.mrt.is_bz2`); it is still accepted
+    because the perf harness's layer timing passes it positionally.
+    """
     index = index_records(
-        iter_decoded(read_payload(segment_path, compressed)),
+        iter_decoded(read_payload(segment_path)),
         os.path.getsize(segment_path))
     if persist:
         index.save(segment_path)
@@ -188,8 +185,7 @@ def load_index(segment_path: str) -> Optional[SegmentIndex]:
         return None
 
 
-def ensure_index(segment_path: str, compressed: bool = True
-                 ) -> Tuple[SegmentIndex, bool]:
+def ensure_index(segment_path: str) -> Tuple[SegmentIndex, bool]:
     """Load the segment's index, building (and persisting) on a miss.
 
     Returns ``(index, built)`` — ``built`` tells the caller whether a
@@ -202,7 +198,7 @@ def ensure_index(segment_path: str, compressed: bool = True
     if index is not None:
         return index, False
     try:
-        index = build_index(segment_path, compressed)
+        index = build_index(segment_path)
     except (OSError, EOFError, ValueError) as exc:
         # Unreadable, undecompressable or malformed (MRTError is a
         # ValueError): one error type for "this segment has no index".

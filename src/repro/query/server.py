@@ -900,7 +900,7 @@ class QueryAPIServer:
         if scrub_interval_s is not None and guard is not None:
             self._scrubber = Scrubber(
                 guard.directory, guard, interval_s=scrub_interval_s,
-                compressed=engine.catalog.compressed, registry=registry)
+                registry=registry)
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None

@@ -1,6 +1,7 @@
 """Tests for the rolling archive writer."""
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -272,6 +273,43 @@ class TestCheckpointRecovery:
         resumed.close()
         assert [u.time for u in resumed.read_range(0.0, 1e9)] \
             == [u.time for u in clean.read_range(0.0, 1e9)]
+
+    def test_resumed_writer_keeps_the_archives_format(self, tmp_path):
+        """A writer built with another encoding and interval resumes a
+        bz2, 300 s archive as bz2 on the 300 s grid, and every update
+        stays readable."""
+        from repro.bgp.archive import read_manifest
+        from repro.query import QueryEngine, QuerySpec
+        from repro.workload import SyntheticStreamGenerator, \
+            overshoot_config
+
+        _, stream = SyntheticStreamGenerator(overshoot_config(
+            seed=1, n_vps=6, duration_s=1800.0)).generate()
+        stream.sort(key=lambda u: (u.time, u.vp, u.prefix))
+        first = RollingArchiveWriter(str(tmp_path), interval_s=300.0,
+                                     compress=True, checkpoint=True)
+        first.write_stream(stream[:len(stream) // 2])    # then a crash
+        resumed = RollingArchiveWriter(str(tmp_path), interval_s=600.0,
+                                       compress=False, checkpoint=True)
+        watermark = resumed.recover().watermark
+        assert watermark is not None
+        resumed.write_stream([u for u in stream if u.time >= watermark])
+        resumed.close()
+
+        names = [name for name in os.listdir(tmp_path)
+                 if name.startswith("updates.")
+                 and not name.endswith(".idx")]
+        assert names and all(name.endswith(".mrt.bz2") for name in names)
+        segments = read_manifest(str(tmp_path)).segments
+        assert len(segments) == len(names)
+        starts = [segment.start for segment in segments]
+        assert starts == sorted(set(starts))
+        assert all(start % 300.0 == 0.0 for start in starts)
+        assert all(s.end - s.start == 300.0 for s in segments)
+        with QueryEngine(str(tmp_path)) as engine:
+            got = engine.query(QuerySpec())
+        assert len(got) == len(stream)
+        assert Counter(got) == Counter(stream)
 
 
 class TestManifestDigests:

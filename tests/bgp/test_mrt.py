@@ -1,6 +1,10 @@
 """Tests for the MRT-style codec."""
 
+import bz2
 import io
+import os
+import struct
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +19,17 @@ from repro.bgp.mrt import (
     decode_records,
     encode_rib_entry,
     encode_update,
+    is_bz2,
+    iter_archive,
     iter_decoded,
     read_archive,
     read_record,
     write_archive,
+    write_records,
 )
 from repro.bgp.prefix import Prefix
 from repro.bgp.rib import Route
+from repro.query.index import read_payload
 
 P1 = Prefix.parse("10.0.0.0/24")
 P6 = Prefix.parse("2001:db8::/32")
@@ -87,7 +95,7 @@ class TestArchive:
         updates = [BGPUpdate("vp1", 0.0, P1, (1, 2))]
         path = str(tmp_path / "arch.mrt")
         write_archive(updates, path, compress=False)
-        assert read_archive(path, compressed=False) == updates
+        assert read_archive(path) == updates
 
     def test_empty_archive(self, tmp_path):
         path = str(tmp_path / "empty.mrt.bz2")
@@ -184,6 +192,53 @@ def test_entry_points_agree(chunks):
             (record, start + len(chunk))
     stream = io.BytesIO(payload)
     assert list(iter(lambda: read_record(stream), None)) == records
+
+
+class TestEncodingDetection:
+    """Readers are never told how a file is encoded: a bz2 stream is
+    recognised by its first ten bytes, whatever the file is called."""
+
+    @given(chunks=st.lists(encoded_records, max_size=6),
+           compress=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_reader_detects_the_encoding(self, chunks, compress):
+        payload = b"".join(chunks)
+        expected = list(decode_records(payload))
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "segment")
+            write_records(chunks, path, compress)
+            with open(path, "rb") as handle:
+                assert is_bz2(handle.read()) == compress
+            assert read_archive(path) == expected
+            assert list(iter_archive(path)) == expected
+            assert read_payload(path) == payload
+
+    @pytest.mark.parametrize("tail", ["00000000", "31415926", "17724538"],
+                             ids=["zeros", "block-magic", "end-magic"])
+    def test_plain_record_opening_like_bz2_reads_as_mrt(self, tmp_path,
+                                                        tail):
+        """A timestamp that packs to ``BZh9`` (then zeros, or the first
+        four bytes of either bz2 magic) leaves the MRT type where the
+        magic's last two bytes would be: still a plain record."""
+        time = struct.unpack("!d", b"BZh9" + bytes.fromhex(tail))[0]
+        update = BGPUpdate("vp1", time, P1, (1, 2))
+        path = str(tmp_path / "lookalike.mrt")
+        write_archive([update], path, compress=False)
+        with open(path, "rb") as handle:
+            assert handle.read(8) == b"BZh9" + bytes.fromhex(tail)
+        assert read_archive(path) == [update]
+        assert list(iter_archive(path)) == [update]
+        assert read_payload(path) == encode_update(update)
+
+    @pytest.mark.parametrize("content", [b"", bz2.compress(b"")],
+                             ids=["empty", "empty-bz2"])
+    def test_empty_files_hold_no_records(self, tmp_path, content):
+        path = tmp_path / "empty"
+        path.write_bytes(content)
+        assert is_bz2(content) == bool(content)
+        assert read_archive(str(path)) == []
+        assert list(iter_archive(str(path))) == []
+        assert read_payload(str(path)) == b""
 
 
 @given(st.lists(encoded_records, min_size=1, max_size=3), st.data())

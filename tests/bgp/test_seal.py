@@ -150,7 +150,7 @@ def test_sealing_reads_nothing_back(tmp_path, hour_stream, monkeypatch):
     assert calls == {}
     # The wrappers see the lazy path, which does both.
     first = writer.segments[0]
-    build_index(first.path, True)
+    build_index(first.path)
     assert calls == {"bz2.decompress": 1, "decode_at": first.count}
 
 

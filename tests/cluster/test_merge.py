@@ -14,6 +14,7 @@ import pytest
 
 from repro.bgp.archive import RollingArchiveWriter, read_manifest
 from repro.bgp.message import BGPUpdate
+from repro.bgp.mrt import read_archive
 from repro.bgp.prefix import Prefix
 from repro.cluster import (
     MergeReport,
@@ -201,6 +202,31 @@ class TestMergeValidation:
                               compress=False).write(str(part))
         with pytest.raises(PartitionError, match="interval"):
             merge_archives(str(tmp_path), str(tmp_path / "out"))
+
+    def test_partials_may_differ_in_encoding(self, tmp_path):
+        """Each partial's files say how they are encoded, so a bz2
+        partial merges with a plain one; the output takes the first
+        partial's encoding."""
+        parts = {1: (True, P1), 2: (False, P2)}
+        for index, (vp, (compress, prefix)) in enumerate(parts.items()):
+            part = str(tmp_path / "parts" / f"part-{index}")
+            writer = RollingArchiveWriter(part, interval_s=300.0,
+                                          compress=compress,
+                                          checkpoint=True)
+            writer.write_stream([BGPUpdate(f"vp{vp}", t + vp, prefix,
+                                           (vp, 10)) for t in (0, 350)])
+            writer.close()
+            PartitionManifest(index=index, n_partitions=2,
+                              vps=(f"vp{vp}",), interval_s=300.0,
+                              compress=compress).write(part)
+        merged = merge_archives(str(tmp_path / "parts"),
+                                str(tmp_path / "out"))
+        assert [os.path.basename(s.path) for s in merged.segments] == [
+            "updates.000000000000-000000000300.mrt.bz2",
+            "updates.000000000300-000000000600.mrt.bz2"]
+        assert [(u.vp, u.time) for s in merged.segments
+                for u in read_archive(s.path)] \
+            == [("vp1", 1.0), ("vp2", 2.0), ("vp1", 351.0), ("vp2", 352.0)]
 
     def test_collect_rejects_gill_and_faults(self, streams):
         from repro.pipeline import FaultPlan

@@ -68,8 +68,7 @@ class TestQuarantineServing:
         directory = tmp_path / "victim"
         directory.mkdir()
         build_archive(directory)
-        segments = DirectoryCatalog(str(directory),
-                                    compressed=False).segments()
+        segments = DirectoryCatalog(str(directory)).segments()
         injector = FaultInjector(FaultPlan.parse(
             "bitflip=archive@2,truncate=archive@4"))
         applied = injector.apply_archive_corruption(segments)
@@ -78,8 +77,7 @@ class TestQuarantineServing:
                 for _, path in applied] == list(self.CORRUPT)
         store = EventStore(journal_path_for(str(directory)))
         guard = IntegrityGuard(str(directory), events=store)
-        engine = QueryEngine(str(directory), compressed=False,
-                             guard=guard)
+        engine = QueryEngine(str(directory), guard=guard)
         server = QueryAPIServer(engine, guard=guard).start()
         corrupted = tuple(os.path.basename(segments[i].path)
                           for i in self.CORRUPT)
@@ -157,21 +155,18 @@ class TestScrubDetectsEverything:
         directory = tmp_path / "rotten"
         directory.mkdir()
         build_archive(directory)
-        segments = DirectoryCatalog(str(directory),
-                                    compressed=False).segments()
+        segments = DirectoryCatalog(str(directory)).segments()
         spec = ",".join(
             f"{'bitflip' if i % 2 else 'truncate'}=archive@{i + 1}"
             for i in range(N_SEGMENTS))
         FaultInjector(FaultPlan.parse(spec)) \
             .apply_archive_corruption(segments)
         guard = IntegrityGuard(str(directory))
-        report = scrub_directory(str(directory), compressed=False,
-                                 guard=guard)
+        report = scrub_directory(str(directory), guard=guard)
         assert {name for name, _ in report.quarantined} \
             == {os.path.basename(s.path) for s in segments}
         assert report.intact == 0
-        with QueryEngine(str(directory), compressed=False,
-                         guard=guard) as engine, \
+        with QueryEngine(str(directory), guard=guard) as engine, \
                 QueryAPIServer(engine, guard=guard) as server:
             status, body = get_json(server.url + "/updates")
             assert status == 200 and body["count"] == 0
@@ -184,14 +179,12 @@ class TestTornIndexHeals:
         directory = tmp_path / "torn"
         directory.mkdir()
         build_archive(directory)
-        segments = DirectoryCatalog(str(directory),
-                                    compressed=False).segments()
+        segments = DirectoryCatalog(str(directory)).segments()
         victim = segments[2].path
         corrupt_torn_index(victim)
         assert load_index(victim) is None     # the tear is real
         guard = IntegrityGuard(str(directory))
-        with QueryEngine(str(directory), compressed=False,
-                         guard=guard) as engine:
+        with QueryEngine(str(directory), guard=guard) as engine:
             got = engine.query(QuerySpec())
         # The data is intact, so the answer is complete...
         assert keyed(got) == keyed(make_updates())
@@ -204,10 +197,9 @@ class TestTornIndexHeals:
         directory = tmp_path / "torn"
         directory.mkdir()
         build_archive(directory)
-        segments = DirectoryCatalog(str(directory),
-                                    compressed=False).segments()
+        segments = DirectoryCatalog(str(directory)).segments()
         corrupt_torn_index(segments[0].path)
-        report = scrub_directory(str(directory), compressed=False)
+        report = scrub_directory(str(directory))
         assert report.clean
         assert report.indexes_rebuilt == 1
         assert load_index(segments[0].path) is not None
@@ -231,8 +223,7 @@ class TestSealHookCorruption:
         assert any("bitflip archive segment 2" in line
                    for line in injector.log)
         guard = IntegrityGuard(str(tmp_path))
-        with QueryEngine(str(tmp_path), compressed=False,
-                         guard=guard) as engine:
+        with QueryEngine(str(tmp_path), guard=guard) as engine:
             got = engine.query(QuerySpec(start=0.0, end=math.inf))
         condemned = os.path.basename(writer.segments[1].path)
         assert guard.quarantined == (condemned,)

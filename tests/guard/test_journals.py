@@ -94,13 +94,12 @@ class TestReadersNeverWrite:
 
     def test_serve_and_scrub(self, torn_archive, capsys):
         directory, writer, before = torn_archive
-        assert main(["serve", str(directory), "--port", "0", "--no-compress",
+        assert main(["serve", str(directory), "--port", "0",
                      "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "event store: 1 incidents" in out
         assert "gill journal: 1 slot records" in out
-        assert main(["scrub", str(directory), "--no-compress",
-                     "--strict"]) == 0
+        assert main(["scrub", str(directory), "--strict"]) == 0
         assert {path: contents(path) for path in before} == before
 
 

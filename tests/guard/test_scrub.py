@@ -16,12 +16,12 @@ from .conftest import N_SEGMENTS
 
 def segment_paths(directory):
     return [s.path for s in
-            DirectoryCatalog(str(directory), compressed=False).segments()]
+            DirectoryCatalog(str(directory)).segments()]
 
 
 class TestScrubDirectory:
     def test_clean_archive_is_clean(self, archive_dir):
-        report = scrub_directory(str(archive_dir), compressed=False)
+        report = scrub_directory(str(archive_dir))
         assert report.clean
         assert report.checked == report.intact == N_SEGMENTS
         assert report.skipped == 0
@@ -31,7 +31,7 @@ class TestScrubDirectory:
         paths = segment_paths(archive_dir)
         corrupt_bitflip(paths[1])
         corrupt_truncate(paths[3])
-        report = scrub_directory(str(archive_dir), compressed=False)
+        report = scrub_directory(str(archive_dir))
         assert not report.clean
         assert dict(report.quarantined) == {
             os.path.basename(paths[1]): "crc32",
@@ -50,11 +50,9 @@ class TestScrubDirectory:
         paths = segment_paths(archive_dir)
         corrupt_bitflip(paths[0])
         guard = IntegrityGuard(str(archive_dir))
-        first = scrub_directory(str(archive_dir), compressed=False,
-                                guard=guard)
+        first = scrub_directory(str(archive_dir), guard=guard)
         assert len(first.quarantined) == 1
-        second = scrub_directory(str(archive_dir), compressed=False,
-                                 guard=guard)
+        second = scrub_directory(str(archive_dir), guard=guard)
         assert second.clean
         assert second.skipped == 1
         assert second.checked == N_SEGMENTS - 1
@@ -64,7 +62,7 @@ class TestScrubDirectory:
         os.remove(paths[0] + ".idx")                 # missing
         with open(paths[2] + ".idx", "r+b") as handle:  # torn mid-JSON
             handle.truncate(os.path.getsize(paths[2] + ".idx") // 2)
-        report = scrub_directory(str(archive_dir), compressed=False)
+        report = scrub_directory(str(archive_dir))
         assert report.clean
         assert report.indexes_rebuilt == 2
         for path in (paths[0], paths[2]):
@@ -80,10 +78,10 @@ class TestScrubDirectory:
             BGPUpdate("vp1", float(t), prefix, (1, 2))
             for t in range(0, 300, 25)])
         writer.close()
-        assert scrub_directory(str(tmp_path), compressed=False).clean
+        assert scrub_directory(str(tmp_path)).clean
         with open(writer.segments[1].path, "wb") as handle:
             handle.write(b"\x00garbage")
-        report = scrub_directory(str(tmp_path), compressed=False)
+        report = scrub_directory(str(tmp_path))
         assert [reason for _, reason in report.quarantined] == ["parse"]
 
 
@@ -91,7 +89,7 @@ class TestGuardState:
     def test_quarantine_state_survives_restart(self, archive_dir):
         paths = segment_paths(archive_dir)
         corrupt_bitflip(paths[2])
-        scrub_directory(str(archive_dir), compressed=False)
+        scrub_directory(str(archive_dir))
         # A fresh guard (a restarted server) rebuilds the set from the
         # quarantine directory.
         guard = IntegrityGuard(str(archive_dir))
@@ -111,8 +109,7 @@ class TestGuardState:
 class TestScrubber:
     def test_step_rotates_through_live_segments(self, archive_dir):
         guard = IntegrityGuard(str(archive_dir))
-        scrubber = Scrubber(str(archive_dir), guard, interval_s=60.0,
-                            compressed=False)
+        scrubber = Scrubber(str(archive_dir), guard, interval_s=60.0)
         names = [scrubber.step() for _ in range(N_SEGMENTS)]
         assert sorted(names) == sorted(
             os.path.basename(p) for p in segment_paths(archive_dir))
@@ -123,8 +120,7 @@ class TestScrubber:
         paths = segment_paths(archive_dir)
         corrupt_truncate(paths[0])
         guard = IntegrityGuard(str(archive_dir))
-        scrubber = Scrubber(str(archive_dir), guard, interval_s=60.0,
-                            compressed=False)
+        scrubber = Scrubber(str(archive_dir), guard, interval_s=60.0)
         scrubber.step()
         assert guard.quarantined == (os.path.basename(paths[0]),)
         # A full further rotation never revisits the condemned one.
@@ -133,8 +129,7 @@ class TestScrubber:
 
     def test_background_thread_start_stop(self, archive_dir):
         guard = IntegrityGuard(str(archive_dir))
-        scrubber = Scrubber(str(archive_dir), guard, interval_s=0.05,
-                            compressed=False).start()
+        scrubber = Scrubber(str(archive_dir), guard, interval_s=0.05).start()
         try:
             import time
             deadline = time.monotonic() + 5.0

@@ -52,8 +52,8 @@ def segment(request, tmp_path):
 
 class TestBuildIndex:
     def test_counts_and_postings(self, segment):
-        path, compressed = segment
-        index = build_index(path, compressed)
+        path, _ = segment
+        index = build_index(path)
         assert index.count == 5
         assert list(index.prefixes) == [str(P1), str(P2)]
         assert index.vps == {"vp1": 3, "vp2": 1, "vp3": 1}
@@ -61,8 +61,8 @@ class TestBuildIndex:
         assert list(index.origins) == [65002, 65003, 65005]
 
     def test_may_match(self, segment):
-        path, compressed = segment
-        index = build_index(path, compressed)
+        path, _ = segment
+        index = build_index(path)
         assert IndexProbe(prefix=P1).may_match(index)
         assert not IndexProbe(prefix=P3).may_match(index)
         assert IndexProbe(vp="vp2", origin=65003).may_match(index)
@@ -97,9 +97,9 @@ class TestIndexProbe:
     def test_probe_equals_per_key_membership(self, segment, shape):
         path, compressed = segment
         write_archive(shape, path, compress=compressed)
-        index = build_index(path, compressed)
+        index = build_index(path)
         updates = [record for _, record in
-                   iter_decoded(read_payload(path, compressed))]
+                   iter_decoded(read_payload(path))]
         assert len(updates) == len(shape)
         for prefix in self.KEYS[0]:
             for vp in self.KEYS[1]:
@@ -111,15 +111,15 @@ class TestIndexProbe:
 
 class TestPersistence:
     def test_save_load_round_trip(self, segment):
-        path, compressed = segment
-        index = build_index(path, compressed, persist=True)
+        path, _ = segment
+        index = build_index(path, persist=True)
         assert os.path.exists(index_path(path))
         loaded = load_index(path)
         assert loaded == index
 
     def test_stale_index_rejected(self, segment):
         path, compressed = segment
-        build_index(path, compressed, persist=True)
+        build_index(path, persist=True)
         # Rewrite the segment with different content: the recorded
         # size no longer matches, so the index must not load.
         write_archive(updates_fixture()[:2] * 7, path,
@@ -127,8 +127,8 @@ class TestPersistence:
         assert load_index(path) is None
 
     def test_corrupt_index_rejected(self, segment):
-        path, compressed = segment
-        build_index(path, compressed, persist=True)
+        path, _ = segment
+        build_index(path, persist=True)
         with open(index_path(path), "w") as handle:
             handle.write("{not json")
         assert load_index(path) is None
@@ -138,10 +138,10 @@ class TestPersistence:
         assert load_index(path) is None
 
     def test_ensure_builds_then_loads(self, segment):
-        path, compressed = segment
-        index, built = ensure_index(path, compressed)
+        path, _ = segment
+        index, built = ensure_index(path)
         assert built and index.count == 5
-        again, built_again = ensure_index(path, compressed)
+        again, built_again = ensure_index(path)
         assert not built_again
         assert again.count == index.count
 
@@ -181,11 +181,11 @@ class TestSealTimeIndexing:
         assert events == [None]
 
 
-def reference_index(path, compressed):
+def reference_index(path):
     """The index, from first principles: decode every record of the
     file and collect its keys in first-appearance order."""
     records = [record for _, record in
-               iter_decoded(read_payload(path, compressed))]
+               iter_decoded(read_payload(path))]
     vps = {}
     for record in records:
         vps[record.vp] = vps.get(record.vp, 0) + 1
@@ -242,10 +242,10 @@ class TestSealFromMemory:
                 with open(index_path(segment.path), "rb") as handle:
                     sealed = handle.read()
                 loaded = load_index(segment.path)
-                reference = reference_index(segment.path, compress)
+                reference = reference_index(segment.path)
                 assert sealed == json.dumps(
                     reference.to_json(), separators=(",", ":")).encode()
-                rebuilt = build_index(segment.path, compress, persist=True)
+                rebuilt = build_index(segment.path, persist=True)
                 with open(index_path(segment.path), "rb") as handle:
                     assert handle.read() == sealed
                 assert loaded == rebuilt == reference
@@ -274,7 +274,7 @@ class TestPlanDifferential:
             writer.close()
             segments = writer.segments
             decoded = [[record for _, record in iter_decoded(
-                read_payload(segment.path, compress))]
+                read_payload(segment.path))]
                 for segment in segments]
             keys = [({u.prefix for u in records}, {u.vp for u in records},
                      {u.origin_as for u in records})
@@ -353,10 +353,10 @@ class TestV1Upgrade:
         assert snap.segments_pruned_index == 1
         with open(index_path(v1_segment)) as handle:
             assert json.load(handle)["version"] == INDEX_VERSION == 2
-        assert load_index(v1_segment) == reference_index(v1_segment, False)
+        assert load_index(v1_segment) == reference_index(v1_segment)
 
     def test_scrub_reports_it_rebuilt(self, v1_segment, capsys):
         assert main(["scrub", os.path.dirname(v1_segment)]) == 0
         assert "1 intact, 0 quarantined, 1 indexes rebuilt" \
             in capsys.readouterr().out
-        assert load_index(v1_segment) == reference_index(v1_segment, False)
+        assert load_index(v1_segment) == reference_index(v1_segment)

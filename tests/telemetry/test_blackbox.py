@@ -79,8 +79,7 @@ class TestIncidentDumps:
         corrupt_bitflip(segments[1].path)
         store = EventStore(journal_path_for(str(directory)))
         guard = IntegrityGuard(str(directory), events=store)
-        with QueryEngine(str(directory), compressed=False,
-                         guard=guard) as engine, \
+        with QueryEngine(str(directory), guard=guard) as engine, \
                 QueryAPIServer(engine, guard=guard) as server:
             assert get(server.url + "/healthz") == 200
             assert get(server.url + "/readyz") == 200
@@ -104,7 +103,7 @@ class TestIncidentDumps:
 
     def test_breaker_opening_dumps(self, fresh_box, archive_dir):
         directory, _ = archive_dir
-        with QueryEngine(str(directory), compressed=False) as engine, \
+        with QueryEngine(str(directory)) as engine, \
                 QueryAPIServer(engine, breaker_threshold=2,
                                breaker_reset_s=60.0) as server:
             def boom(spec, deadline=None, trace=None):
@@ -130,7 +129,7 @@ class TestTraceCLI:
     def test_trace_renders_live_debug_traces(self, archive_dir, capsys):
         directory, _ = archive_dir
         mine = "0000feedcafe0002"
-        with QueryEngine(str(directory), compressed=False) as engine, \
+        with QueryEngine(str(directory)) as engine, \
                 QueryAPIServer(engine) as server:
             assert get(server.url + "/updates?vp=vp1", mine) == 200
             assert wait_for_spans(server.tracer, 1)

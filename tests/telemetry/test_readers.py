@@ -49,8 +49,7 @@ def emitted(tmp_path_factory):
 
     monkeypatch.setattr(QueryEngine, "close", keep_registry)
     try:
-        assert main(["serve", archive, "--no-compress", "--port", "0",
-                     "--smoke"]) == 0
+        assert main(["serve", archive, "--port", "0", "--smoke"]) == 0
     finally:
         monkeypatch.undo()
     assert len(registries) == 1

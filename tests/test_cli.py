@@ -34,7 +34,7 @@ class TestGenerate:
         path = str(tmp_path / "raw.mrt")
         main(["generate", path, "--vps", "4", "--groups", "3",
               "--duration", "300", "--no-compress"])
-        assert read_archive(path, compressed=False)
+        assert read_archive(path)
 
 
 class TestInspect:
@@ -379,8 +379,7 @@ class TestGillCLI:
             assert main(["generate", path, "--scenario", "overshoot",
                          "--vps", "10", "--duration", "400",
                          "--seed", "9", "--no-compress"]) == 0
-        assert read_archive(a, compressed=False) \
-            == read_archive(b, compressed=False)
+        assert read_archive(a) == read_archive(b)
         assert "overshoot scenario" in capsys.readouterr().out
 
     def test_pipeline_gill_filters_and_journals(self, overshoot,
@@ -389,7 +388,7 @@ class TestGillCLI:
         import os
 
         out_dir = str(tmp_path / "filtered")
-        code = main(["pipeline", overshoot, "--no-compress",
+        code = main(["pipeline", overshoot,
                      "--archive-dir", out_dir, "--checkpoint",
                      "--gill", "--filter-def", "1",
                      "--keep", "vp10000"])
@@ -405,14 +404,12 @@ class TestGillCLI:
         assert sum(r["dropped"] for r in records) > 0
 
     def test_gill_requires_archive_dir(self, overshoot, capsys):
-        assert main(["pipeline", overshoot, "--no-compress",
-                     "--gill"]) == 2
+        assert main(["pipeline", overshoot, "--gill"]) == 2
         assert "--gill requires --archive-dir" \
             in capsys.readouterr().err
 
     def test_keep_requires_gill(self, overshoot, capsys):
-        assert main(["pipeline", overshoot, "--no-compress",
-                     "--keep", "vp10000"]) == 2
+        assert main(["pipeline", overshoot, "--keep", "vp10000"]) == 2
         assert "--keep" in capsys.readouterr().err
 
     def test_serve_smoke_covers_gill_vps(self, overshoot, tmp_path,
@@ -422,8 +419,81 @@ class TestGillCLI:
                      "--archive-dir", out_dir, "--checkpoint",
                      "--gill"]) == 0
         capsys.readouterr()
-        assert main(["serve", out_dir, "--no-compress", "--port", "0",
-                     "--smoke"]) == 0
+        assert main(["serve", out_dir, "--port", "0", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "gill journal:" in out
         assert "ok 200 /vps?sort=value" in out
+
+
+class TestArchivesDescribeThemselves:
+    """Every reading verb takes a file's encoding from its bytes; only
+    the writing verbs have ``--no-compress``."""
+
+    @pytest.fixture
+    def plain(self, tmp_path):
+        path = str(tmp_path / "plain.mrt")
+        assert main(["generate", path, "--vps", "8", "--groups", "5",
+                     "--duration", "600", "--seed", "1",
+                     "--no-compress"]) == 0
+        return path
+
+    @staticmethod
+    def segment_names(directory):
+        import os
+
+        return sorted(name for name in os.listdir(directory)
+                      if name.startswith("updates.")
+                      and not name.endswith(".idx"))
+
+    def test_readers_take_a_plain_input_with_no_flag(self, plain,
+                                                     tmp_path, capsys):
+        count = len(read_archive(plain))
+        capsys.readouterr()
+        assert main(["inspect", plain]) == 0
+        assert f"{count} updates from 8 VPs" in capsys.readouterr().out
+        out_path = str(tmp_path / "retained.mrt.bz2")
+        assert main(["sample", plain, "--output", out_path,
+                     "--events-per-cell", "5"]) == 0
+        assert f"/{count} updates" in capsys.readouterr().out
+        assert 0 < len(read_archive(out_path)) <= count
+        assert main(["orchestrate", plain, "--refresh-interval", "300",
+                     "--mirror-window", "200",
+                     "--events-per-cell", "4"]) == 0
+        assert f"received {count} " in capsys.readouterr().out
+        assert main(["pipeline", plain, "--shards", "2"]) == 0
+        assert "ingest-dropped 0" in capsys.readouterr().out
+
+    def test_pipeline_no_compress_chooses_only_the_output(self, archive,
+                                                          tmp_path):
+        out_dir = str(tmp_path / "segments")
+        assert main(["pipeline", archive, "--no-compress",
+                     "--archive-dir", out_dir]) == 0
+        names = self.segment_names(out_dir)
+        assert names and all(name.endswith(".mrt") for name in names)
+
+    def test_recover_and_scrub_a_plain_archive(self, plain, tmp_path,
+                                               capsys):
+        out_dir = str(tmp_path / "segments")
+        assert main(["pipeline", plain, "--no-compress", "--archive-dir",
+                     out_dir, "--checkpoint", "--index"]) == 0
+        names = self.segment_names(out_dir)
+        capsys.readouterr()
+        assert main(["recover", out_dir]) == 0
+        assert f"recovered: {len(names)} durable segments" \
+            in capsys.readouterr().out
+        assert self.segment_names(out_dir) == names
+        assert main(["scrub", out_dir, "--strict"]) == 0
+        assert f"{len(names)} intact, 0 quarantined" \
+            in capsys.readouterr().out
+
+    def test_only_writers_have_an_encoding_flag(self):
+        parser = build_parser()
+        for verb in ("inspect", "sample", "orchestrate", "recover",
+                     "scrub", "serve"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([verb, "x", "--no-compress"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["recover", "x", "--interval", "600"])
+        for verb in ("generate", "pipeline"):
+            assert parser.parse_args([verb, "x", "--no-compress"]) \
+                .no_compress
